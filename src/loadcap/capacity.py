@@ -15,13 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kinematics import (DiscreteOperators, check_traction, strain_norm_l1,
-                         strain_norm_plastic, trace, traction_sup_norm,
-                         work_vector)
-from . import lp
-from .stress import (ELASTIC, PLASTIC, SolverFailure, _dual_builder,
-                     check_mode, kinematic_supremum, optimal_stress,
-                     optimal_stress_dual, require_plastic_viable)
+from .kinematics import (DiscreteOperators, check_traction, trace,
+                         traction_sup_norm, work_vector)
+from .stress import (ELASTIC, PLASTIC, kinematic_supremum, optimal_stress,
+                     optimal_stress_primal)
 
 EXACT = "exact_vertex_enumeration"
 HEURISTIC = "alternating_heuristic"
@@ -51,10 +48,7 @@ class LimitResult:
     sigma_opt: float
     lambda_star: float
     t_collapse: np.ndarray = field(repr=False, default=None)
-
-
-def _boundary_component_count(ops: DiscreteOperators) -> int:
-    return len(ops.gammat_facets) * ops.dim
+    lambda_kinematic: float | None = None
 
 
 def concentration_factor_for(ops: DiscreteOperators, t, mode: str = ELASTIC) -> float:
@@ -66,66 +60,53 @@ def concentration_factor_for(ops: DiscreteOperators, t, mode: str = ELASTIC) -> 
     return optimal_stress(ops, t, mode).sigma_opt / denom
 
 
-def _pattern_objective(ops: DiscreteOperators, signs: np.ndarray) -> np.ndarray:
-    """DOF functional sum_f area_f s_f . trace_f(w) for a sign pattern."""
-    f = np.zeros(ops.n_dof)
-    s = signs.reshape(len(ops.gammat_facets), ops.dim)
-    for a, sv, T in zip(ops.areas, s, ops.trace_maps):
-        f += a * (sv @ T)
-    return f
-
-
-def _strain_measure(ops: DiscreteOperators, w, mode: str) -> float:
-    return strain_norm_plastic(ops, w) if mode == PLASTIC else strain_norm_l1(ops, w)
+def _vertex_tractions(ops: DiscreteOperators):
+    """The 2^(m-1) vertices of the unit traction ball up to sign (t and -t
+    give the same value, so the first component stays positive)."""
+    m = len(ops.gammat_facets) * ops.dim
+    if m > SIGN_PATTERN_CAP:
+        raise CapacityError(
+            f"exact enumeration capped at {SIGN_PATTERN_CAP} boundary "
+            f"components; this mesh has {m} (use the heuristic)")
+    for code in range(2 ** max(m - 1, 0)):
+        signs = np.ones(m)
+        for bit in range(m - 1):
+            if code >> bit & 1:
+                signs[bit + 1] = -1.0
+        yield signs.reshape(len(ops.gammat_facets), ops.dim)
 
 
 def generalized_K(ops: DiscreteOperators, mode: str = ELASTIC,
                   method: str = EXACT) -> CapacityResult:
     """Compute K = sup_w trace_norm / strain_norm (plastic: isochoric w)."""
-    check_mode(mode)
-    if mode == PLASTIC:
-        require_plastic_viable(ops)
-    m = _boundary_component_count(ops)
     if method == EXACT:
-        if m > SIGN_PATTERN_CAP:
-            raise CapacityError(
-                f"exact enumeration capped at {SIGN_PATTERN_CAP} boundary "
-                f"components; this mesh has {m} (use the heuristic)")
-        best_val, best_signs, best_w = -1.0, None, None
-        # signs and -signs give the same value; fix the first sign positive
-        for code in range(2 ** max(m - 1, 0)):
-            signs = np.ones(m)
-            for bit in range(m - 1):
-                if code >> bit & 1:
-                    signs[bit + 1] = -1.0
-            val, w = kinematic_supremum(ops, _pattern_objective(ops, signs), mode)
+        best_val, worst, best_w = -1.0, None, None
+        for t in _vertex_tractions(ops):
+            val, w = kinematic_supremum(ops, work_vector(ops, t), mode)
             if val > best_val + 1e-12:
-                best_val, best_signs, best_w = val, signs, w
+                best_val, worst, best_w = val, t, w
         K = max(best_val, 0.0)
-        worst = best_signs.reshape(len(ops.gammat_facets), ops.dim)
         return CapacityResult(K=K, C=_safe_inverse(K), worst_traction=worst,
                               method=EXACT, certificate=best_w)
     if method == HEURISTIC:
+        shape = (len(ops.gammat_facets), ops.dim)
         rng = np.random.default_rng(0)
-        starts = [np.ones(m)]
-        starts += [np.where(rng.random(m) < 0.5, -1.0, 1.0)
+        starts = [np.ones(shape)]
+        starts += [np.where(rng.random(shape) < 0.5, -1.0, 1.0)
                    for _ in range(HEURISTIC_RESTARTS - 1)]
-        best_val, best_w, best_signs = -1.0, None, starts[0]
+        best_val, best_w, worst = -1.0, None, starts[0]
         n_converged = 0
         for signs in starts:
             for _ in range(HEURISTIC_MAX_ITER):
-                val, w = kinematic_supremum(ops, _pattern_objective(ops, signs),
-                                            mode)
+                val, w = kinematic_supremum(ops, work_vector(ops, signs), mode)
                 if val > best_val + 1e-12:
-                    best_val, best_signs, best_w = val, signs, w
-                tr = trace(ops, w).reshape(-1)
-                new_signs = np.where(tr >= 0.0, 1.0, -1.0)
+                    best_val, worst, best_w = val, signs, w
+                new_signs = np.where(trace(ops, w) >= 0.0, 1.0, -1.0)
                 if np.array_equal(new_signs, signs):
                     n_converged += 1
                     break
                 signs = new_signs
         K = max(best_val, 0.0)
-        worst = best_signs.reshape(len(ops.gammat_facets), ops.dim)
         return CapacityResult(K=K, C=_safe_inverse(K), worst_traction=worst,
                               method=HEURISTIC, certificate=best_w,
                               lower_bound_only=True,
@@ -138,78 +119,36 @@ def _safe_inverse(K: float) -> float:
 
 
 def generalized_K_dual_check(ops: DiscreteOperators, mode: str = ELASTIC) -> float:
-    """K recomputed from the traction side: max of sigma_opt over the
-    vertices (per-component sign vectors) of the unit traction ball."""
-    check_mode(mode)
-    if mode == PLASTIC:
-        require_plastic_viable(ops)
-    m = _boundary_component_count(ops)
-    if m > SIGN_PATTERN_CAP:
-        raise CapacityError(
-            f"traction-vertex enumeration capped at {SIGN_PATTERN_CAP} "
-            f"components; this mesh has {m}")
-    best = 0.0
-    for code in range(2 ** max(m - 1, 0)):
-        signs = np.ones(m)
-        for bit in range(m - 1):
-            if code >> bit & 1:
-                signs[bit + 1] = -1.0
-        t = signs.reshape(len(ops.gammat_facets), ops.dim)
-        val, _ = optimal_stress_dual(ops, t, mode)
-        best = max(best, val)
-    return best
-
-
-def load_capacity(ops: DiscreteOperators, mode: str = ELASTIC,
-                  method: str = EXACT) -> CapacityResult:
-    """Load capacity ratio C = 1/K (inf when nothing is loadable)."""
-    return generalized_K(ops, mode, method)
+    """K recomputed from the static side: the max of the static LP's
+    sigma_opt over the vertices of the unit traction ball.  An oracle
+    independent of the kinematic LPs that `generalized_K` solves."""
+    return max((optimal_stress_primal(ops, t, mode)[0]
+                for t in _vertex_tractions(ops)))
 
 
 def limit_analysis(ops: DiscreteOperators, t, Y0: float) -> LimitResult:
     """Limit-analysis factor Y0/sigma_opt and the collapse-manifold
-    projection of the traction, verified by recomputation."""
+    projection lambda* t of the traction, from one certified plastic
+    optimum; lambda_kinematic is Y0 budget(w)/work(w) of its witness."""
     t = check_traction(ops, t)
-    if Y0 <= 0:
-        raise CapacityError("yield stress Y0 must be positive")
+    if not (np.isfinite(Y0) and Y0 > 0):
+        raise CapacityError(
+            f"yield stress Y0 must be finite and positive, got {Y0!r}")
     if traction_sup_norm(ops, t) == 0.0:
         raise CapacityError("limit analysis undefined for zero traction")
     result = optimal_stress(ops, t, PLASTIC)
-    sigma_opt = result.sigma_opt
-    if sigma_opt <= 0.0:
+    if min(result.sigma_opt, result.dual_value) <= 0.0:
         raise CapacityError(
             "traction does no work against admissible fields; no collapse load")
-    lambda_star = Y0 / sigma_opt
-    t_collapse = t * (Y0 / sigma_opt)
-    check = optimal_stress(ops, t_collapse, PLASTIC)
-    if abs(check.sigma_opt - Y0) > 1e-6 * (1.0 + Y0):
-        raise SolverFailure(
-            f"collapse projection failed: sigma_opt(t_psi)={check.sigma_opt!r} "
-            f"vs Y0={Y0!r}")
-    return LimitResult(Y0=Y0, sigma_opt=sigma_opt, lambda_star=lambda_star,
-                       t_collapse=t_collapse)
+    lambda_star = Y0 / result.sigma_opt
+    return LimitResult(Y0=Y0, sigma_opt=result.sigma_opt,
+                       lambda_star=lambda_star, t_collapse=lambda_star * t,
+                       lambda_kinematic=Y0 / result.dual_value)
 
 
 def kinematic_limit_check(ops: DiscreteOperators, t, Y0: float):
-    """Static vs kinematic limit factor.
-
-    The kinematic value minimizes the (plastic) strain budget over
-    isochoric fields doing unit external work, scaled by Y0.
-    Returns (lambda_static, lambda_kinematic, gap).
-    """
-    static = limit_analysis(ops, t, Y0)
-    f = work_vector(ops, check_traction(ops, t))
-    builder, w_vars, budget = _dual_builder(ops, PLASTIC)
-    builder.add_eq({w_vars[k]: f[k] for k in range(ops.n_dof)}, 1.0)
-    builder.set_objective(budget)
-    prob, recover = builder.build()
-    sol = lp.solve(prob)
-    if sol.status == lp.INFEASIBLE:
-        raise CapacityError(
-            "no admissible field does work against this traction; "
-            "kinematic normalization infeasible")
-    if sol.status != lp.OPTIMAL:
-        raise SolverFailure(f"kinematic limit LP ended with status {sol.status}")
-    lambda_kin = Y0 * float(sol.objective)
-    gap = abs(static.lambda_star - lambda_kin)
-    return static.lambda_star, lambda_kin, gap
+    """Static vs kinematic limit factor of one certified plastic optimum.
+    Returns (lambda_static, lambda_kinematic, gap)."""
+    r = limit_analysis(ops, t, Y0)
+    gap = abs(r.lambda_star - r.lambda_kinematic)
+    return r.lambda_star, r.lambda_kinematic, gap

@@ -81,13 +81,13 @@ def _emit(report: dict, summary_lines, t0: float):
     print(f"wall time: {elapsed:.3f} s", file=sys.stderr)
 
 
-def _base_report(command: str, mesh_path, norm: str) -> dict:
+def _base_report(command: str, mesh_path) -> dict:
     return {
         "tool": "loadcap",
         "version": __version__,
         "command": command,
         "mesh_sha256": _sha256(mesh_path),
-        "norm": norm,
+        "norm": "l1linf",
         # zero-traction gammaT facets participate in the traction sup norm
         "sup_norm_over_all_gammat_facets": True,
     }
@@ -98,11 +98,9 @@ def cmd_analyze(args) -> int:
     mesh = _load_mesh(args.mesh)
     ops = kin.assemble(mesh)
     t = _load_traction(args.traction, ops)
-    if args.mode == st.PLASTIC:
-        st.require_plastic_viable(ops)
     result = st.optimal_stress(ops, t, args.mode)
     ok, residual = st.check_equilibrium(ops, result.sigma_hat, t)
-    report = _base_report("analyze", args.mesh, args.norm)
+    report = _base_report("analyze", args.mesh)
     report.update({
         "traction_sha256": _sha256(args.traction),
         "mode": args.mode,
@@ -134,7 +132,18 @@ def cmd_capacity(args) -> int:
     else:
         method = cap.HEURISTIC
     result = cap.generalized_K(ops, args.mode, method)
-    report = _base_report("capacity", args.mesh, args.norm)
+    if result.lower_bound_only:
+        interpretation = (
+            "K is a lower bound on the stress concentration factor, so C is "
+            "an upper bound on the load capacity, not a safe load: a traction "
+            "field with sup norm below C times the yield stress may collapse")
+        summary = (f"K >= {result.K:.9g}, C <= {result.C:.9g} "
+                   f"({result.method}; C is not a safe load)")
+    else:
+        interpretation = ("no collapse occurs under any traction field with "
+                          "sup norm below C times the yield stress")
+        summary = f"K = {result.K:.9g}, C = {result.C:.9g} ({result.method})"
+    report = _base_report("capacity", args.mesh)
     report.update({
         "mode": args.mode,
         "method": result.method,
@@ -144,15 +153,15 @@ def cmd_capacity(args) -> int:
         "caps_hit": m > cap.SIGN_PATTERN_CAP,
         "worst_traction": [[float(v) for v in row] for row in result.worst_traction],
         "certificate": [float(v) for v in result.certificate],
-        "interpretation": (
-            "no collapse occurs under any traction field with sup norm "
-            "below C times the yield stress"),
+        "interpretation": interpretation,
     })
-    if result.method == cap.EXACT and m <= cap.SIGN_PATTERN_CAP:
-        K_dual = cap.generalized_K_dual_check(ops, args.mode)
-        report["K_traction_side"] = K_dual
-        report["K_cross_check_gap"] = abs(result.K - K_dual)
-    _emit(report, [f"K = {result.K:.9g}, C = {result.C:.9g} ({result.method})"], t0)
+    if not result.lower_bound_only:
+        # stress side of K: measure of the worst traction's certified stress
+        worst = st.optimal_stress(ops, result.worst_traction, args.mode)
+        K_side = st.stress_measure(worst.sigma_hat, args.mode, ops)
+        report["K_traction_side"] = K_side
+        report["K_cross_check_gap"] = abs(result.K - K_side)
+    _emit(report, [summary], t0)
     return EXIT_OK
 
 
@@ -161,10 +170,10 @@ def cmd_limit(args) -> int:
     mesh = _load_mesh(args.mesh)
     ops = kin.assemble(mesh)
     t = _load_traction(args.traction, ops)
-    st.require_plastic_viable(ops)
-    lam_static, lam_kin, gap = cap.kinematic_limit_check(ops, t, args.y0)
     result = cap.limit_analysis(ops, t, args.y0)
-    report = _base_report("limit", args.mesh, args.norm)
+    lam_kin = result.lambda_kinematic
+    gap = abs(result.lambda_star - lam_kin)
+    report = _base_report("limit", args.mesh)
     report.update({
         "traction_sha256": _sha256(args.traction),
         "mode": st.PLASTIC,
@@ -182,6 +191,8 @@ def cmd_limit(args) -> int:
 
 def cmd_verify(args) -> int:
     t0 = time.monotonic()
+    if args.trials < 0:
+        raise InputError(f"--trials must be non-negative, got {args.trials}")
     mesh = _load_mesh(args.mesh)
     ops = kin.assemble(mesh)
     rng = np.random.default_rng(args.seed)
@@ -209,9 +220,12 @@ def cmd_verify(args) -> int:
             except st.SolverFailure as exc:
                 record(f"duality_trial{trial}_{mode}", False, str(exc))
                 continue
-            ok_gap = res.duality_gap <= 1e-6 * (1.0 + res.sigma_opt)
-            record(f"duality_trial{trial}_{mode}", ok_gap,
-                   f"gap {res.duality_gap:.2e}")
+            # the static LP is an independent reference for the certified value
+            static, _ = st.optimal_stress_primal(ops, t, mode)
+            gap = abs(static - res.sigma_opt)
+            record(f"duality_trial{trial}_{mode}",
+                   gap <= st.DUALITY_GAP_TOL * (1.0 + res.sigma_opt),
+                   f"static-kinematic gap {gap:.2e}")
             scaled = st.optimal_stress(ops, 3.0 * t, mode)
             ok_h = abs(scaled.sigma_opt - 3.0 * res.sigma_opt) \
                 <= 1e-6 * (1.0 + res.sigma_opt)
@@ -230,7 +244,7 @@ def cmd_verify(args) -> int:
         record(f"lp_oracle_{i}", ok)
 
     all_ok = all(c["ok"] for c in checks)
-    report = _base_report("verify", args.mesh, "l1linf")
+    report = _base_report("verify", args.mesh)
     report.update({"seed": args.seed, "trials": args.trials,
                    "all_ok": all_ok, "checks": checks})
     n_ok = sum(c["ok"] for c in checks)
@@ -246,19 +260,15 @@ def _build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--mode", choices=list(st.MODES), default=st.ELASTIC)
-        p.add_argument("--norm", choices=["l1linf"], default="l1linf")
-
     p = sub.add_parser("analyze", help="optimal stress for a traction field")
     p.add_argument("mesh")
     p.add_argument("traction")
-    add_common(p)
+    p.add_argument("--mode", choices=list(st.MODES), default=st.ELASTIC)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("capacity", help="stress concentration factor K and C")
     p.add_argument("mesh")
-    add_common(p)
+    p.add_argument("--mode", choices=list(st.MODES), default=st.ELASTIC)
     p.add_argument("--method", choices=["auto", "exact", "heuristic"],
                    default="auto")
     p.set_defaults(func=cmd_capacity)
@@ -267,7 +277,6 @@ def _build_parser():
     p.add_argument("mesh")
     p.add_argument("traction")
     p.add_argument("--y0", type=float, default=1.0)
-    p.add_argument("--norm", choices=["l1linf"], default="l1linf")
     p.set_defaults(func=cmd_limit)
 
     p = sub.add_parser("verify", help="run the invariant suite on a mesh")

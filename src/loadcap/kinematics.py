@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mesh as msh
-from .matnorm import (DEFAULT_NORM_PAIR, NormPair, SymMatrix,
-                      comp_positions, comp_weights,
+from .matnorm import (L1, LINF, SymMatrix, comp_positions, comp_weights,
                       deviatoric_dual_value, n_comps, vec_norm)
 
 
@@ -31,7 +30,6 @@ class DiscreteOperators:
     """
 
     mesh: msh.Mesh
-    norm_pair: NormPair
     clamped: bool
     n_dof: int
     dof_index: np.ndarray = field(repr=False)   # (n_nodes, dim), -1 = clamped
@@ -90,8 +88,7 @@ def _element_strain_map(mesh: msh.Mesh, elem: msh.Element,
     return B
 
 
-def assemble(mesh: msh.Mesh, norm_pair: NormPair = DEFAULT_NORM_PAIR,
-             clamp: bool = True) -> DiscreteOperators:
+def assemble(mesh: msh.Mesh, clamp: bool = True) -> DiscreteOperators:
     """Build the discrete strain and trace operators for a valid mesh.
 
     With clamp=False no boundary condition is applied; that variant is
@@ -138,7 +135,7 @@ def assemble(mesh: msh.Mesh, norm_pair: NormPair = DEFAULT_NORM_PAIR,
         areas.append(msh.facet_measure(mesh, f))
 
     return DiscreteOperators(
-        mesh=mesh, norm_pair=norm_pair, clamped=clamp, n_dof=n_dof,
+        mesh=mesh, clamped=clamp, n_dof=n_dof,
         dof_index=dof_index, strain_maps=strain_maps,
         volumes=np.array(volumes), trace_maps=tuple(trace_maps),
         areas=np.array(areas), gammat_facets=gammat)
@@ -158,6 +155,8 @@ def check_traction(ops: DiscreteOperators, t) -> np.ndarray:
         raise KinematicsError(
             f"traction field has shape {t.shape}, expected "
             f"({len(ops.gammat_facets)}, {ops.dim})")
+    if not np.all(np.isfinite(t)):
+        raise KinematicsError("traction field has non-finite entries")
     return t
 
 
@@ -197,7 +196,7 @@ def trace(ops: DiscreteOperators, w) -> np.ndarray:
 def trace_norm_l1(ops: DiscreteOperators, w) -> float:
     """Area-weighted boundary L1 norm of the trace over gammaT."""
     values = trace(ops, w)
-    return float(sum(a * vec_norm(v, ops.norm_pair.primal_id)
+    return float(sum(a * vec_norm(v, L1)
                      for a, v in zip(ops.areas, values)))
 
 
@@ -214,7 +213,7 @@ def traction_sup_norm(ops: DiscreteOperators, t) -> float:
     t = check_traction(ops, t)
     if t.shape[0] == 0:
         return 0.0
-    return max(vec_norm(tv, ops.norm_pair.dual_id) for tv in t)
+    return max(vec_norm(tv, LINF) for tv in t)
 
 
 def work_vector(ops: DiscreteOperators, t) -> np.ndarray:

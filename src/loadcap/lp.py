@@ -242,13 +242,19 @@ def solve_brute(p: LPStandardForm) -> LPSolution:
 
 
 class LPBuilder:
-    """Translate free variables and inequalities into standard form."""
+    """Translate free variables and inequalities into standard form.
+
+    An equality added with a label can be found again in `labels`, which
+    maps the label to the row's index in the standard form and so to its
+    multiplier in `LPSolution.y`.
+    """
 
     def __init__(self):
         self._free = []
         self._rows = []       # (coeff dict, rhs, is_eq)
         self._obj = {}
         self.n_vars = 0
+        self.labels = {}
 
     def add_var(self, nonneg: bool = True) -> int:
         self._free.append(not nonneg)
@@ -258,7 +264,9 @@ class LPBuilder:
     def add_vars(self, count: int, nonneg: bool = True):
         return [self.add_var(nonneg) for _ in range(count)]
 
-    def add_eq(self, coeffs: dict, rhs: float):
+    def add_eq(self, coeffs: dict, rhs: float, label=None):
+        if label is not None:
+            self.labels[label] = len(self._rows)
         self._rows.append((dict(coeffs), float(rhs), True))
 
     def add_le(self, coeffs: dict, rhs: float):

@@ -13,7 +13,6 @@ import numpy as np
 
 L1 = "l1"
 LINF = "linf"
-NORM_IDS = (L1, LINF)
 
 # unique-component ordering per dimension: diagonal first, then off-diagonals
 _COMP_POSITIONS = {
@@ -152,25 +151,8 @@ def deviatoric_dual_value(e: SymMatrix) -> float:
     """
     e3 = embed3(e)
     diag = e3.comps[:3]
-    p = float(np.median(-diag))
+    p = -float(np.sort(diag)[1])  # median of the three
     shifted = e3.comps.copy()
     shifted[:3] += p
     return float(np.sum(comp_weights(3) * np.abs(shifted)))
 
-
-@dataclass(frozen=True)
-class NormPair:
-    """A (primal strain norm, dual stress norm) pair."""
-
-    primal_id: str = L1
-    dual_id: str = LINF
-
-    def __post_init__(self):
-        if self.primal_id not in NORM_IDS or self.dual_id not in NORM_IDS:
-            raise NormError("unknown norm id in norm pair")
-        if dual_norm_id(self.primal_id) != self.dual_id:
-            raise NormError(
-                f"{self.primal_id!r} and {self.dual_id!r} are not duals")
-
-
-DEFAULT_NORM_PAIR = NormPair()

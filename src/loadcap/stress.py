@@ -6,6 +6,8 @@ out-of-plane normal stress) as free variables.  The kinematic dual uses
 the matching strain budget: plain volume-weighted entrywise-1 norm in
 elastic mode, and its quotient by spherical shifts in plastic mode,
 which makes the two linear programs exact duals of each other.
+`optimal_stress` solves only the kinematic LP, reads the stress off its
+multipliers and certifies the pair by weak duality.
 """
 
 from __future__ import annotations
@@ -15,8 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lp
-from .kinematics import DiscreteOperators, check_traction, work_vector
-from .matnorm import (SymMatrix, comp_weights, mat_norm, n_comps, yield_value)
+from .kinematics import (DiscreteOperators, check_traction, external_work,
+                         isochoric_constraints, strain_norm_l1,
+                         strain_norm_plastic, traction_sup_norm, work_vector)
+from .matnorm import (LINF, SymMatrix, comp_weights, mat_norm, n_comps,
+                      yield_value)
 
 ELASTIC = "elastic"
 PLASTIC = "plastic"
@@ -30,7 +35,7 @@ class StressError(ValueError):
 
 
 class SolverFailure(RuntimeError):
-    """LP failure or a violated duality invariant; never a silent wrong answer."""
+    """LP failure or a failed certificate; never a silent wrong answer."""
 
 
 def check_mode(mode: str):
@@ -68,6 +73,9 @@ class StressField:
 
 @dataclass(frozen=True)
 class OptimalStressResult:
+    """sigma_opt is the kinematic LP's optimum, dual_value the witness's
+    ratio work/budget, duality_gap |stress_measure(sigma_hat) - dual_value|."""
+
     mode: str
     sigma_opt: float
     sigma_hat: StressField
@@ -96,9 +104,8 @@ def stress_measure(s: StressField, mode: str, ops: DiscreteOperators) -> float:
     if not s.elements:
         return 0.0
     if mode == ELASTIC:
-        return max(mat_norm(m, ops.norm_pair.dual_id) for m in s.elements)
-    return max(yield_value(_element_measure_matrix(s, e, ops.dim),
-                           ops.norm_pair.dual_id)
+        return max(mat_norm(m, LINF) for m in s.elements)
+    return max(yield_value(_element_measure_matrix(s, e, ops.dim), LINF)
                for e in range(ops.n_elements))
 
 
@@ -115,7 +122,6 @@ def equilibrium_residual(ops: DiscreteOperators, s: StressField, t) -> float:
 def check_equilibrium(ops: DiscreteOperators, s: StressField, t,
                       tol: float = 1e-8):
     """True iff the stress field equilibrates t within tol*(1+|t|_inf)."""
-    from .kinematics import traction_sup_norm
     residual = equilibrium_residual(ops, s, t)
     ok = residual <= tol * (1.0 + traction_sup_norm(ops, t))
     return ok, residual
@@ -208,8 +214,9 @@ def _dual_builder(ops: DiscreteOperators, mode: str):
     """Shared kinematic-LP skeleton: velocity DOFs, strain-budget split
     variables, and (plastic) spherical shifts plus isochoric rows.
 
-    Returns (builder, w_vars, budget_coeffs) with the budget left open so
-    callers can either cap it or minimize it.
+    Returns (builder, w_vars, budget) with the budget left open.  The
+    strain row of element e and slot c is labelled ("slot", e, c), its
+    isochoric row ("iso", e): their multipliers carry the stress field.
     """
     dim = ops.dim
     nc = n_comps(dim)
@@ -234,7 +241,7 @@ def _dual_builder(ops: DiscreteOperators, mode: str):
                 slot_wgt = 1.0  # out-of-plane diagonal slot, strain is zero
             if p is not None and (c < dim or c == nc):
                 row[p] = row.get(p, 0.0) + 1.0
-            builder.add_eq(row, 0.0)
+            builder.add_eq(row, 0.0, label=("slot", e, c))
             budget[gp] = vol * slot_wgt
             budget[gm] = vol * slot_wgt
         if mode == PLASTIC:
@@ -243,14 +250,13 @@ def _dual_builder(ops: DiscreteOperators, mode: str):
                 coef = float(B[:dim, k].sum())
                 if coef != 0.0:
                     iso[w_vars[k]] = coef
-            builder.add_eq(iso, 0.0)
+            builder.add_eq(iso, 0.0, label=("iso", e))
     return builder, w_vars, budget
 
 
-def kinematic_supremum(ops: DiscreteOperators, objective: np.ndarray,
-                       mode: str):
-    """Maximize objective . w over the unit strain-budget ball (plastic:
-    restricted to isochoric fields).  Returns (value, witness)."""
+def _solve_kinematic(ops: DiscreteOperators, objective: np.ndarray,
+                     mode: str):
+    """`kinematic_supremum`, plus the LP's multipliers and row labels."""
     check_mode(mode)
     if mode == PLASTIC:
         require_plastic_viable(ops)
@@ -267,7 +273,16 @@ def kinematic_supremum(ops: DiscreteOperators, objective: np.ndarray,
         raise SolverFailure(f"kinematic LP ended with status {sol.status}")
     x = recover(sol.x)
     w = x[np.array(w_vars)] if w_vars else np.zeros(0)
-    return float(-sol.objective), w
+    # 0.0 - x, unlike -x, reports a zero optimum as 0.0 and not -0.0
+    return 0.0 - sol.objective, w, sol.y, builder.labels
+
+
+def kinematic_supremum(ops: DiscreteOperators, objective: np.ndarray,
+                       mode: str):
+    """Maximize objective . w over the unit strain-budget ball (plastic:
+    restricted to isochoric fields).  Returns (value, witness)."""
+    value, w, _, _ = _solve_kinematic(ops, objective, mode)
+    return value, w
 
 
 def optimal_stress_dual(ops: DiscreteOperators, t, mode: str):
@@ -276,14 +291,56 @@ def optimal_stress_dual(ops: DiscreteOperators, t, mode: str):
     return kinematic_supremum(ops, work_vector(ops, t), mode)
 
 
+def _stress_from_multipliers(ops: DiscreteOperators, mode: str, y,
+                             rows) -> StressField:
+    """Stationarity of the kinematic LP in w reads
+    sum_ec (y_ec + [c diagonal] mu_e) B_e[c] = -f, with mu_e the isochoric
+    multiplier (plastic only); equilibrium reads
+    sum_ec vol_e wgt_c s_ec B_e[c] = f.  So the stress dual to the LP is
+    s_ec = -(y_ec + [c diagonal] mu_e) / (vol_e wgt_c), and the plane-strain
+    out-of-plane slot gives s33_e = -(y_e33 + mu_e) / vol_e."""
+    dim, nc = ops.dim, n_comps(ops.dim)
+    on_diag = np.arange(nc) < dim
+    wgt = comp_weights(dim)
+    elems, s33 = [], []
+    for e, vol in enumerate(ops.volumes):
+        mu = y[rows["iso", e]] if mode == PLASTIC else 0.0
+        y_e = np.array([y[rows["slot", e, c]] for c in range(nc)])
+        elems.append(SymMatrix(dim, -(y_e + on_diag * mu) / (vol * wgt)))
+        if mode == PLASTIC and dim == 2:
+            s33.append(-(y[rows["slot", e, nc]] + mu) / vol)
+    return StressField(elems, s33 if mode == PLASTIC and dim == 2 else None)
+
+
 def optimal_stress(ops: DiscreteOperators, t, mode: str = ELASTIC) -> OptimalStressResult:
-    """Run the primal and dual computations and check strong duality."""
-    sigma_opt, sigma_hat = optimal_stress_primal(ops, t, mode)
-    dual_value, witness = optimal_stress_dual(ops, t, mode)
-    gap = abs(sigma_opt - dual_value)
-    if gap > DUALITY_GAP_TOL * (1.0 + sigma_opt):
+    """Solve the kinematic LP once, read sigma_hat off its multipliers, and
+    certify the pair without the LP: sigma_hat balances t, the witness is
+    admissible, and stress_measure(sigma_hat), the witness ratio
+    work/budget and the LP value agree.  By weak duality that proves both
+    optimal; a failed check raises SolverFailure naming it."""
+    t = check_traction(ops, t)
+    value, w, y, rows = _solve_kinematic(ops, work_vector(ops, t), mode)
+    sigma_hat = _stress_from_multipliers(ops, mode, y, rows)
+    ok, residual = check_equilibrium(ops, sigma_hat, t)
+    if not ok:
         raise SolverFailure(
-            f"duality gap {gap:.3e} exceeds tolerance for sigma_opt={sigma_opt:.6e}")
-    return OptimalStressResult(mode=mode, sigma_opt=sigma_opt,
-                               sigma_hat=sigma_hat, dual_value=dual_value,
-                               dual_witness=witness, duality_gap=gap)
+            "certificate failed: the recovered stress does not balance the "
+            f"traction (equilibrium residual {residual:.3e})")
+    if mode == PLASTIC:
+        dilation = np.abs(isochoric_constraints(ops) @ w).max(initial=0.0)
+        if dilation > 1e-8 * (1.0 + np.abs(w).max(initial=0.0)):
+            raise SolverFailure(
+                "certificate failed: the plastic witness is not isochoric "
+                f"(volumetric strain {dilation:.3e})")
+    measure = stress_measure(sigma_hat, mode, ops)
+    strain_norm = strain_norm_plastic if mode == PLASTIC else strain_norm_l1
+    budget = strain_norm(ops, w)
+    ratio = external_work(ops, t, w) / budget if budget > 0.0 else 0.0
+    gap = abs(measure - ratio)
+    if max(gap, abs(value - measure)) > DUALITY_GAP_TOL * (1.0 + measure):
+        raise SolverFailure(
+            f"certificate failed: stress measure {measure:.9g}, witness ratio "
+            f"work/budget {ratio:.9g} and LP value {value:.9g} disagree")
+    return OptimalStressResult(mode=mode, sigma_opt=value, sigma_hat=sigma_hat,
+                               dual_value=ratio, dual_witness=w,
+                               duality_gap=gap)

@@ -173,7 +173,7 @@ def test_criterion_07_load_capacity_safety():
     details = []
     for mesh in meshes:
         ops = kin.assemble(mesh)
-        result = cap.load_capacity(ops, st.PLASTIC)
+        result = cap.generalized_K(ops, st.PLASTIC)
         C = result.C
         # max sigma_opt over all vertex tractions of sup norm 0.9*C*Y0
         safe_max = 0.9 * C * Y0 * cap.generalized_K_dual_check(ops, st.PLASTIC)

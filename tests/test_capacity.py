@@ -114,18 +114,18 @@ class TestDualCheck:
 
 class TestLoadCapacity:
     def test_bar(self, bar_ops):
-        res = cap.load_capacity(bar_ops)
+        res = cap.generalized_K(bar_ops)
         assert res.C == pytest.approx(1.0, abs=1e-9)
 
     def test_C_times_K(self, square_ops, two_tet_mesh):
         for ops in (square_ops, kin.assemble(two_tet_mesh)):
-            res = cap.load_capacity(ops)
+            res = cap.generalized_K(ops)
             assert res.C * res.K == pytest.approx(1.0, abs=1e-12)
 
     def test_C_is_geometry_only(self, square_ops):
         # plastic C never reads a traction or a yield stress
-        c1 = cap.load_capacity(square_ops, st.PLASTIC).C
-        c2 = cap.load_capacity(square_ops, st.PLASTIC).C
+        c1 = cap.generalized_K(square_ops, st.PLASTIC).C
+        c2 = cap.generalized_K(square_ops, st.PLASTIC).C
         assert c1 == c2
 
 

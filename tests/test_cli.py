@@ -3,6 +3,7 @@ import json
 import pytest
 
 from loadcap import cli
+from loadcap import lp
 from loadcap import mesh as msh
 
 
@@ -29,6 +30,24 @@ def run(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_one_error_line(err):
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Shapes of the LPs passed to `lp.solve`, in call order."""
+    calls = []
+    solve = lp.solve
+
+    def counted(prob, *args, **kwargs):
+        calls.append(prob.A.shape)
+        return solve(prob, *args, **kwargs)
+    monkeypatch.setattr(lp, "solve", counted)
+    return calls
 
 
 class TestAnalyze:
@@ -116,11 +135,19 @@ class TestCapacity:
         mesh_path = tmp_path / "big.mesh"
         msh.write_mesh(msh.generate_rectangle(1, 1, 3, 3, "left", "right"),
                        mesh_path)
-        code, out, _ = run(capsys, ["capacity", str(mesh_path)])
+        code, out, err = run(capsys, ["capacity", str(mesh_path)])
         assert code == cli.EXIT_OK
         report = json.loads(out)
         assert report["method"] == "alternating_heuristic"
         assert report["lower_bound_only"] and report["caps_hit"]
+        # a lower bound on K makes C an upper bound, never a safe load
+        assert "K_traction_side" not in report
+        assert "no collapse occurs" not in report["interpretation"]
+        assert "lower bound" in report["interpretation"]
+        assert "upper bound on the load capacity" in report["interpretation"]
+        summary = err.splitlines()[0]
+        assert summary.startswith("K >= ") and "C <= " in summary
+        assert "not a safe load" in summary
 
     def test_exact_over_cap_is_input_error(self, capsys, tmp_path):
         mesh_path = tmp_path / "big.mesh"
@@ -165,3 +192,84 @@ class TestVerify:
                                     "--seed", "7"])
         assert code == cli.EXIT_OK
         assert json.loads(out)["seed"] == 7
+
+
+class TestBadNumbers:
+    @pytest.mark.parametrize("y0", ["nan", "inf", "0", "-1"])
+    def test_limit_rejects_y0(self, capsys, square_files, y0):
+        mesh_path, traction_path = square_files
+        code, out, err = run(capsys, ["limit", mesh_path, traction_path,
+                                      "--y0", y0])
+        assert code == cli.EXIT_INPUT and out == ""
+        assert_one_error_line(err)
+        assert "Y0" in err
+
+    def test_nonfinite_traction(self, capsys, square_files, tmp_path):
+        mesh_path, _ = square_files
+        bad = tmp_path / "nan.traction"
+        bad.write_text('{"facets": [[NaN, 0.0], [0.0, 0.0], [0.0, 0.0]]}')
+        for command in ("analyze", "limit"):
+            code, out, err = run(capsys, [command, mesh_path, str(bad)])
+            assert code == cli.EXIT_INPUT and out == ""
+            assert_one_error_line(err)
+            assert "traction field has non-finite entries" in err
+
+    def test_negative_trials(self, capsys, square_files):
+        mesh_path, _ = square_files
+        code, out, err = run(capsys, ["verify", mesh_path, "--trials", "-1"])
+        assert code == cli.EXIT_INPUT and out == ""
+        assert_one_error_line(err)
+        assert "--trials" in err
+
+
+class TestSolveCounts:
+    """LP solves per command: each certified optimum costs one kinematic LP."""
+
+    def test_analyze_and_limit(self, capsys, square_files, solves):
+        mesh_path, traction_path = square_files
+        for argv in (["analyze", mesh_path, traction_path],
+                     ["analyze", mesh_path, traction_path, "--mode", "plastic"],
+                     ["limit", mesh_path, traction_path, "--y0", "2.0"]):
+            solves.clear()
+            code, _, _ = run(capsys, argv)
+            assert code == cli.EXIT_OK
+            assert len(solves) == 1, argv
+
+    def test_exact_capacity(self, capsys, square_files, solves):
+        # 3 loaded edges x 2 components: 2^5 sign patterns, plus the worst
+        # traction's certified stress
+        mesh_path, _ = square_files
+        code, out, _ = run(capsys, ["capacity", mesh_path])
+        assert code == cli.EXIT_OK
+        assert json.loads(out)["method"] == "exact_vertex_enumeration"
+        assert len(solves) == 2 ** 5 + 1
+
+    @pytest.mark.parametrize("trials", [0, 2])
+    def test_verify(self, capsys, square_files, bar_files, solves, trials):
+        # per trial and mode: the certified optimum, the static reference LP
+        # and the scaled traction; then ten LP-oracle solves
+        for (mesh_path, _), modes in ((square_files, 2), (bar_files, 1)):
+            solves.clear()
+            code, _, _ = run(capsys, ["verify", mesh_path,
+                                      "--trials", str(trials)])
+            assert code == cli.EXIT_OK
+            assert len(solves) == 3 * trials * modes + 10
+
+
+def test_elastic_4x4_plate_end_tension(capsys, tmp_path):
+    """The static LP of this case stalls in Bland's rule; the kinematic LP
+    and its multipliers certify sigma_opt = 1 at once."""
+    mesh = msh.generate_rectangle(1, 1, 4, 4, "left", "right")
+    mesh_path = tmp_path / "plate.mesh"
+    msh.write_mesh(mesh, mesh_path)
+    loaded = [f for f in mesh.facets if f.label == msh.GAMMAT]
+    traction = [[1.0, 0.0] if all(mesh.nodes[n][0] == 1.0 for n in f.nodes)
+                else [0.0, 0.0] for f in loaded]
+    traction_path = tmp_path / "plate.traction"
+    traction_path.write_text(json.dumps({"facets": traction}))
+    code, out, _ = run(capsys, ["analyze", str(mesh_path), str(traction_path)])
+    assert code == cli.EXIT_OK
+    report = json.loads(out)
+    assert report["sigma_opt"] == pytest.approx(1.0, abs=1e-9)
+    assert report["dual_value"] == pytest.approx(1.0, abs=1e-9)
+    assert report["duality_gap"] <= 1e-9 and report["equilibrium_ok"]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from loadcap.matnorm import (L1, LINF, NormPair, NormError, SymMatrix,
+from loadcap.matnorm import (L1, LINF, NormError, SymMatrix,
                              deviatoric_dual_value, dual_norm_id, dual_pairing,
                              embed3, mat_norm, proj_deviatoric, proj_spherical,
                              vec_norm, yield_value)
@@ -133,11 +133,6 @@ class TestDualNormId:
     def test_involution(self):
         for nid in (L1, LINF):
             assert dual_norm_id(dual_norm_id(nid)) == nid
-
-    def test_norm_pair_validation(self):
-        NormPair(L1, LINF)
-        with pytest.raises(NormError):
-            NormPair(L1, L1)
 
 
 class TestDualityInequality:

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from loadcap import kinematics as kin
+from loadcap import lp
 from loadcap import mesh as msh
 from loadcap import stress as st
 from loadcap.matnorm import SymMatrix
@@ -153,3 +156,42 @@ class TestStrongDuality:
         res = st.optimal_stress(square_ops, t, st.PLASTIC)
         rows = kin.isochoric_constraints(square_ops)
         assert np.abs(rows @ res.dual_witness).max() <= 1e-9
+
+
+class TestStressFromMultipliers:
+    @pytest.mark.parametrize("name,factory", MESH_CASES, ids=[c[0] for c in MESH_CASES])
+    @pytest.mark.parametrize("mode", [st.ELASTIC, st.PLASTIC])
+    def test_matches_static_lp(self, name, factory, mode):
+        ops = kin.assemble(factory())
+        rng = np.random.default_rng(31)
+        for _ in range(3):
+            t = rng.uniform(-1, 1, size=(len(ops.gammat_facets), ops.dim))
+            res = st.optimal_stress(ops, t, mode)
+            static, _ = st.optimal_stress_primal(ops, t, mode)
+            assert st.stress_measure(res.sigma_hat, mode, ops) == \
+                pytest.approx(static, rel=1e-9, abs=1e-12)
+            assert res.sigma_opt == pytest.approx(static, rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("mode", [st.ELASTIC, st.PLASTIC])
+    def test_corrupted_multiplier_fails_certificate(self, square_ops, mode,
+                                                    monkeypatch):
+        builders = []
+        dual_builder, solve = st._dual_builder, lp.solve
+
+        def recording_builder(*args):
+            out = dual_builder(*args)
+            builders.append(out[0])
+            return out
+
+        def corrupting_solve(prob, *args, **kwargs):
+            sol = solve(prob, *args, **kwargs)
+            y = sol.y.copy()
+            y[builders[-1].labels["slot", 0, 0]] += 0.1
+            return dataclasses.replace(sol, y=y)
+
+        t = np.array([[1.0, 0.0], [0.0, -0.5], [0.25, 0.0]])
+        st.optimal_stress(square_ops, t, mode)
+        monkeypatch.setattr(st, "_dual_builder", recording_builder)
+        monkeypatch.setattr(lp, "solve", corrupting_solve)
+        with pytest.raises(st.SolverFailure, match="does not balance"):
+            st.optimal_stress(square_ops, t, mode)
