@@ -51,15 +51,6 @@ class LimitResult:
     lambda_kinematic: float | None = None
 
 
-def concentration_factor_for(ops: DiscreteOperators, t, mode: str = ELASTIC) -> float:
-    """Stress concentration factor for one traction: sigma_opt / |t|_inf."""
-    t = check_traction(ops, t)
-    denom = traction_sup_norm(ops, t)
-    if denom == 0.0:
-        raise CapacityError("concentration factor undefined for zero traction")
-    return optimal_stress(ops, t, mode).sigma_opt / denom
-
-
 def _vertex_tractions(ops: DiscreteOperators):
     """The 2^(m-1) vertices of the unit traction ball up to sign (t and -t
     give the same value, so the first component stays positive)."""

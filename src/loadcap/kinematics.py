@@ -1,4 +1,4 @@
-"""Discrete kinematic operators: strain map, boundary trace, norms.
+"""Discrete kinematic operators: stacked strain and trace maps, norms.
 
 Assembly clamps every displacement component of nodes lying on a gamma0
 facet (elimination, not penalty), so the strain operator on the clamped
@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mesh as msh
-from .matnorm import (L1, LINF, SymMatrix, comp_positions, comp_weights,
-                      deviatoric_dual_value, n_comps, vec_norm)
+from .matnorm import SymMatrix, comp_positions, comp_weights, n_comps
 
 
 class KinematicsError(ValueError):
@@ -22,20 +21,23 @@ class KinematicsError(ValueError):
 
 @dataclass(frozen=True)
 class DiscreteOperators:
-    """Assembled strain/trace operators for a mesh.
+    """Stacked strain and trace operators of a mesh, on the free DOFs.
 
-    strain_maps[e] maps the free-DOF vector to the unique strain
-    components of element e; trace_maps[f] maps it to the representative
-    (facet-averaged) velocity of the f-th gammaT facet.
+    Row e*n_comp + c of strain_op gives unique strain component c of
+    element e, weighted by strain_weights = volume_e * comp_weight_c in the
+    strain budget.  Row f*dim + i of trace_op gives component i of the
+    representative (facet-averaged) velocity of the f-th gammaT facet,
+    weighted by areas[f] in boundary integrals.
     """
 
     mesh: msh.Mesh
     clamped: bool
     n_dof: int
     dof_index: np.ndarray = field(repr=False)   # (n_nodes, dim), -1 = clamped
-    strain_maps: tuple = field(repr=False)      # per element (n_comp, n_dof)
+    strain_op: np.ndarray = field(repr=False)   # (n_el * n_comp, n_dof)
+    strain_weights: np.ndarray = field(repr=False)
     volumes: np.ndarray = field(repr=False)
-    trace_maps: tuple = field(repr=False)       # per gammaT facet (dim, n_dof)
+    trace_op: np.ndarray = field(repr=False)    # (n_gammaT * dim, n_dof)
     areas: np.ndarray = field(repr=False)
     gammat_facets: tuple = ()
 
@@ -48,44 +50,13 @@ class DiscreteOperators:
         return len(self.mesh.elements)
 
 
-def _shape_gradients(points: np.ndarray) -> np.ndarray:
-    """Gradients of the linear shape functions of a simplex, rows per node."""
-    d = points.shape[1]
-    edges = (points[1:] - points[0]).T  # (d, d)
-    if abs(np.linalg.det(edges)) < 1e-14:
-        raise KinematicsError("element has singular geometry")
+def _shape_gradients(edges: np.ndarray) -> np.ndarray:
+    """Gradients of the linear shape functions of simplices with edge
+    vectors edges[:, k] = p_(k+1) - p_0, as (n_el, node, axis)."""
     # x = p0 + E lam  =>  lam = inv(E)(x - p0); grad lam_k is row k of inv(E)
-    grads_rest = np.linalg.inv(edges)
-    grad0 = -grads_rest.sum(axis=0)
-    return np.vstack([grad0, grads_rest])
-
-
-def _element_strain_map(mesh: msh.Mesh, elem: msh.Element,
-                        dof_index: np.ndarray, n_dof: int) -> np.ndarray:
-    dim = mesh.dim
-    pts = mesh.nodes[list(elem.nodes)]
-    B = np.zeros((n_comps(dim), n_dof))
-    if elem.kind == msh.BAR:
-        length = pts[1, 0] - pts[0, 0]
-        for node, sign in ((elem.nodes[0], -1.0), (elem.nodes[1], 1.0)):
-            k = dof_index[node, 0]
-            if k >= 0:
-                B[0, k] += sign / length
-        return B
-    grads = _shape_gradients(pts)
-    for local, node in enumerate(elem.nodes):
-        g = grads[local]
-        for comp in range(dim):
-            k = dof_index[node, comp]
-            if k < 0:
-                continue
-            for c, (i, j) in enumerate(comp_positions(dim)):
-                # eps_ij = 1/2 (d_i w_j + d_j w_i)
-                if i == comp:
-                    B[c, k] += 0.5 * g[j]
-                if j == comp:
-                    B[c, k] += 0.5 * g[i]
-    return B
+    grads_rest = np.linalg.inv(np.swapaxes(edges, 1, 2))
+    return np.concatenate([-grads_rest.sum(axis=1, keepdims=True), grads_rest],
+                          axis=1)
 
 
 def assemble(mesh: msh.Mesh, clamp: bool = True) -> DiscreteOperators:
@@ -97,48 +68,52 @@ def assemble(mesh: msh.Mesh, clamp: bool = True) -> DiscreteOperators:
     problems = msh.validate(mesh)
     if problems:
         raise KinematicsError("invalid mesh: " + "; ".join(problems))
-    dim = mesh.dim
-    clamped_nodes = set()
+    dim, n_nodes = mesh.dim, mesh.n_nodes
+    clamped = np.zeros(n_nodes, dtype=bool)
     if clamp:
         for f in mesh.facets_labeled(msh.GAMMA0):
-            clamped_nodes.update(f.nodes)
-    dof_index = -np.ones((mesh.n_nodes, dim), dtype=int)
-    n_dof = 0
-    for node in range(mesh.n_nodes):
-        if node in clamped_nodes:
-            continue
-        for comp in range(dim):
-            dof_index[node, comp] = n_dof
-            n_dof += 1
+            clamped[list(f.nodes)] = True
+    free = np.repeat(~clamped, dim)             # (node, component), node-major
+    n_dof = int(free.sum())
+    dof_index = -np.ones(n_nodes * dim, dtype=int)
+    dof_index[free] = np.arange(n_dof)
 
-    strain_maps = tuple(_element_strain_map(mesh, e, dof_index, n_dof)
-                        for e in mesh.elements)
-    volumes = []
-    for e in mesh.elements:
-        v = msh.element_measure(mesh, e)
-        if e.kind == msh.BAR:
-            v *= e.area
-        volumes.append(v)
+    n_el, nc = len(mesh.elements), n_comps(dim)
+    conn = np.array([e.nodes for e in mesh.elements]).reshape(n_el, dim + 1)
+    edges = mesh.nodes[conn[:, 1:]] - mesh.nodes[conn[:, :1]]
+    det = np.linalg.det(edges)
+    if np.any(np.abs(det) < 1e-14):
+        raise KinematicsError("element has singular geometry")
+    if dim == 1:  # bars: length times cross-section
+        volumes = np.abs(edges[:, 0, 0]) * [e.area for e in mesh.elements]
+    else:
+        volumes = np.abs(det) / (2.0 if dim == 2 else 6.0)
+    grads = _shape_gradients(edges)
+    # eps_ij = 1/2 (d_i w_j + d_j w_i), by (element, comp, local node, axis)
+    local = np.zeros((n_el, nc, dim + 1, dim))
+    for c, (i, j) in enumerate(comp_positions(dim)):
+        local[:, c, :, i] += 0.5 * grads[:, :, j]
+        local[:, c, :, j] += 0.5 * grads[:, :, i]
+    axis = np.arange(dim)
+    strain_op = np.zeros((n_el, nc, n_nodes, dim))
+    strain_op[np.arange(n_el)[:, None, None, None], np.arange(nc)[:, None, None],
+              conn[:, None, :, None], axis] = local
 
     gammat = tuple(mesh.facets_labeled(msh.GAMMAT))
-    trace_maps = []
-    areas = []
-    for f in gammat:
-        T = np.zeros((dim, n_dof))
-        w = 1.0 / len(f.nodes)
-        for node in f.nodes:
-            for comp in range(dim):
-                k = dof_index[node, comp]
-                if k >= 0:
-                    T[comp, k] += w
-        trace_maps.append(T)
-        areas.append(msh.facet_measure(mesh, f))
+    fnodes = np.array([f.nodes for f in gammat]).reshape(len(gammat), dim)
+    trace_op = np.zeros((len(gammat), dim, n_nodes, dim))
+    trace_op[np.arange(len(gammat))[:, None, None], axis[:, None],
+             fnodes[:, None, :], axis[:, None]] = 1.0 / dim
 
     return DiscreteOperators(
         mesh=mesh, clamped=clamp, n_dof=n_dof,
-        dof_index=dof_index, strain_maps=strain_maps,
-        volumes=np.array(volumes), trace_maps=tuple(trace_maps),
-        areas=np.array(areas), gammat_facets=gammat)
+        dof_index=dof_index.reshape(n_nodes, dim),
+        strain_op=strain_op.reshape(n_el * nc, -1)[:, free],
+        strain_weights=(volumes[:, None] * comp_weights(dim)).ravel(),
+        volumes=volumes,
+        trace_op=trace_op.reshape(len(gammat) * dim, -1)[:, free],
+        areas=np.array([msh.facet_measure(mesh, f) for f in gammat]),
+        gammat_facets=gammat)
 
 
 def _check_dofs(ops: DiscreteOperators, w) -> np.ndarray:
@@ -162,83 +137,66 @@ def check_traction(ops: DiscreteOperators, t) -> np.ndarray:
 
 def strain(ops: DiscreteOperators, w) -> list:
     """Per-element strain matrices of a velocity field."""
-    w = _check_dofs(ops, w)
-    return [SymMatrix(ops.dim, B @ w) for B in ops.strain_maps]
+    eps = ops.strain_op @ _check_dofs(ops, w)
+    return [SymMatrix(ops.dim, e) for e in eps.reshape(ops.n_elements, -1)]
 
 
 def strain_norm_l1(ops: DiscreteOperators, w) -> float:
     """Volume-weighted L1 norm of the strain field (the LD norm of w)."""
-    w = _check_dofs(ops, w)
-    wgt = comp_weights(ops.dim)
-    total = 0.0
-    for B, vol in zip(ops.strain_maps, ops.volumes):
-        total += vol * float(np.sum(wgt * np.abs(B @ w)))
-    return total
+    return float(ops.strain_weights @ np.abs(ops.strain_op @ _check_dofs(ops, w)))
 
 
 def strain_norm_plastic(ops: DiscreteOperators, w) -> float:
-    """Volume-weighted strain norm with the yield-dual (quotient) magnitude."""
-    w = _check_dofs(ops, w)
-    total = 0.0
-    for B, vol in zip(ops.strain_maps, ops.volumes):
-        total += vol * deviatoric_dual_value(SymMatrix(ops.dim, B @ w))
-    return total
+    """Volume-weighted strain norm with the yield-dual (quotient) magnitude:
+    `deviatoric_dual_value` of every element's strain, in one pass."""
+    eps = (ops.strain_op @ _check_dofs(ops, w)).reshape(ops.n_elements, -1)
+    diag = np.zeros((ops.n_elements, 3))
+    diag[:, :ops.dim] = eps[:, :ops.dim]
+    diag -= np.sort(diag, axis=1)[:, 1:2]  # the best spherical shift
+    budget = np.abs(diag).sum(axis=1) + 2.0 * np.abs(eps[:, ops.dim:]).sum(axis=1)
+    return float(ops.volumes @ budget)
 
 
 def trace(ops: DiscreteOperators, w) -> np.ndarray:
     """Per-gammaT-facet representative (averaged) velocity vectors."""
-    w = _check_dofs(ops, w)
-    if not ops.trace_maps:
-        return np.zeros((0, ops.dim))
-    return np.array([T @ w for T in ops.trace_maps])
+    return (ops.trace_op @ _check_dofs(ops, w)).reshape(-1, ops.dim)
 
 
 def trace_norm_l1(ops: DiscreteOperators, w) -> float:
     """Area-weighted boundary L1 norm of the trace over gammaT."""
-    values = trace(ops, w)
-    return float(sum(a * vec_norm(v, L1)
-                     for a, v in zip(ops.areas, values)))
+    return float(ops.areas @ np.abs(trace(ops, w)).sum(axis=1))
 
 
 def external_work(ops: DiscreteOperators, t, w) -> float:
     """Virtual work of the traction field against a velocity field."""
-    t = check_traction(ops, t)
-    values = trace(ops, w)
-    return float(sum(a * np.dot(tv, v)
-                     for a, tv, v in zip(ops.areas, t, values)))
+    return float(work_vector(ops, t) @ _check_dofs(ops, w))
 
 
 def traction_sup_norm(ops: DiscreteOperators, t) -> float:
     """Sup over gammaT facets of the dual vector norm of the traction."""
-    t = check_traction(ops, t)
-    if t.shape[0] == 0:
-        return 0.0
-    return max(vec_norm(tv, LINF) for tv in t)
+    return float(np.abs(check_traction(ops, t)).max(initial=0.0))
 
 
 def work_vector(ops: DiscreteOperators, t) -> np.ndarray:
     """Generalized force: f such that external_work(t, w) = f . w."""
-    t = check_traction(ops, t)
-    f = np.zeros(ops.n_dof)
-    for a, tv, T in zip(ops.areas, t, ops.trace_maps):
-        f += a * (tv @ T)
-    return f
+    t = check_traction(ops, t).reshape(-1, 1)
+    rows = np.repeat(ops.areas, ops.dim)[:, None] * (t * ops.trace_op)
+    # cumsum, unlike sum, adds the rows one by one in facet order; 0.0 +
+    # turns a sum of -0.0 terms into 0.0
+    return 0.0 + np.cumsum(rows, axis=0)[-1]
 
 
 def isochoric_constraints(ops: DiscreteOperators) -> np.ndarray:
     """One row per element: trace of the element strain must vanish."""
-    rows = np.zeros((ops.n_elements, ops.n_dof))
-    for e, B in enumerate(ops.strain_maps):
-        rows[e] = B[: ops.dim].sum(axis=0)
-    return rows
+    strain_op = ops.strain_op.reshape(ops.n_elements, -1, ops.n_dof)
+    return strain_op[:, :ops.dim].sum(axis=1)
 
 
 def rigid_kernel_dim(ops: DiscreteOperators, tol: float = 1e-9) -> int:
     """Nullspace dimension of the stacked strain operator."""
     if ops.n_dof == 0:
         return 0
-    stacked = np.vstack(ops.strain_maps)
-    svals = np.linalg.svd(stacked, compute_uv=False)
+    svals = np.linalg.svd(ops.strain_op, compute_uv=False)
     smax = svals[0] if svals.size else 0.0
     if smax == 0.0:
         return ops.n_dof

@@ -244,71 +244,60 @@ def solve_brute(p: LPStandardForm) -> LPSolution:
 class LPBuilder:
     """Translate free variables and inequalities into standard form.
 
-    An equality added with a label can be found again in `labels`, which
-    maps the label to the row's index in the standard form and so to its
-    multiplier in `LPSolution.y`.
+    Variables are declared in order by `add_vars`.  Rows come in dense
+    blocks over all the variables declared by the time `build` runs, and
+    keep the order they were added in, which is their order in the
+    standard form and in `LPSolution.y`.  A free variable becomes an
+    adjacent (+, -) column pair; each inequality row gets a slack column
+    after the variable columns.
     """
 
     def __init__(self):
-        self._free = []
-        self._rows = []       # (coeff dict, rhs, is_eq)
-        self._obj = {}
+        self._nonneg = []     # one flag array per add_vars call
+        self._rows = []       # (block, rhs) per add_eq or add_le call
+        self._is_le = []      # per row
         self.n_vars = 0
-        self.labels = {}
 
-    def add_var(self, nonneg: bool = True) -> int:
-        self._free.append(not nonneg)
-        self.n_vars += 1
-        return self.n_vars - 1
+    def add_vars(self, count: int, nonneg=True):
+        """Declare `count` variables; `nonneg` is one flag or one per variable."""
+        self._nonneg.append(np.full(count, nonneg, dtype=bool))
+        self.n_vars += count
 
-    def add_vars(self, count: int, nonneg: bool = True):
-        return [self.add_var(nonneg) for _ in range(count)]
+    def add_eq(self, rows, rhs):
+        self._add(rows, rhs, False)
 
-    def add_eq(self, coeffs: dict, rhs: float, label=None):
-        if label is not None:
-            self.labels[label] = len(self._rows)
-        self._rows.append((dict(coeffs), float(rhs), True))
+    def add_le(self, rows, rhs):
+        self._add(rows, rhs, True)
 
-    def add_le(self, coeffs: dict, rhs: float):
-        self._rows.append((dict(coeffs), float(rhs), False))
+    def _add(self, rows, rhs, is_le: bool):
+        rows = np.atleast_2d(np.asarray(rows, dtype=float))
+        self._rows.append((rows, np.full(len(rows), rhs, dtype=float)))
+        self._is_le += [is_le] * len(rows)
 
-    def set_objective(self, coeffs: dict):
-        self._obj = dict(coeffs)
-
-    def build(self):
-        """Return (LPStandardForm, recover) where recover maps a standard-form
-        solution vector back to the original variables."""
-        col_of = []
-        n_cols = 0
-        for free in self._free:
-            col_of.append(n_cols)
-            n_cols += 2 if free else 1
-        n_slacks = sum(1 for _, _, is_eq in self._rows if not is_eq)
-        total = n_cols + n_slacks
-        A = np.zeros((len(self._rows), total))
-        b = np.zeros(len(self._rows))
-        c = np.zeros(total)
-        slack = n_cols
-        for r, (coeffs, rhs, is_eq) in enumerate(self._rows):
-            for v, coef in coeffs.items():
-                A[r, col_of[v]] += coef
-                if self._free[v]:
-                    A[r, col_of[v] + 1] -= coef
-            b[r] = rhs
-            if not is_eq:
-                A[r, slack] = 1.0
-                slack += 1
-        for v, coef in self._obj.items():
-            c[col_of[v]] += coef
-            if self._free[v]:
-                c[col_of[v] + 1] -= coef
-
-        free = list(self._free)
+    def build(self, objective):
+        """Return (LPStandardForm, recover) for minimizing objective . x, where
+        recover maps a standard-form solution vector back to the variables."""
+        free = ~np.concatenate(self._nonneg)
+        width = 1 + free
+        col = np.cumsum(width) - width
+        minus = col[free] + 1
+        n_cols = self.n_vars + len(minus)
+        slack = np.flatnonzero(self._is_le)
+        # the rows, then the costs, one block at a time; x = x+ - x-, and
+        # 0.0 + and 0.0 - never give -0.0
+        std = np.zeros((len(self._is_le) + 1, n_cols + len(slack)))
+        start = 0
+        for blk in [blk for blk, _ in self._rows] + [np.atleast_2d(objective)]:
+            part = std[start:start + len(blk)]
+            part[:, col] = 0.0 + blk
+            part[:, minus] = 0.0 - blk[:, free]
+            start += len(blk)
+        std[slack, n_cols + np.arange(len(slack))] = 1.0
 
         def recover(x_std: np.ndarray) -> np.ndarray:
-            out = np.zeros(len(free))
-            for v, col in enumerate(col_of):
-                out[v] = x_std[col] - (x_std[col + 1] if free[v] else 0.0)
-            return out
+            x = x_std[col]
+            x[free] -= x_std[minus]
+            return x
 
-        return LPStandardForm(c=c, A=A, b=b), recover
+        b = np.concatenate([rhs for _, rhs in self._rows])
+        return LPStandardForm(c=std[-1], A=std[:-1], b=b), recover

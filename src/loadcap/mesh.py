@@ -8,6 +8,7 @@ with no applied load are still labeled gammaT and carry zero traction.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,14 @@ class MeshError(ValueError):
     """Invalid mesh construction or file contents."""
 
 
+def _node_ids(nodes) -> tuple:
+    """Node ids as ints; 1.5 or "x" is an error, not a truncation."""
+    try:
+        return tuple(operator.index(n) for n in nodes)
+    except TypeError:
+        raise MeshError(f"node ids must be integers, got {list(nodes)!r}") from None
+
+
 @dataclass(frozen=True)
 class Element:
     kind: str
@@ -41,7 +50,7 @@ class Element:
         if len(self.nodes) != _KIND_NNODES[self.kind]:
             raise MeshError(
                 f"{self.kind} needs {_KIND_NNODES[self.kind]} nodes, got {len(self.nodes)}")
-        object.__setattr__(self, "nodes", tuple(int(n) for n in self.nodes))
+        object.__setattr__(self, "nodes", _node_ids(self.nodes))
         if self.kind == BAR and (self.area is None or self.area <= 0):
             raise MeshError("bar element needs a positive cross-section area")
 
@@ -55,7 +64,7 @@ class Facet:
         if self.label not in LABELS:
             raise MeshError(
                 f"unknown facet label {self.label!r}; allowed: {', '.join(LABELS)}")
-        object.__setattr__(self, "nodes", tuple(int(n) for n in self.nodes))
+        object.__setattr__(self, "nodes", _node_ids(self.nodes))
 
 
 @dataclass(frozen=True)
@@ -145,18 +154,36 @@ def validate(mesh: Mesh):
             continue
         if element_measure(mesh, e) <= 0.0:
             problems.append(f"element {i} has zero measure")
-    face_count = {}
-    for e in mesh.elements:
+    owners = {}  # face node set -> elements that have it as a face
+    for i, e in enumerate(mesh.elements):
         for fs in element_faces(e):
-            face_count[fs] = face_count.get(fs, 0) + 1
+            owners.setdefault(fs, []).append(i)
     for i, f in enumerate(mesh.facets):
         if any(k < 0 or k >= n for k in f.nodes):
             problems.append(f"facet {i} references node out of range")
             continue
-        cnt = face_count.get(frozenset(f.nodes), 0)
+        if len(f.nodes) != mesh.dim:
+            problems.append(f"facet {i} has {len(f.nodes)} nodes, expected {mesh.dim}")
+            continue
+        cnt = len(owners.get(frozenset(f.nodes), ()))
         if cnt != 1:
             problems.append(
                 f"facet {i} is a face of {cnt} elements (must be exactly 1)")
+    # a P1 element is held iff it reaches a supported element through shared faces
+    held = {i for f in mesh.facets_labeled(GAMMA0)
+            for i in owners.get(frozenset(f.nodes), ())}
+    stack = list(held)
+    while stack:
+        for fs in element_faces(mesh.elements[stack.pop()]):
+            for j in owners[fs]:
+                if j not in held:
+                    held.add(j)
+                    stack.append(j)
+    loose = [i for i in range(len(mesh.elements)) if i not in held]
+    if held and loose:
+        problems.append(
+            f"element {loose[0]} is not connected to gamma0 through shared "
+            f"faces ({len(loose)} loose elements)")
     if not mesh.facets_labeled(GAMMA0):
         problems.append("gamma0 is empty")
     if not mesh.facets_labeled(GAMMAT):
@@ -254,10 +281,20 @@ def read_mesh(path) -> Mesh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise MeshError(f"cannot parse mesh file {path}: {exc}") from exc
+    try:
+        return _mesh_from_doc(doc)
+    except MeshError:
+        raise
+    except (TypeError, ValueError) as exc:
+        # a field of the wrong type or shape, such as a ragged row of nodes
+        raise MeshError(f"malformed mesh file {path}: {exc}") from None
+
+
+def _mesh_from_doc(doc) -> Mesh:
     for key in ("dim", "nodes", "elements", "facets"):
         if key not in doc:
             raise MeshError(f"mesh file missing required key {key!r}")
-    dim = int(doc["dim"])
+    dim = operator.index(doc["dim"])
     if dim not in (1, 2, 3):
         raise MeshError(f"dim must be 1, 2 or 3, got {dim}")
     nodes = np.array([row[:dim] for row in doc["nodes"]], dtype=float)

@@ -12,6 +12,7 @@ multipliers and certifies the pair by weak duality.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,8 +21,7 @@ from . import lp
 from .kinematics import (DiscreteOperators, check_traction, external_work,
                          isochoric_constraints, strain_norm_l1,
                          strain_norm_plastic, traction_sup_norm, work_vector)
-from .matnorm import (LINF, SymMatrix, comp_weights, mat_norm, n_comps,
-                      yield_value)
+from .matnorm import SymMatrix, comp_weights, n_comps
 
 ELASTIC = "elastic"
 PLASTIC = "plastic"
@@ -64,12 +64,6 @@ class StressField:
         if self.s33 is not None:
             object.__setattr__(self, "s33", np.asarray(self.s33, dtype=float))
 
-    @classmethod
-    def zero(cls, ops: DiscreteOperators, with_s33: bool = False):
-        elems = [SymMatrix.zero(ops.dim) for _ in range(ops.n_elements)]
-        s33 = np.zeros(ops.n_elements) if with_s33 else None
-        return cls(elems, s33)
-
 
 @dataclass(frozen=True)
 class OptimalStressResult:
@@ -84,39 +78,29 @@ class OptimalStressResult:
     duality_gap: float = 0.0
 
 
-def _element_measure_matrix(s: StressField, e: int, dim: int) -> SymMatrix:
-    """Stress matrix of element e embedded for measurement, with s33 folded in."""
-    m = s.elements[e]
-    if s.s33 is None:
-        return m
-    full = np.zeros((3, 3))
-    full[:dim, :dim] = m.as_matrix()
-    full[2, 2] = s.s33[e]
-    return SymMatrix.from_matrix(full)
-
-
 def stress_measure(s: StressField, mode: str, ops: DiscreteOperators) -> float:
     """Sup over elements of the stress magnitude (norm or yield seminorm)."""
     check_mode(mode)
     if len(s.elements) != ops.n_elements:
         raise StressError(
             f"stress field has {len(s.elements)} elements, mesh has {ops.n_elements}")
-    if not s.elements:
-        return 0.0
-    if mode == ELASTIC:
-        return max(mat_norm(m, LINF) for m in s.elements)
-    return max(yield_value(_element_measure_matrix(s, e, ops.dim), LINF)
-               for e in range(ops.n_elements))
+    comps = np.array([m.comps for m in s.elements]).reshape(ops.n_elements, -1)
+    if mode == PLASTIC:
+        # deviatoric part of the 3x3 embedding, s33 its third diagonal entry
+        diag = np.zeros((ops.n_elements, 3))
+        diag[:, :ops.dim] = comps[:, :ops.dim]
+        if s.s33 is not None:
+            diag[:, 2] = s.s33
+        diag -= diag.sum(axis=1, keepdims=True) / 3.0
+        comps = np.hstack([diag, comps[:, ops.dim:]])
+    return float(np.abs(comps).max(initial=0.0))
 
 
 def equilibrium_residual(ops: DiscreteOperators, s: StressField, t) -> float:
     """Max violation of the virtual-work identity over the DOF basis."""
-    f = work_vector(ops, t)
-    wgt = comp_weights(ops.dim)
-    lhs = np.zeros(ops.n_dof)
-    for B, vol, m in zip(ops.strain_maps, ops.volumes, s.elements):
-        lhs += vol * ((wgt * m.comps) @ B)
-    return float(np.abs(lhs - f).max(initial=0.0))
+    comps = np.concatenate([m.comps for m in s.elements])
+    lhs = (ops.strain_weights * comps) @ ops.strain_op
+    return float(np.abs(lhs - work_vector(ops, t)).max(initial=0.0))
 
 
 def check_equilibrium(ops: DiscreteOperators, s: StressField, t,
@@ -127,26 +111,18 @@ def check_equilibrium(ops: DiscreteOperators, s: StressField, t,
     return ok, residual
 
 
-def _deviatoric_rows(dim: int, sigma_vars, u_var):
-    """Linear expressions (coeff dicts) for the unique components of the
-    deviatoric part of the element stress.  sigma_vars holds the in-plane
-    unique components; u_var is the free out-of-plane normal stress in 2D."""
-    rows = []
-    if dim == 2:
-        s11, s22, s12 = sigma_vars
-        u = u_var
-        rows.append({s11: 2 / 3, s22: -1 / 3, u: -1 / 3})   # d11
-        rows.append({s11: -1 / 3, s22: 2 / 3, u: -1 / 3})   # d22
-        rows.append({s11: -1 / 3, s22: -1 / 3, u: 2 / 3})   # d33
-        rows.append({s12: 1.0})                             # d12
-    else:
-        diag = sigma_vars[:3]
-        for i in range(3):
-            row = {v: -1 / 3 for v in diag}
-            row[diag[i]] = 2 / 3
-            rows.append(row)
-        for v in sigma_vars[3:]:
-            rows.append({v: 1.0})
+def _deviatoric_rows(dim: int) -> np.ndarray:
+    """Matrix of the deviatoric part of an element stress, by unique
+    components (3D: d11, d22, d33, d23, d13, d12; 2D: d11, d22, d33, d12).
+    Its columns are the element's unique stress components and, in 2D, the
+    free out-of-plane normal stress u after them."""
+    third = np.full((3, 3), -1 / 3)
+    np.fill_diagonal(third, 2 / 3)
+    nc = n_comps(dim)
+    n = nc + (dim == 2)
+    rows = np.zeros((n, n))
+    rows[:3, [0, 1, nc] if dim == 2 else [0, 1, 2]] = third
+    rows[3:, dim:nc] = np.eye(nc - dim)
     return rows
 
 
@@ -159,44 +135,28 @@ def optimal_stress_primal(ops: DiscreteOperators, t, mode: str):
     t = check_traction(ops, t)
     if mode == PLASTIC:
         require_plastic_viable(ops)
-    dim = ops.dim
+    dim, n_el = ops.dim, ops.n_elements
     nc = n_comps(dim)
-    wgt = comp_weights(dim)
-    f = work_vector(ops, t)
-
+    bound = _deviatoric_rows(dim) if mode == PLASTIC else np.eye(nc)
+    n_u = bound.shape[1] - nc  # 1 for the 2D out-of-plane stress
+    # variables: every element's stress, then every element's u, then T
     builder = lp.LPBuilder()
-    sigma_vars = [builder.add_vars(nc, nonneg=False)
-                  for _ in range(ops.n_elements)]
-    u_vars = None
-    if mode == PLASTIC and dim == 2:
-        u_vars = [builder.add_var(nonneg=False) for _ in range(ops.n_elements)]
-    T = builder.add_var(nonneg=True)
-
-    for k in range(ops.n_dof):
-        row = {}
-        for e, B in enumerate(ops.strain_maps):
-            for c in range(nc):
-                coef = ops.volumes[e] * wgt[c] * B[c, k]
-                if coef != 0.0:
-                    row[sigma_vars[e][c]] = row.get(sigma_vars[e][c], 0.0) + coef
-        builder.add_eq(row, f[k])
-
-    for e in range(ops.n_elements):
-        if mode == ELASTIC:
-            bound_rows = [{v: 1.0} for v in sigma_vars[e]]
-        else:
-            u = u_vars[e] if u_vars is not None else None
-            bound_rows = _deviatoric_rows(dim, sigma_vars[e], u)
-        for row in bound_rows:
-            le = dict(row)
-            le[T] = le.get(T, 0.0) - 1.0
-            builder.add_le(le, 0.0)
-            ge = {v: -c for v, c in row.items()}
-            ge[T] = ge.get(T, 0.0) - 1.0
-            builder.add_le(ge, 0.0)
-
-    builder.set_objective({T: 1.0})
-    prob, recover = builder.build()
+    builder.add_vars(n_el * (nc + n_u), nonneg=False)
+    builder.add_vars(1)
+    equilibrium = np.zeros((ops.n_dof, builder.n_vars))
+    equilibrium[:, :n_el * nc] = (ops.strain_weights[:, None] * ops.strain_op).T
+    builder.add_eq(equilibrium, work_vector(ops, t))
+    # per element and bound row r: r.s <= T, then -r.s <= T
+    signed = np.stack([bound, -bound], axis=1).reshape(-1, bound.shape[1])
+    el, rows = np.arange(n_el)[:, None, None], np.arange(len(signed))[:, None]
+    bounds = np.zeros((n_el, len(signed), builder.n_vars))
+    bounds[el, rows, el * nc + np.arange(nc)] = signed[:, :nc]
+    bounds[el, rows, n_el * nc + el * n_u + np.arange(n_u)] = signed[:, nc:]
+    bounds[:, :, -1] = -1.0
+    builder.add_le(bounds.reshape(-1, builder.n_vars), 0.0)
+    objective = np.zeros(builder.n_vars)
+    objective[-1] = 1.0
+    prob, recover = builder.build(objective)
     sol = lp.solve(prob)
     if sol.status != lp.OPTIMAL:
         raise SolverFailure(
@@ -204,66 +164,77 @@ def optimal_stress_primal(ops: DiscreteOperators, t, mode: str):
             "nonempty supported boundary on a connected mesh this indicates "
             "an internal error")
     x = recover(sol.x)
-    elems = [SymMatrix(dim, x[np.array(sigma_vars[e])])
-             for e in range(ops.n_elements)]
-    s33 = (np.array([x[u] for u in u_vars]) if u_vars is not None else None)
-    return float(sol.objective), StressField(elems, s33)
+    elems = [SymMatrix(dim, comps) for comps in x[:n_el * nc].reshape(n_el, nc)]
+    return float(sol.objective), StressField(elems, x[n_el * nc:-1] if n_u else None)
 
 
-def _dual_builder(ops: DiscreteOperators, mode: str):
-    """Shared kinematic-LP skeleton: velocity DOFs, strain-budget split
-    variables, and (plastic) spherical shifts plus isochoric rows.
+@functools.lru_cache(maxsize=None)
+def _element_block(dim: int, mode: str):
+    """One element's part of the kinematic LP, the same for every element.
 
-    Returns (builder, w_vars, budget) with the budget left open.  The
-    strain row of element e and slot c is labelled ("slot", e, c), its
-    isochoric row ("iso", e): their multipliers carry the stress field.
+    Returns its rows (one per strain slot, then in plastic mode the
+    isochoric row) over its columns (in plastic mode the spherical shift
+    p, then a (+, -) budget pair per slot), and each column's strain-budget
+    weight per unit volume.  Plane strain in plastic mode adds the
+    out-of-plane diagonal slot, whose strain is zero.
     """
-    dim = ops.dim
     nc = n_comps(dim)
-    wgt = comp_weights(dim)
+    plastic = int(mode == PLASTIC)
+    n_slots = nc + (plastic and dim == 2)
+    slot = np.arange(n_slots)
+    rows = np.zeros((n_slots + plastic, plastic + 2 * n_slots))
+    rows[slot, plastic + 2 * slot] = -1.0
+    rows[slot, plastic + 2 * slot + 1] = 1.0
+    if plastic:
+        rows[[*range(dim), *range(nc, n_slots)], 0] = 1.0
+    slot_wgt = np.ones(n_slots)
+    slot_wgt[:nc] = comp_weights(dim)
+    budget = np.zeros(rows.shape[1])
+    budget[plastic:] = np.repeat(slot_wgt, 2)
+    rows.flags.writeable = budget.flags.writeable = False  # shared by every call
+    return rows, budget
+
+
+def _dual_builder(ops: DiscreteOperators, objective: np.ndarray, mode: str):
+    """Kinematic LP maximizing objective . w, over the velocity DOFs and
+    each element's `_element_block` columns; returns (LPStandardForm,
+    recover).
+
+    The equality rows come element by element, as in `_element_block`;
+    their multipliers carry the stress field.  The last row bounds the
+    strain budget by 1.
+    """
+    dim, n_el, n_dof = ops.dim, ops.n_elements, ops.n_dof
+    nc, plastic = n_comps(dim), mode == PLASTIC
+    local, local_budget = _element_block(dim, mode)
+    n_rows, n_cols = local.shape
+    eq = np.zeros((n_el, n_rows, n_dof + n_el * n_cols))
+    eq[:, :nc, :n_dof] = ops.strain_op.reshape(n_el, nc, n_dof)
+    if plastic:
+        eq[:, -1, :n_dof] = isochoric_constraints(ops)
+    el = np.arange(n_el)[:, None, None]
+    eq[el, np.arange(n_rows)[:, None], n_dof + el * n_cols + np.arange(n_cols)] = local
+
     builder = lp.LPBuilder()
-    w_vars = builder.add_vars(ops.n_dof, nonneg=False)
-    budget = {}
-    for e, B in enumerate(ops.strain_maps):
-        vol = ops.volumes[e]
-        p = builder.add_var(nonneg=False) if mode == PLASTIC else None
-        n_slots = nc + (1 if mode == PLASTIC and dim == 2 else 0)
-        for c in range(n_slots):
-            gp = builder.add_var()
-            gm = builder.add_var()
-            row = {gp: -1.0, gm: 1.0}
-            if c < nc:
-                for k in range(ops.n_dof):
-                    if B[c, k] != 0.0:
-                        row[w_vars[k]] = B[c, k]
-                slot_wgt = wgt[c]
-            else:
-                slot_wgt = 1.0  # out-of-plane diagonal slot, strain is zero
-            if p is not None and (c < dim or c == nc):
-                row[p] = row.get(p, 0.0) + 1.0
-            builder.add_eq(row, 0.0, label=("slot", e, c))
-            budget[gp] = vol * slot_wgt
-            budget[gm] = vol * slot_wgt
-        if mode == PLASTIC:
-            iso = {}
-            for k in range(ops.n_dof):
-                coef = float(B[:dim, k].sum())
-                if coef != 0.0:
-                    iso[w_vars[k]] = coef
-            builder.add_eq(iso, 0.0, label=("iso", e))
-    return builder, w_vars, budget
+    builder.add_vars(n_dof, nonneg=False)
+    # p, the first column of a plastic element, is free
+    builder.add_vars(n_el * n_cols, nonneg=np.arange(n_el * n_cols) % n_cols >= plastic)
+    builder.add_eq(eq.reshape(n_el * n_rows, -1), 0.0)
+    budget = np.zeros(builder.n_vars)
+    budget[n_dof:] = (ops.volumes[:, None] * local_budget).ravel()
+    builder.add_le(budget, 1.0)
+    c = np.zeros(builder.n_vars)
+    c[:n_dof] = -objective
+    return builder.build(c)
 
 
 def _solve_kinematic(ops: DiscreteOperators, objective: np.ndarray,
                      mode: str):
-    """`kinematic_supremum`, plus the LP's multipliers and row labels."""
+    """`kinematic_supremum`, plus the LP's multipliers."""
     check_mode(mode)
     if mode == PLASTIC:
         require_plastic_viable(ops)
-    builder, w_vars, budget = _dual_builder(ops, mode)
-    builder.add_le(budget, 1.0)
-    builder.set_objective({w_vars[k]: -objective[k] for k in range(ops.n_dof)})
-    prob, recover = builder.build()
+    prob, recover = _dual_builder(ops, objective, mode)
     sol = lp.solve(prob)
     if sol.status == lp.UNBOUNDED:
         raise SolverFailure(
@@ -271,45 +242,34 @@ def _solve_kinematic(ops: DiscreteOperators, objective: np.ndarray,
             "the supported boundary")
     if sol.status != lp.OPTIMAL:
         raise SolverFailure(f"kinematic LP ended with status {sol.status}")
-    x = recover(sol.x)
-    w = x[np.array(w_vars)] if w_vars else np.zeros(0)
     # 0.0 - x, unlike -x, reports a zero optimum as 0.0 and not -0.0
-    return 0.0 - sol.objective, w, sol.y, builder.labels
+    return 0.0 - sol.objective, recover(sol.x)[:ops.n_dof], sol.y
 
 
 def kinematic_supremum(ops: DiscreteOperators, objective: np.ndarray,
                        mode: str):
     """Maximize objective . w over the unit strain-budget ball (plastic:
     restricted to isochoric fields).  Returns (value, witness)."""
-    value, w, _, _ = _solve_kinematic(ops, objective, mode)
+    value, w, _ = _solve_kinematic(ops, objective, mode)
     return value, w
 
 
-def optimal_stress_dual(ops: DiscreteOperators, t, mode: str):
-    """Kinematic supremum of external work over the unit strain-budget ball."""
-    t = check_traction(ops, t)
-    return kinematic_supremum(ops, work_vector(ops, t), mode)
-
-
-def _stress_from_multipliers(ops: DiscreteOperators, mode: str, y,
-                             rows) -> StressField:
+def _stress_from_multipliers(ops: DiscreteOperators, mode: str,
+                             y) -> StressField:
     """Stationarity of the kinematic LP in w reads
     sum_ec (y_ec + [c diagonal] mu_e) B_e[c] = -f, with mu_e the isochoric
     multiplier (plastic only); equilibrium reads
     sum_ec vol_e wgt_c s_ec B_e[c] = f.  So the stress dual to the LP is
     s_ec = -(y_ec + [c diagonal] mu_e) / (vol_e wgt_c), and the plane-strain
     out-of-plane slot gives s33_e = -(y_e33 + mu_e) / vol_e."""
-    dim, nc = ops.dim, n_comps(ops.dim)
+    dim, n_el, nc = ops.dim, ops.n_elements, n_comps(ops.dim)
+    plastic = mode == PLASTIC
+    y = y[:n_el * len(_element_block(dim, mode)[0])].reshape(n_el, -1)
+    mu = y[:, -1] if plastic else np.zeros(n_el)
     on_diag = np.arange(nc) < dim
-    wgt = comp_weights(dim)
-    elems, s33 = [], []
-    for e, vol in enumerate(ops.volumes):
-        mu = y[rows["iso", e]] if mode == PLASTIC else 0.0
-        y_e = np.array([y[rows["slot", e, c]] for c in range(nc)])
-        elems.append(SymMatrix(dim, -(y_e + on_diag * mu) / (vol * wgt)))
-        if mode == PLASTIC and dim == 2:
-            s33.append(-(y[rows["slot", e, nc]] + mu) / vol)
-    return StressField(elems, s33 if mode == PLASTIC and dim == 2 else None)
+    comps = -(y[:, :nc] + on_diag * mu[:, None]) / ops.strain_weights.reshape(n_el, nc)
+    s33 = -(y[:, nc] + mu) / ops.volumes if plastic and dim == 2 else None
+    return StressField([SymMatrix(dim, c) for c in comps], s33)
 
 
 def optimal_stress(ops: DiscreteOperators, t, mode: str = ELASTIC) -> OptimalStressResult:
@@ -319,8 +279,8 @@ def optimal_stress(ops: DiscreteOperators, t, mode: str = ELASTIC) -> OptimalStr
     work/budget and the LP value agree.  By weak duality that proves both
     optimal; a failed check raises SolverFailure naming it."""
     t = check_traction(ops, t)
-    value, w, y, rows = _solve_kinematic(ops, work_vector(ops, t), mode)
-    sigma_hat = _stress_from_multipliers(ops, mode, y, rows)
+    value, w, y = _solve_kinematic(ops, work_vector(ops, t), mode)
+    sigma_hat = _stress_from_multipliers(ops, mode, y)
     ok, residual = check_equilibrium(ops, sigma_hat, t)
     if not ok:
         raise SolverFailure(

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -273,3 +275,73 @@ def test_elastic_4x4_plate_end_tension(capsys, tmp_path):
     assert report["sigma_opt"] == pytest.approx(1.0, abs=1e-9)
     assert report["dual_value"] == pytest.approx(1.0, abs=1e-9)
     assert report["duality_gap"] <= 1e-9 and report["equilibrium_ok"]
+
+
+def _square_doc():
+    return {"dim": 2,
+            "nodes": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+            "elements": [{"kind": "triangle", "nodes": [0, 1, 3]},
+                         {"kind": "triangle", "nodes": [0, 3, 2]}],
+            "facets": [{"nodes": [0, 2], "label": "gamma0"},
+                       {"nodes": [1, 3], "label": "gammaT"},
+                       {"nodes": [0, 1], "label": "gammaT"},
+                       {"nodes": [2, 3], "label": "gammaT"}]}
+
+
+def _ragged_nodes(doc):
+    doc["nodes"][1] = [1.0]
+
+
+def _string_node_id(doc):
+    doc["elements"][0]["nodes"][2] = "x"
+
+
+def _fractional_node_id(doc):
+    doc["facets"][1]["nodes"][0] = 1.5
+
+
+def _string_dim(doc):
+    doc["dim"] = "x"
+
+
+def _fractional_dim(doc):
+    doc["dim"] = 2.7
+
+
+def _elements_not_a_list(doc):
+    doc["elements"] = 5
+
+
+def _loose_triangle(doc):
+    # a second body beside the square, loaded but not supported
+    doc["nodes"] += [[3.0, 0.0], [4.0, 0.0], [3.0, 1.0]]
+    doc["elements"].append({"kind": "triangle", "nodes": [4, 5, 6]})
+    doc["facets"] += [{"nodes": f, "label": "gammaT"}
+                      for f in ([4, 5], [5, 6], [4, 6])]
+
+
+class TestMeshInput:
+    @pytest.mark.parametrize("command", ["capacity", "verify"])
+    @pytest.mark.parametrize("mutate", [_ragged_nodes, _string_node_id,
+                                        _fractional_node_id, _string_dim,
+                                        _fractional_dim, _elements_not_a_list,
+                                        _loose_triangle])
+    def test_bad_mesh_is_input_error(self, capsys, tmp_path, mutate, command):
+        doc = _square_doc()
+        mutate(doc)
+        path = tmp_path / "bad.mesh"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, [command, str(path)])
+        assert code == cli.EXIT_INPUT
+        assert out == ""
+        assert_one_error_line(err)
+
+    def test_readme_mesh_example(self, capsys, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
+        example = next(b for b in blocks if '"elements"' in b)
+        path = tmp_path / "readme.mesh"
+        path.write_text(example)
+        code, out, _ = run(capsys, ["capacity", str(path)])
+        assert code == cli.EXIT_OK
+        assert json.loads(out)["K"] > 0.0

@@ -3,6 +3,32 @@ import pytest
 
 from loadcap import kinematics as kin
 from loadcap import mesh as msh
+from loadcap.matnorm import deviatoric_dual_value
+
+
+def kuhn_cube() -> msh.Mesh:
+    """Unit cube cut into six tetrahedra around its main diagonal, face
+    x=0 clamped, the other boundary faces loaded: its corners lie on up to
+    six loaded facets."""
+    nodes = np.array([[i, j, k] for k in (0, 1) for j in (0, 1) for i in (0, 1)],
+                     dtype=float)
+    paths = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
+    elements = []
+    for path in paths:
+        corner, tet = [0, 0, 0], [0]
+        for axis in path:
+            corner[axis] = 1
+            tet.append(corner[0] + 2 * corner[1] + 4 * corner[2])
+        elements.append(msh.Element(msh.TETRAHEDRON, tuple(tet)))
+    faces = {}
+    for e in elements:
+        for face in msh.element_faces(e):
+            faces[face] = faces.get(face, 0) + 1
+    facets = [msh.Facet(tuple(sorted(f)), msh.GAMMA0
+                        if np.all(nodes[sorted(f), 0] == 0.0) else msh.GAMMAT)
+              for f, count in sorted(faces.items(), key=lambda fc: sorted(fc[0]))
+              if count == 1]
+    return msh.Mesh(3, nodes, elements, facets)
 
 
 def affine_field(ops, grad, const=None):
@@ -23,7 +49,7 @@ class TestAssemble:
     def test_bar_hand_assembly(self, unit_bar):
         ops = kin.assemble(unit_bar)
         assert ops.n_dof == 1
-        assert np.allclose(ops.strain_maps[0], [[1.0]])
+        assert np.allclose(ops.strain_op, [[1.0]])
         assert ops.volumes[0] == pytest.approx(1.0)
         assert ops.areas[0] == pytest.approx(1.0)
 
@@ -94,9 +120,19 @@ class TestStrainNorm:
         for m in (msh.generate_bar(2, 1, 3),
                   msh.generate_rectangle(1, 1, 2, 2, "left", "right")):
             ops = kin.assemble(m)
-            stacked = np.vstack(ops.strain_maps)
-            sv = np.linalg.svd(stacked, compute_uv=False)
+            sv = np.linalg.svd(ops.strain_op, compute_uv=False)
             assert sv[-1] > 1e-9 * sv[0]
+
+    def test_plastic_norm_matches_elementwise_value(self, unit_square):
+        # the stacked norm against matnorm's value of each element's strain
+        for mesh in (unit_square, kuhn_cube()):
+            ops = kin.assemble(mesh)
+            rng = np.random.default_rng(3)
+            for _ in range(5):
+                w = rng.normal(size=ops.n_dof)
+                want = sum(vol * deviatoric_dual_value(e)
+                           for vol, e in zip(ops.volumes, kin.strain(ops, w)))
+                assert kin.strain_norm_plastic(ops, w) == pytest.approx(want, rel=1e-12)
 
     def test_plastic_norm_le_plain(self, two_tet_mesh):
         ops = kin.assemble(two_tet_mesh)
@@ -177,6 +213,15 @@ class TestWorkAndNorms:
             rhs = kin.traction_sup_norm(ops, t) * kin.trace_norm_l1(ops, w)
             assert lhs <= rhs * (1.0 + 1e-9) + 1e-12
 
+    def test_work_vector_matches_facet_loop(self):
+        # summed facet by facet, in facet order, the same floats as a loop
+        ops = kin.assemble(kuhn_cube())
+        t = np.random.default_rng(11).uniform(-1, 1, size=(len(ops.gammat_facets), 3))
+        want = np.zeros(ops.n_dof)
+        for a, tv, T in zip(ops.areas, t, ops.trace_op.reshape(len(t), 3, -1)):
+            want += a * (tv @ T)
+        assert np.array_equal(kin.work_vector(ops, t), want)
+
     def test_work_vector_consistency(self, two_tet_mesh):
         ops = kin.assemble(two_tet_mesh)
         rng = np.random.default_rng(12)
@@ -191,7 +236,7 @@ class TestIsochoric:
     def test_bar_constraint_is_strain(self, unit_bar):
         ops = kin.assemble(unit_bar)
         rows = kin.isochoric_constraints(ops)
-        assert np.allclose(rows, ops.strain_maps[0])
+        assert np.allclose(rows, ops.strain_op)
 
     def test_pure_shear_satisfies(self, unit_square):
         ops = kin.assemble(unit_square, clamp=False)

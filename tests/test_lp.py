@@ -144,22 +144,39 @@ class TestBruteOracle:
 class TestBuilder:
     def test_free_variable_split(self):
         builder = lp.LPBuilder()
-        x = builder.add_var(nonneg=False)
-        builder.add_eq({x: 1.0}, -3.0)
-        builder.set_objective({x: 1.0})
-        prob, recover = builder.build()
+        builder.add_vars(1, nonneg=False)
+        builder.add_eq([[1.0]], -3.0)
+        prob, recover = builder.build([1.0])
+        assert np.array_equal(prob.A, [[1.0, -1.0]])
         sol = lp.solve(prob)
         assert sol.status == lp.OPTIMAL
         assert recover(sol.x)[0] == pytest.approx(-3.0)
 
     def test_inequality_slack(self):
         builder = lp.LPBuilder()
-        x = builder.add_var()
-        builder.add_le({x: 1.0}, 2.0)
-        builder.set_objective({x: -1.0})
-        prob, recover = builder.build()
+        builder.add_vars(1)
+        builder.add_le([1.0], 2.0)
+        prob, recover = builder.build([-1.0])
+        assert np.array_equal(prob.A, [[1.0, 1.0]])
         sol = lp.solve(prob)
         assert recover(sol.x)[0] == pytest.approx(2.0)
+
+    def test_blocks_keep_row_and_column_order(self):
+        # columns: x (nonneg), y as (y+, y-), then one slack per le row;
+        # rows in the order their blocks were added
+        builder = lp.LPBuilder()
+        builder.add_vars(2, nonneg=[True, False])
+        builder.add_le([[1.0, 2.0], [0.0, 1.0]], [4.0, 1.0])
+        builder.add_eq([[1.0, -1.0]], 0.5)
+        prob, recover = builder.build([1.0, -1.0])
+        assert np.array_equal(prob.A, [[1.0, 2.0, -2.0, 1.0, 0.0],
+                                       [0.0, 1.0, -1.0, 0.0, 1.0],
+                                       [1.0, -1.0, 1.0, 0.0, 0.0]])
+        assert np.array_equal(prob.b, [4.0, 1.0, 0.5])
+        assert np.array_equal(prob.c, [1.0, -1.0, 1.0, 0.0, 0.0])
+        assert not np.any(np.signbit(prob.A) & (prob.A == 0.0))
+        assert np.array_equal(recover(np.array([1.0, 2.0, 0.5, 0.0, 0.0])),
+                              [1.0, 1.5])
 
     def test_dump_mentions_shape(self):
         p = standard([1.0], [[1.0]], [1.0])
