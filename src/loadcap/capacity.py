@@ -17,8 +17,8 @@ import numpy as np
 
 from .kinematics import (DiscreteOperators, check_traction, trace,
                          traction_sup_norm, work_vector)
-from .stress import (ELASTIC, PLASTIC, kinematic_supremum, optimal_stress,
-                     optimal_stress_primal)
+from .stress import (ELASTIC, PLASTIC, kinematic_lp, kinematic_supremum,
+                     optimal_stress, optimal_stress_primal)
 
 EXACT = "exact_vertex_enumeration"
 HEURISTIC = "alternating_heuristic"
@@ -40,6 +40,8 @@ class CapacityResult:
     certificate: np.ndarray = field(repr=False, default=None)
     lower_bound_only: bool = False
     converged: bool = True
+    # the kinematic LP's multipliers at worst_traction, for stress.certify
+    multipliers: np.ndarray = field(repr=False, default=None)
 
 
 @dataclass(frozen=True)
@@ -53,45 +55,55 @@ class LimitResult:
 
 def _vertex_tractions(ops: DiscreteOperators):
     """The 2^(m-1) vertices of the unit traction ball up to sign (t and -t
-    give the same value, so the first component stays positive)."""
+    give the same value, so the first component stays positive).  The cap
+    is checked at once; the vertices come one at a time."""
     m = len(ops.gammat_facets) * ops.dim
     if m > SIGN_PATTERN_CAP:
         raise CapacityError(
             f"exact enumeration capped at {SIGN_PATTERN_CAP} boundary "
             f"components; this mesh has {m} (use the heuristic)")
-    for code in range(2 ** max(m - 1, 0)):
-        signs = np.ones(m)
-        for bit in range(m - 1):
-            if code >> bit & 1:
-                signs[bit + 1] = -1.0
-        yield signs.reshape(len(ops.gammat_facets), ops.dim)
+
+    def vertices():
+        for code in range(2 ** max(m - 1, 0)):
+            signs = np.ones(m)
+            for bit in range(m - 1):
+                if code >> bit & 1:
+                    signs[bit + 1] = -1.0
+            yield signs.reshape(len(ops.gammat_facets), ops.dim)
+    return vertices()
 
 
 def generalized_K(ops: DiscreteOperators, mode: str = ELASTIC,
                   method: str = EXACT) -> CapacityResult:
-    """Compute K = sup_w trace_norm / strain_norm (plastic: isochoric w)."""
+    """Compute K = sup_w trace_norm / strain_norm (plastic: isochoric w).
+    Every sign pattern or step maximizes a new work over the same kinematic
+    LP, built once here, so all of them share its phase 1."""
     if method == EXACT:
-        best_val, worst, best_w = -1.0, None, None
-        for t in _vertex_tractions(ops):
-            val, w = kinematic_supremum(ops, work_vector(ops, t), mode)
+        tractions = _vertex_tractions(ops)
+        kinematic = kinematic_lp(ops, mode)
+        best_val, worst, best_w, best_y = -1.0, None, None, None
+        for t in tractions:
+            val, w, y = kinematic_supremum(kinematic, work_vector(ops, t))
             if val > best_val + 1e-12:
-                best_val, worst, best_w = val, t, w
+                best_val, worst, best_w, best_y = val, t, w, y
         K = max(best_val, 0.0)
         return CapacityResult(K=K, C=_safe_inverse(K), worst_traction=worst,
-                              method=EXACT, certificate=best_w)
+                              method=EXACT, certificate=best_w,
+                              multipliers=best_y)
     if method == HEURISTIC:
+        kinematic = kinematic_lp(ops, mode)
         shape = (len(ops.gammat_facets), ops.dim)
         rng = np.random.default_rng(0)
         starts = [np.ones(shape)]
         starts += [np.where(rng.random(shape) < 0.5, -1.0, 1.0)
                    for _ in range(HEURISTIC_RESTARTS - 1)]
-        best_val, best_w, worst = -1.0, None, starts[0]
+        best_val, best_w, best_y, worst = -1.0, None, None, starts[0]
         n_converged = 0
         for signs in starts:
             for _ in range(HEURISTIC_MAX_ITER):
-                val, w = kinematic_supremum(ops, work_vector(ops, signs), mode)
+                val, w, y = kinematic_supremum(kinematic, work_vector(ops, signs))
                 if val > best_val + 1e-12:
-                    best_val, worst, best_w = val, signs, w
+                    best_val, worst, best_w, best_y = val, signs, w, y
                 new_signs = np.where(trace(ops, w) >= 0.0, 1.0, -1.0)
                 if np.array_equal(new_signs, signs):
                     n_converged += 1
@@ -101,7 +113,8 @@ def generalized_K(ops: DiscreteOperators, mode: str = ELASTIC,
         return CapacityResult(K=K, C=_safe_inverse(K), worst_traction=worst,
                               method=HEURISTIC, certificate=best_w,
                               lower_bound_only=True,
-                              converged=n_converged == len(starts))
+                              converged=n_converged == len(starts),
+                              multipliers=best_y)
     raise CapacityError(f"unknown method {method!r}")
 
 

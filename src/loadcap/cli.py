@@ -156,8 +156,10 @@ def cmd_capacity(args) -> int:
         "interpretation": interpretation,
     })
     if not result.lower_bound_only:
-        # stress side of K: measure of the worst traction's certified stress
-        worst = st.optimal_stress(ops, result.worst_traction, args.mode)
+        # stress side of K: measure of the certified stress of the worst
+        # pattern's own solution
+        worst = st.certify(ops, result.worst_traction, args.mode, result.K,
+                           result.certificate, result.multipliers)
         K_side = st.stress_measure(worst.sigma_hat, args.mode, ops)
         report["K_traction_side"] = K_side
         report["K_cross_check_gap"] = abs(result.K - K_side)

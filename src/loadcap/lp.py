@@ -2,13 +2,16 @@
 
 Standard form throughout: minimize c.x subject to A.x = b, x >= 0.
 Free variables and inequalities are handled by LPBuilder, which keeps the
-kernel itself in pure standard form.
+kernel itself in pure standard form.  Phase 1 depends on A and b only, so
+LPs that differ only in their costs (`LPStandardForm.with_objective`)
+share one phase 1 and each runs only phase 2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,12 +30,44 @@ class LPError(ValueError):
 class LPIterationError(RuntimeError):
     """Iteration limit exceeded; never reported as a wrong answer."""
 
+    def __init__(self, phase: int, shape: tuple, iterations: int):
+        self.phase, self.shape, self.iterations = phase, shape, iterations
+        super().__init__(
+            f"simplex phase {phase} did not terminate in {iterations} "
+            f"iterations on a {shape[0]} x {shape[1]} LP (rows x cols)")
+
+
+class _Phase1(NamedTuple):
+    """Phase 1's outcome: the phase 2 start (the constraint rows of the
+    tableau over the structural columns and the right-hand side), its
+    basis and the rows kept from A; `tableau` is None if the LP is
+    infeasible.  `pivots` is the number phase 1 took."""
+
+    tableau: np.ndarray | None
+    basis: tuple
+    keep_rows: list
+    pivots: int
+
+
+class _Memo:
+    """Phase 1 of one (A, b), computed on the first solve and shared by
+    every LP made from it with `with_objective`; A and b are not changed
+    in place after that."""
+
+    __slots__ = ("phase1",)
+
+    def __init__(self):
+        self.phase1 = None
+
 
 @dataclass(frozen=True)
 class LPStandardForm:
     c: np.ndarray = field(repr=False)
     A: np.ndarray = field(repr=False)
     b: np.ndarray = field(repr=False)
+    # not an init field, so that `dataclasses.replace` starts a new one
+    _memo: _Memo = field(default_factory=_Memo, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float)
@@ -49,6 +84,12 @@ class LPStandardForm:
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
+
+    def with_objective(self, c) -> LPStandardForm:
+        """The same A and b with costs c; it shares this LP's phase 1."""
+        p = LPStandardForm(c=c, A=self.A, b=self.b)
+        object.__setattr__(p, "_memo", self._memo)
+        return p
 
     def dump(self) -> str:
         """Plain-text dump for bug reports."""
@@ -76,19 +117,20 @@ def _pivot(T: np.ndarray, row: int, col: int):
 
 
 def _bland_simplex(T: np.ndarray, basis: list, n_struct: int,
-                   max_iter: int) -> str:
+                   max_iter: int, phase: int, shape: tuple) -> tuple:
     """Run Bland's-rule simplex on a tableau whose last row holds reduced
-    costs and last column the right-hand side.  Mutates T and basis."""
-    for _ in range(max_iter):
+    costs and last column the right-hand side.  Mutates T and basis;
+    returns (status, pivots)."""
+    for pivots in range(max_iter):
         costs = T[-1, :n_struct]
         candidates = np.nonzero(costs < -_PIVOT_TOL)[0]
         if candidates.size == 0:
-            return OPTIMAL
+            return OPTIMAL, pivots
         j = int(candidates[0])  # Bland: smallest eligible index
         col = T[:-1, j]
         rows = np.nonzero(col > _PIVOT_TOL)[0]
         if rows.size == 0:
-            return UNBOUNDED
+            return UNBOUNDED, pivots
         ratios = T[rows, -1] / col[rows]
         best = np.min(ratios)
         ties = rows[ratios <= best + 1e-12]
@@ -96,19 +138,19 @@ def _bland_simplex(T: np.ndarray, basis: list, n_struct: int,
         leave = int(min(ties, key=lambda r: basis[r]))
         _pivot(T, leave, j)
         basis[leave] = j
-    raise LPIterationError(f"simplex did not terminate in {max_iter} iterations")
+    raise LPIterationError(phase, shape, max_iter)
 
 
-def solve(p: LPStandardForm, max_iter: int = 50000) -> LPSolution:
-    """Two-phase dense simplex.  Deterministic for identical input."""
-    m, n = p.A.shape
-    A = p.A.copy()
-    b = p.b.copy()
+def _phase1(A: np.ndarray, b: np.ndarray, max_iter: int) -> _Phase1:
+    """Minimize the sum of artificials, then drive the artificials left in
+    the basis out of it, dropping the redundant rows."""
+    m, n = A.shape
+    A = A.copy()
+    b = b.copy()
     flip = b < 0
     A[flip] *= -1.0
     b[flip] *= -1.0
 
-    # phase 1: minimize the sum of artificials
     T = np.zeros((m + 1, n + m + 1))
     T[:m, :n] = A
     T[:m, n:n + m] = np.eye(m)
@@ -116,11 +158,10 @@ def solve(p: LPStandardForm, max_iter: int = 50000) -> LPSolution:
     T[-1, n:n + m] = 1.0
     T[-1] -= T[:m].sum(axis=0)
     basis = list(range(n, n + m))
-    status = _bland_simplex(T, basis, n + m, max_iter)
+    status, pivots = _bland_simplex(T, basis, n + m, max_iter, 1, (m, n))
     if status != OPTIMAL or T[-1, -1] < -_FEAS_TOL * (1.0 + np.abs(b).max(initial=0.0)):
-        return LPSolution(INFEASIBLE)
+        return _Phase1(None, (), [], pivots)
 
-    # drive remaining artificials out of the basis, dropping redundant rows
     keep_rows = list(range(m))
     drop = []
     for r in range(m):
@@ -139,15 +180,35 @@ def solve(p: LPStandardForm, max_iter: int = 50000) -> LPSolution:
         basis = [basis[r] for r in rows]
         keep_rows = rows
     mm = len(basis)
+    # artificial columns and the phase 1 costs removed
+    start = np.empty((mm, n + 1))
+    start[:, :n] = T[:mm, :n]
+    start[:, -1] = T[:mm, -1]
+    return _Phase1(start, tuple(basis), keep_rows, pivots)
 
-    # phase 2 tableau: original costs, artificial columns removed
+
+def solve(p: LPStandardForm, max_iter: int = 50000) -> LPSolution:
+    """Two-phase dense simplex.  Deterministic for identical input, and
+    the same whether phase 1 is run here or shared with an LP of the same
+    A and b; `max_iter` bounds the pivots of each phase."""
+    m, n = p.A.shape
+    start = p._memo.phase1
+    if start is None:
+        start = p._memo.phase1 = _phase1(p.A, p.b, max_iter)
+    if start.pivots >= max_iter:
+        raise LPIterationError(1, (m, n), max_iter)
+    if start.tableau is None:
+        return LPSolution(INFEASIBLE)
+
+    # phase 2 on a copy of the shared start, with the original costs
+    mm = len(start.basis)
+    basis = list(start.basis)
     T2 = np.zeros((mm + 1, n + 1))
-    T2[:mm, :n] = T[:mm, :n]
-    T2[:mm, -1] = T[:mm, -1]
+    T2[:mm] = start.tableau
     T2[-1, :n] = p.c
     for r, j in enumerate(basis):
         T2[-1] -= p.c[j] * T2[r]
-    status = _bland_simplex(T2, basis, n, max_iter)
+    status, _ = _bland_simplex(T2, basis, n, max_iter, 2, (m, n))
     if status == UNBOUNDED:
         return LPSolution(UNBOUNDED)
 
@@ -159,12 +220,12 @@ def solve(p: LPStandardForm, max_iter: int = 50000) -> LPSolution:
     # equality multipliers from the final basis w.r.t. the original rows
     # (dropped redundant rows get zero)
     y = np.zeros(m)
-    Bt = p.A[keep_rows][:, basis].T.copy()
+    Bt = p.A[start.keep_rows][:, basis].T.copy()
     try:
         y_keep = np.linalg.solve(Bt, p.c[basis])
     except np.linalg.LinAlgError:
         y_keep, *_ = np.linalg.lstsq(Bt, p.c[basis], rcond=None)
-    for r, yr in zip(keep_rows, y_keep):
+    for r, yr in zip(start.keep_rows, y_keep):
         y[r] = yr
     return LPSolution(OPTIMAL, x=x, y=y, objective=obj)
 
@@ -241,6 +302,38 @@ def solve_brute(p: LPStandardForm) -> LPSolution:
     return LPSolution(OPTIMAL, x=best_x, objective=best_obj)
 
 
+class ColumnMap:
+    """Where `LPBuilder`'s variables sit in the standard form: variable i
+    in column `col[i]` and, if free, its negative part in the next one;
+    the slack columns come after them."""
+
+    def __init__(self, nonneg: np.ndarray, n_slack: int):
+        self.free = ~nonneg
+        width = 1 + self.free
+        self.col = np.cumsum(width) - width
+        self.minus = self.col[self.free] + 1
+        self.n_vars = len(nonneg)
+        self.n_std = self.n_vars + len(self.minus) + n_slack
+
+    def place(self, out: np.ndarray, rows: np.ndarray):
+        """Write rows over the variables into their standard-form columns
+        of out; x = x+ - x-, and 0.0 + and 0.0 - never give -0.0."""
+        out[:, self.col] = 0.0 + rows
+        out[:, self.minus] = 0.0 - rows[:, self.free]
+
+    def costs(self, objective) -> np.ndarray:
+        """Standard-form costs of minimizing objective . x."""
+        c = np.zeros((1, self.n_std))
+        self.place(c, np.atleast_2d(np.asarray(objective, dtype=float)))
+        return c[0]
+
+    def recover(self, x_std: np.ndarray) -> np.ndarray:
+        """The variables of a standard-form solution vector."""
+        x = x_std[self.col]
+        x[self.free] -= x_std[self.minus]
+        return x
+
+
 class LPBuilder:
     """Translate free variables and inequalities into standard form.
 
@@ -274,30 +367,22 @@ class LPBuilder:
         self._rows.append((rows, np.full(len(rows), rhs, dtype=float)))
         self._is_le += [is_le] * len(rows)
 
+    def columns(self) -> ColumnMap:
+        """The column map of the variables and rows declared so far."""
+        return ColumnMap(np.concatenate(self._nonneg), sum(self._is_le))
+
     def build(self, objective):
-        """Return (LPStandardForm, recover) for minimizing objective . x, where
-        recover maps a standard-form solution vector back to the variables."""
-        free = ~np.concatenate(self._nonneg)
-        width = 1 + free
-        col = np.cumsum(width) - width
-        minus = col[free] + 1
-        n_cols = self.n_vars + len(minus)
-        slack = np.flatnonzero(self._is_le)
-        # the rows, then the costs, one block at a time; x = x+ - x-, and
-        # 0.0 + and 0.0 - never give -0.0
-        std = np.zeros((len(self._is_le) + 1, n_cols + len(slack)))
+        """Return (LPStandardForm, recover) for minimizing objective . x,
+        where recover maps a standard-form solution vector back to the
+        variables.  `columns().costs` gives the costs of another objective
+        over the same rows."""
+        cols = self.columns()
+        A = np.zeros((len(self._is_le), cols.n_std))
         start = 0
-        for blk in [blk for blk, _ in self._rows] + [np.atleast_2d(objective)]:
-            part = std[start:start + len(blk)]
-            part[:, col] = 0.0 + blk
-            part[:, minus] = 0.0 - blk[:, free]
+        for blk, _ in self._rows:
+            cols.place(A[start:start + len(blk)], blk)
             start += len(blk)
-        std[slack, n_cols + np.arange(len(slack))] = 1.0
-
-        def recover(x_std: np.ndarray) -> np.ndarray:
-            x = x_std[col]
-            x[free] -= x_std[minus]
-            return x
-
+        slack = np.flatnonzero(self._is_le)
+        A[slack, cols.n_std - len(slack) + np.arange(len(slack))] = 1.0
         b = np.concatenate([rhs for _, rhs in self._rows])
-        return LPStandardForm(c=std[-1], A=std[:-1], b=b), recover
+        return LPStandardForm(c=cols.costs(objective), A=A, b=b), cols.recover

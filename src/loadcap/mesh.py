@@ -286,7 +286,7 @@ def read_mesh(path) -> Mesh:
     except MeshError:
         raise
     except (TypeError, ValueError) as exc:
-        # a field of the wrong type or shape, such as a ragged row of nodes
+        # a field of the wrong type, such as a node id that is not an integer
         raise MeshError(f"malformed mesh file {path}: {exc}") from None
 
 
@@ -297,7 +297,10 @@ def _mesh_from_doc(doc) -> Mesh:
     dim = operator.index(doc["dim"])
     if dim not in (1, 2, 3):
         raise MeshError(f"dim must be 1, 2 or 3, got {dim}")
-    nodes = np.array([row[:dim] for row in doc["nodes"]], dtype=float)
+    for i, row in enumerate(doc["nodes"]):
+        if len(row) != dim:
+            raise MeshError(f"node {i} has {len(row)} coordinates; dim is {dim}")
+    nodes = np.array(doc["nodes"], dtype=float)
     elements = []
     for i, rec in enumerate(doc["elements"]):
         for key in ("kind", "nodes"):

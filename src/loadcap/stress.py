@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -195,10 +196,21 @@ def _element_block(dim: int, mode: str):
     return rows, budget
 
 
-def _dual_builder(ops: DiscreteOperators, objective: np.ndarray, mode: str):
-    """Kinematic LP maximizing objective . w, over the velocity DOFs and
-    each element's `_element_block` columns; returns (LPStandardForm,
-    recover).
+class KinematicLP(NamedTuple):
+    """The kinematic LP of one mesh and mode with its objective left open.
+    Its feasible set, the unit strain-budget ball, is the same for every
+    objective, so every `kinematic_supremum` on it shares one phase 1.
+    `columns` maps the LP's variables (the velocity DOFs first) to the
+    standard form of `prob`."""
+
+    n_dof: int
+    prob: lp.LPStandardForm
+    columns: lp.ColumnMap
+
+
+def _dual_builder(ops: DiscreteOperators, mode: str) -> KinematicLP:
+    """Kinematic LP over the velocity DOFs and each element's
+    `_element_block` columns, with zero costs.
 
     The equality rows come element by element, as in `_element_block`;
     their multipliers carry the stress field.  The last row bounds the
@@ -223,19 +235,25 @@ def _dual_builder(ops: DiscreteOperators, objective: np.ndarray, mode: str):
     budget = np.zeros(builder.n_vars)
     budget[n_dof:] = (ops.volumes[:, None] * local_budget).ravel()
     builder.add_le(budget, 1.0)
-    c = np.zeros(builder.n_vars)
-    c[:n_dof] = -objective
-    return builder.build(c)
+    prob, _ = builder.build(np.zeros(builder.n_vars))
+    return KinematicLP(n_dof, prob, builder.columns())
 
 
-def _solve_kinematic(ops: DiscreteOperators, objective: np.ndarray,
-                     mode: str):
-    """`kinematic_supremum`, plus the LP's multipliers."""
+def kinematic_lp(ops: DiscreteOperators, mode: str) -> KinematicLP:
+    """The kinematic LP of `ops` in `mode`, to solve for many objectives."""
     check_mode(mode)
     if mode == PLASTIC:
         require_plastic_viable(ops)
-    prob, recover = _dual_builder(ops, objective, mode)
-    sol = lp.solve(prob)
+    return _dual_builder(ops, mode)
+
+
+def kinematic_supremum(kinematic: KinematicLP, objective: np.ndarray):
+    """Maximize objective . w over the unit strain-budget ball (plastic:
+    restricted to isochoric fields).  Returns (value, witness, the LP's
+    multipliers)."""
+    c = np.zeros(kinematic.columns.n_vars)
+    c[:kinematic.n_dof] = -objective
+    sol = lp.solve(kinematic.prob.with_objective(kinematic.columns.costs(c)))
     if sol.status == lp.UNBOUNDED:
         raise SolverFailure(
             "kinematic LP unbounded: the mesh admits a mechanism despite "
@@ -243,15 +261,8 @@ def _solve_kinematic(ops: DiscreteOperators, objective: np.ndarray,
     if sol.status != lp.OPTIMAL:
         raise SolverFailure(f"kinematic LP ended with status {sol.status}")
     # 0.0 - x, unlike -x, reports a zero optimum as 0.0 and not -0.0
-    return 0.0 - sol.objective, recover(sol.x)[:ops.n_dof], sol.y
-
-
-def kinematic_supremum(ops: DiscreteOperators, objective: np.ndarray,
-                       mode: str):
-    """Maximize objective . w over the unit strain-budget ball (plastic:
-    restricted to isochoric fields).  Returns (value, witness)."""
-    value, w, _ = _solve_kinematic(ops, objective, mode)
-    return value, w
+    w = kinematic.columns.recover(sol.x)[:kinematic.n_dof]
+    return 0.0 - sol.objective, w, sol.y
 
 
 def _stress_from_multipliers(ops: DiscreteOperators, mode: str,
@@ -273,13 +284,18 @@ def _stress_from_multipliers(ops: DiscreteOperators, mode: str,
 
 
 def optimal_stress(ops: DiscreteOperators, t, mode: str = ELASTIC) -> OptimalStressResult:
-    """Solve the kinematic LP once, read sigma_hat off its multipliers, and
-    certify the pair without the LP: sigma_hat balances t, the witness is
-    admissible, and stress_measure(sigma_hat), the witness ratio
+    """Solve the kinematic LP once and certify its optimum (`certify`)."""
+    t = check_traction(ops, t)
+    return certify(ops, t, mode,
+                   *kinematic_supremum(kinematic_lp(ops, mode), work_vector(ops, t)))
+
+
+def certify(ops: DiscreteOperators, t, mode: str, value: float, w, y) -> OptimalStressResult:
+    """Certify a kinematic optimum for t without the LP: read sigma_hat off
+    the multipliers y, and check that it balances t, that the witness w is
+    admissible, and that stress_measure(sigma_hat), the witness ratio
     work/budget and the LP value agree.  By weak duality that proves both
     optimal; a failed check raises SolverFailure naming it."""
-    t = check_traction(ops, t)
-    value, w, y = _solve_kinematic(ops, work_vector(ops, t), mode)
     sigma_hat = _stress_from_multipliers(ops, mode, y)
     ok, residual = check_equilibrium(ops, sigma_hat, t)
     if not ok:

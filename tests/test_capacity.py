@@ -3,6 +3,7 @@ import pytest
 
 from loadcap import capacity as cap
 from loadcap import kinematics as kin
+from loadcap import lp
 from loadcap import mesh as msh
 from loadcap import stress as st
 
@@ -100,6 +101,43 @@ class TestGeneralizedK:
             cap.generalized_K(ops)
         res = cap.generalized_K(ops, method=cap.HEURISTIC)
         assert res.lower_bound_only and res.K > 0
+
+
+class TestOneKinematicLP:
+    """One `generalized_K` call builds one kinematic LP; each pattern or
+    step is one solve of it."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"builds": 0, "solves": 0, "patterns": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+        monkeypatch.setattr(st, "_dual_builder", counted("builds", st._dual_builder))
+        monkeypatch.setattr(lp, "solve", counted("solves", lp.solve))
+        monkeypatch.setattr(cap, "kinematic_supremum",
+                            counted("patterns", cap.kinematic_supremum))
+        return counts
+
+    @pytest.mark.parametrize("mode", [st.ELASTIC, st.PLASTIC])
+    def test_exact(self, square_ops, counts, mode):
+        cap.generalized_K(square_ops, mode, cap.EXACT)
+        assert counts == {"builds": 1, "solves": 2 ** 5, "patterns": 2 ** 5}
+
+    @pytest.mark.parametrize("mode", [st.ELASTIC, st.PLASTIC])
+    def test_heuristic(self, square_ops, counts, mode):
+        cap.generalized_K(square_ops, mode, cap.HEURISTIC)
+        assert counts["builds"] == 1
+        assert counts["solves"] == counts["patterns"] >= cap.HEURISTIC_RESTARTS
+
+    def test_cap_checked_before_build(self, counts):
+        ops = kin.assemble(msh.generate_rectangle(1, 1, 3, 3, "left", "right"))
+        with pytest.raises(cap.CapacityError, match="capped at 16"):
+            cap.generalized_K(ops)
+        assert counts["builds"] == 0
 
 
 class TestDualCheck:

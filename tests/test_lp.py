@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -178,6 +180,121 @@ class TestBuilder:
         assert np.array_equal(recover(np.array([1.0, 2.0, 0.5, 0.0, 0.0])),
                               [1.0, 1.5])
 
+    def test_column_map_costs_match_build(self):
+        builder = lp.LPBuilder()
+        builder.add_vars(3, nonneg=[False, True, False])
+        builder.add_le([[1.0, 2.0, 0.0]], 4.0)
+        builder.add_eq([[1.0, -1.0, 1.0]], 0.5)
+        objective = np.array([0.0, -1.0, 2.5])
+        prob, _ = builder.build(objective)
+        costless, _ = builder.build(np.zeros(3))
+        costs = builder.columns().costs(objective)
+        assert np.array_equal(costs, prob.c)
+        assert not np.any(np.signbit(costs) & (costs == 0.0))
+        assert np.array_equal(costless.A, prob.A)
+        assert np.array_equal(costless.b, prob.b)
+        assert not np.any(costless.c)
+
     def test_dump_mentions_shape(self):
         p = standard([1.0], [[1.0]], [1.0])
         assert "1 rows, 1 cols" in p.dump()
+
+
+def same_solution(got, want):
+    """Equal status, x, y and objective, bit for bit."""
+    return (got.status == want.status
+            and all((g is None and w is None) or np.array_equal(g, w)
+                    for g, w in ((got.x, want.x), (got.y, want.y)))
+            and got.objective == want.objective)
+
+
+class TestSharedPhase1:
+    """An LP made by `with_objective` runs only phase 2 from the phase 1 of
+    the LP it was made from, and gives exactly what a fresh LP gives."""
+
+    def test_random_lps_match_fresh(self):
+        rng = np.random.default_rng(43)
+        statuses = set()
+        for trial in range(80):
+            m = int(rng.integers(2, 5))
+            n = int(rng.integers(m + 1, 9))
+            A = rng.normal(size=(m, n))
+            kind = trial % 4
+            if kind == 0:
+                b = A @ rng.uniform(0.0, 1.0, size=n)
+            elif kind == 1:
+                A[-1] = A[0]  # a redundant row that phase 1 drops
+                b = A @ rng.uniform(0.0, 1.0, size=n)
+            elif kind == 2:
+                b = rng.normal(size=m)  # may be infeasible
+            else:
+                A = np.abs(A) * np.sign(rng.normal(size=(m, n)))
+                b = A @ rng.uniform(0.0, 1.0, size=n)
+            base = standard(np.zeros(n), A, b)
+            for _ in range(4):
+                c = rng.normal(size=n)
+                got = lp.solve(base.with_objective(c))
+                want = lp.solve(standard(c, A, b))
+                assert same_solution(got, want), f"trial {trial}"
+                statuses.add(got.status)
+        assert statuses == {lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED}
+
+    def test_phase1_runs_once_and_start_is_kept(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        A = rng.normal(size=(4, 8))
+        b = A @ rng.uniform(0.0, 1.0, size=8)
+        base = standard(np.zeros(8), A, b)
+        phase1 = lp._phase1
+        calls = []
+        monkeypatch.setattr(lp, "_phase1",
+                            lambda *args: calls.append(1) or phase1(*args))
+        costs = [rng.normal(size=8) for _ in range(3)]
+        first = [lp.solve(base.with_objective(c)) for c in costs]
+        start = base._memo.phase1.tableau.copy()
+        again = [lp.solve(base.with_objective(c)) for c in reversed(costs)]
+        assert len(calls) == 1
+        assert np.array_equal(base._memo.phase1.tableau, start)
+        assert all(same_solution(g, w) for g, w in zip(first, reversed(again)))
+
+    def test_memo_not_in_repr_or_replace(self):
+        p = standard([1.0], [[1.0]], [1.0])
+        lp.solve(p)
+        assert repr(p) == repr(standard([1.0], [[1.0]], [1.0])) == "LPStandardForm()"
+        # a new A must not inherit the phase 1 of the old one
+        q = dataclasses.replace(p, A=np.array([[2.0]]))
+        assert q._memo is not p._memo
+        assert lp.solve(q).x[0] == pytest.approx(0.5)
+
+    def test_with_objective_checks_costs(self):
+        p = standard([1.0, 1.0], [[1.0, 1.0]], [1.0])
+        with pytest.raises(lp.LPError, match="shape"):
+            p.with_objective([1.0])
+        with pytest.raises(lp.LPError, match="non-finite"):
+            p.with_objective([np.inf, 1.0])
+
+
+class TestIterationLimit:
+    def _lp(self):
+        # phase 1 takes 4 pivots and phase 2 another 5
+        rng = np.random.default_rng(26)
+        A = rng.normal(size=(3, 7))
+        b = A @ rng.uniform(0, 1, 7)
+        return standard(rng.normal(size=7), A, b)
+
+    @pytest.mark.parametrize("max_iter,phase", [(1, 1), (5, 2)])
+    def test_message_names_phase_shape_and_count(self, max_iter, phase):
+        with pytest.raises(lp.LPIterationError) as info:
+            lp.solve(self._lp(), max_iter=max_iter)
+        err = info.value
+        assert (err.phase, err.shape, err.iterations) == (phase, (3, 7), max_iter)
+        message = str(err)
+        assert f"phase {phase}" in message
+        assert "3 x 7" in message
+        assert f"{max_iter} iterations" in message
+
+    def test_shared_phase1_keeps_the_limit(self):
+        p = self._lp()
+        assert lp.solve(p).status == lp.OPTIMAL
+        with pytest.raises(lp.LPIterationError, match="phase 1"):
+            lp.solve(p.with_objective(p.c), max_iter=1)
+        assert lp.solve(p.with_objective(p.c), max_iter=6).status == lp.OPTIMAL

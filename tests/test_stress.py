@@ -116,17 +116,16 @@ class TestOptimalStressBar:
         assert res.sigma_opt == pytest.approx(0.0, abs=1e-12)
 
     def test_dual_witness(self, bar_ops):
-        value, w = st.kinematic_supremum(bar_ops, kin.work_vector(bar_ops, [[1.0]]),
-                                         st.ELASTIC)
+        value, w, _ = st.kinematic_supremum(st.kinematic_lp(bar_ops, st.ELASTIC),
+                                            kin.work_vector(bar_ops, [[1.0]]))
         assert value == pytest.approx(1.0, abs=1e-12)
         assert kin.external_work(bar_ops, np.array([[1.0]]), w) / \
             kin.strain_norm_l1(bar_ops, w) == pytest.approx(1.0, abs=1e-8)
 
     def test_dual_sign_symmetry(self, bar_ops):
-        vp, _ = st.kinematic_supremum(bar_ops, kin.work_vector(bar_ops, [[1.0]]),
-                                      st.ELASTIC)
-        vm, _ = st.kinematic_supremum(bar_ops, kin.work_vector(bar_ops, [[-1.0]]),
-                                      st.ELASTIC)
+        kinematic = st.kinematic_lp(bar_ops, st.ELASTIC)
+        vp, _, _ = st.kinematic_supremum(kinematic, kin.work_vector(bar_ops, [[1.0]]))
+        vm, _, _ = st.kinematic_supremum(kinematic, kin.work_vector(bar_ops, [[-1.0]]))
         assert vp == pytest.approx(vm, abs=1e-12)
 
     def test_plastic_rejected_on_bars(self, bar_ops):
@@ -180,6 +179,40 @@ class TestStrongDuality:
         res = st.optimal_stress(square_ops, t, st.PLASTIC)
         rows = kin.isochoric_constraints(square_ops)
         assert np.abs(rows @ res.dual_witness).max() <= 1e-9
+
+
+class TestKinematicLP:
+    """Every objective solved on one `kinematic_lp` shares its phase 1 and
+    gives exactly what a fresh LP with that objective gives."""
+
+    @pytest.mark.parametrize("name,factory", MESH_CASES, ids=[c[0] for c in MESH_CASES])
+    @pytest.mark.parametrize("mode", [st.ELASTIC, st.PLASTIC])
+    def test_shared_phase1_matches_fresh(self, name, factory, mode):
+        ops = kin.assemble(factory())
+        kinematic = st.kinematic_lp(ops, mode)
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
+        for _ in range(4):
+            c = np.zeros(kinematic.columns.n_vars)
+            c[:ops.n_dof] = rng.uniform(-1.0, 1.0, size=ops.n_dof)
+            costs = kinematic.columns.costs(c)
+            got = lp.solve(kinematic.prob.with_objective(costs))
+            want = lp.solve(lp.LPStandardForm(c=costs, A=kinematic.prob.A.copy(),
+                                              b=kinematic.prob.b.copy()))
+            assert got.status == want.status == lp.OPTIMAL
+            assert np.array_equal(got.x, want.x)
+            assert np.array_equal(got.y, want.y)
+            assert got.objective == want.objective
+
+    def test_supremum_matches_fresh_lp(self, square_ops):
+        kinematic = st.kinematic_lp(square_ops, st.PLASTIC)
+        rng = np.random.default_rng(16)
+        for _ in range(4):
+            f = kin.work_vector(square_ops, rng.uniform(-1, 1, size=(3, 2)))
+            got = st.kinematic_supremum(kinematic, f)
+            want = st.kinematic_supremum(st.kinematic_lp(square_ops, st.PLASTIC), f)
+            assert got[0] == want[0]
+            assert np.array_equal(got[1], want[1])
+            assert np.array_equal(got[2], want[2])
 
 
 class TestStressFromMultipliers:
