@@ -2,9 +2,14 @@
 
 Standard form throughout: minimize c.x subject to A.x = b, x >= 0.
 Free variables and inequalities are handled by LPBuilder, which keeps the
-kernel itself in pure standard form.  Phase 1 depends on A and b only, so
-LPs that differ only in their costs (`LPStandardForm.with_objective`)
-share one phase 1 and each runs only phase 2.
+kernel itself in pure standard form.  Phase 1 crash-starts: a row starts
+on a column whose only nonzero entry is positive and in that row, such as
+an inequality's slack, and only the rows without one get an artificial.
+When all of those rows have b = 0 the start is feasible, and phase 1 is
+only the degenerate pivots that drive the artificials out.  Phase 1
+depends on A and b only, so LPs that differ only in their costs
+(`LPStandardForm.with_objective`) share one phase 1 and each runs only
+phase 2.
 """
 
 from __future__ import annotations
@@ -41,7 +46,8 @@ class _Phase1(NamedTuple):
     """Phase 1's outcome: the phase 2 start (the constraint rows of the
     tableau over the structural columns and the right-hand side), its
     basis and the rows kept from A; `tableau` is None if the LP is
-    infeasible.  `pivots` is the number phase 1 took."""
+    infeasible.  `pivots` is the number of simplex pivots phase 1 took,
+    not counting those that drive the artificials out."""
 
     tableau: np.ndarray | None
     basis: tuple
@@ -141,50 +147,70 @@ def _bland_simplex(T: np.ndarray, basis: list, n_struct: int,
     raise LPIterationError(phase, shape, max_iter)
 
 
-def _phase1(A: np.ndarray, b: np.ndarray, max_iter: int) -> _Phase1:
-    """Minimize the sum of artificials, then drive the artificials left in
-    the basis out of it, dropping the redundant rows."""
-    m, n = A.shape
-    A = A.copy()
-    b = b.copy()
-    flip = b < 0
-    A[flip] *= -1.0
-    b[flip] *= -1.0
+def _crash_basis(A: np.ndarray) -> np.ndarray:
+    """For each row, the lowest-index column whose only nonzero entry is
+    positive and lies in that row, or -1 if there is none.  Such a column
+    can start basic in its row: dividing the row by that entry makes it a
+    unit column, and keeps a nonnegative right-hand side nonnegative."""
+    nonzero = A != 0.0
+    single = np.flatnonzero(nonzero.sum(axis=0) == 1)
+    _, row = np.nonzero(nonzero[:, single].T)  # the row of each such column
+    positive = A[row, single] > 0.0
+    rows, first = np.unique(row[positive], return_index=True)
+    basic = np.full(A.shape[0], -1)
+    basic[rows] = single[positive][first]
+    return basic
 
-    T = np.zeros((m + 1, n + m + 1))
-    T[:m, :n] = A
-    T[:m, n:n + m] = np.eye(m)
-    T[:m, -1] = b
-    T[-1, n:n + m] = 1.0
-    T[-1] -= T[:m].sum(axis=0)
-    basis = list(range(n, n + m))
-    status, pivots = _bland_simplex(T, basis, n + m, max_iter, 1, (m, n))
-    if status != OPTIMAL or T[-1, -1] < -_FEAS_TOL * (1.0 + np.abs(b).max(initial=0.0)):
-        return _Phase1(None, (), [], pivots)
+
+def _phase1(A: np.ndarray, b: np.ndarray, max_iter: int) -> _Phase1:
+    """Crash-start phase 1.  After the rows with b < 0 are flipped, every
+    row with a `_crash_basis` column starts on it, and only the other rows
+    get an artificial.  Minimize the sum of the artificials (at once
+    optimal if all of their rows have b = 0), then drive the artificials
+    left in the basis out of it, dropping the redundant rows."""
+    m, n = A.shape
+    T = np.empty((m, n + 1))  # [A | b]
+    T[:, :n] = A
+    T[:, -1] = b
+    T[b < 0] *= -1.0
+    basis = _crash_basis(T[:, :n])
+    crashed = np.flatnonzero(basis >= 0)
+    T[crashed] /= T[crashed, basis[crashed]][:, None]
+    artificial = np.flatnonzero(basis < 0)
+    k = len(artificial)
+    basis[artificial] = n + np.arange(k)
+    basis = basis.tolist()
+    pivots = 0
+    if T[artificial, -1].any():
+        P = np.zeros((m + 1, n + k + 1))
+        P[:m, :n] = T[:, :n]
+        P[artificial, n + np.arange(k)] = 1.0
+        P[:m, -1] = T[:, -1]
+        P[-1, n:n + k] = 1.0
+        P[-1] -= P[artificial].sum(axis=0)
+        status, pivots = _bland_simplex(P, basis, n + k, max_iter, 1, (m, n))
+        if status != OPTIMAL or \
+                P[-1, -1] < -_FEAS_TOL * (1.0 + np.abs(T[:, -1]).max(initial=0.0)):
+            return _Phase1(None, (), [], pivots)
+        # the artificial columns and the phase 1 costs are not needed any more
+        T = np.delete(P[:m], np.s_[n:n + k], axis=1)
 
     keep_rows = list(range(m))
     drop = []
     for r in range(m):
         if basis[r] < n:
             continue
-        row = T[r, :n]
-        piv = np.nonzero(np.abs(row) > _PIVOT_TOL)[0]
+        piv = np.nonzero(np.abs(T[r, :n]) > _PIVOT_TOL)[0]
         if piv.size:
             _pivot(T, r, int(piv[0]))
             basis[r] = int(piv[0])
         else:
             drop.append(r)
     if drop:
-        rows = [r for r in range(m) if r not in drop]
-        T = T[rows + [m]]
-        basis = [basis[r] for r in rows]
-        keep_rows = rows
-    mm = len(basis)
-    # artificial columns and the phase 1 costs removed
-    start = np.empty((mm, n + 1))
-    start[:, :n] = T[:mm, :n]
-    start[:, -1] = T[:mm, -1]
-    return _Phase1(start, tuple(basis), keep_rows, pivots)
+        keep_rows = [r for r in range(m) if r not in drop]
+        T = T[keep_rows]
+        basis = [basis[r] for r in keep_rows]
+    return _Phase1(T, tuple(basis), keep_rows, pivots)
 
 
 def solve(p: LPStandardForm, max_iter: int = 50000) -> LPSolution:
@@ -206,15 +232,13 @@ def solve(p: LPStandardForm, max_iter: int = 50000) -> LPSolution:
     T2 = np.zeros((mm + 1, n + 1))
     T2[:mm] = start.tableau
     T2[-1, :n] = p.c
-    for r, j in enumerate(basis):
-        T2[-1] -= p.c[j] * T2[r]
+    T2[-1] -= p.c[basis] @ T2[:mm]
     status, _ = _bland_simplex(T2, basis, n, max_iter, 2, (m, n))
     if status == UNBOUNDED:
         return LPSolution(UNBOUNDED)
 
     x = np.zeros(n)
-    for r, j in enumerate(basis):
-        x[j] = T2[r, -1]
+    x[basis] = T2[:mm, -1]
     obj = float(p.c @ x)
 
     # equality multipliers from the final basis w.r.t. the original rows
@@ -225,8 +249,7 @@ def solve(p: LPStandardForm, max_iter: int = 50000) -> LPSolution:
         y_keep = np.linalg.solve(Bt, p.c[basis])
     except np.linalg.LinAlgError:
         y_keep, *_ = np.linalg.lstsq(Bt, p.c[basis], rcond=None)
-    for r, yr in zip(start.keep_rows, y_keep):
-        y[r] = yr
+    y[start.keep_rows] = y_keep
     return LPSolution(OPTIMAL, x=x, y=y, objective=obj)
 
 

@@ -127,6 +127,14 @@ def _deviatoric_rows(dim: int) -> np.ndarray:
     return rows
 
 
+def _solve(prob: lp.LPStandardForm, name: str) -> lp.LPSolution:
+    """`lp.solve`, with a pivot-limit failure named after the LP."""
+    try:
+        return lp.solve(prob)
+    except lp.LPIterationError as exc:
+        raise SolverFailure(f"{name}: {exc}") from exc
+
+
 def optimal_stress_primal(ops: DiscreteOperators, t, mode: str):
     """Minimize the stress bound T over all equilibrating stress fields.
 
@@ -158,7 +166,7 @@ def optimal_stress_primal(ops: DiscreteOperators, t, mode: str):
     objective = np.zeros(builder.n_vars)
     objective[-1] = 1.0
     prob, recover = builder.build(objective)
-    sol = lp.solve(prob)
+    sol = _solve(prob, "static LP")
     if sol.status != lp.OPTIMAL:
         raise SolverFailure(
             f"primal stress LP ended with status {sol.status}; with a "
@@ -253,7 +261,8 @@ def kinematic_supremum(kinematic: KinematicLP, objective: np.ndarray):
     multipliers)."""
     c = np.zeros(kinematic.columns.n_vars)
     c[:kinematic.n_dof] = -objective
-    sol = lp.solve(kinematic.prob.with_objective(kinematic.columns.costs(c)))
+    sol = _solve(kinematic.prob.with_objective(kinematic.columns.costs(c)),
+                 "kinematic LP")
     if sol.status == lp.UNBOUNDED:
         raise SolverFailure(
             "kinematic LP unbounded: the mesh admits a mechanism despite "

@@ -34,6 +34,23 @@ def make_two_tet_mesh() -> msh.Mesh:
     return msh.Mesh(3, nodes, elements, facets)
 
 
+MESH_CASES = [
+    ("rect11", lambda: msh.generate_rectangle(1, 1, 1, 1, "left", "right")),
+    ("rect22", lambda: msh.generate_rectangle(2, 1, 2, 2, "left", "right")),
+    ("two_tet", make_two_tet_mesh),
+]
+
+
+def end_tension_plate(n: int):
+    """The unit square in n x n cells, clamped on the left, under a unit
+    x-traction on the right edge; returns (mesh, traction)."""
+    mesh = msh.generate_rectangle(1, 1, n, n, "left", "right")
+    loaded = [f for f in mesh.facets if f.label == msh.GAMMAT]
+    traction = [[1.0, 0.0] if all(mesh.nodes[q][0] == 1.0 for q in f.nodes)
+                else [0.0, 0.0] for f in loaded]
+    return mesh, np.array(traction)
+
+
 @pytest.fixture
 def two_tet_mesh():
     return make_two_tet_mesh()

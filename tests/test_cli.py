@@ -8,6 +8,8 @@ from loadcap import cli
 from loadcap import lp
 from loadcap import mesh as msh
 
+from conftest import end_tension_plate
+
 
 @pytest.fixture
 def bar_files(tmp_path):
@@ -257,18 +259,43 @@ class TestSolveCounts:
             assert code == cli.EXIT_OK
             assert len(solves) == 3 * trials * modes + 10
 
+    def test_verify_phase1_runs(self, capsys, square_files, bar_files,
+                                monkeypatch):
+        # one phase 1 per mode shared by all kinematic solves, then one per
+        # static LP and one per LP-oracle solve
+        phase1 = lp._phase1
+        calls = []
+        monkeypatch.setattr(lp, "_phase1",
+                            lambda *args: calls.append(1) or phase1(*args))
+        trials = 2
+        for (mesh_path, _), modes in ((square_files, 2), (bar_files, 1)):
+            calls.clear()
+            code, _, _ = run(capsys, ["verify", mesh_path,
+                                      "--trials", str(trials)])
+            assert code == cli.EXIT_OK
+            assert len(calls) == modes + trials * modes + 10
+
+
+def test_pivot_limit_names_the_lp(capsys, square_files, monkeypatch):
+    def stalled(prob, *args, **kwargs):
+        raise lp.LPIterationError(2, prob.A.shape, 7)
+
+    monkeypatch.setattr(lp, "solve", stalled)
+    code, out, err = run(capsys, ["analyze", *square_files])
+    assert code == cli.EXIT_SOLVER and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("solver failure: kinematic LP: simplex phase 2 ")
+
 
 def test_elastic_4x4_plate_end_tension(capsys, tmp_path):
-    """The static LP of this case stalls in Bland's rule; the kinematic LP
-    and its multipliers certify sigma_opt = 1 at once."""
-    mesh = msh.generate_rectangle(1, 1, 4, 4, "left", "right")
+    """The kinematic LP and its multipliers certify sigma_opt = 1; the
+    static LP of this case is checked in `test_stress.py`."""
+    mesh, traction = end_tension_plate(4)
     mesh_path = tmp_path / "plate.mesh"
     msh.write_mesh(mesh, mesh_path)
-    loaded = [f for f in mesh.facets if f.label == msh.GAMMAT]
-    traction = [[1.0, 0.0] if all(mesh.nodes[n][0] == 1.0 for n in f.nodes)
-                else [0.0, 0.0] for f in loaded]
     traction_path = tmp_path / "plate.traction"
-    traction_path.write_text(json.dumps({"facets": traction}))
+    traction_path.write_text(json.dumps({"facets": traction.tolist()}))
     code, out, _ = run(capsys, ["analyze", str(mesh_path), str(traction_path)])
     assert code == cli.EXIT_OK
     report = json.loads(out)

@@ -3,7 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+from loadcap import kinematics as kin
 from loadcap import lp
+from loadcap import stress as st
+
+from conftest import MESH_CASES
 
 
 def standard(c, A, b):
@@ -298,3 +302,58 @@ class TestIterationLimit:
         with pytest.raises(lp.LPIterationError, match="phase 1"):
             lp.solve(p.with_objective(p.c), max_iter=1)
         assert lp.solve(p.with_objective(p.c), max_iter=6).status == lp.OPTIMAL
+
+
+class TestCrashStart:
+    """Phase 1 starts each row on a column whose only nonzero entry is
+    positive and in that row, and gives artificials only to the others."""
+
+    @pytest.mark.parametrize("name,factory", MESH_CASES, ids=[c[0] for c in MESH_CASES])
+    @pytest.mark.parametrize("mode", [st.ELASTIC, st.PLASTIC])
+    def test_kinematic_lp_needs_no_phase1_pivot(self, name, factory, mode):
+        # the budget row starts on its slack and every other row has b = 0
+        ops = kin.assemble(factory())
+        kinematic = st.kinematic_lp(ops, mode)
+        st.kinematic_supremum(kinematic, np.ones(ops.n_dof))
+        assert kinematic.prob._memo.phase1.pivots == 0
+
+    def test_slack_lps_match_brute(self):
+        rng = np.random.default_rng(44)
+        statuses = set()
+        for trial in range(80):
+            m = int(rng.integers(2, 5))
+            k = int(rng.integers(2, 10 - m + 1))
+            A = np.hstack([rng.normal(size=(m, k)), np.eye(m)])
+            kind = trial % 4
+            if kind == 0:
+                b = np.abs(rng.normal(size=m))  # every row on its slack
+            elif kind == 1:
+                b = rng.normal(size=m)  # flipped rows need artificials
+            elif kind == 2:
+                A[-1] = A[0]  # a redundant row that phase 1 drops
+                b = A @ rng.uniform(0.0, 1.0, size=k + m)
+            else:
+                A[:, 0] = -np.abs(A[:, 0])  # column 0 is a ray if c[0] < 0
+                b = np.abs(rng.normal(size=m))
+            p = standard(rng.normal(size=k + m), A, b)
+            got, want = lp.solve(p), lp.solve_brute(p)
+            assert got.status == want.status, f"trial {trial}: {p.dump()}"
+            if kind == 0:
+                assert p._memo.phase1.pivots == 0
+            if got.status == lp.OPTIMAL:
+                assert got.objective == pytest.approx(want.objective, abs=1e-7), \
+                    f"trial {trial}"
+                check_optimal_invariants(p, got)
+            statuses.add(got.status)
+        assert statuses == {lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED}
+
+    def test_negative_unit_column_not_basic(self):
+        # flipping row 1 makes column 2 a unit column with entry -1; starting
+        # on it would give x2 = -1 and the wrong optimum 0
+        p = standard([1.0, 0.0, 0.0], [[1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]],
+                     [1.0, -1.0])
+        sol = lp.solve(p)
+        check_optimal_invariants(p, sol)
+        assert np.array_equal(sol.x, [1.0, 0.0, 0.0])
+        assert sol.objective == lp.solve_brute(p).objective == 1.0
+        assert p._memo.phase1.pivots > 0

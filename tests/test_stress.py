@@ -6,11 +6,10 @@ import pytest
 
 from loadcap import kinematics as kin
 from loadcap import lp
-from loadcap import mesh as msh
 from loadcap import stress as st
 from loadcap.matnorm import LINF, SymMatrix, mat_norm, n_comps, yield_value
 
-from conftest import make_two_tet_mesh
+from conftest import MESH_CASES, end_tension_plate
 
 
 @pytest.fixture
@@ -133,11 +132,22 @@ class TestOptimalStressBar:
             st.optimal_stress(bar_ops, np.array([[1.0]]), st.PLASTIC)
 
 
-MESH_CASES = [
-    ("rect11", lambda: msh.generate_rectangle(1, 1, 1, 1, "left", "right")),
-    ("rect22", lambda: msh.generate_rectangle(2, 1, 2, 2, "left", "right")),
-    ("two_tet", make_two_tet_mesh),
-]
+class TestDegeneratePlates:
+    """End-tension plates whose phase 1 took thousands of degenerate Bland
+    pivots before it started from the LP's slack columns."""
+
+    def test_plastic_6x6_plate(self):
+        mesh, t = end_tension_plate(6)
+        res = st.optimal_stress(kin.assemble(mesh), t, st.PLASTIC)
+        assert res.sigma_opt == pytest.approx(0.5, abs=1e-9)
+
+    def test_elastic_4x4_static_lp(self):
+        mesh, t = end_tension_plate(4)
+        ops = kin.assemble(mesh)
+        static, _ = st.optimal_stress_primal(ops, t, st.ELASTIC)
+        kinematic = st.optimal_stress(ops, t, st.ELASTIC).sigma_opt
+        assert static == pytest.approx(kinematic, rel=1e-9)
+        assert static == pytest.approx(1.0, abs=1e-9)
 
 
 class TestStrongDuality:
@@ -246,3 +256,18 @@ class TestStressFromMultipliers:
         monkeypatch.setattr(lp, "solve", corrupting_solve)
         with pytest.raises(st.SolverFailure, match="does not balance"):
             st.optimal_stress(square_ops, t, mode)
+
+
+@pytest.mark.parametrize("name,solve", [("kinematic LP", st.optimal_stress),
+                                        ("static LP", st.optimal_stress_primal)])
+def test_pivot_limit_names_the_lp(square_ops, monkeypatch, name, solve):
+    def stalled(prob, *args, **kwargs):
+        raise lp.LPIterationError(2, prob.A.shape, 7)
+
+    monkeypatch.setattr(lp, "solve", stalled)
+    t = np.array([[1.0, 0.0], [0.0, -0.5], [0.25, 0.0]])
+    with pytest.raises(st.SolverFailure,
+                       match=f"^{name}: simplex phase 2 did not terminate in 7 "
+                             r"iterations on a \d+ x \d+ LP") as info:
+        solve(square_ops, t, st.ELASTIC)
+    assert isinstance(info.value.__cause__, lp.LPIterationError)
