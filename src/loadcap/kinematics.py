@@ -162,11 +162,6 @@ def trace(ops: DiscreteOperators, w) -> np.ndarray:
     return (ops.trace_op @ _check_dofs(ops, w)).reshape(-1, ops.dim)
 
 
-def trace_norm_l1(ops: DiscreteOperators, w) -> float:
-    """Area-weighted boundary L1 norm of the trace over gammaT."""
-    return float(ops.areas @ np.abs(trace(ops, w)).sum(axis=1))
-
-
 def external_work(ops: DiscreteOperators, t, w) -> float:
     """Virtual work of the traction field against a velocity field."""
     return float(work_vector(ops, t) @ _check_dofs(ops, w))

@@ -1,6 +1,12 @@
-"""Dense two-phase simplex with Bland's rule, plus an enumeration oracle.
+"""Dense two-phase simplex with Dantzig pricing and a Bland fallback, plus
+an enumeration oracle.
 
 Standard form throughout: minimize c.x subject to A.x = b, x >= 0.
+Both phases run one simplex loop.  It enters the column with the most
+negative reduced cost, which takes far fewer pivots than Bland's
+lowest-index rule on these LPs, and falls back to Bland's rule only
+while it is stalled: after `_STALL` degenerate pivots in a row, until a
+pivot moves the objective again.
 Free variables and inequalities are handled by LPBuilder, which keeps the
 kernel itself in pure standard form.  Phase 1 crash-starts: a row starts
 on a column whose only nonzero entry is positive and in that row, such as
@@ -26,6 +32,8 @@ UNBOUNDED = "unbounded"
 
 _PIVOT_TOL = 1e-9
 _FEAS_TOL = 1e-8
+# degenerate pivots in a row after which the simplex prices by Bland's rule
+_STALL = 50
 
 
 class LPError(ValueError):
@@ -50,7 +58,7 @@ class _Phase1(NamedTuple):
     not counting those that drive the artificials out."""
 
     tableau: np.ndarray | None
-    basis: tuple
+    basis: np.ndarray
     keep_rows: list
     pivots: int
 
@@ -122,26 +130,38 @@ def _pivot(T: np.ndarray, row: int, col: int):
     T -= np.outer(factors, T[row])
 
 
-def _bland_simplex(T: np.ndarray, basis: list, n_struct: int,
-                   max_iter: int, phase: int, shape: tuple) -> tuple:
-    """Run Bland's-rule simplex on a tableau whose last row holds reduced
-    costs and last column the right-hand side.  Mutates T and basis;
-    returns (status, pivots)."""
+def _simplex(T: np.ndarray, basis: np.ndarray, n_struct: int,
+             max_iter: int, phase: int, shape: tuple) -> tuple:
+    """Run the simplex on a tableau whose last row holds reduced costs and
+    last column the right-hand side.  The entering column has the most
+    negative reduced cost (Dantzig), except after `_STALL` degenerate
+    pivots in a row, when it is the lowest-index improving column (Bland)
+    until a pivot moves the objective again; the leaving row is the
+    ratio-test tie with the lowest basic index.  Bland's rule cannot cycle
+    at one vertex, and every other pivot lowers the objective, so the loop
+    terminates.  Mutates T and the int array basis; returns (status,
+    pivots)."""
+    stalled = 0
     for pivots in range(max_iter):
         costs = T[-1, :n_struct]
-        candidates = np.nonzero(costs < -_PIVOT_TOL)[0]
-        if candidates.size == 0:
-            return OPTIMAL, pivots
-        j = int(candidates[0])  # Bland: smallest eligible index
+        if stalled < _STALL:
+            j = int(np.argmin(costs))
+            if costs[j] >= -_PIVOT_TOL:
+                return OPTIMAL, pivots
+        else:
+            candidates = np.flatnonzero(costs < -_PIVOT_TOL)
+            if candidates.size == 0:
+                return OPTIMAL, pivots
+            j = int(candidates[0])
         col = T[:-1, j]
-        rows = np.nonzero(col > _PIVOT_TOL)[0]
+        rows = np.flatnonzero(col > _PIVOT_TOL)
         if rows.size == 0:
             return UNBOUNDED, pivots
         ratios = T[rows, -1] / col[rows]
-        best = np.min(ratios)
+        best = ratios.min()
         ties = rows[ratios <= best + 1e-12]
-        # Bland tie-break: leaving variable with the smallest index
-        leave = int(min(ties, key=lambda r: basis[r]))
+        leave = int(ties[np.argmin(basis[ties])])
+        stalled = stalled + 1 if best <= 1e-12 else 0
         _pivot(T, leave, j)
         basis[leave] = j
     raise LPIterationError(phase, shape, max_iter)
@@ -179,7 +199,6 @@ def _phase1(A: np.ndarray, b: np.ndarray, max_iter: int) -> _Phase1:
     artificial = np.flatnonzero(basis < 0)
     k = len(artificial)
     basis[artificial] = n + np.arange(k)
-    basis = basis.tolist()
     pivots = 0
     if T[artificial, -1].any():
         P = np.zeros((m + 1, n + k + 1))
@@ -188,10 +207,10 @@ def _phase1(A: np.ndarray, b: np.ndarray, max_iter: int) -> _Phase1:
         P[:m, -1] = T[:, -1]
         P[-1, n:n + k] = 1.0
         P[-1] -= P[artificial].sum(axis=0)
-        status, pivots = _bland_simplex(P, basis, n + k, max_iter, 1, (m, n))
+        status, pivots = _simplex(P, basis, n + k, max_iter, 1, (m, n))
         if status != OPTIMAL or \
                 P[-1, -1] < -_FEAS_TOL * (1.0 + np.abs(T[:, -1]).max(initial=0.0)):
-            return _Phase1(None, (), [], pivots)
+            return _Phase1(None, basis[:0], [], pivots)
         # the artificial columns and the phase 1 costs are not needed any more
         T = np.delete(P[:m], np.s_[n:n + k], axis=1)
 
@@ -209,8 +228,9 @@ def _phase1(A: np.ndarray, b: np.ndarray, max_iter: int) -> _Phase1:
     if drop:
         keep_rows = [r for r in range(m) if r not in drop]
         T = T[keep_rows]
-        basis = [basis[r] for r in keep_rows]
-    return _Phase1(T, tuple(basis), keep_rows, pivots)
+        basis = basis[keep_rows]
+    basis.flags.writeable = False
+    return _Phase1(T, basis, keep_rows, pivots)
 
 
 def solve(p: LPStandardForm, max_iter: int = 50000) -> LPSolution:
@@ -228,12 +248,12 @@ def solve(p: LPStandardForm, max_iter: int = 50000) -> LPSolution:
 
     # phase 2 on a copy of the shared start, with the original costs
     mm = len(start.basis)
-    basis = list(start.basis)
+    basis = start.basis.copy()
     T2 = np.zeros((mm + 1, n + 1))
     T2[:mm] = start.tableau
     T2[-1, :n] = p.c
     T2[-1] -= p.c[basis] @ T2[:mm]
-    status, _ = _bland_simplex(T2, basis, n, max_iter, 2, (m, n))
+    status, _ = _simplex(T2, basis, n, max_iter, 2, (m, n))
     if status == UNBOUNDED:
         return LPSolution(UNBOUNDED)
 

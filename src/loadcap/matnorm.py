@@ -115,13 +115,6 @@ def dual_norm_id(norm_id: str) -> str:
     raise NormError(f"unknown norm id {norm_id!r}")
 
 
-def dual_pairing(s: SymMatrix, e: SymMatrix) -> float:
-    """Full-matrix contraction sum_ij s_ij e_ij (off-diagonals twice)."""
-    if s.dim != e.dim:
-        raise NormError(f"dimension mismatch: {s.dim} vs {e.dim}")
-    return float(np.sum(comp_weights(s.dim) * s.comps * e.comps))
-
-
 def proj_spherical(m: SymMatrix) -> SymMatrix:
     """Spherical (pressure) part (tr m / 3) I of the 3x3 embedding."""
     m3 = embed3(m)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from loadcap import kinematics as kin
+from loadcap import matnorm as mn
 from loadcap import mesh as msh
 
 ACCEPTANCE_VERDICTS = []
@@ -16,6 +18,19 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_VERDICTS:
             terminalreporter.write_line(line)
+
+
+def trace_norm_l1(ops: kin.DiscreteOperators, w) -> float:
+    """Oracle: area-weighted boundary L1 norm of the trace over gammaT."""
+    return float(ops.areas @ np.abs(kin.trace(ops, w)).sum(axis=1))
+
+
+def dual_pairing(s: mn.SymMatrix, e: mn.SymMatrix) -> float:
+    """Oracle: full-matrix contraction sum_ij s_ij e_ij (off-diagonals
+    twice)."""
+    if s.dim != e.dim:
+        raise mn.NormError(f"dimension mismatch: {s.dim} vs {e.dim}")
+    return float(np.sum(mn.comp_weights(s.dim) * s.comps * e.comps))
 
 
 def make_two_tet_mesh() -> msh.Mesh:

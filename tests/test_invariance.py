@@ -1,0 +1,59 @@
+"""Properties the theory guarantees: `sigma_opt` does not depend on how the
+nodes, elements and facets are numbered, nor on a permutation or
+reflection of the axes.  The simplex's pivots, and so the vertex it
+reaches, depend on the column order and values; the optimum must not."""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as hs  # noqa: E402
+
+from loadcap import kinematics as kin  # noqa: E402
+from loadcap import mesh as msh  # noqa: E402
+from loadcap import stress as st  # noqa: E402
+
+
+def renumbered(mesh: msh.Mesh, t: np.ndarray, rng):
+    """The mesh with its nodes, elements and facets renumbered at random,
+    and the traction rows put in the new order of the gammaT facets."""
+    new_id = rng.permutation(mesh.n_nodes)
+    nodes = np.empty_like(mesh.nodes)
+    nodes[new_id] = mesh.nodes
+    elements = [mesh.elements[i] for i in rng.permutation(len(mesh.elements))]
+    elements = [msh.Element(e.kind, tuple(new_id[list(e.nodes)]), e.area)
+                for e in elements]
+    order = rng.permutation(len(mesh.facets))
+    facets = [msh.Facet(tuple(new_id[list(mesh.facets[i].nodes)]), mesh.facets[i].label)
+              for i in order]
+    loaded = np.array([f.label == msh.GAMMAT for f in mesh.facets])
+    row = np.cumsum(loaded) - 1  # the traction row of each loaded facet
+    t_new = t[row[order][loaded[order]]]
+    return msh.Mesh(mesh.dim, nodes, elements, facets), t_new
+
+
+def transformed(mesh: msh.Mesh, t: np.ndarray, q: np.ndarray):
+    """The mesh and the traction under the signed permutation matrix q."""
+    return msh.Mesh(mesh.dim, mesh.nodes @ q.T, mesh.elements, mesh.facets), t @ q.T
+
+
+def sigma_opt(mesh, t, mode) -> float:
+    return st.optimal_stress(kin.assemble(mesh), t, mode).sigma_opt
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(nx=hs.integers(1, 2), ny=hs.integers(1, 2),
+       mode=hs.sampled_from(st.MODES), seed=hs.integers(0, 2**32 - 1),
+       swap=hs.booleans(), signs=hs.sampled_from([(1, 1), (-1, 1), (1, -1), (-1, -1)]))
+def test_sigma_opt_invariant(nx, ny, mode, seed, swap, signs):
+    rng = np.random.default_rng(seed)
+    mesh = msh.generate_rectangle(1.0, 1.0, nx, ny, "left", "right")
+    t = rng.uniform(-1.0, 1.0, size=(len(mesh.facets_labeled(msh.GAMMAT)), 2))
+    base = sigma_opt(mesh, t, mode)
+    assert sigma_opt(*renumbered(mesh, t, rng), mode) == \
+        pytest.approx(base, rel=1e-9, abs=1e-9)
+    q = np.diag(signs).astype(float)
+    if swap:
+        q = q[::-1]
+    assert sigma_opt(*transformed(mesh, t, q), mode) == \
+        pytest.approx(base, rel=1e-9, abs=1e-9)

@@ -69,14 +69,37 @@ class TestSolveBasics:
 
 
 class TestAntiCycling:
-    def test_beale_cycling_example(self):
-        # classic instance on which Dantzig's rule cycles
+    """Textbook LPs on which Dantzig pricing with the smallest-subscript
+    leaving rule cycles; the Bland fallback must still reach the optimum."""
+
+    def _cycling_lp(self, c, A, monkeypatch):
+        p = standard(c, A, [0.0, 0.0, 1.0])
+        with monkeypatch.context() as m:
+            m.setattr(lp, "_STALL", 1000)  # never falls back to Bland
+            with pytest.raises(lp.LPIterationError, match="phase 2"):
+                lp.solve(p, max_iter=1000)
+        return p
+
+    def test_beale_original(self, monkeypatch):
+        # Beale (1955), slacks first
+        c = [0.0, 0.0, 0.0, -0.75, 20.0, -0.5, 6.0]
+        A = [[1.0, 0.0, 0.0, 0.25, -8.0, -1.0, 9.0],
+             [0.0, 1.0, 0.0, 0.5, -12.0, -0.5, 3.0],
+             [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0]]
+        p = self._cycling_lp(c, A, monkeypatch)
+        sol = lp.solve(p)
+        check_optimal_invariants(p, sol)
+        want = lp.solve_brute(p)
+        assert want.objective == pytest.approx(-1.25, abs=1e-12)
+        assert sol.objective == pytest.approx(want.objective, abs=1e-12)
+
+    def test_beale_cycling_example(self, monkeypatch):
+        # a rescaled Beale example, slacks last
         c = [-0.75, 150.0, -0.02, 6.0, 0.0, 0.0, 0.0]
         A = [[0.25, -60.0, -1.0 / 25.0, 9.0, 1.0, 0.0, 0.0],
              [0.5, -90.0, -1.0 / 50.0, 3.0, 0.0, 1.0, 0.0],
              [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]]
-        b = [0.0, 0.0, 1.0]
-        p = standard(c, A, b)
+        p = self._cycling_lp(c, A, monkeypatch)
         sol = lp.solve(p)
         check_optimal_invariants(p, sol)
         want = lp.solve_brute(p)
@@ -279,8 +302,8 @@ class TestSharedPhase1:
 
 class TestIterationLimit:
     def _lp(self):
-        # phase 1 takes 4 pivots and phase 2 another 5
-        rng = np.random.default_rng(26)
+        # phase 1 takes 3 pivots and phase 2 another 5
+        rng = np.random.default_rng(1050)
         A = rng.normal(size=(3, 7))
         b = A @ rng.uniform(0, 1, 7)
         return standard(rng.normal(size=7), A, b)

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from loadcap.matnorm import (L1, LINF, NormError, SymMatrix,
-                             deviatoric_dual_value, dual_norm_id, dual_pairing,
-                             embed3, mat_norm, proj_deviatoric, proj_spherical,
+                             deviatoric_dual_value, dual_norm_id, embed3,
+                             mat_norm, proj_deviatoric, proj_spherical,
                              vec_norm, yield_value)
+
+from conftest import dual_pairing
 
 
 def sym(m):

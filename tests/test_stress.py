@@ -133,13 +133,21 @@ class TestOptimalStressBar:
 
 
 class TestDegeneratePlates:
-    """End-tension plates whose phase 1 took thousands of degenerate Bland
-    pivots before it started from the LP's slack columns."""
+    """End-tension plates whose degenerate vertices stalled a simplex that
+    always priced by Bland's rule: phase 1 took thousands of pivots before
+    it started from the LP's slack columns, and the elastic 6x6 kinematic
+    LP hit the pivot limit in phase 2 before Dantzig pricing, which falls
+    back to Bland's rule only while the objective does not move."""
 
     def test_plastic_6x6_plate(self):
         mesh, t = end_tension_plate(6)
         res = st.optimal_stress(kin.assemble(mesh), t, st.PLASTIC)
         assert res.sigma_opt == pytest.approx(0.5, abs=1e-9)
+
+    def test_elastic_6x6_plate(self):
+        mesh, t = end_tension_plate(6)
+        res = st.optimal_stress(kin.assemble(mesh), t, st.ELASTIC)
+        assert res.sigma_opt == pytest.approx(1.0, abs=1e-9)
 
     def test_elastic_4x4_static_lp(self):
         mesh, t = end_tension_plate(4)
