@@ -12,7 +12,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mesh as msh
-from .matnorm import SymMatrix, comp_positions, comp_weights, n_comps
+
+# unique strain (and stress) components of an element, in the row order of
+# strain_op: diagonal first, then off-diagonals (dim 3: 11, 22, 33, 23, 13,
+# 12); dim 1 is the bar's scalar strain
+COMP_POSITIONS = {
+    1: ((0, 0),),
+    2: ((0, 0), (1, 1), (0, 1)),
+    3: ((0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1)),
+}
+
+
+def n_comps(dim: int) -> int:
+    return dim * (dim + 1) // 2
+
+
+def comp_weights(dim: int) -> np.ndarray:
+    """Multiplicity of each unique component in the full matrix (1 or 2)."""
+    return np.array([1.0 if i == j else 2.0 for i, j in COMP_POSITIONS[dim]])
 
 
 class KinematicsError(ValueError):
@@ -91,7 +108,7 @@ def assemble(mesh: msh.Mesh, clamp: bool = True) -> DiscreteOperators:
     grads = _shape_gradients(edges)
     # eps_ij = 1/2 (d_i w_j + d_j w_i), by (element, comp, local node, axis)
     local = np.zeros((n_el, nc, dim + 1, dim))
-    for c, (i, j) in enumerate(comp_positions(dim)):
+    for c, (i, j) in enumerate(COMP_POSITIONS[dim]):
         local[:, c, :, i] += 0.5 * grads[:, :, j]
         local[:, c, :, j] += 0.5 * grads[:, :, i]
     axis = np.arange(dim)
@@ -135,12 +152,6 @@ def check_traction(ops: DiscreteOperators, t) -> np.ndarray:
     return t
 
 
-def strain(ops: DiscreteOperators, w) -> list:
-    """Per-element strain matrices of a velocity field."""
-    eps = ops.strain_op @ _check_dofs(ops, w)
-    return [SymMatrix(ops.dim, e) for e in eps.reshape(ops.n_elements, -1)]
-
-
 def strain_norm_l1(ops: DiscreteOperators, w) -> float:
     """Volume-weighted L1 norm of the strain field (the LD norm of w)."""
     return float(ops.strain_weights @ np.abs(ops.strain_op @ _check_dofs(ops, w)))
@@ -148,7 +159,9 @@ def strain_norm_l1(ops: DiscreteOperators, w) -> float:
 
 def strain_norm_plastic(ops: DiscreteOperators, w) -> float:
     """Volume-weighted strain norm with the yield-dual (quotient) magnitude:
-    `deviatoric_dual_value` of every element's strain, in one pass."""
+    each element's entrywise 1-norm of its strain, embedded in 3x3, after
+    the spherical shift that minimizes it (the norm dual to the yield
+    seminorm on traceless matrices)."""
     eps = (ops.strain_op @ _check_dofs(ops, w)).reshape(ops.n_elements, -1)
     diag = np.zeros((ops.n_elements, 3))
     diag[:, :ops.dim] = eps[:, :ops.dim]

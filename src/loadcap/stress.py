@@ -19,10 +19,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import lp
-from .kinematics import (DiscreteOperators, check_traction, external_work,
-                         isochoric_constraints, strain_norm_l1,
-                         strain_norm_plastic, traction_sup_norm, work_vector)
-from .matnorm import SymMatrix, comp_weights, n_comps
+from .kinematics import (DiscreteOperators, check_traction, comp_weights,
+                         external_work, isochoric_constraints, n_comps,
+                         strain_norm_l1, strain_norm_plastic,
+                         traction_sup_norm, work_vector)
 
 ELASTIC = "elastic"
 PLASTIC = "plastic"
@@ -52,24 +52,21 @@ def require_plastic_viable(ops: DiscreteOperators):
             "plastic mode rejected: all-bar mesh has a trivial isochoric subspace")
 
 
-@dataclass(frozen=True)
-class StressField:
-    """Per-element stress matrices; s33 carries the out-of-plane normal
-    component in 2D plastic mode."""
+class StressField(NamedTuple):
+    """The stress of every element: row e of comps holds element e's unique
+    components, in the order of `strain_op`'s rows
+    (`kinematics.COMP_POSITIONS`); s33 is the out-of-plane normal stress of
+    each element in 2D plastic mode."""
 
-    elements: tuple
+    comps: np.ndarray           # (n_el, n_comp)
     s33: np.ndarray | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(self.elements))
-        if self.s33 is not None:
-            object.__setattr__(self, "s33", np.asarray(self.s33, dtype=float))
 
 
 @dataclass(frozen=True)
 class OptimalStressResult:
     """sigma_opt is the kinematic LP's optimum, dual_value the witness's
-    ratio work/budget, duality_gap |stress_measure(sigma_hat) - dual_value|."""
+    ratio work/budget, duality_gap |stress_measure(sigma_hat) - dual_value|,
+    equilibrium_residual that of sigma_hat against the traction."""
 
     mode: str
     sigma_opt: float
@@ -77,15 +74,24 @@ class OptimalStressResult:
     dual_value: float
     dual_witness: np.ndarray = field(repr=False)
     duality_gap: float = 0.0
+    equilibrium_residual: float = 0.0
+
+
+def _check_stress(ops: DiscreteOperators, s: StressField) -> np.ndarray:
+    """s.comps as a float array of the mesh's shape."""
+    comps = np.asarray(s.comps, dtype=float)
+    shape = (ops.n_elements, n_comps(ops.dim))
+    if comps.shape != shape:
+        raise StressError(f"stress field has shape {comps.shape}, expected {shape}")
+    if s.s33 is not None and np.shape(s.s33) != shape[:1]:
+        raise StressError(f"s33 has shape {np.shape(s.s33)}, expected {shape[:1]}")
+    return comps
 
 
 def stress_measure(s: StressField, mode: str, ops: DiscreteOperators) -> float:
     """Sup over elements of the stress magnitude (norm or yield seminorm)."""
     check_mode(mode)
-    if len(s.elements) != ops.n_elements:
-        raise StressError(
-            f"stress field has {len(s.elements)} elements, mesh has {ops.n_elements}")
-    comps = np.array([m.comps for m in s.elements]).reshape(ops.n_elements, -1)
+    comps = _check_stress(ops, s)
     if mode == PLASTIC:
         # deviatoric part of the 3x3 embedding, s33 its third diagonal entry
         diag = np.zeros((ops.n_elements, 3))
@@ -99,8 +105,7 @@ def stress_measure(s: StressField, mode: str, ops: DiscreteOperators) -> float:
 
 def equilibrium_residual(ops: DiscreteOperators, s: StressField, t) -> float:
     """Max violation of the virtual-work identity over the DOF basis."""
-    comps = np.concatenate([m.comps for m in s.elements])
-    lhs = (ops.strain_weights * comps) @ ops.strain_op
+    lhs = (ops.strain_weights * _check_stress(ops, s).ravel()) @ ops.strain_op
     return float(np.abs(lhs - work_vector(ops, t)).max(initial=0.0))
 
 
@@ -173,8 +178,8 @@ def optimal_stress_primal(ops: DiscreteOperators, t, mode: str):
             "nonempty supported boundary on a connected mesh this indicates "
             "an internal error")
     x = recover(sol.x)
-    elems = [SymMatrix(dim, comps) for comps in x[:n_el * nc].reshape(n_el, nc)]
-    return float(sol.objective), StressField(elems, x[n_el * nc:-1] if n_u else None)
+    return float(sol.objective), StressField(x[:n_el * nc].reshape(n_el, nc),
+                                             x[n_el * nc:-1] if n_u else None)
 
 
 @functools.lru_cache(maxsize=None)
@@ -289,7 +294,7 @@ def _stress_from_multipliers(ops: DiscreteOperators, mode: str,
     on_diag = np.arange(nc) < dim
     comps = -(y[:, :nc] + on_diag * mu[:, None]) / ops.strain_weights.reshape(n_el, nc)
     s33 = -(y[:, nc] + mu) / ops.volumes if plastic and dim == 2 else None
-    return StressField([SymMatrix(dim, c) for c in comps], s33)
+    return StressField(comps, s33)
 
 
 def optimal_stress(ops: DiscreteOperators, t, mode: str = ELASTIC) -> OptimalStressResult:
@@ -328,4 +333,4 @@ def certify(ops: DiscreteOperators, t, mode: str, value: float, w, y) -> Optimal
             f"work/budget {ratio:.9g} and LP value {value:.9g} disagree")
     return OptimalStressResult(mode=mode, sigma_opt=value, sigma_hat=sigma_hat,
                                dual_value=ratio, dual_witness=w,
-                               duality_gap=gap)
+                               duality_gap=gap, equilibrium_residual=residual)

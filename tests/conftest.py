@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from loadcap import kinematics as kin
-from loadcap import matnorm as mn
 from loadcap import mesh as msh
 
 ACCEPTANCE_VERDICTS = []
@@ -25,12 +24,54 @@ def trace_norm_l1(ops: kin.DiscreteOperators, w) -> float:
     return float(ops.areas @ np.abs(kin.trace(ops, w)).sum(axis=1))
 
 
-def dual_pairing(s: mn.SymMatrix, e: mn.SymMatrix) -> float:
-    """Oracle: full-matrix contraction sum_ij s_ij e_ij (off-diagonals
-    twice)."""
-    if s.dim != e.dim:
-        raise mn.NormError(f"dimension mismatch: {s.dim} vs {e.dim}")
-    return float(np.sum(mn.comp_weights(s.dim) * s.comps * e.comps))
+def as_matrix(comps, dim: int) -> np.ndarray:
+    """The symmetric dim x dim matrix with unique components comps, in the
+    order of `kinematics.COMP_POSITIONS`."""
+    m = np.zeros((dim, dim))
+    for c, (i, j) in zip(comps, kin.COMP_POSITIONS[dim]):
+        m[i, j] = m[j, i] = c
+    return m
+
+
+def embed3(m) -> np.ndarray:
+    """m in the upper left corner of a zero 3x3 matrix."""
+    full = np.zeros((3, 3))
+    full[:len(m), :len(m)] = m
+    return full
+
+
+def mat_norm(m, ord) -> float:
+    """Oracle: entrywise norm over all entries of a matrix, the sum of
+    their magnitudes (ord=1) or the largest (ord=np.inf)."""
+    return float(np.linalg.norm(np.ravel(m), ord))
+
+
+def deviatoric(m) -> np.ndarray:
+    """Oracle: traceless part of the 3x3 embedding of m."""
+    full = embed3(m)
+    return full - np.trace(full) / 3.0 * np.eye(3)
+
+
+def yield_value(m, ord) -> float:
+    """Oracle: yield seminorm, the norm of the deviatoric part; it vanishes
+    on spherical matrices."""
+    return mat_norm(deviatoric(m), ord)
+
+
+def deviatoric_dual_value(e) -> float:
+    """Oracle: min over spherical shifts p of the entrywise 1-norm of
+    embed3(e) + p I, the norm dual to the yield seminorm on traceless
+    matrices.  The median of the negated diagonal is a minimizing p."""
+    full = embed3(e)
+    return mat_norm(full - np.median(np.diag(full)) * np.eye(3), 1)
+
+
+def dual_pairing(s, e) -> float:
+    """Oracle: full-matrix contraction sum_ij s_ij e_ij."""
+    s, e = np.asarray(s, dtype=float), np.asarray(e, dtype=float)
+    if s.shape != e.shape:
+        raise ValueError(f"shape mismatch: {s.shape} vs {e.shape}")
+    return float(np.sum(s * e))
 
 
 def make_two_tet_mesh() -> msh.Mesh:

@@ -225,6 +225,24 @@ class TestBadNumbers:
         assert_one_error_line(err)
         assert "--trials" in err
 
+    def test_negative_seed(self, capsys, square_files):
+        mesh_path, _ = square_files
+        code, out, err = run(capsys, ["verify", mesh_path, "--seed", "-1"])
+        assert code == cli.EXIT_INPUT and out == ""
+        assert_one_error_line(err)
+        assert "--seed" in err
+
+    @pytest.mark.parametrize("doc", ["null", "5", '{"facets": {"a": 1}}'],
+                             ids=["null", "number", "facets_object"])
+    def test_traction_not_an_object(self, capsys, square_files, tmp_path, doc):
+        mesh_path, _ = square_files
+        bad = tmp_path / "bad.traction"
+        bad.write_text(doc)
+        for command in ("analyze", "limit"):
+            code, out, err = run(capsys, [command, mesh_path, str(bad)])
+            assert code == cli.EXIT_INPUT and out == ""
+            assert_one_error_line(err)
+
 
 class TestSolveCounts:
     """LP solves per command: each certified optimum costs one kinematic LP."""

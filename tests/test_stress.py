@@ -7,9 +7,9 @@ import pytest
 from loadcap import kinematics as kin
 from loadcap import lp
 from loadcap import stress as st
-from loadcap.matnorm import LINF, SymMatrix, mat_norm, n_comps, yield_value
 
-from conftest import MESH_CASES, end_tension_plate
+from conftest import (MESH_CASES, as_matrix, end_tension_plate, mat_norm,
+                      yield_value)
 
 
 @pytest.fixture
@@ -24,78 +24,85 @@ def square_ops(unit_square):
 
 class TestStressMeasure:
     def test_zero_field(self, square_ops):
-        s = st.StressField([SymMatrix.zero(2)] * 2)
+        s = st.StressField(np.zeros((2, 3)))
         assert st.stress_measure(s, st.ELASTIC, square_ops) == 0.0
 
     def test_uniaxial_elastic_vs_plastic(self, two_tet_mesh):
         ops = kin.assemble(two_tet_mesh)
-        elems = [SymMatrix.from_matrix(np.diag([3.0, 0, 0])),
-                 SymMatrix.zero(3)]
-        s = st.StressField(elems)
+        s = st.StressField(np.array([[3.0, 0, 0, 0, 0, 0], [0.0] * 6]))
         assert st.stress_measure(s, st.ELASTIC, ops) == pytest.approx(3.0)
         assert st.stress_measure(s, st.PLASTIC, ops) == pytest.approx(2.0)
 
     def test_spherical_plastic_kernel(self, two_tet_mesh):
         ops = kin.assemble(two_tet_mesh)
-        elems = [SymMatrix.from_matrix(2.0 * np.eye(3))] * 2
-        s = st.StressField(elems)
+        s = st.StressField(np.array([[2.0, 2.0, 2.0, 0, 0, 0]] * 2))
         assert st.stress_measure(s, st.PLASTIC, ops) == pytest.approx(0.0)
 
     def test_s33_enters_plastic_measure(self, square_ops):
-        elems = [SymMatrix(2, np.array([1.0, 1.0, 0.0]))] * 2
-        no_s33 = st.StressField(elems, s33=np.zeros(2))
-        with_s33 = st.StressField(elems, s33=np.ones(2))
+        comps = np.array([[1.0, 1.0, 0.0]] * 2)
+        no_s33 = st.StressField(comps, s33=np.zeros(2))
+        with_s33 = st.StressField(comps, s33=np.ones(2))
         assert st.stress_measure(with_s33, st.PLASTIC, square_ops) == \
             pytest.approx(0.0)
         assert st.stress_measure(no_s33, st.PLASTIC, square_ops) > 0.5
 
     @pytest.mark.parametrize("mode", [st.ELASTIC, st.PLASTIC])
     def test_matches_elementwise_measure(self, square_ops, two_tet_mesh, mode):
-        # the stacked measure against matnorm's measure of each element
+        # the stacked measure against the oracle's measure of each element
         rng = np.random.default_rng(5)
         for ops, s33 in ((square_ops, rng.normal(size=2)),
                          (kin.assemble(two_tet_mesh), None)):
-            elems = [SymMatrix(ops.dim, rng.normal(size=n_comps(ops.dim)))
-                     for _ in range(ops.n_elements)]
+            comps = rng.normal(size=(ops.n_elements, kin.n_comps(ops.dim)))
             want = []
-            for e, m in enumerate(elems):
+            for e, c in enumerate(comps):
+                m = as_matrix(c, ops.dim)
                 full = np.zeros((3, 3))
-                full[:ops.dim, :ops.dim] = m.as_matrix()
+                full[:ops.dim, :ops.dim] = m
                 if s33 is not None:
                     full[2, 2] = s33[e]
-                want.append(mat_norm(m, LINF) if mode == st.ELASTIC
-                            else yield_value(SymMatrix.from_matrix(full), LINF))
-            measure = st.stress_measure(st.StressField(elems, s33), mode, ops)
+                want.append(mat_norm(m, np.inf) if mode == st.ELASTIC
+                            else yield_value(full, np.inf))
+            measure = st.stress_measure(st.StressField(comps, s33), mode, ops)
             assert measure == pytest.approx(max(want), rel=1e-12)
 
     def test_element_count_mismatch(self, square_ops):
-        s = st.StressField([SymMatrix.zero(2)])
+        s = st.StressField(np.zeros((1, 3)))
         with pytest.raises(st.StressError):
             st.stress_measure(s, st.ELASTIC, square_ops)
 
     def test_bad_mode(self, square_ops):
         with pytest.raises(st.StressError):
-            st.stress_measure(st.StressField([SymMatrix.zero(2)] * 2), "rigid",
+            st.stress_measure(st.StressField(np.zeros((2, 3))), "rigid",
                               square_ops)
 
 
 class TestCheckEquilibrium:
     def test_bar_unit(self, bar_ops):
-        s = st.StressField([SymMatrix(1, np.array([1.0]))])
+        s = st.StressField(np.array([[1.0]]))
         ok, residual = st.check_equilibrium(bar_ops, s, np.array([[1.0]]))
         assert ok
         assert residual == pytest.approx(0.0, abs=1e-14)
 
     def test_bar_violated(self, bar_ops):
-        s = st.StressField([SymMatrix(1, np.array([2.0]))])
+        s = st.StressField(np.array([[2.0]]))
         ok, residual = st.check_equilibrium(bar_ops, s, np.array([[1.0]]))
         assert not ok
         assert residual == pytest.approx(1.0)
 
     def test_zero_zero(self, bar_ops):
-        s = st.StressField([SymMatrix(1, np.array([0.0]))])
+        s = st.StressField(np.array([[0.0]]))
         ok, residual = st.check_equilibrium(bar_ops, s, np.array([[0.0]]))
         assert ok and residual == 0.0
+
+    def test_shape_mismatch(self, square_ops):
+        # one row of unique components per element, and one s33 per element
+        t = np.zeros((3, 2))
+        for s in (st.StressField(np.zeros((2, 2))), st.StressField(np.zeros(6)),
+                  st.StressField(np.zeros((2, 3)), s33=np.zeros(3))):
+            with pytest.raises(st.StressError):
+                st.equilibrium_residual(square_ops, s, t)
+            with pytest.raises(st.StressError):
+                st.stress_measure(s, st.PLASTIC, square_ops)
 
 
 class TestOptimalStressBar:
@@ -103,7 +110,7 @@ class TestOptimalStressBar:
         res = st.optimal_stress(bar_ops, np.array([[1.0]]), st.ELASTIC)
         assert res.sigma_opt == pytest.approx(1.0, abs=1e-12)
         assert res.dual_value == pytest.approx(1.0, abs=1e-12)
-        assert res.sigma_hat.elements[0].comps[0] == pytest.approx(1.0)
+        assert res.sigma_hat.comps[0, 0] == pytest.approx(1.0)
 
     def test_negative_traction(self, bar_ops):
         sigma_opt, _ = st.optimal_stress_primal(bar_ops, np.array([[-2.0]]),
@@ -168,8 +175,8 @@ class TestStrongDuality:
             t = rng.uniform(-1, 1, size=(len(ops.gammat_facets), ops.dim))
             res = st.optimal_stress(ops, t, mode)
             assert res.duality_gap <= 1e-6 * (1.0 + res.sigma_opt)
-            ok, _ = st.check_equilibrium(ops, res.sigma_hat, t)
-            assert ok
+            ok, residual = st.check_equilibrium(ops, res.sigma_hat, t)
+            assert ok and residual == res.equilibrium_residual
             measured = st.stress_measure(res.sigma_hat, mode, ops)
             assert measured == pytest.approx(res.sigma_opt,
                                              rel=1e-7, abs=1e-9)
