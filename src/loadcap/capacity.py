@@ -12,13 +12,15 @@ produces a certified lower bound.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
 from .kinematics import (DiscreteOperators, check_traction, trace,
                          traction_sup_norm, work_vector)
-from .stress import (ELASTIC, PLASTIC, kinematic_lp, kinematic_supremum,
-                     optimal_stress, optimal_stress_primal)
+from .stress import (ELASTIC, PLASTIC, certify, kinematic_lp,
+                     kinematic_supremum, optimal_stress, optimal_stress_primal,
+                     stress_measure)
 
 EXACT = "exact_vertex_enumeration"
 HEURISTIC = "alternating_heuristic"
@@ -33,24 +35,25 @@ class CapacityError(ValueError):
 
 @dataclass(frozen=True)
 class CapacityResult:
+    """K and C = 1/K, the traction that attains K and the velocity field
+    that certifies it.  K_traction_side, exact method only, is the stress
+    measure of the certified stress of worst_traction."""
+
     K: float
     C: float
     worst_traction: np.ndarray = field(repr=False)
-    method: str = EXACT
-    certificate: np.ndarray = field(repr=False, default=None)
+    method: str
+    certificate: np.ndarray = field(repr=False)
     lower_bound_only: bool = False
-    converged: bool = True
-    # the kinematic LP's multipliers at worst_traction, for stress.certify
-    multipliers: np.ndarray = field(repr=False, default=None)
+    K_traction_side: float | None = None
 
 
 @dataclass(frozen=True)
 class LimitResult:
-    Y0: float
     sigma_opt: float
     lambda_star: float
-    t_collapse: np.ndarray = field(repr=False, default=None)
-    lambda_kinematic: float | None = None
+    t_collapse: np.ndarray = field(repr=False)
+    lambda_kinematic: float
 
 
 def _vertex_tractions(ops: DiscreteOperators):
@@ -63,21 +66,18 @@ def _vertex_tractions(ops: DiscreteOperators):
             f"exact enumeration capped at {SIGN_PATTERN_CAP} boundary "
             f"components; this mesh has {m} (use the heuristic)")
 
-    def vertices():
-        for code in range(2 ** max(m - 1, 0)):
-            signs = np.ones(m)
-            for bit in range(m - 1):
-                if code >> bit & 1:
-                    signs[bit + 1] = -1.0
-            yield signs.reshape(len(ops.gammat_facets), ops.dim)
-    return vertices()
+    # product varies its last entry fastest; reversed, the second component
+    # flips fastest
+    return (np.array((1.0, *signs[::-1])).reshape(-1, ops.dim)
+            for signs in product((1.0, -1.0), repeat=m - 1))
 
 
 def generalized_K(ops: DiscreteOperators, mode: str = ELASTIC,
                   method: str = EXACT) -> CapacityResult:
     """Compute K = sup_w trace_norm / strain_norm (plastic: isochoric w).
     Every sign pattern or step maximizes a new work over the same kinematic
-    LP, built once here, so all of them share its phase 1."""
+    LP, built once here, so all of them share its phase 1.  The exact K is
+    certified (`stress.certify`) from the worst pattern's own solution."""
     if method == EXACT:
         tractions = _vertex_tractions(ops)
         kinematic = kinematic_lp(ops, mode)
@@ -87,9 +87,10 @@ def generalized_K(ops: DiscreteOperators, mode: str = ELASTIC,
             if val > best_val + 1e-12:
                 best_val, worst, best_w, best_y = val, t, w, y
         K = max(best_val, 0.0)
+        stress = certify(ops, worst, mode, K, best_w, best_y).sigma_hat
         return CapacityResult(K=K, C=_safe_inverse(K), worst_traction=worst,
                               method=EXACT, certificate=best_w,
-                              multipliers=best_y)
+                              K_traction_side=stress_measure(stress, mode, ops))
     if method == HEURISTIC:
         kinematic = kinematic_lp(ops, mode)
         shape = (len(ops.gammat_facets), ops.dim)
@@ -97,24 +98,20 @@ def generalized_K(ops: DiscreteOperators, mode: str = ELASTIC,
         starts = [np.ones(shape)]
         starts += [np.where(rng.random(shape) < 0.5, -1.0, 1.0)
                    for _ in range(HEURISTIC_RESTARTS - 1)]
-        best_val, best_w, best_y, worst = -1.0, None, None, starts[0]
-        n_converged = 0
+        best_val, best_w, worst = -1.0, None, starts[0]
         for signs in starts:
             for _ in range(HEURISTIC_MAX_ITER):
-                val, w, y = kinematic_supremum(kinematic, work_vector(ops, signs))
+                val, w, _ = kinematic_supremum(kinematic, work_vector(ops, signs))
                 if val > best_val + 1e-12:
-                    best_val, worst, best_w, best_y = val, signs, w, y
+                    best_val, worst, best_w = val, signs, w
                 new_signs = np.where(trace(ops, w) >= 0.0, 1.0, -1.0)
                 if np.array_equal(new_signs, signs):
-                    n_converged += 1
                     break
                 signs = new_signs
         K = max(best_val, 0.0)
         return CapacityResult(K=K, C=_safe_inverse(K), worst_traction=worst,
                               method=HEURISTIC, certificate=best_w,
-                              lower_bound_only=True,
-                              converged=n_converged == len(starts),
-                              multipliers=best_y)
+                              lower_bound_only=True)
     raise CapacityError(f"unknown method {method!r}")
 
 
@@ -145,7 +142,7 @@ def limit_analysis(ops: DiscreteOperators, t, Y0: float) -> LimitResult:
         raise CapacityError(
             "traction does no work against admissible fields; no collapse load")
     lambda_star = Y0 / result.sigma_opt
-    return LimitResult(Y0=Y0, sigma_opt=result.sigma_opt,
+    return LimitResult(sigma_opt=result.sigma_opt,
                        lambda_star=lambda_star, t_collapse=lambda_star * t,
                        lambda_kinematic=Y0 / result.dual_value)
 

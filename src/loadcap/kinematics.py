@@ -33,7 +33,7 @@ def comp_weights(dim: int) -> np.ndarray:
 
 
 class KinematicsError(ValueError):
-    """Invalid mesh, singular element geometry or shape mismatch."""
+    """Invalid mesh or shape mismatch."""
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,6 @@ class DiscreteOperators:
     """
 
     mesh: msh.Mesh
-    clamped: bool
     n_dof: int
     dof_index: np.ndarray = field(repr=False)   # (n_nodes, dim), -1 = clamped
     strain_op: np.ndarray = field(repr=False)   # (n_el * n_comp, n_dof)
@@ -98,13 +97,10 @@ def assemble(mesh: msh.Mesh, clamp: bool = True) -> DiscreteOperators:
     n_el, nc = len(mesh.elements), n_comps(dim)
     conn = np.array([e.nodes for e in mesh.elements]).reshape(n_el, dim + 1)
     edges = mesh.nodes[conn[:, 1:]] - mesh.nodes[conn[:, :1]]
-    det = np.linalg.det(edges)
-    if np.any(np.abs(det) < 1e-14):
-        raise KinematicsError("element has singular geometry")
     if dim == 1:  # bars: length times cross-section
         volumes = np.abs(edges[:, 0, 0]) * [e.area for e in mesh.elements]
     else:
-        volumes = np.abs(det) / (2.0 if dim == 2 else 6.0)
+        volumes = np.abs(np.linalg.det(edges)) / (2.0 if dim == 2 else 6.0)
     grads = _shape_gradients(edges)
     # eps_ij = 1/2 (d_i w_j + d_j w_i), by (element, comp, local node, axis)
     local = np.zeros((n_el, nc, dim + 1, dim))
@@ -123,7 +119,7 @@ def assemble(mesh: msh.Mesh, clamp: bool = True) -> DiscreteOperators:
              fnodes[:, None, :], axis[:, None]] = 1.0 / dim
 
     return DiscreteOperators(
-        mesh=mesh, clamped=clamp, n_dof=n_dof,
+        mesh=mesh, n_dof=n_dof,
         dof_index=dof_index.reshape(n_nodes, dim),
         strain_op=strain_op.reshape(n_el * nc, -1)[:, free],
         strain_weights=(volumes[:, None] * comp_weights(dim)).ravel(),
@@ -200,7 +196,7 @@ def isochoric_constraints(ops: DiscreteOperators) -> np.ndarray:
     return strain_op[:, :ops.dim].sum(axis=1)
 
 
-def rigid_kernel_dim(ops: DiscreteOperators, tol: float = 1e-9) -> int:
+def rigid_kernel_dim(ops: DiscreteOperators) -> int:
     """Nullspace dimension of the stacked strain operator."""
     if ops.n_dof == 0:
         return 0
@@ -208,5 +204,5 @@ def rigid_kernel_dim(ops: DiscreteOperators, tol: float = 1e-9) -> int:
     smax = svals[0] if svals.size else 0.0
     if smax == 0.0:
         return ops.n_dof
-    rank = int(np.sum(svals > tol * smax))
+    rank = int(np.sum(svals > 1e-9 * smax))
     return ops.n_dof - rank

@@ -32,6 +32,8 @@ UNBOUNDED = "unbounded"
 
 _PIVOT_TOL = 1e-9
 _FEAS_TOL = 1e-8
+# pivots each phase may take before the solve fails
+_MAX_ITER = 50000
 # degenerate pivots in a row after which the simplex prices by Bland's rule
 _STALL = 50
 
@@ -105,15 +107,6 @@ class LPStandardForm:
         object.__setattr__(p, "_memo", self._memo)
         return p
 
-    def dump(self) -> str:
-        """Plain-text dump for bug reports."""
-        lines = [f"LP standard form: {self.A.shape[0]} rows, {self.A.shape[1]} cols",
-                 "c = " + np.array2string(self.c, max_line_width=120),
-                 "b = " + np.array2string(self.b, max_line_width=120),
-                 "A ="]
-        lines.append(np.array2string(self.A, max_line_width=120))
-        return "\n".join(lines)
-
 
 @dataclass(frozen=True)
 class LPSolution:
@@ -131,7 +124,7 @@ def _pivot(T: np.ndarray, row: int, col: int):
 
 
 def _simplex(T: np.ndarray, basis: np.ndarray, n_struct: int,
-             max_iter: int, phase: int, shape: tuple) -> tuple:
+             phase: int, shape: tuple) -> tuple:
     """Run the simplex on a tableau whose last row holds reduced costs and
     last column the right-hand side.  The entering column has the most
     negative reduced cost (Dantzig), except after `_STALL` degenerate
@@ -139,10 +132,10 @@ def _simplex(T: np.ndarray, basis: np.ndarray, n_struct: int,
     until a pivot moves the objective again; the leaving row is the
     ratio-test tie with the lowest basic index.  Bland's rule cannot cycle
     at one vertex, and every other pivot lowers the objective, so the loop
-    terminates.  Mutates T and the int array basis; returns (status,
-    pivots)."""
+    terminates, or fails after `_MAX_ITER` pivots.  Mutates T and the int
+    array basis; returns (status, pivots)."""
     stalled = 0
-    for pivots in range(max_iter):
+    for pivots in range(_MAX_ITER):
         costs = T[-1, :n_struct]
         if stalled < _STALL:
             j = int(np.argmin(costs))
@@ -164,7 +157,7 @@ def _simplex(T: np.ndarray, basis: np.ndarray, n_struct: int,
         stalled = stalled + 1 if best <= 1e-12 else 0
         _pivot(T, leave, j)
         basis[leave] = j
-    raise LPIterationError(phase, shape, max_iter)
+    raise LPIterationError(phase, shape, _MAX_ITER)
 
 
 def _crash_basis(A: np.ndarray) -> np.ndarray:
@@ -182,7 +175,7 @@ def _crash_basis(A: np.ndarray) -> np.ndarray:
     return basic
 
 
-def _phase1(A: np.ndarray, b: np.ndarray, max_iter: int) -> _Phase1:
+def _phase1(A: np.ndarray, b: np.ndarray) -> _Phase1:
     """Crash-start phase 1.  After the rows with b < 0 are flipped, every
     row with a `_crash_basis` column starts on it, and only the other rows
     get an artificial.  Minimize the sum of the artificials (at once
@@ -207,7 +200,7 @@ def _phase1(A: np.ndarray, b: np.ndarray, max_iter: int) -> _Phase1:
         P[:m, -1] = T[:, -1]
         P[-1, n:n + k] = 1.0
         P[-1] -= P[artificial].sum(axis=0)
-        status, pivots = _simplex(P, basis, n + k, max_iter, 1, (m, n))
+        status, pivots = _simplex(P, basis, n + k, 1, (m, n))
         if status != OPTIMAL or \
                 P[-1, -1] < -_FEAS_TOL * (1.0 + np.abs(T[:, -1]).max(initial=0.0)):
             return _Phase1(None, basis[:0], [], pivots)
@@ -233,16 +226,14 @@ def _phase1(A: np.ndarray, b: np.ndarray, max_iter: int) -> _Phase1:
     return _Phase1(T, basis, keep_rows, pivots)
 
 
-def solve(p: LPStandardForm, max_iter: int = 50000) -> LPSolution:
+def solve(p: LPStandardForm) -> LPSolution:
     """Two-phase dense simplex.  Deterministic for identical input, and
     the same whether phase 1 is run here or shared with an LP of the same
-    A and b; `max_iter` bounds the pivots of each phase."""
+    A and b."""
     m, n = p.A.shape
     start = p._memo.phase1
     if start is None:
-        start = p._memo.phase1 = _phase1(p.A, p.b, max_iter)
-    if start.pivots >= max_iter:
-        raise LPIterationError(1, (m, n), max_iter)
+        start = p._memo.phase1 = _phase1(p.A, p.b)
     if start.tableau is None:
         return LPSolution(INFEASIBLE)
 
@@ -253,7 +244,7 @@ def solve(p: LPStandardForm, max_iter: int = 50000) -> LPSolution:
     T2[:mm] = start.tableau
     T2[-1, :n] = p.c
     T2[-1] -= p.c[basis] @ T2[:mm]
-    status, _ = _simplex(T2, basis, n, max_iter, 2, (m, n))
+    status, _ = _simplex(T2, basis, n, 2, (m, n))
     if status == UNBOUNDED:
         return LPSolution(UNBOUNDED)
 
@@ -276,7 +267,7 @@ def solve(p: LPStandardForm, max_iter: int = 50000) -> LPSolution:
 _BRUTE_CAP = 14
 
 
-def _independent_rows(A: np.ndarray, b: np.ndarray, tol: float = 1e-9):
+def _independent_rows(A: np.ndarray, b: np.ndarray):
     """Gaussian elimination on [A|b]: returns (row indices, infeasible)."""
     M = np.hstack([A, b.reshape(-1, 1)]).astype(float)
     m, n1 = M.shape
@@ -288,7 +279,7 @@ def _independent_rows(A: np.ndarray, b: np.ndarray, tol: float = 1e-9):
         if not cand:
             break
         r = max(cand, key=lambda rr: abs(M[rr, col]))
-        if abs(M[r, col]) <= tol * scale:
+        if abs(M[r, col]) <= 1e-9 * scale:
             continue
         used[r] = True
         rows.append(r)
@@ -300,7 +291,7 @@ def _independent_rows(A: np.ndarray, b: np.ndarray, tol: float = 1e-9):
     return sorted(rows), infeasible
 
 
-def _enumerate_best(A, b, c, tol=1e-9):
+def _enumerate_best(A, b, c):
     """Best objective over basic feasible solutions, or None if none exist."""
     rows, infeasible = _independent_rows(A, b)
     if infeasible:
@@ -313,7 +304,7 @@ def _enumerate_best(A, b, c, tol=1e-9):
         return 0.0, np.zeros(n)
     for cols in combinations(range(n), r):
         B = Ar[:, cols]
-        if abs(np.linalg.det(B)) < tol:
+        if abs(np.linalg.det(B)) < 1e-9:
             continue
         xb = np.linalg.solve(B, br)
         if np.any(xb < -1e-9):
@@ -410,16 +401,12 @@ class LPBuilder:
         self._rows.append((rows, np.full(len(rows), rhs, dtype=float)))
         self._is_le += [is_le] * len(rows)
 
-    def columns(self) -> ColumnMap:
-        """The column map of the variables and rows declared so far."""
-        return ColumnMap(np.concatenate(self._nonneg), sum(self._is_le))
-
     def build(self, objective):
-        """Return (LPStandardForm, recover) for minimizing objective . x,
-        where recover maps a standard-form solution vector back to the
-        variables.  `columns().costs` gives the costs of another objective
+        """Return (LPStandardForm, ColumnMap) for minimizing objective . x;
+        the map's `recover` maps a standard-form solution vector back to the
+        variables, and its `costs` gives the costs of another objective
         over the same rows."""
-        cols = self.columns()
+        cols = ColumnMap(np.concatenate(self._nonneg), sum(self._is_le))
         A = np.zeros((len(self._is_le), cols.n_std))
         start = 0
         for blk, _ in self._rows:
@@ -428,4 +415,4 @@ class LPBuilder:
         slack = np.flatnonzero(self._is_le)
         A[slack, cols.n_std - len(slack) + np.arange(len(slack))] = 1.0
         b = np.concatenate([rhs for _, rhs in self._rows])
-        return LPStandardForm(c=cols.costs(objective), A=A, b=b), cols.recover
+        return LPStandardForm(c=cols.costs(objective), A=A, b=b), cols

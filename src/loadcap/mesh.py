@@ -8,8 +8,10 @@ with no applied load are still labeled gammaT and carry zero traction.
 from __future__ import annotations
 
 import json
+import math
 import operator
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -78,6 +80,9 @@ class Mesh:
         nodes = np.asarray(self.nodes, dtype=float)
         if nodes.ndim != 2 or nodes.shape[1] != self.dim:
             raise MeshError(f"nodes must have shape (n, {self.dim})")
+        bad = np.flatnonzero(~np.isfinite(nodes).all(axis=1))
+        if bad.size:
+            raise MeshError(f"node {bad[0]} has a non-finite coordinate")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "elements", tuple(self.elements))
         object.__setattr__(self, "facets", tuple(self.facets))
@@ -145,6 +150,7 @@ def validate(mesh: Mesh):
     """Return a list of invariant violations; empty for a valid mesh."""
     problems = []
     n = mesh.n_nodes
+    coords = mesh.nodes.tolist()
     for i, e in enumerate(mesh.elements):
         if any(k < 0 or k >= n for k in e.nodes):
             problems.append(f"element {i} references node out of range")
@@ -152,7 +158,13 @@ def validate(mesh: Mesh):
         if _KIND_DIM[e.kind] != mesh.dim:
             problems.append(f"element {i} kind {e.kind} does not match dim {mesh.dim}")
             continue
-        if element_measure(mesh, e) <= 0.0:
+        # |det| of the edge vectors at most 1e-14 longest^dim, a rule that
+        # does not depend on the length unit; as dim-th roots, which do not
+        # overflow
+        longest = max(math.dist(coords[a], coords[b])
+                      for a, b in combinations(e.nodes, 2))
+        size = (element_measure(mesh, e) * math.factorial(mesh.dim)) ** (1 / mesh.dim)
+        if size <= 1e-14 ** (1 / mesh.dim) * longest:
             problems.append(f"element {i} has zero measure")
     owners = {}  # face node set -> elements that have it as a face
     for i, e in enumerate(mesh.elements):

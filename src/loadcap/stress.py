@@ -68,7 +68,6 @@ class OptimalStressResult:
     ratio work/budget, duality_gap |stress_measure(sigma_hat) - dual_value|,
     equilibrium_residual that of sigma_hat against the traction."""
 
-    mode: str
     sigma_opt: float
     sigma_hat: StressField
     dual_value: float
@@ -109,11 +108,10 @@ def equilibrium_residual(ops: DiscreteOperators, s: StressField, t) -> float:
     return float(np.abs(lhs - work_vector(ops, t)).max(initial=0.0))
 
 
-def check_equilibrium(ops: DiscreteOperators, s: StressField, t,
-                      tol: float = 1e-8):
-    """True iff the stress field equilibrates t within tol*(1+|t|_inf)."""
+def check_equilibrium(ops: DiscreteOperators, s: StressField, t):
+    """True iff the stress field equilibrates t within 1e-8 (1 + |t|_inf)."""
     residual = equilibrium_residual(ops, s, t)
-    ok = residual <= tol * (1.0 + traction_sup_norm(ops, t))
+    ok = residual <= 1e-8 * (1.0 + traction_sup_norm(ops, t))
     return ok, residual
 
 
@@ -170,14 +168,14 @@ def optimal_stress_primal(ops: DiscreteOperators, t, mode: str):
     builder.add_le(bounds.reshape(-1, builder.n_vars), 0.0)
     objective = np.zeros(builder.n_vars)
     objective[-1] = 1.0
-    prob, recover = builder.build(objective)
+    prob, cols = builder.build(objective)
     sol = _solve(prob, "static LP")
     if sol.status != lp.OPTIMAL:
         raise SolverFailure(
             f"primal stress LP ended with status {sol.status}; with a "
             "nonempty supported boundary on a connected mesh this indicates "
             "an internal error")
-    x = recover(sol.x)
+    x = cols.recover(sol.x)
     return float(sol.objective), StressField(x[:n_el * nc].reshape(n_el, nc),
                                              x[n_el * nc:-1] if n_u else None)
 
@@ -248,8 +246,7 @@ def _dual_builder(ops: DiscreteOperators, mode: str) -> KinematicLP:
     budget = np.zeros(builder.n_vars)
     budget[n_dof:] = (ops.volumes[:, None] * local_budget).ravel()
     builder.add_le(budget, 1.0)
-    prob, _ = builder.build(np.zeros(builder.n_vars))
-    return KinematicLP(n_dof, prob, builder.columns())
+    return KinematicLP(n_dof, *builder.build(np.zeros(builder.n_vars)))
 
 
 def kinematic_lp(ops: DiscreteOperators, mode: str) -> KinematicLP:
@@ -331,6 +328,6 @@ def certify(ops: DiscreteOperators, t, mode: str, value: float, w, y) -> Optimal
         raise SolverFailure(
             f"certificate failed: stress measure {measure:.9g}, witness ratio "
             f"work/budget {ratio:.9g} and LP value {value:.9g} disagree")
-    return OptimalStressResult(mode=mode, sigma_opt=value, sigma_hat=sigma_hat,
+    return OptimalStressResult(sigma_opt=value, sigma_hat=sigma_hat,
                                dual_value=ratio, dual_witness=w,
                                duality_gap=gap, equilibrium_residual=residual)

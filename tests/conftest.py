@@ -24,6 +24,16 @@ def trace_norm_l1(ops: kin.DiscreteOperators, w) -> float:
     return float(ops.areas @ np.abs(kin.trace(ops, w)).sum(axis=1))
 
 
+def dump(p) -> str:
+    """Plain-text dump of an `lp.LPStandardForm`, for assertion messages."""
+    return "\n".join([
+        f"LP standard form: {p.A.shape[0]} rows, {p.A.shape[1]} cols",
+        "c = " + np.array2string(p.c, max_line_width=120),
+        "b = " + np.array2string(p.b, max_line_width=120),
+        "A =",
+        np.array2string(p.A, max_line_width=120)])
+
+
 def as_matrix(comps, dim: int) -> np.ndarray:
     """The symmetric dim x dim matrix with unique components comps, in the
     order of `kinematics.COMP_POSITIONS`."""

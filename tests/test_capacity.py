@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,37 @@ class TestGeneralizedK:
         ratio = trace_norm_l1(square_ops, res.certificate) / \
             kin.strain_norm_plastic(square_ops, res.certificate)
         assert ratio == pytest.approx(res.K, rel=1e-6)
+
+    @pytest.mark.parametrize("mode", [st.ELASTIC, st.PLASTIC])
+    def test_exact_K_is_certified(self, square_ops, two_tet_mesh, mode):
+        for ops in (square_ops, kin.assemble(two_tet_mesh)):
+            res = cap.generalized_K(ops, mode)
+            assert res.K_traction_side == pytest.approx(
+                res.K, abs=st.DUALITY_GAP_TOL * (1.0 + res.K))
+            # the stress of the worst traction from the static side
+            static, _ = st.optimal_stress_primal(ops, res.worst_traction, mode)
+            assert res.K_traction_side == pytest.approx(static, rel=1e-8)
+            heur = cap.generalized_K(ops, mode, cap.HEURISTIC)
+            assert heur.K_traction_side is None
+
+    def test_failed_certificate_raises(self, square_ops, monkeypatch):
+        solve = cap.kinematic_supremum
+
+        def zero_multipliers(*args):
+            val, w, y = solve(*args)
+            return val, w, np.zeros_like(y)
+        monkeypatch.setattr(cap, "kinematic_supremum", zero_multipliers)
+        with pytest.raises(st.SolverFailure, match="does not balance"):
+            cap.generalized_K(square_ops)
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 10])
+    def test_vertex_order(self, m):
+        # code's bit b set <=> component b + 1 negative, code counting up
+        ops = SimpleNamespace(gammat_facets=[None] * m, dim=1)
+        want = [[1.0] + [-1.0 if code >> b & 1 else 1.0 for b in range(m - 1)]
+                for code in range(2 ** (m - 1))]
+        got = [t.ravel().tolist() for t in cap._vertex_tractions(ops)]
+        assert got == want
 
     def test_heuristic_is_lower_bound(self, square_ops):
         exact = cap.generalized_K(square_ops)

@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -361,6 +362,16 @@ def _elements_not_a_list(doc):
     doc["elements"] = 5
 
 
+def _null_coordinate(doc):
+    doc["nodes"][3] = [1.0, None]
+
+
+def _null_coordinate_coincident_nodes(doc):
+    # node 1 on node 0: element 0 is degenerate as well
+    doc["nodes"][3] = [1.0, None]
+    doc["nodes"][1] = [-0.0, 0.0]
+
+
 def _loose_triangle(doc):
     # a second body beside the square, loaded but not supported
     doc["nodes"] += [[3.0, 0.0], [4.0, 0.0], [3.0, 1.0]]
@@ -370,18 +381,24 @@ def _loose_triangle(doc):
 
 
 class TestMeshInput:
-    @pytest.mark.parametrize("command", ["capacity", "verify"])
+    @pytest.mark.parametrize("command", ["capacity", "verify", "analyze"])
     @pytest.mark.parametrize("mutate", [_ragged_nodes, _extra_coordinate,
                                         _string_node_id,
                                         _fractional_node_id, _string_dim,
                                         _fractional_dim, _elements_not_a_list,
-                                        _loose_triangle])
+                                        _loose_triangle, _null_coordinate,
+                                        _null_coordinate_coincident_nodes])
     def test_bad_mesh_is_input_error(self, capsys, tmp_path, mutate, command):
         doc = _square_doc()
         mutate(doc)
         path = tmp_path / "bad.mesh"
         path.write_text(json.dumps(doc))
-        code, out, err = run(capsys, [command, str(path)])
+        traction = tmp_path / "square.traction"
+        traction.write_text(json.dumps({"facets": [[1.0, 0.0]] * 3}))
+        argv = [command, str(path)] + ([str(traction)] if command == "analyze" else [])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would be a second line
+            code, out, err = run(capsys, argv)
         assert code == cli.EXIT_INPUT
         assert out == ""
         assert_one_error_line(err)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from loadcap import kinematics as kin
 from loadcap import mesh as msh
 
 
@@ -43,6 +44,35 @@ class TestValidate:
                 msh.generate_rectangle(1.0, 2.0, nx, ny, "left", "right")) == []
             assert msh.validate(
                 msh.generate_rectangle(1.5, 1.0, nx, ny, "bottom", "top")) == []
+
+
+class TestDegenerateElements:
+    """An element is degenerate relative to its longest edge, so the rule
+    gives the same verdict in every length unit."""
+
+    @pytest.mark.parametrize("unit", [1e-6, 1e-5, 1e-4, 1e-2, 1.0, 1e2, 1e4])
+    @pytest.mark.parametrize("name", ["two_tet", "plate2x2"])
+    def test_valid_at_every_unit(self, two_tet_mesh, name, unit):
+        m = two_tet_mesh if name == "two_tet" else \
+            msh.generate_rectangle(1, 1, 2, 2, "left", "right")
+        scaled = msh.Mesh(m.dim, unit * m.nodes, m.elements, m.facets)
+        assert msh.validate(scaled) == []
+        assert kin.assemble(scaled).n_dof > 0
+
+    @pytest.mark.parametrize("unit", [1e-6, 1e-5, 1e-4, 1e-2, 1.0, 1e2, 1e4])
+    def test_sliver_rejected_at_every_unit(self, unit):
+        nodes = unit * np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-15]])
+        m = msh.Mesh(2, nodes, [msh.Element(msh.TRIANGLE, (0, 1, 2))],
+                     [msh.Facet((0, 1), msh.GAMMA0), msh.Facet((1, 2), msh.GAMMAT),
+                      msh.Facet((0, 2), msh.GAMMAT)])
+        assert msh.validate(m) == ["element 0 has zero measure"]
+        with pytest.raises(kin.KinematicsError, match="zero measure"):
+            kin.assemble(m)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_node_rejected(self, bad):
+        with pytest.raises(msh.MeshError, match="node 1 has a non-finite"):
+            msh.Mesh(2, [[0.0, 0.0], [1.0, bad], [0.0, 1.0]])
 
 
 class TestGenerateBar:
