@@ -60,10 +60,19 @@ def _load_traction(path, ops: kin.DiscreteOperators) -> np.ndarray:
         raise InputError(f"traction file {path} is not a JSON object")
     if "facets" not in doc:
         raise InputError("traction file missing required key 'facets'")
+    rows = doc["facets"]
+    if not (isinstance(rows, list) and all(
+            isinstance(row, list) and all(msh.is_number(v) for v in row)
+            for row in rows)):
+        raise InputError("traction file: 'facets' must be a list of rows of numbers")
+    if len({len(row) for row in rows}) > 1:
+        raise InputError("traction file: the rows of 'facets' differ in length")
     try:
-        return kin.check_traction(ops, np.array(doc["facets"], dtype=float))
-    except (TypeError, ValueError) as exc:
-        raise InputError(str(exc)) from exc
+        t = np.array(rows, dtype=float)
+    except OverflowError:
+        raise InputError(
+            f"traction file {path} has an integer too large for a float") from None
+    return kin.check_traction(ops, t)
 
 
 def _emit(report: dict, summary_lines, t0: float):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -32,12 +33,20 @@ class MeshError(ValueError):
     """Invalid mesh construction or file contents."""
 
 
+def is_number(value) -> bool:
+    """Whether value is a real number and not a bool: JSON's true is not 1
+    here, although float() and operator.index read it as 1."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _node_ids(nodes) -> tuple:
-    """Node ids as ints; 1.5 or "x" is an error, not a truncation."""
+    """Node ids as ints; 1.5, "x" or true is an error, not a conversion."""
     try:
-        return tuple(operator.index(n) for n in nodes)
+        if all(is_number(n) for n in nodes):
+            return tuple(operator.index(n) for n in nodes)
     except TypeError:
-        raise MeshError(f"node ids must be integers, got {list(nodes)!r}") from None
+        pass
+    raise MeshError(f"node ids must be integers, got {list(nodes)!r}")
 
 
 @dataclass(frozen=True)
@@ -53,8 +62,9 @@ class Element:
             raise MeshError(
                 f"{self.kind} needs {_KIND_NNODES[self.kind]} nodes, got {len(self.nodes)}")
         object.__setattr__(self, "nodes", _node_ids(self.nodes))
-        if self.kind == BAR and (self.area is None or self.area <= 0):
-            raise MeshError("bar element needs a positive cross-section area")
+        if self.kind == BAR and not (is_number(self.area)
+                                     and 0 < float(self.area) < math.inf):
+            raise MeshError("bar element needs a positive, finite cross-section area")
 
 
 @dataclass(frozen=True)
@@ -297,8 +307,9 @@ def read_mesh(path) -> Mesh:
         return _mesh_from_doc(doc)
     except MeshError:
         raise
-    except (TypeError, ValueError) as exc:
-        # a field of the wrong type, such as a node id that is not an integer
+    except (TypeError, ValueError, OverflowError) as exc:
+        # a field of the wrong type, such as a number where a list belongs,
+        # or an integer too large for a float
         raise MeshError(f"malformed mesh file {path}: {exc}") from None
 
 
@@ -306,12 +317,14 @@ def _mesh_from_doc(doc) -> Mesh:
     for key in ("dim", "nodes", "elements", "facets"):
         if key not in doc:
             raise MeshError(f"mesh file missing required key {key!r}")
-    dim = operator.index(doc["dim"])
-    if dim not in (1, 2, 3):
-        raise MeshError(f"dim must be 1, 2 or 3, got {dim}")
+    dim = doc["dim"]
+    if type(dim) is not int or dim not in (1, 2, 3):
+        raise MeshError(f"dim must be 1, 2 or 3, got {dim!r}")
     for i, row in enumerate(doc["nodes"]):
         if len(row) != dim:
             raise MeshError(f"node {i} has {len(row)} coordinates; dim is {dim}")
+        if not all(is_number(x) for x in row):
+            raise MeshError(f"node {i} has a coordinate that is not a number: {row!r}")
     nodes = np.array(doc["nodes"], dtype=float)
     elements = []
     for i, rec in enumerate(doc["elements"]):

@@ -233,6 +233,18 @@ class TestBadNumbers:
         assert_one_error_line(err)
         assert "--seed" in err
 
+    @pytest.mark.parametrize("value", ["true", "false", '"1.0"', "1" + "0" * 400],
+                             ids=["true", "false", "string", "huge_integer"])
+    def test_traction_entry_not_a_number(self, capsys, square_files, tmp_path,
+                                         value):
+        mesh_path, _ = square_files
+        bad = tmp_path / "bad.traction"
+        bad.write_text('{"facets": [[%s, 0.0], [0.0, -0.5], [0.25, 0.0]]}' % value)
+        for command in ("analyze", "limit"):
+            code, out, err = run(capsys, [command, mesh_path, str(bad)])
+            assert code == cli.EXIT_INPUT and out == ""
+            assert_one_error_line(err)
+
     @pytest.mark.parametrize("doc", ["null", "5", '{"facets": {"a": 1}}'],
                              ids=["null", "number", "facets_object"])
     def test_traction_not_an_object(self, capsys, square_files, tmp_path, doc):
@@ -334,6 +346,34 @@ def _square_doc():
                        {"nodes": [2, 3], "label": "gammaT"}]}
 
 
+def _bar_doc():
+    return {"dim": 1, "nodes": [[0.0], [1.0]],
+            "elements": [{"kind": "bar", "nodes": [0, 1], "area": 1.0}],
+            "facets": [{"nodes": [0], "label": "gamma0"},
+                       {"nodes": [1], "label": "gammaT"}]}
+
+
+def _boolean_node_ids(doc):
+    doc["elements"][0]["nodes"] = [0, True, 3]
+    doc["elements"][1]["nodes"] = [False, 3, 2]
+
+
+def _boolean_coordinates(doc):
+    doc["nodes"][3] = [True, True]
+
+
+def _boolean_facet_node(doc):
+    doc["facets"][1]["nodes"] = [True, 3]
+
+
+def _boolean_dim(doc):
+    doc["dim"] = True
+
+
+def _boolean_area(doc):
+    doc["elements"][0]["area"] = True
+
+
 def _ragged_nodes(doc):
     doc["nodes"][1] = [1.0]
 
@@ -401,6 +441,22 @@ class TestMeshInput:
             code, out, err = run(capsys, argv)
         assert code == cli.EXIT_INPUT
         assert out == ""
+        assert_one_error_line(err)
+
+    @pytest.mark.parametrize("doc,mutate", [
+        (_square_doc, _boolean_node_ids), (_square_doc, _boolean_coordinates),
+        (_square_doc, _boolean_facet_node), (_bar_doc, _boolean_dim),
+        (_bar_doc, _boolean_area)],
+        ids=["node_ids", "coordinates", "facet_node", "dim", "area"])
+    def test_boolean_is_not_a_number(self, capsys, tmp_path, doc, mutate):
+        """JSON true and false would read as 1 and 0, and each of these
+        meshes would run to exit 0."""
+        doc = doc()
+        mutate(doc)
+        path = tmp_path / "bad.mesh"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["capacity", str(path)])
+        assert code == cli.EXIT_INPUT and out == ""
         assert_one_error_line(err)
 
     def test_readme_mesh_example(self, capsys, tmp_path):

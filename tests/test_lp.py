@@ -376,3 +376,63 @@ class TestCrashStart:
         assert np.array_equal(sol.x, [1.0, 0.0, 0.0])
         assert sol.objective == lp.solve_brute(p).objective == 1.0
         assert p._memo.phase1.pivots > 0
+
+
+class TestPivot:
+    """`_pivot` updates only the rows with a nonzero pivot-column entry and
+    the columns with a nonzero pivot-row entry.  The entries it skips are
+    those where the dense rank-1 update subtracts 0 * x, so the two agree
+    up to the sign of a zero, which `np.array_equal` ignores."""
+
+    @staticmethod
+    def dense_pivot(T, row, col):
+        T = T.copy()
+        T[row] /= T[row, col]
+        factors = T[:, col].copy()
+        factors[row] = 0.0
+        T -= np.outer(factors, T[row])
+        return T
+
+    @staticmethod
+    def tableau(rng, shape, row_fill, col_fill, row, col):
+        """A tableau whose pivot column is nonzero in about row_fill of
+        the rows and whose pivot row in about col_fill of the columns; the
+        other entries are zero with probability 1/2."""
+        m, n = shape
+        T = rng.normal(size=shape) * (rng.random(shape) < 0.5)
+        T[:, col] = rng.normal(size=m) * (rng.random(m) < row_fill)
+        T[row] = rng.normal(size=n) * (rng.random(n) < col_fill)
+        T[row, col] = rng.uniform(0.5, 2.0)
+        return T
+
+    def test_matches_dense_update(self, monkeypatch):
+        """Every branch of the choice is taken; the outer product's shape
+        tells them apart: the whole tableau (dense, below or above the size
+        gate), all rows by the pivot row's nonzero columns, or the nonzero
+        rows by those columns."""
+        outer, shapes = np.outer, []
+
+        def spy(a, b):
+            shapes.append((len(a), len(b)))
+            return outer(a, b)
+        monkeypatch.setattr(np, "outer", spy)
+        rng = np.random.default_rng(1010)
+        fills = (0.01, 0.03, 0.1, 0.3, 1.0)
+        branches = set()
+        # below the size gate, just above it and well above it
+        for shape in ((20, 41), (60, 171), (150, 401)):
+            m, n = shape
+            for row_fill in fills:
+                for col_fill in fills:
+                    row, col = int(rng.integers(m)), int(rng.integers(n))
+                    T = self.tableau(rng, shape, row_fill, col_fill, row, col)
+                    want = self.dense_pivot(T, row, col)
+                    shapes.clear()
+                    lp._pivot(T, row, col)
+                    assert np.array_equal(T, want), (shape, row_fill, col_fill)
+                    (rows, cols), = shapes
+                    if (rows, cols) == shape:
+                        branches.add("dense" if m * n >= lp._DENSE_BELOW else "small")
+                    else:
+                        branches.add("columns" if rows == m else "block")
+        assert branches == {"small", "dense", "columns", "block"}

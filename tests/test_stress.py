@@ -144,10 +144,17 @@ class TestDegeneratePlates:
     always priced by Bland's rule: phase 1 took thousands of pivots before
     it started from the LP's slack columns, and the elastic 6x6 kinematic
     LP hit the pivot limit in phase 2 before Dantzig pricing, which falls
-    back to Bland's rule only while the objective does not move."""
+    back to Bland's rule only while the objective does not move.  The
+    plastic 8x8 kinematic LP (642 x 1570 tableau) fits in Tier-1 because a
+    pivot updates only the tableau rows and columns it changes."""
 
     def test_plastic_6x6_plate(self):
         mesh, t = end_tension_plate(6)
+        res = st.optimal_stress(kin.assemble(mesh), t, st.PLASTIC)
+        assert res.sigma_opt == pytest.approx(0.5, abs=1e-9)
+
+    def test_plastic_8x8_plate(self):
+        mesh, t = end_tension_plate(8)
         res = st.optimal_stress(kin.assemble(mesh), t, st.PLASTIC)
         assert res.sigma_opt == pytest.approx(0.5, abs=1e-9)
 
