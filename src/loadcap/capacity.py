@@ -11,8 +11,8 @@ produces a certified lower bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,26 +33,24 @@ class CapacityError(ValueError):
     """Zero traction, size-cap violation, or non-viable plastic request."""
 
 
-@dataclass(frozen=True)
-class CapacityResult:
+class CapacityResult(NamedTuple):
     """K and C = 1/K, the traction that attains K and the velocity field
     that certifies it.  K_traction_side, exact method only, is the stress
     measure of the certified stress of worst_traction."""
 
     K: float
     C: float
-    worst_traction: np.ndarray = field(repr=False)
+    worst_traction: np.ndarray
     method: str
-    certificate: np.ndarray = field(repr=False)
+    certificate: np.ndarray
     lower_bound_only: bool = False
     K_traction_side: float | None = None
 
 
-@dataclass(frozen=True)
-class LimitResult:
+class LimitResult(NamedTuple):
     sigma_opt: float
     lambda_star: float
-    t_collapse: np.ndarray = field(repr=False)
+    t_collapse: np.ndarray
     lambda_kinematic: float
 
 

@@ -1,24 +1,27 @@
 """Dense two-phase simplex with Dantzig pricing and a Bland fallback, plus
 an enumeration oracle.
 
-Standard form throughout: minimize c.x subject to A.x = b, x >= 0.
-Both phases run one simplex loop.  It enters the column with the most
+Standard form with free columns: minimize c.x subject to A.x = b, where
+x_j >= 0 except on the columns that `LPStandardForm.free` marks.  Both
+phases run one simplex loop.  It enters the column with the most
 negative reduced cost, which takes far fewer pivots than Bland's
 lowest-index rule on these LPs, and falls back to Bland's rule only
 while it is stalled: after `_STALL` degenerate pivots in a row, until a
-pivot moves the objective again.
+pivot moves the objective again.  A free column is priced at -|d_j| and
+enters downwards when its reduced cost d_j is positive; once basic, it
+never leaves, because the ratio test skips its row.
 A pivot updates only the tableau entries it changes, in the rows with a
 nonzero pivot-column entry and the columns with a nonzero pivot-row
 entry; the kinematic LP's rows each touch one element or facet, so that
 is often a small block.  It picks the update by these counts, and keeps
 the dense rank-1 update on tableaux under `_DENSE_BELOW` entries.
-Free variables and inequalities are handled by LPBuilder, which keeps the
-kernel itself in pure standard form.  Phase 1 crash-starts: a row starts
-on a column whose only nonzero entry is positive and in that row, such as
-an inequality's slack, and only the rows without one get an artificial.
-When all of those rows have b = 0 the start is feasible, and phase 1 is
-only the degenerate pivots that drive the artificials out.  Phase 1
-depends on A and b only, so LPs that differ only in their costs
+Inequalities are handled by LPBuilder, which gives each a slack column.
+Phase 1 crash-starts: a row starts on a column whose only nonzero entry
+is positive and in that row, such as an inequality's slack, and only the
+rows without one get an artificial.  When all of those rows have b = 0
+the start is feasible, and phase 1 is only the degenerate pivots that
+drive the artificials out.  Phase 1 depends on A, b and the free columns
+only, so LPs that differ only in their costs
 (`LPStandardForm.with_objective`) share one phase 1 and each runs only
 phase 2.
 """
@@ -94,6 +97,9 @@ class LPStandardForm:
     c: np.ndarray = field(repr=False)
     A: np.ndarray = field(repr=False)
     b: np.ndarray = field(repr=False)
+    # a boolean mask of the columns whose variable may take either sign;
+    # None makes every variable nonnegative
+    free: np.ndarray | None = field(default=None, repr=False)
     # not an init field, so that `dataclasses.replace` starts a new one
     _memo: _Memo = field(default_factory=_Memo, init=False, repr=False,
                          compare=False)
@@ -110,19 +116,24 @@ class LPStandardForm:
         for name, arr in (("c", c), ("A", A), ("b", b)):
             if not np.all(np.isfinite(arr)):
                 raise LPError(f"{name} contains non-finite entries")
+        free = np.zeros(c.size, dtype=bool) if self.free is None else \
+            np.asarray(self.free, dtype=bool)
+        if free.shape != c.shape:
+            raise LPError(f"free mask has shape {free.shape}, expected {c.shape}")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
+        object.__setattr__(self, "free", free)
 
     def with_objective(self, c) -> LPStandardForm:
-        """The same A and b with costs c; it shares this LP's phase 1."""
-        p = LPStandardForm(c=c, A=self.A, b=self.b)
+        """The same A, b and free columns with costs c; it shares this LP's
+        phase 1."""
+        p = LPStandardForm(c=c, A=self.A, b=self.b, free=self.free)
         object.__setattr__(p, "_memo", self._memo)
         return p
 
 
-@dataclass(frozen=True)
-class LPSolution:
+class LPSolution(NamedTuple):
     status: str
     x: np.ndarray | None = None
     y: np.ndarray | None = None  # equality-row multipliers
@@ -159,31 +170,40 @@ def _pivot(T: np.ndarray, row: int, col: int):
     T -= np.outer(factors, pivot_row)
 
 
-def _simplex(T: np.ndarray, basis: np.ndarray, n_struct: int,
+def _simplex(T: np.ndarray, basis: np.ndarray, free: np.ndarray,
              phase: int, shape: tuple) -> tuple:
     """Run the simplex on a tableau whose last row holds reduced costs and
-    last column the right-hand side.  The entering column has the most
-    negative reduced cost (Dantzig), except after `_STALL` degenerate
-    pivots in a row, when it is the lowest-index improving column (Bland)
-    until a pivot moves the objective again; the leaving row is the
-    ratio-test tie with the lowest basic index.  Bland's rule cannot cycle
-    at one vertex, and every other pivot lowers the objective, so the loop
-    terminates, or fails after `_MAX_ITER` pivots.  Mutates T and the int
-    array basis; returns (status, pivots)."""
+    last column the right-hand side, over the columns that the boolean mask
+    free covers.  A nonbasic free column is priced at -|d_j|, and enters
+    downwards when its reduced cost d_j is positive: the ratio test runs on
+    its negated column.  The entering column has the lowest price
+    (Dantzig), except after `_STALL` degenerate pivots in a row, when it is
+    the lowest-index improving column (Bland) until a pivot moves the
+    objective again; the leaving row is the ratio-test tie with the lowest
+    basic index.  The ratio test skips the rows whose basic variable is
+    free, so a free variable enters the basis at most once and never
+    leaves.  After the last one has entered, the loop is Bland's rule on
+    the nonnegative columns, which cannot cycle at one vertex, and every
+    other pivot lowers the objective, so it terminates, or fails after
+    `_MAX_ITER` pivots.  Mutates T and the int array basis; returns
+    (status, pivots)."""
+    n = len(free)
+    locked = free[basis]  # rows whose basic variable is free
     stalled = 0
     for pivots in range(_MAX_ITER):
-        costs = T[-1, :n_struct]
+        costs = T[-1, :n]
+        prices = np.where(free, -np.abs(costs), costs)
         if stalled < _STALL:
-            j = int(np.argmin(costs))
-            if costs[j] >= -_PIVOT_TOL:
+            j = int(np.argmin(prices))
+            if prices[j] >= -_PIVOT_TOL:
                 return OPTIMAL, pivots
         else:
-            candidates = np.flatnonzero(costs < -_PIVOT_TOL)
+            candidates = np.flatnonzero(prices < -_PIVOT_TOL)
             if candidates.size == 0:
                 return OPTIMAL, pivots
             j = int(candidates[0])
-        col = T[:-1, j]
-        rows = np.flatnonzero(col > _PIVOT_TOL)
+        col = T[:-1, j] if costs[j] < 0.0 else -T[:-1, j]
+        rows = np.flatnonzero((col > _PIVOT_TOL) & ~locked)
         if rows.size == 0:
             return UNBOUNDED, pivots
         ratios = T[rows, -1] / col[rows]
@@ -193,6 +213,7 @@ def _simplex(T: np.ndarray, basis: np.ndarray, n_struct: int,
         stalled = stalled + 1 if best <= 1e-12 else 0
         _pivot(T, leave, j)
         basis[leave] = j
+        locked[leave] = free[j]
     raise LPIterationError(phase, shape, _MAX_ITER)
 
 
@@ -211,12 +232,13 @@ def _crash_basis(A: np.ndarray) -> np.ndarray:
     return basic
 
 
-def _phase1(A: np.ndarray, b: np.ndarray) -> _Phase1:
+def _phase1(A: np.ndarray, b: np.ndarray, free: np.ndarray) -> _Phase1:
     """Crash-start phase 1.  After the rows with b < 0 are flipped, every
     row with a `_crash_basis` column starts on it, and only the other rows
-    get an artificial.  Minimize the sum of the artificials (at once
-    optimal if all of their rows have b = 0), then drive the artificials
-    left in the basis out of it, dropping the redundant rows."""
+    get an artificial, which is nonnegative.  Minimize the sum of the
+    artificials (at once optimal if all of their rows have b = 0), then
+    drive the artificials left in the basis out of it, dropping the
+    redundant rows."""
     m, n = A.shape
     T = np.empty((m, n + 1))  # [A | b]
     T[:, :n] = A
@@ -236,7 +258,8 @@ def _phase1(A: np.ndarray, b: np.ndarray) -> _Phase1:
         P[:m, -1] = T[:, -1]
         P[-1, n:n + k] = 1.0
         P[-1] -= P[artificial].sum(axis=0)
-        status, pivots = _simplex(P, basis, n + k, 1, (m, n))
+        status, pivots = _simplex(P, basis, np.append(free, np.zeros(k, bool)),
+                                  1, (m, n))
         if status != OPTIMAL or \
                 P[-1, -1] < -_FEAS_TOL * (1.0 + np.abs(T[:, -1]).max(initial=0.0)):
             return _Phase1(None, basis[:0], [], pivots)
@@ -269,7 +292,7 @@ def solve(p: LPStandardForm) -> LPSolution:
     m, n = p.A.shape
     start = p._memo.phase1
     if start is None:
-        start = p._memo.phase1 = _phase1(p.A, p.b)
+        start = p._memo.phase1 = _phase1(p.A, p.b, p.free)
     if start.tableau is None:
         return LPSolution(INFEASIBLE)
 
@@ -280,7 +303,7 @@ def solve(p: LPStandardForm) -> LPSolution:
     T2[:mm] = start.tableau
     T2[-1, :n] = p.c
     T2[-1] -= p.c[basis] @ T2[:mm]
-    status, _ = _simplex(T2, basis, n, 2, (m, n))
+    status, _ = _simplex(T2, basis, p.free, 2, (m, n))
     if status == UNBOUNDED:
         return LPSolution(UNBOUNDED)
 
@@ -356,8 +379,12 @@ def _enumerate_best(A, b, c):
 
 
 def solve_brute(p: LPStandardForm) -> LPSolution:
-    """Exhaustive basic-solution enumeration; testing oracle for solve()."""
+    """Exhaustive basic-solution enumeration; testing oracle for solve().
+    It enumerates nonnegative basic solutions only, so an LP with a free
+    column is an `LPError`."""
     m, n = p.A.shape
+    if p.free.any():
+        raise LPError("brute-force oracle takes no free columns")
     if m > _BRUTE_CAP or n > _BRUTE_CAP:
         raise LPError(f"brute-force oracle limited to {_BRUTE_CAP} rows/cols")
     best_obj, best_x = _enumerate_best(p.A, p.b, p.c)
@@ -372,47 +399,15 @@ def solve_brute(p: LPStandardForm) -> LPSolution:
     return LPSolution(OPTIMAL, x=best_x, objective=best_obj)
 
 
-class ColumnMap:
-    """Where `LPBuilder`'s variables sit in the standard form: variable i
-    in column `col[i]` and, if free, its negative part in the next one;
-    the slack columns come after them."""
-
-    def __init__(self, nonneg: np.ndarray, n_slack: int):
-        self.free = ~nonneg
-        width = 1 + self.free
-        self.col = np.cumsum(width) - width
-        self.minus = self.col[self.free] + 1
-        self.n_vars = len(nonneg)
-        self.n_std = self.n_vars + len(self.minus) + n_slack
-
-    def place(self, out: np.ndarray, rows: np.ndarray):
-        """Write rows over the variables into their standard-form columns
-        of out; x = x+ - x-, and 0.0 + and 0.0 - never give -0.0."""
-        out[:, self.col] = 0.0 + rows
-        out[:, self.minus] = 0.0 - rows[:, self.free]
-
-    def costs(self, objective) -> np.ndarray:
-        """Standard-form costs of minimizing objective . x."""
-        c = np.zeros((1, self.n_std))
-        self.place(c, np.atleast_2d(np.asarray(objective, dtype=float)))
-        return c[0]
-
-    def recover(self, x_std: np.ndarray) -> np.ndarray:
-        """The variables of a standard-form solution vector."""
-        x = x_std[self.col]
-        x[self.free] -= x_std[self.minus]
-        return x
-
-
 class LPBuilder:
-    """Translate free variables and inequalities into standard form.
+    """Translate inequalities into standard form.
 
-    Variables are declared in order by `add_vars`.  Rows come in dense
-    blocks over all the variables declared by the time `build` runs, and
-    keep the order they were added in, which is their order in the
-    standard form and in `LPSolution.y`.  A free variable becomes an
-    adjacent (+, -) column pair; each inequality row gets a slack column
-    after the variable columns.
+    Variables are declared in order by `add_vars`, and each is one column
+    of the standard form, marked free unless it is nonnegative.  Rows come
+    in dense blocks over all the variables declared by the time `build`
+    runs, and keep the order they were added in, which is their order in
+    the standard form and in `LPSolution.y`.  Each inequality row gets a
+    slack column after the variable columns.
     """
 
     def __init__(self):
@@ -437,18 +432,20 @@ class LPBuilder:
         self._rows.append((rows, np.full(len(rows), rhs, dtype=float)))
         self._is_le += [is_le] * len(rows)
 
-    def build(self, objective):
-        """Return (LPStandardForm, ColumnMap) for minimizing objective . x;
-        the map's `recover` maps a standard-form solution vector back to the
-        variables, and its `costs` gives the costs of another objective
-        over the same rows."""
-        cols = ColumnMap(np.concatenate(self._nonneg), sum(self._is_le))
-        A = np.zeros((len(self._is_le), cols.n_std))
+    def build(self, objective) -> LPStandardForm:
+        """The LP of minimizing objective . x: the variables are x[:n_vars]
+        and the slacks come after them.  Adding 0.0 turns every -0.0 of the
+        rows, right-hand sides and objective into 0.0."""
+        n, slack = self.n_vars, np.flatnonzero(self._is_le)
+        A = np.zeros((len(self._is_le), n + len(slack)))
         start = 0
         for blk, _ in self._rows:
-            cols.place(A[start:start + len(blk)], blk)
+            np.add(blk, 0.0, out=A[start:start + len(blk), :n])
             start += len(blk)
-        slack = np.flatnonzero(self._is_le)
-        A[slack, cols.n_std - len(slack) + np.arange(len(slack))] = 1.0
-        b = np.concatenate([rhs for _, rhs in self._rows])
-        return LPStandardForm(c=cols.costs(objective), A=A, b=b), cols
+        A[slack, n + np.arange(len(slack))] = 1.0
+        c = np.zeros(A.shape[1])
+        c[:n] = 0.0 + np.asarray(objective, dtype=float)
+        free = np.zeros(A.shape[1], dtype=bool)
+        free[:n] = ~np.concatenate(self._nonneg)
+        b = 0.0 + np.concatenate([rhs for _, rhs in self._rows])
+        return LPStandardForm(c=c, A=A, b=b, free=free)

@@ -13,7 +13,6 @@ multipliers and certifies the pair by weak duality.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -62,8 +61,7 @@ class StressField(NamedTuple):
     s33: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
-class OptimalStressResult:
+class OptimalStressResult(NamedTuple):
     """sigma_opt is the kinematic LP's optimum, dual_value the witness's
     ratio work/budget, duality_gap |stress_measure(sigma_hat) - dual_value|,
     equilibrium_residual that of sigma_hat against the traction."""
@@ -71,7 +69,7 @@ class OptimalStressResult:
     sigma_opt: float
     sigma_hat: StressField
     dual_value: float
-    dual_witness: np.ndarray = field(repr=False)
+    dual_witness: np.ndarray
     duality_gap: float = 0.0
     equilibrium_residual: float = 0.0
 
@@ -168,14 +166,13 @@ def optimal_stress_primal(ops: DiscreteOperators, t, mode: str):
     builder.add_le(bounds.reshape(-1, builder.n_vars), 0.0)
     objective = np.zeros(builder.n_vars)
     objective[-1] = 1.0
-    prob, cols = builder.build(objective)
-    sol = _solve(prob, "static LP")
+    sol = _solve(builder.build(objective), "static LP")
     if sol.status != lp.OPTIMAL:
         raise SolverFailure(
             f"primal stress LP ended with status {sol.status}; with a "
             "nonempty supported boundary on a connected mesh this indicates "
             "an internal error")
-    x = cols.recover(sol.x)
+    x = sol.x[:builder.n_vars]
     return float(sol.objective), StressField(x[:n_el * nc].reshape(n_el, nc),
                                              x[n_el * nc:-1] if n_u else None)
 
@@ -211,12 +208,10 @@ class KinematicLP(NamedTuple):
     """The kinematic LP of one mesh and mode with its objective left open.
     Its feasible set, the unit strain-budget ball, is the same for every
     objective, so every `kinematic_supremum` on it shares one phase 1.
-    `columns` maps the LP's variables (the velocity DOFs first) to the
-    standard form of `prob`."""
+    The velocity DOFs are the first n_dof columns of `prob`."""
 
     n_dof: int
     prob: lp.LPStandardForm
-    columns: lp.ColumnMap
 
 
 def _dual_builder(ops: DiscreteOperators, mode: str) -> KinematicLP:
@@ -246,7 +241,7 @@ def _dual_builder(ops: DiscreteOperators, mode: str) -> KinematicLP:
     budget = np.zeros(builder.n_vars)
     budget[n_dof:] = (ops.volumes[:, None] * local_budget).ravel()
     builder.add_le(budget, 1.0)
-    return KinematicLP(n_dof, *builder.build(np.zeros(builder.n_vars)))
+    return KinematicLP(n_dof, builder.build(np.zeros(builder.n_vars)))
 
 
 def kinematic_lp(ops: DiscreteOperators, mode: str) -> KinematicLP:
@@ -261,19 +256,18 @@ def kinematic_supremum(kinematic: KinematicLP, objective: np.ndarray):
     """Maximize objective . w over the unit strain-budget ball (plastic:
     restricted to isochoric fields).  Returns (value, witness, the LP's
     multipliers)."""
-    c = np.zeros(kinematic.columns.n_vars)
-    c[:kinematic.n_dof] = -objective
-    sol = _solve(kinematic.prob.with_objective(kinematic.columns.costs(c)),
-                 "kinematic LP")
+    # 0.0 - x, unlike -x, gives 0.0 and not -0.0 for a zero entry
+    c = np.zeros(len(kinematic.prob.c))
+    c[:kinematic.n_dof] = 0.0 - objective
+    sol = _solve(kinematic.prob.with_objective(c), "kinematic LP")
     if sol.status == lp.UNBOUNDED:
         raise SolverFailure(
             "kinematic LP unbounded: the mesh admits a mechanism despite "
             "the supported boundary")
     if sol.status != lp.OPTIMAL:
         raise SolverFailure(f"kinematic LP ended with status {sol.status}")
-    # 0.0 - x, unlike -x, reports a zero optimum as 0.0 and not -0.0
-    w = kinematic.columns.recover(sol.x)[:kinematic.n_dof]
-    return 0.0 - sol.objective, w, sol.y
+    # likewise, a zero optimum is reported as 0.0
+    return 0.0 - sol.objective, sol.x[:kinematic.n_dof], sol.y
 
 
 def _stress_from_multipliers(ops: DiscreteOperators, mode: str,

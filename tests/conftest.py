@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from loadcap import kinematics as kin
+from loadcap import lp
 from loadcap import mesh as msh
 
 ACCEPTANCE_VERDICTS = []
@@ -30,8 +31,17 @@ def dump(p) -> str:
         f"LP standard form: {p.A.shape[0]} rows, {p.A.shape[1]} cols",
         "c = " + np.array2string(p.c, max_line_width=120),
         "b = " + np.array2string(p.b, max_line_width=120),
+        f"free columns: {np.flatnonzero(p.free).tolist()}",
         "A =",
         np.array2string(p.A, max_line_width=120)])
+
+
+def split_free(p):
+    """Oracle: the `lp.LPStandardForm` p with each free column x_j split
+    into a nonnegative pair, x_j = x_j+ - x_j-.  x_j+ keeps column j and
+    the x_j- columns follow all of p's columns, in order."""
+    return lp.LPStandardForm(c=np.concatenate([p.c, -p.c[p.free]]),
+                             A=np.hstack([p.A, -p.A[:, p.free]]), b=p.b)
 
 
 def as_matrix(comps, dim: int) -> np.ndarray:

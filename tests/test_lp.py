@@ -7,7 +7,7 @@ from loadcap import kinematics as kin
 from loadcap import lp
 from loadcap import stress as st
 
-from conftest import MESH_CASES, dump
+from conftest import MESH_CASES, dump, split_free
 
 
 def standard(c, A, b):
@@ -15,13 +15,19 @@ def standard(c, A, b):
                              b=np.array(b, float))
 
 
+def standard_free(c, A, b, free):
+    return lp.LPStandardForm(c=np.array(c, float), A=np.array(A, float),
+                             b=np.array(b, float), free=np.array(free, bool))
+
+
 def check_optimal_invariants(p, sol):
     assert sol.status == lp.OPTIMAL
     x, y = sol.x, sol.y
     bmax = np.abs(p.b).max(initial=0.0)
     assert np.abs(p.A @ x - p.b).max(initial=0.0) <= 1e-8 * (1.0 + bmax)
-    assert np.all(x >= -1e-10)
+    assert np.all(x[~p.free] >= -1e-10)
     reduced = p.c - p.A.T @ y
+    assert np.abs(reduced[p.free]).max(initial=0.0) <= 1e-8 * (1.0 + np.abs(p.c).max())
     slackness = np.abs(x * reduced).max(initial=0.0)
     assert slackness <= 1e-8 * (1.0 + abs(sol.objective))
     gap = abs(p.c @ x - p.b @ y)
@@ -172,60 +178,195 @@ class TestBruteOracle:
 
 
 class TestBuilder:
-    def test_free_variable_split(self):
+    def test_free_variable_one_column(self):
         builder = lp.LPBuilder()
         builder.add_vars(1, nonneg=False)
         builder.add_eq([[1.0]], -3.0)
-        prob, cols = builder.build([1.0])
-        assert np.array_equal(prob.A, [[1.0, -1.0]])
+        prob = builder.build([1.0])
+        assert np.array_equal(prob.A, [[1.0]])
+        assert np.array_equal(prob.free, [True])
         sol = lp.solve(prob)
         assert sol.status == lp.OPTIMAL
-        assert cols.recover(sol.x)[0] == pytest.approx(-3.0)
+        assert sol.x[0] == pytest.approx(-3.0)
 
     def test_inequality_slack(self):
         builder = lp.LPBuilder()
         builder.add_vars(1)
         builder.add_le([1.0], 2.0)
-        prob, cols = builder.build([-1.0])
+        prob = builder.build([-1.0])
         assert np.array_equal(prob.A, [[1.0, 1.0]])
+        assert not prob.free.any()
         sol = lp.solve(prob)
-        assert cols.recover(sol.x)[0] == pytest.approx(2.0)
+        assert sol.x[0] == pytest.approx(2.0)
 
     def test_blocks_keep_row_and_column_order(self):
-        # columns: x (nonneg), y as (y+, y-), then one slack per le row;
+        # columns: x (nonneg), y (free), then one slack per le row;
         # rows in the order their blocks were added
         builder = lp.LPBuilder()
         builder.add_vars(2, nonneg=[True, False])
         builder.add_le([[1.0, 2.0], [0.0, 1.0]], [4.0, 1.0])
         builder.add_eq([[1.0, -1.0]], 0.5)
-        prob, cols = builder.build([1.0, -1.0])
-        assert np.array_equal(prob.A, [[1.0, 2.0, -2.0, 1.0, 0.0],
-                                       [0.0, 1.0, -1.0, 0.0, 1.0],
-                                       [1.0, -1.0, 1.0, 0.0, 0.0]])
+        prob = builder.build([1.0, -1.0])
+        assert np.array_equal(prob.A, [[1.0, 2.0, 1.0, 0.0],
+                                       [0.0, 1.0, 0.0, 1.0],
+                                       [1.0, -1.0, 0.0, 0.0]])
         assert np.array_equal(prob.b, [4.0, 1.0, 0.5])
-        assert np.array_equal(prob.c, [1.0, -1.0, 1.0, 0.0, 0.0])
+        assert np.array_equal(prob.c, [1.0, -1.0, 0.0, 0.0])
+        assert np.array_equal(prob.free, [False, True, False, False])
         assert not np.any(np.signbit(prob.A) & (prob.A == 0.0))
-        assert np.array_equal(cols.recover(np.array([1.0, 2.0, 0.5, 0.0, 0.0])),
-                              [1.0, 1.5])
+        # x - y = 0.5 on the whole feasible set
+        sol = lp.solve(prob)
+        assert sol.objective == pytest.approx(0.5)
+        assert sol.x[0] - sol.x[1] == pytest.approx(0.5)
 
-    def test_column_map_costs_match_build(self):
+    def test_costs_match_build(self):
         builder = lp.LPBuilder()
         builder.add_vars(3, nonneg=[False, True, False])
-        builder.add_le([[1.0, 2.0, 0.0]], 4.0)
-        builder.add_eq([[1.0, -1.0, 1.0]], 0.5)
-        objective = np.array([0.0, -1.0, 2.5])
-        prob, cols = builder.build(objective)
-        costless, _ = builder.build(np.zeros(3))
-        costs = cols.costs(objective)
-        assert np.array_equal(costs, prob.c)
-        assert not np.any(np.signbit(costs) & (costs == 0.0))
+        builder.add_le([[-0.0, 2.0, 0.0]], 4.0)
+        builder.add_eq([[1.0, -1.0, 1.0]], -0.0)
+        objective = np.array([-0.0, -1.0, 2.5])
+        prob = builder.build(objective)
+        costless = builder.build(np.zeros(3))
+        assert np.array_equal(prob.c, [0.0, -1.0, 2.5, 0.0])
+        for arr in (prob.c, prob.A, prob.b):
+            assert not np.any(np.signbit(arr) & (arr == 0.0))
         assert np.array_equal(costless.A, prob.A)
         assert np.array_equal(costless.b, prob.b)
+        assert np.array_equal(costless.free, prob.free)
         assert not np.any(costless.c)
+        assert same_solution(lp.solve(costless.with_objective(prob.c)),
+                             lp.solve(prob))
 
     def test_dump_mentions_shape(self):
         p = standard([1.0], [[1.0]], [1.0])
         assert "1 rows, 1 cols" in dump(p)
+
+
+class TestFreeVariables:
+    """A free column is one column of the tableau: priced at -|d_j|,
+    entered downwards when d_j > 0, and never leaving the basis.  The
+    oracle is the same LP with each free column split into a nonnegative
+    (+, -) pair (`split_free`)."""
+
+    @staticmethod
+    def random_lp(rng, kind):
+        """A random LP with at least one free column, of one of four kinds:
+        optimal by design, infeasible by design, random b, or feasible with
+        random costs (mostly unbounded)."""
+        m = int(rng.integers(2, 5))
+        n = int(rng.integers(m + 1, 8))
+        A = rng.normal(size=(m, n))
+        free = rng.random(n) < 0.4
+        free[rng.integers(n)] = True
+        x0 = rng.uniform(0.0, 1.0, size=n)
+        x0[free] = rng.uniform(-2.0, 1.0, size=free.sum())
+        b = A @ x0
+        c = rng.normal(size=n)
+        if kind == 0:
+            # dual feasible: c - A^T y0 is 0 on the free columns and
+            # nonnegative on the others
+            c = A.T @ rng.normal(size=m) + np.where(free, 0.0, np.abs(c))
+        elif kind == 1:
+            # row 0 has no free entry and only positive ones, and b[0] < 0
+            A[0, free] = 0.0
+            A[0, ~free] = np.abs(A[0, ~free])
+            b[0] = -rng.uniform(0.1, 1.0)
+        elif kind == 2:
+            b = rng.normal(size=m)
+        return standard_free(c, A, b, free)
+
+    def test_random_agreement_with_split(self):
+        rng = np.random.default_rng(1111)
+        statuses = {lp.OPTIMAL: 0, lp.INFEASIBLE: 0, lp.UNBOUNDED: 0}
+        negative_free = brute_checked = 0
+        for trial in range(240):
+            p = self.random_lp(rng, trial % 4)
+            split = split_free(p)
+            got, want = lp.solve(p), lp.solve(split)
+            assert got.status == want.status, f"trial {trial}: {dump(p)}"
+            if max(split.A.shape) <= lp._BRUTE_CAP:
+                brute = lp.solve_brute(split)
+                assert got.status == brute.status, f"trial {trial}: {dump(p)}"
+                if got.status == lp.OPTIMAL:
+                    assert got.objective == pytest.approx(brute.objective, abs=1e-7)
+                brute_checked += 1
+            statuses[got.status] += 1
+            if got.status != lp.OPTIMAL:
+                continue
+            assert got.objective == pytest.approx(want.objective, abs=1e-7), \
+                f"trial {trial}"
+            check_optimal_invariants(p, got)
+            assert np.all(got.x[~p.free] >= -1e-9)
+            negative_free += bool(np.any(got.x[p.free] < -1e-6))
+        assert min(statuses.values()) > 10, statuses
+        assert negative_free > 10
+        assert brute_checked > 100
+
+    @pytest.mark.parametrize("c,want", [([1.0, 0.0], lp.UNBOUNDED),
+                                        ([-1.0, 0.0], lp.OPTIMAL)])
+    def test_enters_against_its_cost(self, c, want):
+        # x free, s >= 0, x + s = 1 starts on s = 1.  With cost +1, x enters
+        # downwards and nothing stops it; with cost -1 it stops at x = 1
+        p = standard_free(c, [[1.0, 1.0]], [1.0], [True, False])
+        sol = lp.solve(p)
+        assert sol.status == want == lp.solve(split_free(p)).status
+        if want == lp.OPTIMAL:
+            assert np.array_equal(sol.x, [1.0, 0.0])
+
+    def test_negative_optimum(self):
+        # max x subject to x + s = -2, s >= 0: x = -2
+        p = standard_free([-1.0, 0.0], [[1.0, 1.0]], [-2.0], [True, False])
+        sol = lp.solve(p)
+        check_optimal_invariants(p, sol)
+        assert sol.x[0] == pytest.approx(-2.0)
+        assert sol.objective == pytest.approx(2.0)
+        assert lp.solve_brute(split_free(p)).objective == pytest.approx(2.0)
+
+    def test_mask_shape_checked(self):
+        for free in ([True], [[True, False]], [True, False, True]):
+            with pytest.raises(lp.LPError, match="free mask"):
+                standard_free([1.0, 1.0], [[1.0, 1.0]], [1.0], free)
+
+    def test_with_objective_keeps_mask(self):
+        p = standard_free([1.0, 1.0], [[1.0, 1.0]], [1.0], [True, False])
+        assert np.array_equal(p.with_objective([2.0, 0.0]).free, [True, False])
+        assert not standard([1.0], [[1.0]], [1.0]).free.any()
+
+    def test_brute_rejects_free_columns(self):
+        p = standard_free([1.0, 1.0], [[1.0, 1.0]], [1.0], [True, False])
+        with pytest.raises(lp.LPError, match="free"):
+            lp.solve_brute(p)
+
+    @pytest.mark.parametrize("name,factory", MESH_CASES, ids=[c[0] for c in MESH_CASES])
+    @pytest.mark.parametrize("mode", [st.ELASTIC, st.PLASTIC])
+    def test_kinematic_lp_one_column_per_variable(self, name, factory, mode):
+        # per element: the plastic pressure p, then a (+, -) budget pair per
+        # strain slot; plane strain adds the out-of-plane slot
+        ops = kin.assemble(factory())
+        prob = st.kinematic_lp(ops, mode).prob
+        plastic = mode == st.PLASTIC
+        n_slots = kin.n_comps(ops.dim) + (plastic and ops.dim == 2)
+        per_element = plastic + 2 * n_slots
+        assert prob.A.shape[1] == ops.n_dof + ops.n_elements * per_element + 1
+        assert prob.free.sum() == ops.n_dof + plastic * ops.n_elements
+        assert prob.free[:ops.n_dof].all()
+
+    @pytest.mark.parametrize("mode", [st.ELASTIC, st.PLASTIC])
+    def test_no_negative_zero_in_lps(self, mode, monkeypatch):
+        # zero and negative traction entries give zero work entries, whose
+        # negated costs must not be -0.0
+        ops = kin.assemble(MESH_CASES[1][1]())
+        t = np.zeros((len(ops.gammat_facets), 2))
+        t[0] = [-1.0, 0.0]
+        t[-1] = [0.0, -0.5]
+        solve, seen = lp.solve, []
+        monkeypatch.setattr(lp, "solve", lambda p: seen.append(p) or solve(p))
+        st.optimal_stress(ops, t, mode)
+        st.optimal_stress_primal(ops, t, mode)
+        assert len(seen) == 2
+        for p in seen:
+            for arr in (p.A, p.b, p.c):
+                assert not np.any(np.signbit(arr) & (arr == 0.0))
 
 
 def same_solution(got, want):
