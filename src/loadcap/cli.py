@@ -250,7 +250,8 @@ def cmd_verify(args) -> int:
         got, want = lp.solve(prob), lp.solve_brute(prob)
         ok = got.status == want.status and (
             got.status != lp.OPTIMAL
-            or abs(got.objective - want.objective) <= 1e-7)
+            or abs(got.objective - want.objective)
+            <= 1e-7 * (1.0 + abs(want.objective)))
         record(f"lp_oracle_{i}", ok)
 
     all_ok = all(c["ok"] for c in checks)

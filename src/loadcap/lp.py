@@ -23,7 +23,11 @@ the start is feasible, and phase 1 is only the degenerate pivots that
 drive the artificials out.  Phase 1 depends on A, b and the free columns
 only, so LPs that differ only in their costs
 (`LPStandardForm.with_objective`) share one phase 1 and each runs only
-phase 2.
+phase 2.  `solve_each` goes further for a sequence of costs: it walks them
+on one phase-2 tableau, each phase 2 starting from the basis where the
+previous one stopped, which stays feasible because A and b are the same;
+it gives each status and objective, with the walk's rounding, and no
+solution.
 """
 
 from __future__ import annotations
@@ -285,26 +289,40 @@ def _phase1(A: np.ndarray, b: np.ndarray, free: np.ndarray) -> _Phase1:
     return _Phase1(T, basis, keep_rows, pivots)
 
 
+def _start(p: LPStandardForm) -> _Phase1:
+    """Phase 1 of p, from its memo or run now and memoized."""
+    if p._memo.phase1 is None:
+        p._memo.phase1 = _phase1(p.A, p.b, p.free)
+    return p._memo.phase1
+
+
+def _phase2(T: np.ndarray, basis: np.ndarray, c: np.ndarray,
+            free: np.ndarray, shape: tuple) -> str:
+    """Write the reduced costs of c at the basis into T's last row, then
+    run phase 2 from that basis.  The constraint rows of T are the tableau
+    of a feasible basis, so any c may follow any other."""
+    n = len(c)
+    T[-1, :n] = c
+    T[-1, n] = 0.0
+    T[-1] -= c[basis] @ T[:-1]
+    return _simplex(T, basis, free, 2, shape)[0]
+
+
 def solve(p: LPStandardForm) -> LPSolution:
     """Two-phase dense simplex.  Deterministic for identical input, and
     the same whether phase 1 is run here or shared with an LP of the same
     A and b."""
     m, n = p.A.shape
-    start = p._memo.phase1
-    if start is None:
-        start = p._memo.phase1 = _phase1(p.A, p.b, p.free)
+    start = _start(p)
     if start.tableau is None:
         return LPSolution(INFEASIBLE)
 
     # phase 2 on a copy of the shared start, with the original costs
     mm = len(start.basis)
     basis = start.basis.copy()
-    T2 = np.zeros((mm + 1, n + 1))
+    T2 = np.empty((mm + 1, n + 1))
     T2[:mm] = start.tableau
-    T2[-1, :n] = p.c
-    T2[-1] -= p.c[basis] @ T2[:mm]
-    status, _ = _simplex(T2, basis, p.free, 2, (m, n))
-    if status == UNBOUNDED:
+    if _phase2(T2, basis, p.c, p.free, (m, n)) == UNBOUNDED:
         return LPSolution(UNBOUNDED)
 
     x = np.zeros(n)
@@ -321,6 +339,37 @@ def solve(p: LPStandardForm) -> LPSolution:
         y_keep, *_ = np.linalg.lstsq(Bt, p.c[basis], rcond=None)
     y[start.keep_rows] = y_keep
     return LPSolution(OPTIMAL, x=x, y=y, objective=obj)
+
+
+def solve_each(p: LPStandardForm, costs):
+    """For each cost vector in turn, the (status, objective) that `solve`
+    gives p with those costs (objective None unless optimal), up to
+    rounding.  One walk: p's phase 1 (shared through its memo), then one
+    phase 2 per cost on one tableau, each starting from the basis where the
+    previous one stopped.  A and b never change, so that basis stays
+    feasible, and costs that differ little need few pivots.  The rounding
+    of the pivots before a step carries into its objective, so values
+    that must be exact, or a solution, come from `solve`.  p's own costs
+    are not used."""
+    m, n = p.A.shape
+    start = _start(p)
+    T, basis = None, None
+    if start.tableau is not None:
+        T = np.empty((len(start.basis) + 1, n + 1))
+        T[:-1] = start.tableau
+        basis = start.basis.copy()
+    for c in costs:
+        c = np.asarray(c, dtype=float)
+        if c.shape != (n,):
+            raise LPError(f"costs have shape {c.shape}, expected ({n},)")
+        if not np.all(np.isfinite(c)):
+            raise LPError("costs contain non-finite entries")
+        if T is None:
+            yield INFEASIBLE, None
+        elif _phase2(T, basis, c, p.free, (m, n)) == UNBOUNDED:
+            yield UNBOUNDED, None
+        else:
+            yield OPTIMAL, float(c[basis] @ T[:-1, -1])
 
 
 _BRUTE_CAP = 14

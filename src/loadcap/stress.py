@@ -252,22 +252,49 @@ def kinematic_lp(ops: DiscreteOperators, mode: str) -> KinematicLP:
     return _dual_builder(ops, mode)
 
 
+def _kinematic_costs(kinematic: KinematicLP, objective) -> np.ndarray:
+    """The LP's costs for maximizing objective . w."""
+    # 0.0 - x, unlike -x, gives 0.0 and not -0.0 for a zero entry
+    c = np.zeros(len(kinematic.prob.c))
+    c[:kinematic.n_dof] = 0.0 - objective
+    return c
+
+
+def _check_kinematic(status: str):
+    """Raise the `SolverFailure` of a kinematic LP that ended with status."""
+    if status == lp.UNBOUNDED:
+        raise SolverFailure(
+            "kinematic LP unbounded: the mesh admits a mechanism despite "
+            "the supported boundary")
+    if status != lp.OPTIMAL:
+        raise SolverFailure(f"kinematic LP ended with status {status}")
+
+
 def kinematic_supremum(kinematic: KinematicLP, objective: np.ndarray):
     """Maximize objective . w over the unit strain-budget ball (plastic:
     restricted to isochoric fields).  Returns (value, witness, the LP's
     multipliers)."""
-    # 0.0 - x, unlike -x, gives 0.0 and not -0.0 for a zero entry
-    c = np.zeros(len(kinematic.prob.c))
-    c[:kinematic.n_dof] = 0.0 - objective
+    c = _kinematic_costs(kinematic, objective)
     sol = _solve(kinematic.prob.with_objective(c), "kinematic LP")
-    if sol.status == lp.UNBOUNDED:
-        raise SolverFailure(
-            "kinematic LP unbounded: the mesh admits a mechanism despite "
-            "the supported boundary")
-    if sol.status != lp.OPTIMAL:
-        raise SolverFailure(f"kinematic LP ended with status {sol.status}")
-    # likewise, a zero optimum is reported as 0.0
+    _check_kinematic(sol.status)
+    # 0.0 - x again, so that a zero optimum is reported as 0.0
     return 0.0 - sol.objective, sol.x[:kinematic.n_dof], sol.y
+
+
+def kinematic_suprema(kinematic: KinematicLP, objectives) -> np.ndarray:
+    """The value of `kinematic_supremum` for each objective in turn, from
+    one simplex walk (`lp.solve_each`), without witnesses or multipliers.
+    A value may differ from `kinematic_supremum`'s in its last digits.
+    Failures raise the same `SolverFailure`s."""
+    costs = (_kinematic_costs(kinematic, objective) for objective in objectives)
+    values = []
+    try:
+        for status, value in lp.solve_each(kinematic.prob, costs):
+            _check_kinematic(status)
+            values.append(0.0 - value)
+    except lp.LPIterationError as exc:
+        raise SolverFailure(f"kinematic LP: {exc}") from exc
+    return np.array(values)
 
 
 def _stress_from_multipliers(ops: DiscreteOperators, mode: str,

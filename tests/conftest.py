@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from loadcap import capacity as cap
 from loadcap import kinematics as kin
 from loadcap import lp
 from loadcap import mesh as msh
+from loadcap import stress as st
 
 ACCEPTANCE_VERDICTS = []
 
@@ -42,6 +44,25 @@ def split_free(p):
     the x_j- columns follow all of p's columns, in order."""
     return lp.LPStandardForm(c=np.concatenate([p.c, -p.c[p.free]]),
                              A=np.hstack([p.A, -p.A[:, p.free]]), b=p.b)
+
+
+def cold_generalized_K(ops: kin.DiscreteOperators, mode: str) -> cap.CapacityResult:
+    """Oracle: exact K from one solve per vertex of the unit traction ball,
+    by code counting up, each phase 2 from the shared phase 1; the first
+    vertex that beats all before it by more than 1e-12 is the worst
+    traction, certified from its own solution."""
+    kinematic = st.kinematic_lp(ops, mode)
+    best_val, worst, best_w, best_y = -1.0, None, None, None
+    for t in cap._vertex_tractions(ops):
+        val, w, y = st.kinematic_supremum(kinematic, kin.work_vector(ops, t))
+        if val > best_val + 1e-12:
+            best_val, worst, best_w, best_y = val, t, w, y
+    K = max(best_val, 0.0)
+    stress = st.certify(ops, worst, mode, K, best_w, best_y).sigma_hat
+    return cap.CapacityResult(K=K, C=float("inf") if K == 0.0 else 1.0 / K,
+                              worst_traction=worst, method=cap.EXACT,
+                              certificate=best_w,
+                              K_traction_side=st.stress_measure(stress, mode, ops))
 
 
 def as_matrix(comps, dim: int) -> np.ndarray:

@@ -9,7 +9,7 @@ from loadcap import lp
 from loadcap import mesh as msh
 from loadcap import stress as st
 
-from conftest import trace_norm_l1
+from conftest import cold_generalized_K, make_two_tet_mesh, trace_norm_l1
 
 
 @pytest.fixture
@@ -103,6 +103,17 @@ class TestGeneralizedK:
         got = [t.ravel().tolist() for t in cap._vertex_tractions(ops)]
         assert got == want
 
+    @pytest.mark.parametrize("m", [1, 2, 5, 10])
+    def test_gray_order(self, m):
+        # with unit work vectors the works are the sign vectors themselves
+        got = [w.tolist() for w in cap._gray_works(np.eye(m))]
+        want = [cap._vertex(k ^ (k >> 1), m).tolist() for k in range(2 ** (m - 1))]
+        assert got == want
+        assert sorted(got) == sorted(cap._vertex(code, m).tolist()
+                                     for code in range(2 ** (m - 1)))
+        flips = [np.count_nonzero(np.subtract(a, b)) for a, b in zip(got, got[1:])]
+        assert flips == [1] * (2 ** (m - 1) - 1)
+
     def test_heuristic_is_lower_bound(self, square_ops):
         exact = cap.generalized_K(square_ops)
         heur = cap.generalized_K(square_ops, method=cap.HEURISTIC)
@@ -138,29 +149,105 @@ class TestGeneralizedK:
         assert res.lower_bound_only and res.K > 0
 
 
+def assert_same_result(got: cap.CapacityResult, want: cap.CapacityResult):
+    """Every field equal, bit for bit."""
+    for name, a, b in zip(want._fields, got, want):
+        a, b = np.asarray(a), np.asarray(b)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+EXACT_CASES = [
+    ("bar8", lambda: msh.generate_bar(1.0, 1.0, 8), [st.ELASTIC]),
+    *((f"rect{nx}x{ny}",
+       lambda nx=nx, ny=ny: msh.generate_rectangle(1, 1, nx, ny, "left", "right"),
+       [st.ELASTIC, st.PLASTIC]) for nx, ny in ((1, 1), (1, 2), (2, 1), (2, 2))),
+    ("two_tet", make_two_tet_mesh, [st.ELASTIC, st.PLASTIC]),
+]
+
+
+class TestWalkMatchesColdEnumeration:
+    """The walk and its near-tie solves give what one solve per vertex
+    gives (`conftest.cold_generalized_K`), field for field."""
+
+    @pytest.mark.parametrize("make, mode", [
+        pytest.param(make, mode, id=f"{name}-{mode}")
+        for name, make, modes in EXACT_CASES for mode in modes])
+    def test_exact(self, make, mode):
+        ops = kin.assemble(make())
+        assert_same_result(cap.generalized_K(ops, mode), cold_generalized_K(ops, mode))
+
+    @pytest.mark.parametrize("mode", [st.ELASTIC, st.PLASTIC])
+    def test_walk_rounding_is_resolved(self, monkeypatch, mode):
+        # walk values off by up to 1e-11 (relative), far above the walk's
+        # rounding measured at m = 16, change nothing: the near ties are
+        # solved again
+        ops = kin.assemble(msh.generate_rectangle(1, 1, 2, 1, "left", "right"))
+        suprema = cap.kinematic_suprema
+        rng = np.random.default_rng(28)
+
+        def rounded(*args):
+            values = suprema(*args)
+            return values * (1.0 + rng.uniform(-1e-11, 1e-11, values.shape))
+        monkeypatch.setattr(cap, "kinematic_suprema", rounded)
+        assert_same_result(cap.generalized_K(ops, mode), cold_generalized_K(ops, mode))
+
+    def test_near_ties_solved_by_code(self, square_ops, monkeypatch):
+        # Gray-code steps 2 and 3 visit codes 3 and 2; their full solves
+        # run by code counting up, and no other pattern is solved again
+        solved = []
+        solve = cap.kinematic_supremum
+
+        def recorded(kinematic, work):
+            solved.append(work)
+            return solve(kinematic, work)
+        monkeypatch.setattr(cap, "kinematic_suprema",
+                            lambda *args: np.array([0.0, 0.0, 1.0, 1.0] + [0.0] * 28))
+        monkeypatch.setattr(cap, "kinematic_supremum", recorded)
+        res = cap.generalized_K(square_ops)
+        vertices = [cap._vertex(code, 6).reshape(3, 2) for code in (2, 3)]
+        assert np.array_equal(solved, [kin.work_vector(square_ops, t) for t in vertices])
+        assert any(np.array_equal(res.worst_traction, t) for t in vertices)
+
+
 class TestOneKinematicLP:
-    """One `generalized_K` call builds one kinematic LP; each pattern or
-    step is one solve of it."""
+    """One `generalized_K` call builds one kinematic LP and runs its phase 1
+    once.  Exact: each pattern is one step of one walk, and each near tie
+    one solve of its own; heuristic: each step is one solve."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        counts = {"builds": 0, "solves": 0, "patterns": 0}
+        counts = {"builds": 0, "phase1": 0, "walk_steps": 0, "solves": 0,
+                  "patterns": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
                 counts[key] += 1
                 return fn(*args, **kwargs)
             return wrapper
+
+        def counted_walk(p, costs):
+            def steps():
+                for c in costs:
+                    counts["walk_steps"] += 1
+                    yield c
+            return solve_each(p, steps())
+        solve_each = lp.solve_each
         monkeypatch.setattr(st, "_dual_builder", counted("builds", st._dual_builder))
+        monkeypatch.setattr(lp, "_phase1", counted("phase1", lp._phase1))
+        monkeypatch.setattr(lp, "solve_each", counted_walk)
         monkeypatch.setattr(lp, "solve", counted("solves", lp.solve))
         monkeypatch.setattr(cap, "kinematic_supremum",
                             counted("patterns", cap.kinematic_supremum))
         return counts
 
+    # the vertices of the 1x1 plate whose value is K (elastic: codes 0, 8,
+    # 21 and 23; plastic: 10 codes); every other one is at least 1 below K
     @pytest.mark.parametrize("mode", [st.ELASTIC, st.PLASTIC])
     def test_exact(self, square_ops, counts, mode):
         cap.generalized_K(square_ops, mode, cap.EXACT)
-        assert counts == {"builds": 1, "solves": 2 ** 5, "patterns": 2 ** 5}
+        ties = {st.ELASTIC: 4, st.PLASTIC: 10}[mode]
+        assert counts == {"builds": 1, "phase1": 1, "walk_steps": 2 ** 5,
+                          "solves": ties, "patterns": ties}
 
     @pytest.mark.parametrize("mode", [st.ELASTIC, st.PLASTIC])
     def test_heuristic(self, square_ops, counts, mode):

@@ -198,6 +198,17 @@ class TestVerify:
         assert code == cli.EXIT_OK
         assert json.loads(out)["seed"] == 7
 
+    def test_lp_oracle_relative_tolerance(self, capsys, tmp_path):
+        # lp_oracle_8 of this seed has optimum -33664.772204; solve and
+        # solve_brute differ there by 2.9e-7, which is 9e-12 relative
+        mesh_path = tmp_path / "plate.mesh"
+        msh.write_mesh(msh.generate_rectangle(1, 1, 2, 2, "left", "right"),
+                       mesh_path)
+        code, out, _ = run(capsys, ["verify", str(mesh_path), "--trials", "5",
+                                    "--seed", "889717146"])
+        assert code == cli.EXIT_OK
+        assert json.loads(out)["all_ok"]
+
 
 class TestBadNumbers:
     @pytest.mark.parametrize("y0", ["nan", "inf", "0", "-1"])
@@ -270,14 +281,32 @@ class TestSolveCounts:
             assert code == cli.EXIT_OK
             assert len(solves) == 1, argv
 
-    def test_exact_capacity(self, capsys, square_files, solves):
-        # 3 loaded edges x 2 components: 2^5 sign patterns; the worst
-        # pattern's own solution is certified, not solved again
+    def test_exact_capacity(self, capsys, square_files, solves, monkeypatch):
+        # 3 loaded edges x 2 components: 2^5 sign patterns, each one step
+        # of one walk after one phase 1; then one solve for each of the 4
+        # patterns whose value is K, and the worst pattern's own solution
+        # is certified, not solved again
+        phase1, solve_each = lp._phase1, lp.solve_each
+        calls = {"phase1": 0, "walk_steps": 0}
+
+        def counted_phase1(*args):
+            calls["phase1"] += 1
+            return phase1(*args)
+
+        def counted_walk(p, costs):
+            def steps():
+                for c in costs:
+                    calls["walk_steps"] += 1
+                    yield c
+            return solve_each(p, steps())
+        monkeypatch.setattr(lp, "_phase1", counted_phase1)
+        monkeypatch.setattr(lp, "solve_each", counted_walk)
         mesh_path, _ = square_files
         code, out, _ = run(capsys, ["capacity", mesh_path])
         assert code == cli.EXIT_OK
         assert json.loads(out)["method"] == "exact_vertex_enumeration"
-        assert len(solves) == 2 ** 5
+        assert calls == {"phase1": 1, "walk_steps": 2 ** 5}
+        assert len(solves) == 4
 
     @pytest.mark.parametrize("trials", [0, 2])
     def test_verify(self, capsys, square_files, bar_files, solves, trials):

@@ -442,6 +442,109 @@ class TestSharedPhase1:
             p.with_objective([np.inf, 1.0])
 
 
+class TestSolveEach:
+    """The walk gives, for each cost in turn, the status and objective that
+    `solve` gives the LP with that cost."""
+
+    @staticmethod
+    def walk_matches_solve(p, costs):
+        """The walk's statuses, after checking them and its objectives
+        against `solve`."""
+        got = list(lp.solve_each(p, costs))
+        assert len(got) == len(costs)
+        for (status, objective), c in zip(got, costs):
+            want = lp.solve(p.with_objective(c))
+            assert status == want.status, dump(p.with_objective(c))
+            if status == lp.OPTIMAL:
+                assert objective == pytest.approx(want.objective, rel=1e-9, abs=1e-9)
+            else:
+                assert objective is None
+        return [status for status, _ in got]
+
+    def test_random_walks_match_solve(self):
+        rng = np.random.default_rng(1212)
+        counts = {lp.OPTIMAL: 0, lp.INFEASIBLE: 0, lp.UNBOUNDED: 0}
+        bounded_after_unbounded = 0
+        for trial in range(120):
+            p = TestFreeVariables.random_lp(rng, trial % 4)
+            if trial % 8 >= 4:
+                p = lp.LPStandardForm(c=p.c, A=p.A, b=p.b)  # no free column
+            n = len(p.c)
+            # costs near one another, as in a walk over sign patterns, and
+            # some dual feasible ones, so that a walk often leaves an
+            # unbounded step for an optimal one
+            base = rng.normal(size=n)
+            costs = []
+            for step in range(8):
+                if step % 3 == 2:
+                    c = p.A.T @ rng.normal(size=len(p.b)) + np.where(
+                        p.free, 0.0, np.abs(rng.normal(size=n)))
+                else:
+                    c = base.copy()
+                    c[rng.integers(n)] *= -1.0
+                costs.append(c)
+            statuses = self.walk_matches_solve(p, costs)
+            for s in statuses:
+                counts[s] += 1
+            bounded_after_unbounded += sum(
+                a == lp.UNBOUNDED and b == lp.OPTIMAL
+                for a, b in zip(statuses, statuses[1:]))
+        assert min(counts.values()) > 50, counts
+        assert bounded_after_unbounded > 50
+
+    @pytest.mark.parametrize("name,factory", MESH_CASES, ids=[c[0] for c in MESH_CASES])
+    @pytest.mark.parametrize("mode", [st.ELASTIC, st.PLASTIC])
+    def test_kinematic_lp(self, name, factory, mode):
+        # free columns, and costs that differ in one sign of the work
+        ops = kin.assemble(factory())
+        prob = st.kinematic_lp(ops, mode).prob
+        rng = np.random.default_rng(1213)
+        f = rng.uniform(-1.0, 1.0, size=ops.n_dof)
+        costs = []
+        for _ in range(12):
+            f[rng.integers(ops.n_dof)] *= -1.0
+            c = np.zeros(len(prob.c))
+            c[:ops.n_dof] = f
+            costs.append(c)
+        assert self.walk_matches_solve(prob, costs) == [lp.OPTIMAL] * 12
+
+    def test_unbounded_then_bounded(self):
+        # x free, s >= 0, x + s = 1: cost +1 on x is unbounded below, cost
+        # -1 stops at x = 1, and cost +1 on s stops at s = 0
+        p = standard_free([0.0, 0.0], [[1.0, 1.0]], [1.0], [True, False])
+        costs = [[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
+        assert list(lp.solve_each(p, costs)) == [
+            (lp.UNBOUNDED, None), (lp.OPTIMAL, -1.0), (lp.UNBOUNDED, None),
+            (lp.OPTIMAL, 0.0), (lp.UNBOUNDED, None)]
+
+    def test_infeasible(self):
+        # x, y >= 0 and x + y = -1
+        p = standard([0.0, 0.0], [[1.0, 1.0]], [-1.0])
+        costs = [[1.0, 2.0], [-1.0, 0.0], [0.0, 0.0]]
+        assert list(lp.solve_each(p, costs)) == [(lp.INFEASIBLE, None)] * 3
+        assert self.walk_matches_solve(p, costs) == [lp.INFEASIBLE] * 3
+
+    def test_phase1_runs_once(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        A = rng.normal(size=(4, 8))
+        base = standard(np.zeros(8), A, A @ rng.uniform(0.0, 1.0, size=8))
+        phase1 = lp._phase1
+        calls = []
+        monkeypatch.setattr(lp, "_phase1",
+                            lambda *args: calls.append(1) or phase1(*args))
+        costs = [rng.normal(size=8) for _ in range(5)]
+        assert len(list(lp.solve_each(base, costs))) == 5
+        lp.solve(base.with_objective(costs[0]))
+        assert len(calls) == 1
+
+    def test_costs_checked(self):
+        p = standard([1.0, 1.0], [[1.0, 1.0]], [1.0])
+        with pytest.raises(lp.LPError, match="shape"):
+            list(lp.solve_each(p, [[1.0]]))
+        with pytest.raises(lp.LPError, match="non-finite"):
+            list(lp.solve_each(p, [[np.nan, 1.0]]))
+
+
 class TestIterationLimit:
     def _lp(self):
         # phase 1 takes 3 pivots and phase 2 another 5
@@ -462,6 +565,14 @@ class TestIterationLimit:
         assert f"phase {phase}" in message
         assert "3 x 7" in message
         assert f"{max_iter} iterations" in message
+
+    def test_walk_names_phase_shape_and_count(self, monkeypatch):
+        p = self._lp()
+        monkeypatch.setattr(lp, "_MAX_ITER", 5)
+        with pytest.raises(lp.LPIterationError,
+                           match="phase 2 did not terminate in 5 iterations "
+                                 "on a 3 x 7 LP"):
+            list(lp.solve_each(p, [p.c]))
 
 
 class TestCrashStart:
