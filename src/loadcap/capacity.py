@@ -24,7 +24,7 @@ from .kinematics import (DiscreteOperators, check_traction, trace,
                          traction_sup_norm, work_vector)
 from .stress import (ELASTIC, PLASTIC, certify, kinematic_lp,
                      kinematic_suprema, kinematic_supremum, optimal_stress,
-                     optimal_stress_primal, stress_measure)
+                     static_lp, static_optima, stress_measure)
 
 EXACT = "exact_vertex_enumeration"
 HEURISTIC = "alternating_heuristic"
@@ -159,10 +159,13 @@ def _safe_inverse(K: float) -> float:
 
 def generalized_K_dual_check(ops: DiscreteOperators, mode: str = ELASTIC) -> float:
     """K recomputed from the static side: the max of the static LP's
-    sigma_opt over the vertices of the unit traction ball.  An oracle
-    independent of the kinematic LPs that `generalized_K` solves."""
-    return max((optimal_stress_primal(ops, t, mode)[0]
-                for t in _vertex_tractions(ops)))
+    sigma_opt over the vertices of the unit traction ball, from one walk
+    over their right-hand sides (`static_optima`).  An oracle independent
+    of the kinematic LPs that `generalized_K` solves."""
+    tractions = _vertex_tractions(ops)
+    static = static_lp(ops, mode)
+    return float(static_optima(
+        static, (work_vector(ops, t) for t in tractions)).max())
 
 
 def limit_analysis(ops: DiscreteOperators, t, Y0: float) -> LimitResult:

@@ -1,5 +1,6 @@
-"""Dense two-phase simplex with Dantzig pricing and a Bland fallback, plus
-an enumeration oracle.
+"""Dense two-phase simplex with Dantzig pricing and a Bland fallback, a
+dense dual simplex for LPs whose crash basis is dual feasible, and an
+enumeration oracle.
 
 Standard form with free columns: minimize c.x subject to A.x = b, where
 x_j >= 0 except on the columns that `LPStandardForm.free` marks.  Both
@@ -28,6 +29,15 @@ on one phase-2 tableau, each phase 2 starting from the basis where the
 previous one stopped, which stays feasible because A and b are the same;
 it gives each status and objective, with the walk's rounding, and no
 solution.
+An LP with c >= 0 whose free columns and crash columns cost nothing,
+such as the static stress LP, skips phase 1: its rows without a crash
+column take free columns by Gaussian pivots (if a row finds none, the LP
+takes two phases), and that basis is dual feasible for any b, so `solve`
+runs the dual simplex from it.
+`solve_each_rhs` walks a sequence of right-hand sides the same way as
+`solve_each` walks costs: each step sets x_B = B^-1 b at the previous
+optimal basis, which stays dual feasible because A and c are the same,
+and runs the dual simplex from there.
 """
 
 from __future__ import annotations
@@ -41,6 +51,7 @@ import numpy as np
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
+DUAL = "dual"
 
 _PIVOT_TOL = 1e-9
 _FEAS_TOL = 1e-8
@@ -63,12 +74,14 @@ class LPError(ValueError):
 
 
 class LPIterationError(RuntimeError):
-    """Iteration limit exceeded; never reported as a wrong answer."""
+    """Iteration limit exceeded; never reported as a wrong answer.  phase
+    is 1 or 2 for the two-phase simplex and `DUAL` for the dual simplex."""
 
-    def __init__(self, phase: int, shape: tuple, iterations: int):
+    def __init__(self, phase, shape: tuple, iterations: int):
         self.phase, self.shape, self.iterations = phase, shape, iterations
+        name = "dual simplex" if phase == DUAL else f"simplex phase {phase}"
         super().__init__(
-            f"simplex phase {phase} did not terminate in {iterations} "
+            f"{name} did not terminate in {iterations} "
             f"iterations on a {shape[0]} x {shape[1]} LP (rows x cols)")
 
 
@@ -308,36 +321,144 @@ def _phase2(T: np.ndarray, basis: np.ndarray, c: np.ndarray,
     return _simplex(T, basis, free, 2, shape)[0]
 
 
-def solve(p: LPStandardForm) -> LPSolution:
-    """Two-phase dense simplex.  Deterministic for identical input, and
-    the same whether phase 1 is run here or shared with an LP of the same
-    A and b."""
+def _dual_start(p: LPStandardForm):
+    """The dual simplex's cold start for p, as (tableau, basis), or None
+    if p is not eligible.  p is eligible when c >= 0, c = 0 on the free
+    columns and on every `_crash_basis` column, and every row without a
+    crash column can take a free column (so there must be at least as many
+    free columns as such rows).  Those rows take one, by one
+    Gaussian pivot each on the largest entry among the free columns.  All
+    basic costs are then 0, so the reduced costs are c itself: >= 0, and
+    0 on the free columns, which is dual feasible for any b."""
+    c, free = p.c, p.free
+    if (c < 0.0).any() or c[free].any():
+        return None
     m, n = p.A.shape
+    basis = _crash_basis(p.A)
+    crashed = np.flatnonzero(basis >= 0)
+    if c[basis[crashed]].any() or np.count_nonzero(free) < m - len(crashed):
+        return None
+    T = np.empty((m + 1, n + 1))  # [A | b] over [c | 0]
+    T[:m, :n] = p.A
+    T[:m, -1] = p.b
+    T[-1, :n] = c
+    T[-1, -1] = 0.0
+    T[crashed] /= T[crashed, basis[crashed]][:, None]
+    for r in np.flatnonzero(basis < 0):
+        entries = np.where(free, np.abs(T[r, :n]), 0.0)
+        j = int(np.argmax(entries))
+        if entries[j] <= _PIVOT_TOL:
+            return None
+        _pivot(T, r, j)
+        basis[r] = j
+    return T, basis
+
+
+def _dual_simplex(T: np.ndarray, basis: np.ndarray, free: np.ndarray,
+                  shape: tuple) -> tuple:
+    """Run the dual simplex on a tableau laid out as in `_simplex`, whose
+    basis is dual feasible: reduced costs >= 0, and 0 on the nonbasic free
+    columns.  The leaving row has the most negative basic value among the
+    rows whose basic variable is not free; a free basic variable never
+    leaves.  The entering column has the least ratio d_j / |T_rj| over the
+    nonbasic columns with T_rj < 0, or T_rj != 0 for a free one, whose
+    d_j = 0; among ties, the largest |T_rj|.  A free column enters at most
+    once, so its pivots cannot be part of a cycle; after `_STALL` other
+    dual-degenerate pivots (ratio 0) in a row, the loop follows dual
+    Bland's rule (the negative row with the lowest basic index leaves, the
+    lowest-index tie enters) until a pivot moves the dual objective again.
+    A leaving row without an entering column proves the LP infeasible.
+    Fails after `_MAX_ITER` pivots.  Mutates T and the int array basis;
+    returns (status, pivots)."""
+    n = len(free)
+    locked = free[basis]
+    stalled = 0
+    for pivots in range(_MAX_ITER):
+        values = np.where(locked, 0.0, T[:-1, -1])
+        if stalled < _STALL:
+            r = int(np.argmin(values))
+            if values[r] >= -_PIVOT_TOL:
+                return OPTIMAL, pivots
+        else:
+            rows = np.flatnonzero(values < -_PIVOT_TOL)
+            if rows.size == 0:
+                return OPTIMAL, pivots
+            r = int(rows[np.argmin(basis[rows])])
+        row = T[r, :n]
+        cols = np.flatnonzero(np.where(free, np.abs(row) > _PIVOT_TOL,
+                                       row < -_PIVOT_TOL))
+        if cols.size == 0:
+            return INFEASIBLE, pivots
+        size = np.abs(row[cols])
+        ratios = np.maximum(T[-1, cols], 0.0) / size
+        best = ratios.min()
+        ties = ratios <= best + 1e-12
+        j = int(cols[np.argmax(np.where(ties, size, -1.0) if stalled < _STALL
+                               else ties)])
+        if best > 1e-12:
+            stalled = 0
+        elif not free[j]:
+            stalled += 1
+        _pivot(T, r, j)
+        basis[r] = j
+        locked[r] = free[j]
+    raise LPIterationError(DUAL, shape, _MAX_ITER)
+
+
+class _Final(NamedTuple):
+    """Where a cold solve stopped: its status, and unless it is
+    infeasible at phase 1, the final tableau with its reduced-cost row,
+    the basis and the rows of A kept."""
+
+    status: str
+    tableau: np.ndarray | None = None
+    basis: np.ndarray | None = None
+    keep_rows: np.ndarray | None = None
+
+
+def _solve_cold(p: LPStandardForm) -> _Final:
+    """The dual simplex from `_dual_start` if p is eligible; otherwise
+    phase 2 on a copy of p's phase 1 (shared through its memo)."""
+    m, n = p.A.shape
+    start = _dual_start(p)
+    if start is not None:
+        T, basis = start
+        status = _dual_simplex(T, basis, p.free, (m, n))[0]
+        return _Final(status, T, basis, np.arange(m))
     start = _start(p)
     if start.tableau is None:
-        return LPSolution(INFEASIBLE)
-
-    # phase 2 on a copy of the shared start, with the original costs
+        return _Final(INFEASIBLE)
     mm = len(start.basis)
     basis = start.basis.copy()
-    T2 = np.empty((mm + 1, n + 1))
-    T2[:mm] = start.tableau
-    if _phase2(T2, basis, p.c, p.free, (m, n)) == UNBOUNDED:
-        return LPSolution(UNBOUNDED)
+    T = np.empty((mm + 1, n + 1))
+    T[:mm] = start.tableau
+    status = _phase2(T, basis, p.c, p.free, (m, n))
+    return _Final(status, T, basis, np.asarray(start.keep_rows))
+
+
+def solve(p: LPStandardForm) -> LPSolution:
+    """Dense simplex: the dual simplex from a crash basis when that basis
+    is dual feasible (`_dual_start`), else two phases.  Deterministic for
+    identical input, and the same whether phase 1 is run here or shared
+    with an LP of the same A and b."""
+    m, n = p.A.shape
+    status, T, basis, keep_rows = _solve_cold(p)
+    if status != OPTIMAL:
+        return LPSolution(status)
 
     x = np.zeros(n)
-    x[basis] = T2[:mm, -1]
+    x[basis] = T[:-1, -1]
     obj = float(p.c @ x)
 
     # equality multipliers from the final basis w.r.t. the original rows
     # (dropped redundant rows get zero)
     y = np.zeros(m)
-    Bt = p.A[start.keep_rows][:, basis].T.copy()
+    Bt = p.A[np.ix_(keep_rows, basis)].T
     try:
         y_keep = np.linalg.solve(Bt, p.c[basis])
     except np.linalg.LinAlgError:
         y_keep, *_ = np.linalg.lstsq(Bt, p.c[basis], rcond=None)
-    y[start.keep_rows] = y_keep
+    y[keep_rows] = y_keep
     return LPSolution(OPTIMAL, x=x, y=y, objective=obj)
 
 
@@ -372,6 +493,38 @@ def solve_each(p: LPStandardForm, costs):
             yield OPTIMAL, float(c[basis] @ T[:-1, -1])
 
 
+def solve_each_rhs(p: LPStandardForm, rhss):
+    """For each right-hand side b in turn, the (status, objective) that
+    `solve` gives p with b (objective None unless optimal), up to
+    rounding.  The first b, and each one after a step that was not optimal
+    or that dropped redundant rows, is solved cold as `solve` does.  Every
+    other b continues from the previous optimal basis: x_B = B^-1 b from
+    the original data, then the dual simplex.  A and c never change, so
+    that basis stays dual feasible, and right-hand sides that differ
+    little need few pivots.  As in `solve_each`, the reduced costs carry
+    the rounding of the pivots before a step, and p's own b is not
+    used."""
+    m, n = p.A.shape
+    T, basis = None, None  # the last optimal tableau and basis, all rows kept
+    for b in rhss:
+        b = np.asarray(b, dtype=float)
+        if b.shape != (m,):
+            raise LPError(f"right-hand side has shape {b.shape}, expected ({m},)")
+        if not np.all(np.isfinite(b)):
+            raise LPError("right-hand side contains non-finite entries")
+        if T is None:
+            status, T, basis, _ = _solve_cold(
+                LPStandardForm(c=p.c, A=p.A, b=b, free=p.free))
+        else:
+            T[:-1, -1] = np.linalg.solve(p.A[:, basis], b)
+            T[-1, -1] = -(p.c[basis] @ T[:-1, -1])
+            status = _dual_simplex(T, basis, p.free, (m, n))[0]
+        objective = float(p.c[basis] @ T[:-1, -1]) if status == OPTIMAL else None
+        if status != OPTIMAL or len(basis) < m:  # not optimal, or rows dropped
+            T = None
+        yield status, objective
+
+
 _BRUTE_CAP = 14
 
 
@@ -400,27 +553,30 @@ def _independent_rows(A: np.ndarray, b: np.ndarray):
 
 
 def _enumerate_best(A, b, c):
-    """Best objective over basic feasible solutions, or None if none exist."""
+    """Best objective over basic feasible solutions, or None if none exist.
+    The bases are the column combinations in `combinations` order, solved
+    in one batch; the first one whose objective beats all before it by
+    more than 1e-12 is the best."""
     rows, infeasible = _independent_rows(A, b)
     if infeasible:
         return None, None
     Ar, br = A[rows], b[rows]
     r = len(rows)
     n = A.shape[1]
-    best_obj, best_x = None, None
     if r == 0:
         return 0.0, np.zeros(n)
-    for cols in combinations(range(n), r):
-        B = Ar[:, cols]
-        if abs(np.linalg.det(B)) < 1e-9:
-            continue
-        xb = np.linalg.solve(B, br)
-        if np.any(xb < -1e-9):
-            continue
-        x = np.zeros(n)
-        x[list(cols)] = xb
-        if np.abs(A @ x - b).max(initial=0.0) > 1e-7 * (1.0 + np.abs(b).max(initial=0.0)):
-            continue
+    cols = np.array(list(combinations(range(n), r)))
+    B = Ar[:, cols].transpose(1, 0, 2)  # B[k] = Ar[:, cols[k]]
+    regular = np.abs(np.linalg.det(B)) >= 1e-9
+    cols, B = cols[regular], B[regular]
+    xb = np.linalg.solve(B, np.broadcast_to(br[:, None], (len(B), r, 1)))[..., 0]
+    X = np.zeros((len(cols), n))
+    np.put_along_axis(X, cols, xb, axis=1)
+    residual = np.abs(X @ A.T - b).max(axis=1, initial=0.0)
+    feasible = np.all(xb >= -1e-9, axis=1) & \
+        (residual <= 1e-7 * (1.0 + np.abs(b).max(initial=0.0)))
+    best_obj, best_x = None, None
+    for x in X[feasible]:
         obj = float(c @ x)
         if best_obj is None or obj < best_obj - 1e-12:
             best_obj, best_x = obj, x

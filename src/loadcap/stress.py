@@ -7,7 +7,11 @@ the matching strain budget: plain volume-weighted entrywise-1 norm in
 elastic mode, and its quotient by spherical shifts in plastic mode,
 which makes the two linear programs exact duals of each other.
 `optimal_stress` solves only the kinematic LP, reads the stress off its
-multipliers and certifies the pair by weak duality.
+multipliers and certifies the pair by weak duality.  The static LP, an
+independent reference, is built once per mesh and mode with its
+right-hand side open (`static_lp`); it starts dual feasible, so it is
+solved by the dual simplex, and `static_optima` walks it over a sequence
+of tractions.
 """
 
 from __future__ import annotations
@@ -136,26 +140,39 @@ def _solve(prob: lp.LPStandardForm, name: str) -> lp.LPSolution:
         raise SolverFailure(f"{name}: {exc}") from exc
 
 
-def optimal_stress_primal(ops: DiscreteOperators, t, mode: str):
-    """Minimize the stress bound T over all equilibrating stress fields.
+class StaticLP(NamedTuple):
+    """The static LP of one mesh and mode with its right-hand side left
+    open: minimize the stress bound T over the stress fields that balance
+    a traction.  Its columns are every element's stress components, then
+    in 2D plastic mode every element's out-of-plane normal stress u, then
+    T, then the bound rows' slacks.  Its first n_dof rows are the
+    equilibrium rows and the bound rows have b = 0, so the LP of a
+    traction t has b = (work_vector(t), 0) (`_static_rhs`).  Only T has a
+    cost, so `lp.solve` runs the dual simplex on it from its slacks and
+    free stress columns, and a walk over tractions keeps its basis."""
 
-    Returns (sigma_opt, sigma_hat).
-    """
+    n_dof: int
+    n_comp: int
+    n_u: int  # 1 for the 2D out-of-plane stress in plastic mode, else 0
+    prob: lp.LPStandardForm
+
+
+def static_lp(ops: DiscreteOperators, mode: str) -> StaticLP:
+    """The static LP of `ops` in `mode`, to solve for many tractions."""
     check_mode(mode)
-    t = check_traction(ops, t)
     if mode == PLASTIC:
         require_plastic_viable(ops)
     dim, n_el = ops.dim, ops.n_elements
     nc = n_comps(dim)
     bound = _deviatoric_rows(dim) if mode == PLASTIC else np.eye(nc)
-    n_u = bound.shape[1] - nc  # 1 for the 2D out-of-plane stress
+    n_u = bound.shape[1] - nc
     # variables: every element's stress, then every element's u, then T
     builder = lp.LPBuilder()
     builder.add_vars(n_el * (nc + n_u), nonneg=False)
     builder.add_vars(1)
     equilibrium = np.zeros((ops.n_dof, builder.n_vars))
     equilibrium[:, :n_el * nc] = (ops.strain_weights[:, None] * ops.strain_op).T
-    builder.add_eq(equilibrium, work_vector(ops, t))
+    builder.add_eq(equilibrium, 0.0)
     # per element and bound row r: r.s <= T, then -r.s <= T
     signed = np.stack([bound, -bound], axis=1).reshape(-1, bound.shape[1])
     el, rows = np.arange(n_el)[:, None, None], np.arange(len(signed))[:, None]
@@ -166,15 +183,61 @@ def optimal_stress_primal(ops: DiscreteOperators, t, mode: str):
     builder.add_le(bounds.reshape(-1, builder.n_vars), 0.0)
     objective = np.zeros(builder.n_vars)
     objective[-1] = 1.0
-    sol = _solve(builder.build(objective), "static LP")
-    if sol.status != lp.OPTIMAL:
+    return StaticLP(ops.n_dof, nc, n_u, builder.build(objective))
+
+
+def _static_rhs(static: StaticLP, work) -> np.ndarray:
+    """The static LP's right-hand side for the work vector of a traction;
+    adding 0.0 turns a -0.0 of the work into 0.0."""
+    b = np.zeros(len(static.prob.b))
+    b[:static.n_dof] = np.asarray(work, dtype=float) + 0.0
+    return b
+
+
+def _check_static(status: str):
+    """Raise the `SolverFailure` of a static LP that ended with status."""
+    if status != lp.OPTIMAL:
         raise SolverFailure(
-            f"primal stress LP ended with status {sol.status}; with a "
+            f"primal stress LP ended with status {status}; with a "
             "nonempty supported boundary on a connected mesh this indicates "
             "an internal error")
-    x = sol.x[:builder.n_vars]
-    return float(sol.objective), StressField(x[:n_el * nc].reshape(n_el, nc),
-                                             x[n_el * nc:-1] if n_u else None)
+
+
+def optimal_stress_primal(ops: DiscreteOperators, t, mode: str):
+    """Minimize the stress bound T over all equilibrating stress fields.
+
+    Returns (sigma_opt, sigma_hat).
+    """
+    check_mode(mode)
+    t = check_traction(ops, t)
+    static = static_lp(ops, mode)
+    prob = static.prob
+    sol = _solve(lp.LPStandardForm(c=prob.c, A=prob.A, free=prob.free,
+                                   b=_static_rhs(static, work_vector(ops, t))),
+                 "static LP")
+    _check_static(sol.status)
+    n_el = ops.n_elements
+    n_stress = n_el * static.n_comp
+    return float(sol.objective), StressField(
+        sol.x[:n_stress].reshape(n_el, static.n_comp),
+        sol.x[n_stress:n_stress + n_el] if static.n_u else None)
+
+
+def static_optima(static: StaticLP, works) -> np.ndarray:
+    """The value of `optimal_stress_primal` for the traction of each work
+    vector in turn, from one walk over the right-hand sides
+    (`lp.solve_each_rhs`), without stress fields.  A value may differ
+    from `optimal_stress_primal`'s in its last digits.  Failures raise the
+    same `SolverFailure`s."""
+    rhss = (_static_rhs(static, work) for work in works)
+    values = []
+    try:
+        for status, value in lp.solve_each_rhs(static.prob, rhss):
+            _check_static(status)
+            values.append(value)
+    except lp.LPIterationError as exc:
+        raise SolverFailure(f"static LP: {exc}") from exc
+    return np.array(values)
 
 
 @functools.lru_cache(maxsize=None)

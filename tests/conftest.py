@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -161,3 +163,32 @@ def unit_bar():
 @pytest.fixture
 def unit_square():
     return msh.generate_rectangle(1.0, 1.0, 1, 1, "left", "right")
+
+
+def enumerate_best_loop(A, b, c):
+    """Oracle: `lp._enumerate_best` as one loop over the column
+    combinations, each basis solved on its own."""
+    rows, infeasible = lp._independent_rows(A, b)
+    if infeasible:
+        return None, None
+    Ar, br = A[rows], b[rows]
+    r = len(rows)
+    n = A.shape[1]
+    best_obj, best_x = None, None
+    if r == 0:
+        return 0.0, np.zeros(n)
+    for cols in combinations(range(n), r):
+        B = Ar[:, cols]
+        if abs(np.linalg.det(B)) < 1e-9:
+            continue
+        xb = np.linalg.solve(B, br)
+        if np.any(xb < -1e-9):
+            continue
+        x = np.zeros(n)
+        x[list(cols)] = xb
+        if np.abs(A @ x - b).max(initial=0.0) > 1e-7 * (1.0 + np.abs(b).max(initial=0.0)):
+            continue
+        obj = float(c @ x)
+        if best_obj is None or obj < best_obj - 1e-12:
+            best_obj, best_x = obj, x
+    return best_obj, best_x

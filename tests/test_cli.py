@@ -309,20 +309,36 @@ class TestSolveCounts:
         assert len(solves) == 4
 
     @pytest.mark.parametrize("trials", [0, 2])
-    def test_verify(self, capsys, square_files, bar_files, solves, trials):
-        # per trial and mode: the certified optimum, the static reference LP
-        # and the scaled traction; then ten LP-oracle solves
+    def test_verify(self, capsys, square_files, bar_files, solves, monkeypatch,
+                    trials):
+        # per trial and mode: the certified optimum and the scaled traction;
+        # then ten LP-oracle solves.  The static reference LPs are one walk
+        # per mode, one step per trial
+        solve_each_rhs, walks = lp.solve_each_rhs, []
+
+        def counted_walk(p, rhss):
+            walks.append(0)
+
+            def steps():
+                for b in rhss:
+                    walks[-1] += 1
+                    yield b
+            return solve_each_rhs(p, steps())
+        monkeypatch.setattr(lp, "solve_each_rhs", counted_walk)
         for (mesh_path, _), modes in ((square_files, 2), (bar_files, 1)):
             solves.clear()
+            walks.clear()
             code, _, _ = run(capsys, ["verify", mesh_path,
                                       "--trials", str(trials)])
             assert code == cli.EXIT_OK
-            assert len(solves) == 3 * trials * modes + 10
+            assert len(solves) == 2 * trials * modes + 10
+            assert walks == [trials] * modes
 
     def test_verify_phase1_runs(self, capsys, square_files, bar_files,
                                 monkeypatch):
-        # one phase 1 per mode shared by all kinematic solves, then one per
-        # static LP and one per LP-oracle solve
+        # one phase 1 per mode shared by all kinematic solves, and one per
+        # LP-oracle solve; the static LPs start dual feasible and run the
+        # dual simplex without a phase 1
         phase1 = lp._phase1
         calls = []
         monkeypatch.setattr(lp, "_phase1",
@@ -333,7 +349,7 @@ class TestSolveCounts:
             code, _, _ = run(capsys, ["verify", mesh_path,
                                       "--trials", str(trials)])
             assert code == cli.EXIT_OK
-            assert len(calls) == modes + trials * modes + 10
+            assert len(calls) == modes + 10
 
 
 def test_pivot_limit_names_the_lp(capsys, square_files, monkeypatch):

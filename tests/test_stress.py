@@ -177,6 +177,11 @@ class TestDegeneratePlates:
     def test_plastic_6x6_static_lp(self):
         self.check_static_lp(6, st.PLASTIC, 0.5)
 
+    def test_elastic_6x6_static_lp(self):
+        # the dual simplex from the static LP's crash basis: phase 1 took
+        # 37,036 pivots on this LP
+        self.check_static_lp(6, st.ELASTIC, 1.0)
+
 
 class TestStrongDuality:
     @pytest.mark.parametrize("name,factory", MESH_CASES, ids=[c[0] for c in MESH_CASES])
@@ -280,6 +285,53 @@ class TestKinematicLP:
         with pytest.raises(st.SolverFailure) as got:
             st.kinematic_suprema(kinematic, [f])
         assert str(got.value) == str(want.value)
+        assert type(got.value.__cause__) is type(want.value.__cause__)
+
+
+class TestStaticLP:
+    """One `static_lp` per mesh and mode; each traction only sets the
+    equilibrium rows' right-hand side."""
+
+    @pytest.mark.parametrize("name,factory", MESH_CASES, ids=[c[0] for c in MESH_CASES])
+    @pytest.mark.parametrize("mode", [st.ELASTIC, st.PLASTIC])
+    def test_optima_match_primal(self, name, factory, mode):
+        ops = kin.assemble(factory())
+        static = st.static_lp(ops, mode)
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
+        shape = (len(ops.gammat_facets), ops.dim)
+        tractions = [rng.uniform(-1, 1, size=shape) for _ in range(6)]
+        want = [st.optimal_stress_primal(ops, t, mode)[0] for t in tractions]
+        got = st.static_optima(static, [kin.work_vector(ops, t) for t in tractions])
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+        assert st.static_optima(static, []).shape == (0,)
+
+    def test_rhs_is_work_then_zeros(self, square_ops):
+        static = st.static_lp(square_ops, st.PLASTIC)
+        f = kin.work_vector(square_ops, np.ones((3, 2)))
+        b = st._static_rhs(static, f)
+        assert np.array_equal(b[:square_ops.n_dof], f)
+        assert not b[square_ops.n_dof:].any()
+        assert static.n_u == 1 and static.prob.free.sum() == \
+            square_ops.n_elements * (static.n_comp + 1)
+
+    @pytest.mark.parametrize("status", [lp.INFEASIBLE, "pivot limit"])
+    def test_optima_fail_as_primal(self, square_ops, monkeypatch, status):
+        static = st.static_lp(square_ops, st.ELASTIC)
+        t = np.ones((3, 2))
+        if status == "pivot limit":
+            monkeypatch.setattr(lp, "_MAX_ITER", 0)
+        else:
+            monkeypatch.setattr(lp, "solve", lambda p: lp.LPSolution(status))
+            monkeypatch.setattr(lp, "solve_each_rhs",
+                                lambda p, rhss: ((status, None) for _ in rhss))
+        with pytest.raises(st.SolverFailure) as want:
+            st.optimal_stress_primal(square_ops, t, st.ELASTIC)
+        with pytest.raises(st.SolverFailure) as got:
+            st.static_optima(static, [kin.work_vector(square_ops, t)])
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(
+            "static LP: dual simplex did not" if status == "pivot limit"
+            else "primal stress LP ended with status infeasible")
         assert type(got.value.__cause__) is type(want.value.__cause__)
 
 
