@@ -6,9 +6,10 @@ space: the supremum of boundary L1 norm over strain norm.  Its exact
 computation maximizes a convex piecewise-linear functional over a
 polytope, done here by exhaustive enumeration of boundary sign patterns
 (hard cap 16 scalar components): one simplex walk over the patterns in
-Gray-code order, each kinematic LP started from the previous one's
-optimal basis, then a full solve of every pattern whose walk value is a
-near tie of the best, among which the worst traction is chosen.  Beyond
+Gray-code order, which runs phase 2, from the optimal basis where the
+last one stopped, only for a pattern that no basis before it proves
+optimal, then a full solve of every pattern whose walk value is a near
+tie of the best, among which the worst traction is chosen.  Beyond
 the cap an alternating heuristic produces a certified lower bound; it
 solves every step in full, since a warm start could reach another optimal
 vertex and so another sign pattern and K.
@@ -32,7 +33,8 @@ SIGN_PATTERN_CAP = 16
 HEURISTIC_MAX_ITER = 50
 HEURISTIC_RESTARTS = 8
 # a walk value this close to the best, relative to 1 + |best|, is solved
-# again cold: the walk's rounding measured 5e-14 at m = 12, 1.2e-12 at m = 16
+# again cold: the walk's rounding measured 3.6e-14 at m = 12 and 6.7e-13 at
+# m = 16 (absolute, on the 2x2 and 3x2 plates)
 _NEAR_TIE = 1e-9
 
 
@@ -86,16 +88,19 @@ def _vertex_tractions(ops: DiscreteOperators):
     return (_vertex(code, m).reshape(-1, ops.dim) for code in range(2 ** (m - 1)))
 
 
-def _gray_works(unit_work: np.ndarray):
-    """The work vectors of the vertices in Gray-code order, step k visiting
-    code k ^ (k >> 1): each step flips one sign, component b + 1 with b the
-    lowest set bit of k.  Row i of unit_work is the work vector of the unit
-    traction on component i, and work is linear in the traction."""
-    signs = np.ones(len(unit_work))
-    for k in range(2 ** (len(unit_work) - 1)):
-        if k:
-            signs[(k & -k).bit_length()] *= -1.0
-        yield signs @ unit_work
+def _gray_signs(m: int) -> np.ndarray:
+    """The 2^(m-1) vertices of the unit traction ball up to sign, raveled,
+    in Gray-code order: row k is `_vertex(k ^ (k >> 1), m)`, so each row
+    flips one sign of the row before, component b + 1 with b the lowest
+    set bit of k.  Built by reflection: rows 2^b to 2^(b+1) - 1 are the
+    rows before them in reverse, with component b + 1 negative.  int8, and
+    no temporary array."""
+    signs = np.ones((2 ** (m - 1), m), dtype=np.int8)
+    for b in range(m - 1):
+        half = 2 ** b
+        signs[half:2 * half] = signs[half - 1::-1]
+        signs[half:2 * half, b + 1] = -1
+    return signs
 
 
 def generalized_K(ops: DiscreteOperators, mode: str = ELASTIC,
@@ -105,7 +110,9 @@ def generalized_K(ops: DiscreteOperators, mode: str = ELASTIC,
     LP, built once here, so all of them share its phase 1.
 
     Exact: one simplex walk (`kinematic_suprema`) gives every vertex's
-    value, in Gray-code order.  Its values carry the rounding of the walk,
+    value, in Gray-code order (`_gray_signs`), and settles every vertex
+    that an optimal basis it reaches already proves optimal without a
+    phase 2 of its own.  Its values carry the rounding of the walk,
     so every vertex within `_NEAR_TIE` (relative) of the best is solved
     again on its own, by code counting up, and the first one that beats
     all before it by more than 1e-12 is the worst traction.  K is
@@ -115,7 +122,7 @@ def generalized_K(ops: DiscreteOperators, mode: str = ELASTIC,
         kinematic = kinematic_lp(ops, mode)
         unit_work = np.array([work_vector(ops, e.reshape(-1, ops.dim))
                               for e in np.eye(m)])
-        values = kinematic_suprema(kinematic, _gray_works(unit_work))
+        values = kinematic_suprema(kinematic, unit_work, _gray_signs(m))
         top = values.max()
         steps = np.flatnonzero(values >= top - _NEAR_TIE * (1.0 + abs(top)))
         best_val, worst, best_w, best_y = -1.0, None, None, None

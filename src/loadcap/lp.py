@@ -24,11 +24,13 @@ the start is feasible, and phase 1 is only the degenerate pivots that
 drive the artificials out.  Phase 1 depends on A, b and the free columns
 only, so LPs that differ only in their costs
 (`LPStandardForm.with_objective`) share one phase 1 and each runs only
-phase 2.  `solve_each` goes further for a sequence of costs: it walks them
-on one phase-2 tableau, each phase 2 starting from the basis where the
-previous one stopped, which stays feasible because A and b are the same;
-it gives each status and objective, with the walk's rounding, and no
-solution.
+phase 2.  `solve_each` goes further for the costs w @ U of the rows w of
+a weight matrix: it walks the rows in order on one phase-2 tableau, each
+phase 2 starting from the basis where the previous one stopped, which
+stays feasible because A and b are the same.  At each optimal basis it
+prices the next rows in one matrix product and settles every row that
+the basis proves optimal too, without a phase 2 of its own.  It gives
+each status and objective, with the walk's rounding, and no solution.
 An LP with c >= 0 whose free columns and crash columns cost nothing,
 such as the static stress LP, skips phase 1: its rows without a crash
 column take free columns by Gaussian pivots (if a row finds none, the LP
@@ -67,6 +69,10 @@ _DENSE_BELOW = 10000
 # (fitted to pivot timings of kinematic and static LPs of 10^4-10^6 entries)
 _BLOCK_COST = 8
 _COLS_COST = 4
+# rows not yet settled that `solve_each` prices at each optimal basis: a
+# window, because a row it cannot settle is priced again at every later
+# basis (timed from 32 to 1024 on exact K at 12 to 16 sign components)
+_LOOKAHEAD = 256
 
 
 class LPError(ValueError):
@@ -462,35 +468,64 @@ def solve(p: LPStandardForm) -> LPSolution:
     return LPSolution(OPTIMAL, x=x, y=y, objective=obj)
 
 
-def solve_each(p: LPStandardForm, costs):
-    """For each cost vector in turn, the (status, objective) that `solve`
-    gives p with those costs (objective None unless optimal), up to
-    rounding.  One walk: p's phase 1 (shared through its memo), then one
-    phase 2 per cost on one tableau, each starting from the basis where the
-    previous one stopped.  A and b never change, so that basis stays
-    feasible, and costs that differ little need few pivots.  The rounding
-    of the pivots before a step carries into its objective, so values
-    that must be exact, or a solution, come from `solve`.  p's own costs
-    are not used."""
+def solve_each(p: LPStandardForm, unit_costs, weights) -> tuple:
+    """For each row w of weights, the status and objective that `solve`
+    gives p with costs w @ unit_costs, up to rounding: an array of
+    statuses and one of objectives, nan unless optimal.  One walk over the
+    rows in order, after p's phase 1 (shared through its memo).  The first
+    row not yet settled runs phase 2 from the basis where the previous
+    phase 2 stopped; A and b never change, so that basis stays feasible.
+    At the optimal basis B it reaches, the reduced costs of the unit costs
+    U, R = U - U_B B^-1 A, price the next `_LOOKAHEAD` rows not yet
+    settled in one product, w @ R, with a free column at -|d_j| as in
+    `_simplex`.  Each row with no price below -`_PIVOT_TOL`, the test
+    `_simplex` stops on, is optimal at B too, and settles with the value
+    w . (U_B x_B).  Rows that share optimal bases, such as the sign
+    patterns of a traction, so need far fewer phase 2s than there are
+    rows.  The rounding of the pivots before B carries into the values,
+    so values that must be exact, or a solution, come from `solve`.  p's
+    own costs are not used."""
     m, n = p.A.shape
+    U = np.asarray(unit_costs, dtype=float)
+    W = np.asarray(weights)
+    if U.ndim != 2 or U.shape[1] != n:
+        raise LPError(f"unit costs have shape {U.shape}, expected (k, {n})")
+    if W.ndim != 2 or W.shape[1] != len(U) or W.dtype.kind not in "biuf":
+        raise LPError(f"weights are {W.dtype} of shape {W.shape}, expected "
+                      f"numbers of shape (rows, {len(U)})")
+    if not (np.all(np.isfinite(U)) and np.all(np.isfinite(W))):
+        raise LPError("unit costs or weights contain non-finite entries")
+    status = np.empty(len(W), dtype=object)
+    status[:] = INFEASIBLE  # one str object; np.full would copy it per row
+    objective = np.full(len(W), np.nan)
     start = _start(p)
-    T, basis = None, None
-    if start.tableau is not None:
-        T = np.empty((len(start.basis) + 1, n + 1))
-        T[:-1] = start.tableau
-        basis = start.basis.copy()
-    for c in costs:
-        c = np.asarray(c, dtype=float)
-        if c.shape != (n,):
-            raise LPError(f"costs have shape {c.shape}, expected ({n},)")
-        if not np.all(np.isfinite(c)):
-            raise LPError("costs contain non-finite entries")
-        if T is None:
-            yield INFEASIBLE, None
-        elif _phase2(T, basis, c, p.free, (m, n)) == UNBOUNDED:
-            yield UNBOUNDED, None
-        else:
-            yield OPTIMAL, float(c[basis] @ T[:-1, -1])
+    if start.tableau is None:
+        return status, objective
+    T = np.empty((len(start.basis) + 1, n + 1))
+    T[:-1] = start.tableau
+    basis = start.basis.copy()
+    todo = np.arange(len(W))  # todo[head:] are the rows not settled, in order
+    head = 0
+    while head < len(todo):
+        row = todo[head]
+        if _phase2(T, basis, W[row] @ U, p.free, (m, n)) == UNBOUNDED:
+            status[row] = UNBOUNDED
+            head += 1
+            continue
+        U_B = U[:, basis]
+        R = U - U_B @ T[:-1, :n]
+        # -|d_j| >= -tol on a free column is d_j >= -tol and -d_j >= -tol
+        R = np.hstack([R, -R[:, p.free]])
+        ahead = todo[head + 1:head + 1 + _LOOKAHEAD]
+        optimal = (W[ahead] @ R >= -_PIVOT_TOL).all(axis=1)
+        done = np.append(row, ahead[optimal])
+        status[done] = OPTIMAL
+        objective[done] = W[done] @ (U_B @ T[:-1, -1])
+        # the rows left in the window move up to just before the rest
+        rest = ahead[~optimal]
+        head += len(done)
+        todo[head:head + len(rest)] = rest
+    return status, objective
 
 
 def solve_each_rhs(p: LPStandardForm, rhss):

@@ -344,20 +344,23 @@ def kinematic_supremum(kinematic: KinematicLP, objective: np.ndarray):
     return 0.0 - sol.objective, sol.x[:kinematic.n_dof], sol.y
 
 
-def kinematic_suprema(kinematic: KinematicLP, objectives) -> np.ndarray:
-    """The value of `kinematic_supremum` for each objective in turn, from
-    one simplex walk (`lp.solve_each`), without witnesses or multipliers.
-    A value may differ from `kinematic_supremum`'s in its last digits.
-    Failures raise the same `SolverFailure`s."""
-    costs = (_kinematic_costs(kinematic, objective) for objective in objectives)
-    values = []
+def kinematic_suprema(kinematic: KinematicLP, unit_objectives,
+                      weights) -> np.ndarray:
+    """The value of `kinematic_supremum` for the objective
+    w @ unit_objectives of each row w of weights, from one simplex walk
+    (`lp.solve_each`), without witnesses or multipliers.  A value may
+    differ from `kinematic_supremum`'s in its last digits.  Failures raise
+    the same `SolverFailure`s, for the first row that fails."""
+    unit_costs = np.reshape([_kinematic_costs(kinematic, f) for f in unit_objectives],
+                            (-1, len(kinematic.prob.c)))
     try:
-        for status, value in lp.solve_each(kinematic.prob, costs):
-            _check_kinematic(status)
-            values.append(0.0 - value)
+        status, value = lp.solve_each(kinematic.prob, unit_costs, weights)
     except lp.LPIterationError as exc:
         raise SolverFailure(f"kinematic LP: {exc}") from exc
-    return np.array(values)
+    failed = status[status != lp.OPTIMAL]
+    if failed.size:
+        _check_kinematic(failed[0])
+    return np.subtract(0.0, value, out=value)  # 0.0 - value, in place
 
 
 def _stress_from_multipliers(ops: DiscreteOperators, mode: str,

@@ -105,8 +105,9 @@ class TestGeneralizedK:
 
     @pytest.mark.parametrize("m", [1, 2, 5, 10])
     def test_gray_order(self, m):
-        # with unit work vectors the works are the sign vectors themselves
-        got = [w.tolist() for w in cap._gray_works(np.eye(m))]
+        signs = cap._gray_signs(m)
+        assert signs.dtype == np.int8
+        got = signs.tolist()
         want = [cap._vertex(k ^ (k >> 1), m).tolist() for k in range(2 ** (m - 1))]
         assert got == want
         assert sorted(got) == sorted(cap._vertex(code, m).tolist()
@@ -211,13 +212,15 @@ class TestWalkMatchesColdEnumeration:
 
 class TestOneKinematicLP:
     """One `generalized_K` call builds one kinematic LP and runs its phase 1
-    once.  Exact: each pattern is one step of one walk, and each near tie
-    one solve of its own; heuristic: each step is one solve."""
+    once.  Exact: the patterns are the rows of one walk, which runs phase 2
+    only for the patterns that no basis before them proves optimal, and
+    each near tie is one solve of its own; heuristic: each step is one
+    solve."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        counts = {"builds": 0, "phase1": 0, "walk_steps": 0, "solves": 0,
-                  "patterns": 0}
+        counts = {"builds": 0, "phase1": 0, "walks": 0, "walk_rows": 0,
+                  "phase2": 0, "solves": 0, "patterns": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -225,15 +228,13 @@ class TestOneKinematicLP:
                 return fn(*args, **kwargs)
             return wrapper
 
-        def counted_walk(p, costs):
-            def steps():
-                for c in costs:
-                    counts["walk_steps"] += 1
-                    yield c
-            return solve_each(p, steps())
-        solve_each = lp.solve_each
+        def counted_walk(p, unit_costs, weights):
+            counts["walk_rows"] += len(weights)
+            return solve_each(p, unit_costs, weights)
+        solve_each = counted("walks", lp.solve_each)
         monkeypatch.setattr(st, "_dual_builder", counted("builds", st._dual_builder))
         monkeypatch.setattr(lp, "_phase1", counted("phase1", lp._phase1))
+        monkeypatch.setattr(lp, "_phase2", counted("phase2", lp._phase2))
         monkeypatch.setattr(lp, "solve_each", counted_walk)
         monkeypatch.setattr(lp, "solve", counted("solves", lp.solve))
         monkeypatch.setattr(cap, "kinematic_supremum",
@@ -241,13 +242,25 @@ class TestOneKinematicLP:
         return counts
 
     # the vertices of the 1x1 plate whose value is K (elastic: codes 0, 8,
-    # 21 and 23; plastic: 10 codes); every other one is at least 1 below K
+    # 21 and 23; plastic: 10 codes); every other one is at least 1 below K.
+    # Each near-tie solve runs one phase 2, and the walk runs 3 (elastic)
+    # or 6 (plastic) for its 32 patterns
     @pytest.mark.parametrize("mode", [st.ELASTIC, st.PLASTIC])
     def test_exact(self, square_ops, counts, mode):
         cap.generalized_K(square_ops, mode, cap.EXACT)
         ties = {st.ELASTIC: 4, st.PLASTIC: 10}[mode]
-        assert counts == {"builds": 1, "phase1": 1, "walk_steps": 2 ** 5,
+        walk_phase2 = {st.ELASTIC: 3, st.PLASTIC: 6}[mode]
+        assert counts == {"builds": 1, "phase1": 1, "walks": 1,
+                          "walk_rows": 2 ** 5, "phase2": walk_phase2 + ties,
                           "solves": ties, "patterns": ties}
+
+    @pytest.mark.parametrize("mode", [st.ELASTIC, st.PLASTIC])
+    def test_exact_phase2_runs(self, counts, mode):
+        # 2^11 patterns on the 2x2 plate share far fewer optimal bases
+        ops = kin.assemble(msh.generate_rectangle(1, 1, 2, 2, "left", "right"))
+        cap.generalized_K(ops, mode, cap.EXACT)
+        assert counts["walk_rows"] == 2 ** 11
+        assert counts["phase2"] < 2 ** 11 / 2
 
     @pytest.mark.parametrize("mode", [st.ELASTIC, st.PLASTIC])
     def test_heuristic(self, square_ops, counts, mode):

@@ -282,30 +282,35 @@ class TestSolveCounts:
             assert len(solves) == 1, argv
 
     def test_exact_capacity(self, capsys, square_files, solves, monkeypatch):
-        # 3 loaded edges x 2 components: 2^5 sign patterns, each one step
-        # of one walk after one phase 1; then one solve for each of the 4
-        # patterns whose value is K, and the worst pattern's own solution
-        # is certified, not solved again
-        phase1, solve_each = lp._phase1, lp.solve_each
-        calls = {"phase1": 0, "walk_steps": 0}
+        # 3 loaded edges x 2 components: 2^5 sign patterns, the rows of one
+        # walk after one phase 1, which runs phase 2 for 3 of them; then
+        # one solve, and phase 2, for each of the 4 patterns whose value is
+        # K, and the worst pattern's own solution is certified, not solved
+        # again
+        phase1, phase2, solve_each = lp._phase1, lp._phase2, lp.solve_each
+        calls = {"phase1": 0, "phase2": 0, "walks": 0, "walk_rows": 0}
 
         def counted_phase1(*args):
             calls["phase1"] += 1
             return phase1(*args)
 
-        def counted_walk(p, costs):
-            def steps():
-                for c in costs:
-                    calls["walk_steps"] += 1
-                    yield c
-            return solve_each(p, steps())
+        def counted_phase2(*args):
+            calls["phase2"] += 1
+            return phase2(*args)
+
+        def counted_walk(p, unit_costs, weights):
+            calls["walks"] += 1
+            calls["walk_rows"] += len(weights)
+            return solve_each(p, unit_costs, weights)
         monkeypatch.setattr(lp, "_phase1", counted_phase1)
+        monkeypatch.setattr(lp, "_phase2", counted_phase2)
         monkeypatch.setattr(lp, "solve_each", counted_walk)
         mesh_path, _ = square_files
         code, out, _ = run(capsys, ["capacity", mesh_path])
         assert code == cli.EXIT_OK
         assert json.loads(out)["method"] == "exact_vertex_enumeration"
-        assert calls == {"phase1": 1, "walk_steps": 2 ** 5}
+        assert calls == {"phase1": 1, "phase2": 3 + 4, "walks": 1,
+                         "walk_rows": 2 ** 5}
         assert len(solves) == 4
 
     @pytest.mark.parametrize("trials", [0, 2])

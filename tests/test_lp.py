@@ -472,86 +472,150 @@ class TestSharedPhase1:
 
 
 class TestSolveEach:
-    """The walk gives, for each cost in turn, the status and objective that
-    `solve` gives the LP with that cost."""
+    """The walk gives, for each row w of the weights, the status and
+    objective that `solve` gives the LP with costs w @ unit_costs."""
 
     @staticmethod
-    def walk_matches_solve(p, costs):
-        """The walk's statuses, after checking them and its objectives
-        against `solve`."""
-        got = list(lp.solve_each(p, costs))
-        assert len(got) == len(costs)
-        for (status, objective), c in zip(got, costs):
-            want = lp.solve(p.with_objective(c))
-            assert status == want.status, dump(p.with_objective(c))
-            if status == lp.OPTIMAL:
-                assert objective == pytest.approx(want.objective, rel=1e-9, abs=1e-9)
+    def walk_matches_solve(p, unit_costs, weights, phase2_runs):
+        """The walk's statuses and phase-2 runs, after checking its
+        statuses and objectives against one cold `solve` per row."""
+        before = len(phase2_runs)
+        status, objective = lp.solve_each(p, unit_costs, weights)
+        walk_runs = len(phase2_runs) - before
+        assert status.shape == objective.shape == (len(weights),)
+        for s, value, w in zip(status, objective, np.asarray(weights, float)):
+            q = p.with_objective(w @ np.asarray(unit_costs, float))
+            want = lp.solve(q)
+            assert s == want.status, dump(q)
+            if s == lp.OPTIMAL:
+                assert value == pytest.approx(want.objective, rel=1e-9, abs=1e-9)
             else:
-                assert objective is None
-        return [status for status, _ in got]
+                assert np.isnan(value)
+        return status.tolist(), walk_runs
 
-    def test_random_walks_match_solve(self):
+    @pytest.fixture
+    def phase2_runs(self, monkeypatch):
+        runs = []
+        phase2 = lp._phase2
+        monkeypatch.setattr(lp, "_phase2",
+                            lambda *args: runs.append(1) or phase2(*args))
+        return runs
+
+    def test_random_walks_match_solve(self, phase2_runs):
+        # unit costs: one dual feasible cost, so that most rows are
+        # optimal, and smaller ones that move it, so that some are not;
+        # weights: +1 on the first, then random signs, as for the sign
+        # patterns of a traction, or signs and zeros, or real numbers
         rng = np.random.default_rng(1212)
         counts = {lp.OPTIMAL: 0, lp.INFEASIBLE: 0, lp.UNBOUNDED: 0}
-        bounded_after_unbounded = 0
+        bounded_after_unbounded = walk_runs = 0
         for trial in range(120):
             p = TestFreeVariables.random_lp(rng, trial % 4)
             if trial % 8 >= 4:
                 p = lp.LPStandardForm(c=p.c, A=p.A, b=p.b)  # no free column
-            n = len(p.c)
-            # costs near one another, as in a walk over sign patterns, and
-            # some dual feasible ones, so that a walk often leaves an
-            # unbounded step for an optimal one
-            base = rng.normal(size=n)
-            costs = []
-            for step in range(8):
-                if step % 3 == 2:
-                    c = p.A.T @ rng.normal(size=len(p.b)) + np.where(
-                        p.free, 0.0, np.abs(rng.normal(size=n)))
-                else:
-                    c = base.copy()
-                    c[rng.integers(n)] *= -1.0
-                costs.append(c)
-            statuses = self.walk_matches_solve(p, costs)
+            (m, n), k = p.A.shape, int(rng.integers(2, 5))
+            unit_costs = rng.normal(size=(k, n)) * rng.choice([0.05, 0.3, 1.0])
+            unit_costs[0] = p.A.T @ rng.normal(size=m) + np.where(
+                p.free, 0.0, np.abs(rng.normal(size=n)))
+            if trial % 3 == 2:
+                weights = rng.normal(size=(12, k))
+                weights[:, 0] = rng.uniform(0.5, 1.5, size=12)
+            else:
+                # with zeros, some rows cost the first unit cost alone,
+                # where more free columns than rows leave one nonbasic
+                weights = rng.choice([-1, 1] if trial % 3 else [-1, 0, 1],
+                                     size=(12, k)).astype(np.int8)
+                weights[:, 0] = 1
+            statuses, runs = self.walk_matches_solve(p, unit_costs, weights,
+                                                     phase2_runs)
             for s in statuses:
                 counts[s] += 1
             bounded_after_unbounded += sum(
                 a == lp.UNBOUNDED and b == lp.OPTIMAL
                 for a, b in zip(statuses, statuses[1:]))
-        assert min(counts.values()) > 50, counts
-        assert bounded_after_unbounded > 50
+            walk_runs += runs
+        assert min(counts.values()) > 300, counts
+        assert bounded_after_unbounded > 40
+        # every unbounded row runs phase 2, but most optimal rows settle
+        # at a basis that an earlier row reached
+        assert walk_runs - counts[lp.UNBOUNDED] < counts[lp.OPTIMAL] / 3
 
     @pytest.mark.parametrize("name,factory", MESH_CASES, ids=[c[0] for c in MESH_CASES])
     @pytest.mark.parametrize("mode", [st.ELASTIC, st.PLASTIC])
-    def test_kinematic_lp(self, name, factory, mode):
-        # free columns, and costs that differ in one sign of the work
+    def test_kinematic_lp(self, name, factory, mode, phase2_runs):
+        # free columns, and costs that differ in signs of the work
         ops = kin.assemble(factory())
         prob = st.kinematic_lp(ops, mode).prob
         rng = np.random.default_rng(1213)
-        f = rng.uniform(-1.0, 1.0, size=ops.n_dof)
-        costs = []
-        for _ in range(12):
-            f[rng.integers(ops.n_dof)] *= -1.0
-            c = np.zeros(len(prob.c))
-            c[:ops.n_dof] = f
-            costs.append(c)
-        assert self.walk_matches_solve(prob, costs) == [lp.OPTIMAL] * 12
+        unit_costs = np.zeros((6, len(prob.c)))
+        unit_costs[:, :ops.n_dof] = rng.uniform(-1.0, 1.0, size=(6, ops.n_dof))
+        weights = np.where(rng.random((40, 6)) < 0.5, -1.0, 1.0)
+        weights[:8] = rng.normal(size=(8, 6))
+        statuses, runs = self.walk_matches_solve(prob, unit_costs, weights,
+                                                 phase2_runs)
+        assert statuses == [lp.OPTIMAL] * 40
+        assert runs < 40
 
-    def test_unbounded_then_bounded(self):
+    @pytest.mark.parametrize("lookahead", [0, 1, 3])
+    def test_window(self, monkeypatch, phase2_runs, lookahead):
+        # rows past the window settle at a later basis, or run phase 2
+        ops = kin.assemble(MESH_CASES[1][1]())
+        prob = st.kinematic_lp(ops, st.PLASTIC).prob
+        rng = np.random.default_rng(1214)
+        unit_costs = np.zeros((5, len(prob.c)))
+        unit_costs[:, :ops.n_dof] = rng.uniform(-1.0, 1.0, size=(5, ops.n_dof))
+        weights = np.where(rng.random((20, 5)) < 0.5, -1.0, 1.0)
+        monkeypatch.setattr(lp, "_LOOKAHEAD", lookahead)
+        statuses, runs = self.walk_matches_solve(prob, unit_costs, weights,
+                                                 phase2_runs)
+        assert statuses == [lp.OPTIMAL] * 20
+        assert runs == 20 if lookahead == 0 else runs < 20
+
+    def test_unbounded_then_bounded(self, phase2_runs):
         # x free, s >= 0, x + s = 1: cost +1 on x is unbounded below, cost
-        # -1 stops at x = 1, and cost +1 on s stops at s = 0
+        # -1 stops at x = 1, and the basis of x proves cost +1 on s
+        # optimal at s = 0, and so cost -2 on x and 0.5 on s at x = 1
         p = standard_free([0.0, 0.0], [[1.0, 1.0]], [1.0], [True, False])
-        costs = [[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
-        assert list(lp.solve_each(p, costs)) == [
-            (lp.UNBOUNDED, None), (lp.OPTIMAL, -1.0), (lp.UNBOUNDED, None),
-            (lp.OPTIMAL, 0.0), (lp.UNBOUNDED, None)]
+        weights = [[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, -1.0],
+                   [-2.0, 0.5]]
+        status, objective = lp.solve_each(p, np.eye(2), weights)
+        assert status.tolist() == [lp.UNBOUNDED, lp.OPTIMAL, lp.UNBOUNDED,
+                                   lp.OPTIMAL, lp.UNBOUNDED, lp.OPTIMAL]
+        assert np.array_equal(objective, [np.nan, -1.0, np.nan, 0.0, np.nan, -2.0],
+                              equal_nan=True)
+        assert len(phase2_runs) == 4
+        self.walk_matches_solve(p, np.eye(2), weights, phase2_runs)
 
-    def test_infeasible(self):
+    def test_nonbasic_free_column(self, phase2_runs):
+        # x1, x2 free, s >= 0, x1 + x2 + s = 1: costs (a, b, 0) are bounded
+        # only for a = b <= 0, where x1 is basic and x2 is not.  Row 1
+        # prices x2 at -|d| = -|b - a| < 0, so it is not settled at that
+        # basis: phase 2 finds it unbounded
+        p = standard_free([0.0] * 3, [[1.0, 1.0, 1.0]], [1.0], [True, True, False])
+        unit_costs = [[-1.0, -1.0, 0.0], [-1.0, 1.0, 0.0]]
+        weights = [[1.0, 0.0], [1.0, 0.5], [1.0, -0.5], [2.0, 0.0]]
+        status, objective = lp.solve_each(p, unit_costs, weights)
+        assert status.tolist() == [lp.OPTIMAL, lp.UNBOUNDED, lp.UNBOUNDED,
+                                   lp.OPTIMAL]
+        assert np.array_equal(objective, [-1.0, np.nan, np.nan, -2.0],
+                              equal_nan=True)
+        self.walk_matches_solve(p, unit_costs, weights, phase2_runs)
+
+    def test_infeasible(self, phase2_runs):
         # x, y >= 0 and x + y = -1
         p = standard([0.0, 0.0], [[1.0, 1.0]], [-1.0])
-        costs = [[1.0, 2.0], [-1.0, 0.0], [0.0, 0.0]]
-        assert list(lp.solve_each(p, costs)) == [(lp.INFEASIBLE, None)] * 3
-        assert self.walk_matches_solve(p, costs) == [lp.INFEASIBLE] * 3
+        weights = [[1.0, 2.0], [-1.0, 0.0], [0.0, 0.0]]
+        status, objective = lp.solve_each(p, np.eye(2), weights)
+        assert status.tolist() == [lp.INFEASIBLE] * 3
+        assert np.isnan(objective).all()
+        assert self.walk_matches_solve(p, np.eye(2), weights, phase2_runs) == \
+            ([lp.INFEASIBLE] * 3, 0)
+        assert phase2_runs == []
+
+    def test_no_rows(self):
+        p = standard([1.0, 1.0], [[1.0, 1.0]], [1.0])
+        status, objective = lp.solve_each(p, np.eye(2), np.zeros((0, 2)))
+        assert status.shape == objective.shape == (0,)
 
     def test_phase1_runs_once(self, monkeypatch):
         rng = np.random.default_rng(6)
@@ -561,17 +625,23 @@ class TestSolveEach:
         calls = []
         monkeypatch.setattr(lp, "_phase1",
                             lambda *args: calls.append(1) or phase1(*args))
-        costs = [rng.normal(size=8) for _ in range(5)]
-        assert len(list(lp.solve_each(base, costs))) == 5
-        lp.solve(base.with_objective(costs[0]))
+        unit_costs = rng.normal(size=(3, 8))
+        assert len(lp.solve_each(base, unit_costs, rng.normal(size=(5, 3)))[0]) == 5
+        lp.solve(base.with_objective(unit_costs[0]))
         assert len(calls) == 1
 
     def test_costs_checked(self):
         p = standard([1.0, 1.0], [[1.0, 1.0]], [1.0])
-        with pytest.raises(lp.LPError, match="shape"):
-            list(lp.solve_each(p, [[1.0]]))
-        with pytest.raises(lp.LPError, match="non-finite"):
-            list(lp.solve_each(p, [[np.nan, 1.0]]))
+        for unit_costs, weights, match in [
+                ([1.0, 1.0], [[1.0]], "unit costs have shape"),
+                ([[1.0]], [[1.0]], "unit costs have shape"),
+                ([[1.0, 1.0]], [1.0], "weights are"),
+                ([[1.0, 1.0]], [[1.0, 1.0]], "weights are"),
+                ([[1.0, 1.0]], [["1"]], "weights are"),
+                ([[np.nan, 1.0]], [[1.0]], "non-finite"),
+                ([[1.0, 1.0]], [[1.0], [np.inf]], "non-finite")]:
+            with pytest.raises(lp.LPError, match=match):
+                lp.solve_each(p, unit_costs, weights)
 
 
 def eligible_lp(rng, kind):
@@ -878,7 +948,7 @@ class TestIterationLimit:
         with pytest.raises(lp.LPIterationError,
                            match="phase 2 did not terminate in 5 iterations "
                                  "on a 3 x 7 LP"):
-            list(lp.solve_each(p, [p.c]))
+            lp.solve_each(p, [p.c], [[1.0]])
 
 
 class TestCrashStart:

@@ -261,29 +261,34 @@ class TestKinematicLP:
     @pytest.mark.parametrize("name,factory", MESH_CASES, ids=[c[0] for c in MESH_CASES])
     @pytest.mark.parametrize("mode", [st.ELASTIC, st.PLASTIC])
     def test_suprema_match_supremum(self, name, factory, mode):
+        # the objectives are signed sums of a few works, and real mixes
         ops = kin.assemble(factory())
         kinematic = st.kinematic_lp(ops, mode)
         rng = np.random.default_rng(zlib.crc32(name.encode()))
         shape = (len(ops.gammat_facets), ops.dim)
-        works = [kin.work_vector(ops, rng.uniform(-1, 1, size=shape)) for _ in range(6)]
-        want = [st.kinematic_supremum(kinematic, f)[0] for f in works]
-        got = st.kinematic_suprema(kinematic, works)
+        works = [kin.work_vector(ops, rng.uniform(-1, 1, size=shape)) for _ in range(4)]
+        weights = np.vstack([np.where(rng.random((12, 4)) < 0.5, -1.0, 1.0),
+                             rng.normal(size=(4, 4))])
+        want = [st.kinematic_supremum(kinematic, w @ works)[0] for w in weights]
+        got = st.kinematic_suprema(kinematic, works, weights)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("status", [lp.UNBOUNDED, lp.INFEASIBLE, "pivot limit"])
     def test_suprema_fail_as_supremum(self, square_ops, monkeypatch, status):
+        # the walk's first row that is not optimal raises
         kinematic = st.kinematic_lp(square_ops, st.ELASTIC)
         f = kin.work_vector(square_ops, np.ones((3, 2)))
         if status == "pivot limit":
             monkeypatch.setattr(lp, "_MAX_ITER", 0)
         else:
             monkeypatch.setattr(lp, "solve", lambda p: lp.LPSolution(status))
-            monkeypatch.setattr(lp, "solve_each",
-                                lambda p, costs: ((status, None) for _ in costs))
+            monkeypatch.setattr(lp, "solve_each", lambda p, unit_costs, weights: (
+                np.array([lp.OPTIMAL, status, lp.INFEASIBLE], dtype=object),
+                np.array([-1.0, np.nan, np.nan])))
         with pytest.raises(st.SolverFailure) as want:
             st.kinematic_supremum(kinematic, f)
         with pytest.raises(st.SolverFailure) as got:
-            st.kinematic_suprema(kinematic, [f])
+            st.kinematic_suprema(kinematic, [f], [[1], [-1], [1]])
         assert str(got.value) == str(want.value)
         assert type(got.value.__cause__) is type(want.value.__cause__)
 
