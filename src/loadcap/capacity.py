@@ -11,8 +11,8 @@ last one stopped, only for a pattern that no basis before it proves
 optimal, then a full solve of every pattern whose walk value is a near
 tie of the best, among which the worst traction is chosen.  Beyond
 the cap an alternating heuristic produces a certified lower bound; it
-solves every step in full, since a warm start could reach another optimal
-vertex and so another sign pattern and K.
+solves each sign pattern it visits in full, once, since a warm start could
+reach another optimal vertex and so another sign pattern and K.
 """
 
 from __future__ import annotations
@@ -116,7 +116,13 @@ def generalized_K(ops: DiscreteOperators, mode: str = ELASTIC,
     so every vertex within `_NEAR_TIE` (relative) of the best is solved
     again on its own, by code counting up, and the first one that beats
     all before it by more than 1e-12 is the worst traction.  K is
-    certified (`stress.certify`) from that solve's solution."""
+    certified (`stress.certify`) from that solve's solution.
+
+    Heuristic: from all-ones and `HEURISTIC_RESTARTS` - 1 seeded random
+    sign patterns, alternate between solving a pattern and taking the
+    signs of its witness's trace, until the signs repeat.  A pattern that
+    an earlier restart or step visited is not solved again: its solve is
+    deterministic, so its value and witness are kept for the call."""
     if method == EXACT:
         m = _sign_components(ops)
         kinematic = kinematic_lp(ops, mode)
@@ -144,9 +150,14 @@ def generalized_K(ops: DiscreteOperators, mode: str = ELASTIC,
         starts += [np.where(rng.random(shape) < 0.5, -1.0, 1.0)
                    for _ in range(HEURISTIC_RESTARTS - 1)]
         best_val, best_w, worst = -1.0, None, starts[0]
+        solved = {}  # sign pattern -> (value, witness)
         for signs in starts:
             for _ in range(HEURISTIC_MAX_ITER):
-                val, w, _ = kinematic_supremum(kinematic, work_vector(ops, signs))
+                key = signs.tobytes()
+                if key not in solved:
+                    solved[key] = kinematic_supremum(
+                        kinematic, work_vector(ops, signs))[:2]
+                val, w = solved[key]
                 if val > best_val + 1e-12:
                     best_val, worst, best_w = val, signs, w
                 new_signs = np.where(trace(ops, w) >= 0.0, 1.0, -1.0)

@@ -208,8 +208,8 @@ def cmd_verify(args) -> int:
     expected = {1: 1, 2: 3, 3: 6}[mesh.dim]
     kd = kin.rigid_kernel_dim(unclamped)
     record("rigid_kernel_unclamped", kd == expected, f"dim {kd} vs {expected}")
-    record("rigid_kernel_clamped", kin.rigid_kernel_dim(ops) == 0,
-           f"dim {kin.rigid_kernel_dim(ops)}")
+    kd_clamped = kin.rigid_kernel_dim(ops)
+    record("rigid_kernel_clamped", kd_clamped == 0, f"dim {kd_clamped}")
 
     modes = [st.ELASTIC] + ([st.PLASTIC] if mesh.dim > 1 else [])
     # one kinematic LP per mode: every trial's solve shares its phase 1

@@ -15,7 +15,9 @@ A pivot updates only the tableau entries it changes, in the rows with a
 nonzero pivot-column entry and the columns with a nonzero pivot-row
 entry; the kinematic LP's rows each touch one element or facet, so that
 is often a small block.  It picks the update by these counts, and keeps
-the dense rank-1 update on tableaux under `_DENSE_BELOW` entries.
+the dense rank-1 update on tableaux under `_DENSE_BELOW` entries; above
+that, a dense update runs in blocks of rows, so that no temporary is as
+large as the tableau.
 Inequalities are handled by LPBuilder, which gives each a slack column.
 Phase 1 crash-starts: a row starts on a column whose only nonzero entry
 is positive and in that row, such as an inequality's slack, and only the
@@ -23,14 +25,17 @@ rows without one get an artificial.  When all of those rows have b = 0
 the start is feasible, and phase 1 is only the degenerate pivots that
 drive the artificials out.  Phase 1 depends on A, b and the free columns
 only, so LPs that differ only in their costs
-(`LPStandardForm.with_objective`) share one phase 1 and each runs only
-phase 2.  `solve_each` goes further for the costs w @ U of the rows w of
-a weight matrix: it walks the rows in order on one phase-2 tableau, each
-phase 2 starting from the basis where the previous one stopped, which
-stays feasible because A and b are the same.  At each optimal basis it
-prices the next rows in one matrix product and settles every row that
-the basis proves optimal too, without a phase 2 of its own.  It gives
-each status and objective, with the walk's rounding, and no solution.
+(`LPStandardForm.with_objective`) share one phase 1, memoized, and each
+runs only phase 2, on a copy of it.  A standalone LP, whose phase 1 is
+shared with nothing, runs phase 2 in phase 1's own array, so that its
+solve holds A and one tableau at its peak.  `solve_each` goes further for
+the costs w @ U of the rows w of a weight matrix: it walks the rows in
+order on one phase-2 tableau, each phase 2 starting from the basis where
+the previous one stopped, which stays feasible because A and b are the
+same.  At each optimal basis it prices the next rows in one matrix
+product and settles every row that the basis proves optimal too, without
+a phase 2 of its own.  It gives each status and objective, with the
+walk's rounding, and no solution.
 An LP with c >= 0 whose free columns and crash columns cost nothing,
 such as the static stress LP, skips phase 1: its rows without a crash
 column take free columns by Gaussian pivots (if a row finds none, the LP
@@ -64,6 +69,10 @@ _STALL = 50
 # `_pivot` updates tableaux with fewer entries than this densely: there the
 # counting and indexing cost more than the entries a restricted update skips
 _DENSE_BELOW = 10000
+# entries of a block of rows in `_pivot`'s dense update above `_DENSE_BELOW`
+# (timed from 2^15 to 2^17 and against 32 and 64 rows on 101x201 to
+# 2562x5154 tableaux: within noise of the fastest at every size)
+_BLOCK_ENTRIES = 1 << 16
 # cost of an entry updated through an index array, in entries of the dense
 # update: rows and columns both indexed, or all rows and indexed columns
 # (fitted to pivot timings of kinematic and static LPs of 10^4-10^6 entries)
@@ -93,10 +102,11 @@ class LPIterationError(RuntimeError):
 
 class _Phase1(NamedTuple):
     """Phase 1's outcome: the phase 2 start (the constraint rows of the
-    tableau over the structural columns and the right-hand side), its
-    basis and the rows kept from A; `tableau` is None if the LP is
-    infeasible.  `pivots` is the number of simplex pivots phase 1 took,
-    not counting those that drive the artificials out."""
+    tableau over the structural columns and the right-hand side, then a
+    cost row that phase 2 writes), its basis and the rows kept from A;
+    `tableau` is None if the LP is infeasible.  `pivots` is the number of
+    simplex pivots phase 1 took, not counting those that drive the
+    artificials out."""
 
     tableau: np.ndarray | None
     basis: np.ndarray
@@ -105,14 +115,18 @@ class _Phase1(NamedTuple):
 
 
 class _Memo:
-    """Phase 1 of one (A, b), computed on the first solve and shared by
-    every LP made from it with `with_objective`; A and b are not changed
-    in place after that."""
+    """Phase 1 of one (A, b), shared by every LP made from it with
+    `with_objective` and by `solve_each`'s walks.  Once `shared` is set,
+    the first solve memoizes phase 1 (read-only; A and b are not changed
+    in place after that) and each solve runs phase 2 on a copy.  Until
+    then the LP is standalone: each solve runs phase 1 and then phase 2 in
+    the same array, and nothing is memoized."""
 
-    __slots__ = ("phase1",)
+    __slots__ = ("phase1", "shared")
 
     def __init__(self):
         self.phase1 = None
+        self.shared = False
 
 
 @dataclass(frozen=True)
@@ -150,8 +164,10 @@ class LPStandardForm:
 
     def with_objective(self, c) -> LPStandardForm:
         """The same A, b and free columns with costs c; it shares this LP's
-        phase 1."""
+        phase 1, which from now on is memoized, so that phase 1 runs once
+        for both and each phase 2 runs on a copy of it."""
         p = LPStandardForm(c=c, A=self.A, b=self.b, free=self.free)
+        self._memo.shared = True
         object.__setattr__(p, "_memo", self._memo)
         return p
 
@@ -171,8 +187,9 @@ def _pivot(T: np.ndarray, row: int, col: int):
     tableaux of at least `_DENSE_BELOW` entries it updates the cheapest of
     the sub-block of those rows and columns, those columns in every row,
     or the whole tableau, costed by the entry counts at `_BLOCK_COST`,
-    `_COLS_COST` and 1.  The result equals the dense update up to the sign
-    of a zero, so no pivot choice depends on which update ran."""
+    `_COLS_COST` and 1; the whole tableau in blocks of about
+    `_BLOCK_ENTRIES` entries.  The result equals the dense update up to the
+    sign of a zero, so no pivot choice depends on which update ran."""
     T[row] /= T[row, col]
     pivot_row = T[row]
     factors = T[:, col].copy()
@@ -190,6 +207,12 @@ def _pivot(T: np.ndarray, row: int, col: int):
             cols = pivot_row.nonzero()[0]
             T[:, cols] -= np.outer(factors, pivot_row[cols])
             return
+        # a copy: its own block subtracts 0 * x from it, turning -0.0 to 0.0
+        pivot_row = pivot_row.copy()
+        step = max(1, _BLOCK_ENTRIES // n)
+        for r in range(0, m, step):
+            T[r:r + step] -= np.outer(factors[r:r + step], pivot_row)
+        return
     T -= np.outer(factors, pivot_row)
 
 
@@ -261,13 +284,14 @@ def _phase1(A: np.ndarray, b: np.ndarray, free: np.ndarray) -> _Phase1:
     get an artificial, which is nonnegative.  Minimize the sum of the
     artificials (at once optimal if all of their rows have b = 0), then
     drive the artificials left in the basis out of it, dropping the
-    redundant rows."""
+    redundant rows.  The tableau's last row is for phase 2's reduced
+    costs, which phase 2 writes."""
     m, n = A.shape
-    T = np.empty((m, n + 1))  # [A | b]
-    T[:, :n] = A
-    T[:, -1] = b
-    T[b < 0] *= -1.0
-    basis = _crash_basis(T[:, :n])
+    T = np.empty((m + 1, n + 1))  # [A | b] over the cost row
+    T[:m, :n] = A
+    T[:m, -1] = b
+    T[:m][b < 0] *= -1.0
+    basis = _crash_basis(T[:m, :n])
     crashed = np.flatnonzero(basis >= 0)
     T[crashed] /= T[crashed, basis[crashed]][:, None]
     artificial = np.flatnonzero(basis < 0)
@@ -276,18 +300,21 @@ def _phase1(A: np.ndarray, b: np.ndarray, free: np.ndarray) -> _Phase1:
     pivots = 0
     if T[artificial, -1].any():
         P = np.zeros((m + 1, n + k + 1))
-        P[:m, :n] = T[:, :n]
+        P[:m, :n] = T[:m, :n]
         P[artificial, n + np.arange(k)] = 1.0
-        P[:m, -1] = T[:, -1]
+        P[:m, -1] = T[:m, -1]
         P[-1, n:n + k] = 1.0
         P[-1] -= P[artificial].sum(axis=0)
+        tol = _FEAS_TOL * (1.0 + np.abs(T[:m, -1]).max(initial=0.0))
+        del T
         status, pivots = _simplex(P, basis, np.append(free, np.zeros(k, bool)),
                                   1, (m, n))
-        if status != OPTIMAL or \
-                P[-1, -1] < -_FEAS_TOL * (1.0 + np.abs(T[:, -1]).max(initial=0.0)):
+        if status != OPTIMAL or P[-1, -1] < -tol:
             return _Phase1(None, basis[:0], [], pivots)
-        # the artificial columns and the phase 1 costs are not needed any more
-        T = np.delete(P[:m], np.s_[n:n + k], axis=1)
+        # the artificial columns are not needed any more, and phase 2
+        # overwrites the phase 1 costs
+        T = np.delete(P, np.s_[n:n + k], axis=1)
+        del P
 
     keep_rows = list(range(m))
     drop = []
@@ -296,23 +323,34 @@ def _phase1(A: np.ndarray, b: np.ndarray, free: np.ndarray) -> _Phase1:
             continue
         piv = np.nonzero(np.abs(T[r, :n]) > _PIVOT_TOL)[0]
         if piv.size:
-            _pivot(T, r, int(piv[0]))
+            _pivot(T[:m], r, int(piv[0]))
             basis[r] = int(piv[0])
         else:
             drop.append(r)
     if drop:
         keep_rows = [r for r in range(m) if r not in drop]
-        T = T[keep_rows]
+        T = T[keep_rows + [m]]
         basis = basis[keep_rows]
-    basis.flags.writeable = False
     return _Phase1(T, basis, keep_rows, pivots)
 
 
 def _start(p: LPStandardForm) -> _Phase1:
-    """Phase 1 of p, from its memo or run now and memoized."""
-    if p._memo.phase1 is None:
-        p._memo.phase1 = _phase1(p.A, p.b, p.free)
-    return p._memo.phase1
+    """Phase 1 of p, with a tableau and basis that the caller may run phase
+    2 in.  A standalone LP gets phase 1's own arrays; an LP whose memo is
+    shared gets copies of its memoized phase 1, run now if it is not yet
+    there."""
+    memo = p._memo
+    if memo.phase1 is None:
+        start = _phase1(p.A, p.b, p.free)
+        if not memo.shared:
+            return start
+        memo.phase1 = start
+        if start.tableau is not None:  # only copies of it are handed out
+            start.tableau.flags.writeable = start.basis.flags.writeable = False
+    start = memo.phase1
+    if start.tableau is None:
+        return start
+    return start._replace(tableau=start.tableau.copy(), basis=start.basis.copy())
 
 
 def _phase2(T: np.ndarray, basis: np.ndarray, c: np.ndarray,
@@ -424,22 +462,19 @@ class _Final(NamedTuple):
 
 def _solve_cold(p: LPStandardForm) -> _Final:
     """The dual simplex from `_dual_start` if p is eligible; otherwise
-    phase 2 on a copy of p's phase 1 (shared through its memo)."""
+    phase 2 from `_start`: in phase 1's array if p is standalone, else on
+    a copy of its shared phase 1."""
     m, n = p.A.shape
     start = _dual_start(p)
     if start is not None:
         T, basis = start
         status = _dual_simplex(T, basis, p.free, (m, n))[0]
         return _Final(status, T, basis, np.arange(m))
-    start = _start(p)
-    if start.tableau is None:
+    T, basis, keep_rows, _ = _start(p)
+    if T is None:
         return _Final(INFEASIBLE)
-    mm = len(start.basis)
-    basis = start.basis.copy()
-    T = np.empty((mm + 1, n + 1))
-    T[:mm] = start.tableau
     status = _phase2(T, basis, p.c, p.free, (m, n))
-    return _Final(status, T, basis, np.asarray(start.keep_rows))
+    return _Final(status, T, basis, np.asarray(keep_rows))
 
 
 def solve(p: LPStandardForm) -> LPSolution:
@@ -454,6 +489,7 @@ def solve(p: LPStandardForm) -> LPSolution:
 
     x = np.zeros(n)
     x[basis] = T[:-1, -1]
+    del T  # freed before B is gathered and factored for y
     obj = float(p.c @ x)
 
     # equality multipliers from the final basis w.r.t. the original rows
@@ -498,12 +534,10 @@ def solve_each(p: LPStandardForm, unit_costs, weights) -> tuple:
     status = np.empty(len(W), dtype=object)
     status[:] = INFEASIBLE  # one str object; np.full would copy it per row
     objective = np.full(len(W), np.nan)
-    start = _start(p)
-    if start.tableau is None:
+    p._memo.shared = True  # the LPs made from p share the walk's phase 1
+    T, basis, _, _ = _start(p)
+    if T is None:
         return status, objective
-    T = np.empty((len(start.basis) + 1, n + 1))
-    T[:-1] = start.tableau
-    basis = start.basis.copy()
     todo = np.arange(len(W))  # todo[head:] are the rows not settled, in order
     head = 0
     while head < len(todo):

@@ -333,12 +333,18 @@ def _check_kinematic(status: str):
         raise SolverFailure(f"kinematic LP ended with status {status}")
 
 
-def kinematic_supremum(kinematic: KinematicLP, objective: np.ndarray):
+def kinematic_supremum(kinematic: KinematicLP, objective: np.ndarray,
+                       shared: bool = True):
     """Maximize objective . w over the unit strain-budget ball (plastic:
     restricted to isochoric fields).  Returns (value, witness, the LP's
-    multipliers)."""
+    multipliers).  The LP shares the phase 1 of `kinematic.prob`, unless
+    shared is False: then it is a standalone LP, which runs phase 2 in
+    its own phase 1's array, for a kinematic LP that is solved once."""
     c = _kinematic_costs(kinematic, objective)
-    sol = _solve(kinematic.prob.with_objective(c), "kinematic LP")
+    prob = kinematic.prob
+    sol = _solve(prob.with_objective(c) if shared else
+                 lp.LPStandardForm(c=c, A=prob.A, b=prob.b, free=prob.free),
+                 "kinematic LP")
     _check_kinematic(sol.status)
     # 0.0 - x again, so that a zero optimum is reported as 0.0
     return 0.0 - sol.objective, sol.x[:kinematic.n_dof], sol.y
@@ -382,10 +388,11 @@ def _stress_from_multipliers(ops: DiscreteOperators, mode: str,
 
 
 def optimal_stress(ops: DiscreteOperators, t, mode: str = ELASTIC) -> OptimalStressResult:
-    """Solve the kinematic LP once and certify its optimum (`certify`)."""
+    """Solve the kinematic LP once, standalone, and certify its optimum
+    (`certify`)."""
     t = check_traction(ops, t)
-    return certify(ops, t, mode,
-                   *kinematic_supremum(kinematic_lp(ops, mode), work_vector(ops, t)))
+    return certify(ops, t, mode, *kinematic_supremum(
+        kinematic_lp(ops, mode), work_vector(ops, t), shared=False))
 
 
 def certify(ops: DiscreteOperators, t, mode: str, value: float, w, y) -> OptimalStressResult:

@@ -262,11 +262,23 @@ class TestOneKinematicLP:
         assert counts["walk_rows"] == 2 ** 11
         assert counts["phase2"] < 2 ** 11 / 2
 
+    # the restarts and steps on the 1x1 plate visit 10 (elastic) or 9
+    # (plastic) distinct sign patterns, in 15 or 14 steps
     @pytest.mark.parametrize("mode", [st.ELASTIC, st.PLASTIC])
-    def test_heuristic(self, square_ops, counts, mode):
+    def test_heuristic(self, square_ops, counts, monkeypatch, mode):
+        patterns, steps = {st.ELASTIC: (10, 15), st.PLASTIC: (9, 14)}[mode]
+        works, solve, traces, trace = [], cap.kinematic_supremum, [], cap.trace
+
+        def recorded(kinematic, work):
+            works.append(work.tobytes())
+            return solve(kinematic, work)
+        monkeypatch.setattr(cap, "kinematic_supremum", recorded)
+        monkeypatch.setattr(cap, "trace",
+                            lambda *args: traces.append(1) or trace(*args))
         cap.generalized_K(square_ops, mode, cap.HEURISTIC)
-        assert counts["builds"] == 1
-        assert counts["solves"] == counts["patterns"] >= cap.HEURISTIC_RESTARTS
+        assert counts["builds"] == counts["phase1"] == 1
+        assert counts["solves"] == counts["patterns"] == len(set(works)) == patterns
+        assert len(traces) == steps
 
     def test_cap_checked_before_build(self, counts):
         ops = kin.assemble(msh.generate_rectangle(1, 1, 3, 3, "left", "right"))

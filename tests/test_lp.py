@@ -20,6 +20,19 @@ def standard_free(c, A, b, free):
                              b=np.array(b, float), free=np.array(free, bool))
 
 
+@pytest.fixture
+def phase1_runs(monkeypatch):
+    """The outcome of every `_phase1` run, in order: a standalone LP keeps
+    none in its memo."""
+    runs, phase1 = [], lp._phase1
+
+    def spy(*args):
+        runs.append(phase1(*args))
+        return runs[-1]
+    monkeypatch.setattr(lp, "_phase1", spy)
+    return runs
+
+
 def check_optimal_invariants(p, sol):
     assert sol.status == lp.OPTIMAL
     x, y = sol.x, sol.y
@@ -406,31 +419,62 @@ def same_solution(got, want):
             and got.objective == want.objective)
 
 
+def dense_corpus():
+    """80 seeded LPs over dense A, each with 4 cost vectors: (trial, A, b,
+    costs).  Kinds by trial % 4: feasible, a redundant row that phase 1
+    drops, a random b that may be infeasible, and mixed signs."""
+    rng = np.random.default_rng(43)
+    for trial in range(80):
+        m = int(rng.integers(2, 5))
+        n = int(rng.integers(m + 1, 9))
+        A = rng.normal(size=(m, n))
+        kind = trial % 4
+        if kind == 0:
+            b = A @ rng.uniform(0.0, 1.0, size=n)
+        elif kind == 1:
+            A[-1] = A[0]  # a redundant row that phase 1 drops
+            b = A @ rng.uniform(0.0, 1.0, size=n)
+        elif kind == 2:
+            b = rng.normal(size=m)  # may be infeasible
+        else:
+            A = np.abs(A) * np.sign(rng.normal(size=(m, n)))
+            b = A @ rng.uniform(0.0, 1.0, size=n)
+        yield trial, A, b, [rng.normal(size=n) for _ in range(4)]
+
+
+def slack_corpus():
+    """80 seeded LPs whose last columns are the slacks of every row:
+    (trial, kind, LP).  Kinds: every row starts on its slack, rows flipped
+    by b < 0 that need artificials, a redundant row that phase 1 drops, and
+    a column that is a ray if its cost is negative."""
+    rng = np.random.default_rng(44)
+    for trial in range(80):
+        m = int(rng.integers(2, 5))
+        k = int(rng.integers(2, 10 - m + 1))
+        A = np.hstack([rng.normal(size=(m, k)), np.eye(m)])
+        kind = trial % 4
+        if kind == 0:
+            b = np.abs(rng.normal(size=m))  # every row on its slack
+        elif kind == 1:
+            b = rng.normal(size=m)  # flipped rows need artificials
+        elif kind == 2:
+            A[-1] = A[0]  # a redundant row that phase 1 drops
+            b = A @ rng.uniform(0.0, 1.0, size=k + m)
+        else:
+            A[:, 0] = -np.abs(A[:, 0])  # column 0 is a ray if c[0] < 0
+            b = np.abs(rng.normal(size=m))
+        yield trial, kind, standard(rng.normal(size=k + m), A, b)
+
+
 class TestSharedPhase1:
     """An LP made by `with_objective` runs only phase 2 from the phase 1 of
     the LP it was made from, and gives exactly what a fresh LP gives."""
 
     def test_random_lps_match_fresh(self):
-        rng = np.random.default_rng(43)
         statuses = set()
-        for trial in range(80):
-            m = int(rng.integers(2, 5))
-            n = int(rng.integers(m + 1, 9))
-            A = rng.normal(size=(m, n))
-            kind = trial % 4
-            if kind == 0:
-                b = A @ rng.uniform(0.0, 1.0, size=n)
-            elif kind == 1:
-                A[-1] = A[0]  # a redundant row that phase 1 drops
-                b = A @ rng.uniform(0.0, 1.0, size=n)
-            elif kind == 2:
-                b = rng.normal(size=m)  # may be infeasible
-            else:
-                A = np.abs(A) * np.sign(rng.normal(size=(m, n)))
-                b = A @ rng.uniform(0.0, 1.0, size=n)
-            base = standard(np.zeros(n), A, b)
-            for _ in range(4):
-                c = rng.normal(size=n)
+        for trial, A, b, costs in dense_corpus():
+            base = standard(np.zeros(A.shape[1]), A, b)
+            for c in costs:
                 got = lp.solve(base.with_objective(c))
                 want = lp.solve(standard(c, A, b))
                 assert same_solution(got, want), f"trial {trial}"
@@ -469,6 +513,45 @@ class TestSharedPhase1:
             p.with_objective([1.0])
         with pytest.raises(lp.LPError, match="non-finite"):
             p.with_objective([np.inf, 1.0])
+
+
+class TestStandalone:
+    """A standalone LP, one not made by `with_objective` nor walked by
+    `solve_each`, runs phase 2 in its phase 1's own array and memoizes
+    nothing.  It gives exactly what an LP that shares its phase 1 gives."""
+
+    @staticmethod
+    def corpus():
+        for trial, A, b, costs in dense_corpus():
+            for c in costs:
+                yield trial, standard(c, A, b)
+        for trial, _, p in slack_corpus():
+            yield trial, p
+
+    def test_matches_shared(self, phase1_runs):
+        statuses, artificials, dropped = set(), 0, 0
+        for trial, p in self.corpus():
+            phase1_runs.clear()
+            got = lp.solve(p)
+            (run,) = phase1_runs
+            assert p._memo.phase1 is None
+            shared = standard(np.zeros_like(p.c), p.A, p.b).with_objective(p.c)
+            assert same_solution(got, lp.solve(shared)), f"trial {trial}: {dump(p)}"
+            assert shared._memo.phase1 is not None
+            statuses.add(got.status)
+            artificials += run.pivots > 0
+            dropped += len(run.keep_rows) < len(p.b) and run.tableau is not None
+        assert statuses == {lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED}
+        assert artificials > 10 and dropped > 10, (artificials, dropped)
+
+    def test_solved_twice(self, phase1_runs):
+        for trial, p in self.corpus():
+            A, b = p.A.copy(), p.b.copy()
+            first = lp.solve(p)
+            assert same_solution(lp.solve(p), first), f"trial {trial}: {dump(p)}"
+            assert p._memo.phase1 is None
+            assert np.array_equal(p.A, A) and np.array_equal(p.b, b)
+        assert len(phase1_runs) == 2 * (4 * 80 + 80)
 
 
 class TestSolveEach:
@@ -702,13 +785,16 @@ class TestDualSimplex:
     free and crash columns) runs the dual simplex from it, without phase
     1; the two-phase path is the oracle."""
 
-    def test_random_agreement_with_two_phase(self, monkeypatch):
+    def test_random_agreement_with_two_phase(self, monkeypatch, phase1_runs):
         rng = np.random.default_rng(1313)
         statuses = {lp.OPTIMAL: 0, lp.INFEASIBLE: 0}
         brute_checked = negative_free = 0
         for trial in range(240):
             p = eligible_lp(rng, trial % 3)
-            got, want = lp.solve(p), two_phase(p, monkeypatch)
+            phase1_runs.clear()
+            got = lp.solve(p)
+            assert not phase1_runs, f"trial {trial}: {dump(p)}"
+            want = two_phase(p, monkeypatch)
             assert p._memo.phase1 is None, f"trial {trial}: {dump(p)}"
             assert got.status == want.status, f"trial {trial}: {dump(p)}"
             split = split_free(p)
@@ -751,14 +837,16 @@ class TestDualSimplex:
         costs[:ops.n_dof] = -f
         assert lp._dual_start(kinematic.prob.with_objective(costs)) is None
 
-    def test_refused_for_negative_or_crash_costs(self):
+    def test_refused_for_negative_or_crash_costs(self, phase1_runs):
         # a negative cost, and a cost on the slack that starts row 0
         A = [[1.0, 1.0, 1.0, 0.0], [1.0, -1.0, 0.0, 1.0]]
         for c in ([-1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 1.0, 0.0]):
             p = standard(c, A, [1.0, 0.5])
             assert lp._dual_start(p) is None
+            phase1_runs.clear()
             assert lp.solve(p).status == lp.OPTIMAL
-            assert p._memo.phase1 is not None
+            (run,) = phase1_runs
+            assert run is not None
 
     @pytest.mark.parametrize("mode", [st.ELASTIC, st.PLASTIC])
     def test_refused_for_too_few_free_columns(self, mode, monkeypatch):
@@ -776,7 +864,8 @@ class TestDualSimplex:
             assert lp._dual_start(prob) is None
         assert lp.solve(prob).objective == 0.0
 
-    def test_row_without_free_column_takes_two_phases(self, monkeypatch):
+    def test_row_without_free_column_takes_two_phases(self, monkeypatch,
+                                                      phase1_runs):
         # row 1 repeats row 0, so after row 0 takes a free column, no free
         # entry is left in row 1: phase 1 runs and drops the row
         p = standard_free([0.0, 0.0, 1.0], [[1.0, 2.0, 1.0], [1.0, 2.0, 1.0]],
@@ -787,11 +876,12 @@ class TestDualSimplex:
         assert lp._dual_start(p) is None
         assert len(pivots) == 1
         sol = lp.solve(p)
-        assert p._memo.phase1.keep_rows == [0]
+        (run,) = phase1_runs
+        assert run.keep_rows == [0]
         assert sol.objective == 0.0
         check_optimal_invariants(p, sol)
 
-    def test_cycling_lp_terminates(self, monkeypatch):
+    def test_cycling_lp_terminates(self, monkeypatch, phase1_runs):
         p = dualized_beale()
         with monkeypatch.context() as mp:
             mp.setattr(lp, "_STALL", 1000)  # never falls back to dual Bland
@@ -800,6 +890,7 @@ class TestDualSimplex:
                 lp.solve(dualized_beale())
         sol = lp.solve(p)
         assert p._memo.phase1 is None
+        assert not phase1_runs
         check_optimal_invariants(p, sol)
         want = lp.solve_brute(p)
         assert want.objective == pytest.approx(1.25, abs=1e-12)
@@ -964,29 +1055,15 @@ class TestCrashStart:
         st.kinematic_supremum(kinematic, np.ones(ops.n_dof))
         assert kinematic.prob._memo.phase1.pivots == 0
 
-    def test_slack_lps_match_brute(self):
-        rng = np.random.default_rng(44)
+    def test_slack_lps_match_brute(self, phase1_runs):
         statuses = set()
-        for trial in range(80):
-            m = int(rng.integers(2, 5))
-            k = int(rng.integers(2, 10 - m + 1))
-            A = np.hstack([rng.normal(size=(m, k)), np.eye(m)])
-            kind = trial % 4
-            if kind == 0:
-                b = np.abs(rng.normal(size=m))  # every row on its slack
-            elif kind == 1:
-                b = rng.normal(size=m)  # flipped rows need artificials
-            elif kind == 2:
-                A[-1] = A[0]  # a redundant row that phase 1 drops
-                b = A @ rng.uniform(0.0, 1.0, size=k + m)
-            else:
-                A[:, 0] = -np.abs(A[:, 0])  # column 0 is a ray if c[0] < 0
-                b = np.abs(rng.normal(size=m))
-            p = standard(rng.normal(size=k + m), A, b)
+        for trial, kind, p in slack_corpus():
+            phase1_runs.clear()
             got, want = lp.solve(p), lp.solve_brute(p)
             assert got.status == want.status, f"trial {trial}: {dump(p)}"
+            (run,) = phase1_runs
             if kind == 0:
-                assert p._memo.phase1.pivots == 0
+                assert run.pivots == 0
             if got.status == lp.OPTIMAL:
                 assert got.objective == pytest.approx(want.objective, abs=1e-7), \
                     f"trial {trial}"
@@ -997,7 +1074,7 @@ class TestCrashStart:
     NEGATIVE_UNIT = ([1.0, 0.0, 0.0], [[1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]],
                      [1.0, -1.0])
 
-    def test_negative_unit_column_not_basic(self, monkeypatch):
+    def test_negative_unit_column_not_basic(self, monkeypatch, phase1_runs):
         # flipping row 1 makes column 2 a unit column with entry -1; starting
         # on it would give x2 = -1 and the wrong optimum 0.  The LP starts
         # dual feasible, so the dual start is switched off to reach phase 1
@@ -1007,9 +1084,10 @@ class TestCrashStart:
         check_optimal_invariants(p, sol)
         assert np.array_equal(sol.x, [1.0, 0.0, 0.0])
         assert sol.objective == lp.solve_brute(p).objective == 1.0
-        assert p._memo.phase1.pivots > 0
+        (run,) = phase1_runs
+        assert run.pivots > 0
 
-    def test_negative_unit_column_dual(self):
+    def test_negative_unit_column_dual(self, phase1_runs):
         # the dual simplex starts on columns 1 and 2 with x2 = -1, and
         # pivots row 1 out
         p = standard(*self.NEGATIVE_UNIT)
@@ -1018,6 +1096,7 @@ class TestCrashStart:
         assert np.array_equal(sol.x, [1.0, 0.0, 0.0])
         assert sol.objective == 1.0
         assert p._memo.phase1 is None
+        assert not phase1_runs
 
 
 class TestPivot:
@@ -1048,10 +1127,11 @@ class TestPivot:
         return T
 
     def test_matches_dense_update(self, monkeypatch):
-        """Every branch of the choice is taken; the outer product's shape
-        tells them apart: the whole tableau (dense, below or above the size
-        gate), all rows by the pivot row's nonzero columns, or the nonzero
-        rows by those columns."""
+        """Every branch of the choice is taken; the outer products' shapes
+        tell them apart: the whole tableau (below the size gate), every row
+        by every column in blocks of rows (dense, above it), all rows by
+        the pivot row's nonzero columns, or the nonzero rows by those
+        columns."""
         outer, shapes = np.outer, []
 
         def spy(a, b):
@@ -1060,9 +1140,10 @@ class TestPivot:
         monkeypatch.setattr(np, "outer", spy)
         rng = np.random.default_rng(1010)
         fills = (0.01, 0.03, 0.1, 0.3, 1.0)
-        branches = set()
-        # below the size gate, just above it and well above it
-        for shape in ((20, 41), (60, 171), (150, 401)):
+        branches, blocks = set(), set()
+        # below the size gate, just above it, well above it and in several
+        # blocks of rows
+        for shape in ((20, 41), (60, 171), (150, 401), (400, 701)):
             m, n = shape
             for row_fill in fills:
                 for col_fill in fills:
@@ -1072,9 +1153,13 @@ class TestPivot:
                     shapes.clear()
                     lp._pivot(T, row, col)
                     assert np.array_equal(T, want), (shape, row_fill, col_fill)
-                    (rows, cols), = shapes
-                    if (rows, cols) == shape:
+                    (rows, cols), *more = shapes
+                    if cols == n and sum(r for r, _ in shapes) == m and \
+                            all(c == n for _, c in more):
                         branches.add("dense" if m * n >= lp._DENSE_BELOW else "small")
+                        blocks.add(len(shapes))
                     else:
+                        assert not more
                         branches.add("columns" if rows == m else "block")
         assert branches == {"small", "dense", "columns", "block"}
+        assert max(blocks) > 1

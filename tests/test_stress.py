@@ -1,3 +1,4 @@
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -151,6 +152,24 @@ class TestDegeneratePlates:
         mesh, t = end_tension_plate(6)
         res = st.optimal_stress(kin.assemble(mesh), t, st.PLASTIC)
         assert res.sigma_opt == pytest.approx(0.5, abs=1e-9)
+
+    def test_plastic_6x6_plate_memory(self):
+        # the solve is standalone: phase 2 runs in phase 1's own array, and
+        # the dense pivot subtracts in blocks of rows, so the peak is the
+        # build's (the element rows and A) or the solve's (A and the
+        # tableau); phase 2 on a copy of a memoized phase 1 would hold about
+        # four tableaux
+        mesh, t = end_tension_plate(6)
+        ops = kin.assemble(mesh)
+        m, n = st.kinematic_lp(ops, st.PLASTIC).prob.A.shape
+        tracemalloc.start()
+        try:
+            res = st.optimal_stress(ops, t, st.PLASTIC)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.sigma_opt == pytest.approx(0.5, abs=1e-9)
+        assert peak <= 2.5 * (m + 1) * (n + 1) * 8
 
     def test_plastic_8x8_plate(self):
         mesh, t = end_tension_plate(8)
