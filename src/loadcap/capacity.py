@@ -5,14 +5,16 @@ K is the operator norm of the boundary trace on the clamped kinematic
 space: the supremum of boundary L1 norm over strain norm.  Its exact
 computation maximizes a convex piecewise-linear functional over a
 polytope, done here by exhaustive enumeration of boundary sign patterns
-(hard cap 16 scalar components): one simplex walk over the patterns in
+(hard cap 16 scalar components) on the kinematic LP, where a pattern's
+traction enters only the costs: one simplex walk over the patterns in
 Gray-code order, which runs phase 2, from the optimal basis where the
 last one stopped, only for a pattern that no basis before it proves
 optimal, then a full solve of every pattern whose walk value is a near
 tie of the best, among which the worst traction is chosen.  Beyond
 the cap an alternating heuristic produces a certified lower bound; it
-solves each sign pattern it visits in full, once, since a warm start could
-reach another optimal vertex and so another sign pattern and K.
+solves the box LP of each sign pattern it visits (`stress.box_optimum`),
+once.  `limit_analysis` reads lambda* off one plastic box LP, whose
+optimum is the load factor itself.
 """
 
 from __future__ import annotations
@@ -23,9 +25,10 @@ import numpy as np
 
 from .kinematics import (DiscreteOperators, check_traction, trace,
                          traction_sup_norm, work_vector)
-from .stress import (ELASTIC, PLASTIC, certify, kinematic_lp,
-                     kinematic_suprema, kinematic_supremum, optimal_stress,
-                     static_lp, static_optima, stress_measure)
+from .stress import (ELASTIC, PLASTIC, box_lp, box_optimum, certify,
+                     kinematic_lp, kinematic_suprema, kinematic_supremum,
+                     static_lp, static_optima, stress_from_multipliers,
+                     stress_measure)
 
 EXACT = "exact_vertex_enumeration"
 HEURISTIC = "alternating_heuristic"
@@ -106,10 +109,9 @@ def _gray_signs(m: int) -> np.ndarray:
 def generalized_K(ops: DiscreteOperators, mode: str = ELASTIC,
                   method: str = EXACT) -> CapacityResult:
     """Compute K = sup_w trace_norm / strain_norm (plastic: isochoric w).
-    Every sign pattern or step maximizes a new work over the same kinematic
-    LP, built once here, so all of them share its phase 1.
 
-    Exact: one simplex walk (`kinematic_suprema`) gives every vertex's
+    Exact: every sign pattern maximizes a new work over the same kinematic
+    LP, built once here, so all of them share its phase 1. one simplex walk (`kinematic_suprema`) gives every vertex's
     value, in Gray-code order (`_gray_signs`), and settles every vertex
     that an optimal basis it reaches already proves optimal without a
     phase 2 of its own.  Its values carry the rounding of the walk,
@@ -119,8 +121,11 @@ def generalized_K(ops: DiscreteOperators, mode: str = ELASTIC,
     certified (`stress.certify`) from that solve's solution.
 
     Heuristic: from all-ones and `HEURISTIC_RESTARTS` - 1 seeded random
-    sign patterns, alternate between solving a pattern and taking the
-    signs of its witness's trace, until the signs repeat.  A pattern that
+    sign patterns, alternate between solving a pattern's box LP (all of
+    them share the phase 1 of one `stress.box_lp`), whose
+    value is sigma_opt = 1 / lambda and whose witness is its equilibrium
+    rows' multipliers, and taking the signs of the witness's trace, until
+    the signs repeat.  A pattern that
     an earlier restart or step visited is not solved again: its solve is
     deterministic, so its value and witness are kept for the call."""
     if method == EXACT:
@@ -138,12 +143,13 @@ def generalized_K(ops: DiscreteOperators, mode: str = ELASTIC,
             if val > best_val + 1e-12:
                 best_val, worst, best_w, best_y = val, t, w, y
         K = max(best_val, 0.0)
-        stress = certify(ops, worst, mode, K, best_w, best_y).sigma_hat
+        stress = certify(ops, worst, mode, K,
+                         stress_from_multipliers(ops, mode, best_y), best_w).sigma_hat
         return CapacityResult(K=K, C=_safe_inverse(K), worst_traction=worst,
                               method=EXACT, certificate=best_w,
                               K_traction_side=stress_measure(stress, mode, ops))
     if method == HEURISTIC:
-        kinematic = kinematic_lp(ops, mode)
+        box = box_lp(ops, mode)
         shape = (len(ops.gammat_facets), ops.dim)
         rng = np.random.default_rng(0)
         starts = [np.ones(shape)]
@@ -155,8 +161,8 @@ def generalized_K(ops: DiscreteOperators, mode: str = ELASTIC,
             for _ in range(HEURISTIC_MAX_ITER):
                 key = signs.tobytes()
                 if key not in solved:
-                    solved[key] = kinematic_supremum(
-                        kinematic, work_vector(ops, signs))[:2]
+                    opt = box_optimum(ops, work_vector(ops, signs), mode, box)
+                    solved[key] = 1.0 / opt.load_factor, opt.witness
                 val, w = solved[key]
                 if val > best_val + 1e-12:
                     best_val, worst, best_w = val, signs, w
@@ -187,20 +193,24 @@ def generalized_K_dual_check(ops: DiscreteOperators, mode: str = ELASTIC) -> flo
 
 
 def limit_analysis(ops: DiscreteOperators, t, Y0: float) -> LimitResult:
-    """Limit-analysis factor Y0/sigma_opt and the collapse-manifold
-    projection lambda* t of the traction, from one certified plastic
-    optimum; lambda_kinematic is Y0 budget(w)/work(w) of its witness."""
+    """Limit-analysis factor lambda* = Y0 lambda = Y0 / sigma_opt, with
+    lambda the plastic box LP's optimal load factor, and the
+    collapse-manifold projection lambda* t of the traction, from one
+    certified optimum; lambda_kinematic is Y0 budget(w)/work(w) of its
+    witness."""
     t = check_traction(ops, t)
     if not (np.isfinite(Y0) and Y0 > 0):
         raise CapacityError(
             f"yield stress Y0 must be finite and positive, got {Y0!r}")
     if traction_sup_norm(ops, t) == 0.0:
         raise CapacityError("limit analysis undefined for zero traction")
-    result = optimal_stress(ops, t, PLASTIC)
+    box = box_optimum(ops, work_vector(ops, t), PLASTIC)
+    result = certify(ops, t, PLASTIC, 1.0 / box.load_factor, box.sigma_hat,
+                     box.witness)
     if min(result.sigma_opt, result.dual_value) <= 0.0:
         raise CapacityError(
             "traction does no work against admissible fields; no collapse load")
-    lambda_star = Y0 / result.sigma_opt
+    lambda_star = Y0 * box.load_factor
     return LimitResult(sigma_opt=result.sigma_opt,
                        lambda_star=lambda_star, t_collapse=lambda_star * t,
                        lambda_kinematic=Y0 / result.dual_value)

@@ -1,16 +1,27 @@
-"""Dense two-phase simplex with Dantzig pricing and a Bland fallback, a
-dense dual simplex for LPs whose crash basis is dual feasible, and an
-enumeration oracle.
+"""Dense two-phase bounded-variable simplex with Dantzig pricing and a
+Bland fallback, a dense dual simplex for LPs whose crash basis is dual
+feasible, and an enumeration oracle.
 
-Standard form with free columns: minimize c.x subject to A.x = b, where
-x_j >= 0 except on the columns that `LPStandardForm.free` marks.  Both
+Standard form with bounds: minimize c.x subject to A.x = b and
+lower <= x <= upper, where a bound may be infinite; by default a column
+is nonnegative, and a free column has neither bound (`LPStandardForm`).
+The bounds stay out of the rows (Dantzig's bounded variables): a
+nonbasic column sits at one of its bounds, or at 0 if it is free or 0
+lies inside its bounds, and the tableau's last column holds x_B.  Both
 phases run one simplex loop.  It enters the column with the most
-negative reduced cost, which takes far fewer pivots than Bland's
-lowest-index rule on these LPs, and falls back to Bland's rule only
-while it is stalled: after `_STALL` degenerate pivots in a row, until a
-pivot moves the objective again.  A free column is priced at -|d_j| and
-enters downwards when its reduced cost d_j is positive; once basic, it
-never leaves, because the ratio test skips its row.
+negative price, which takes far fewer pivots than Bland's lowest-index
+rule on these LPs, and falls back to Bland's rule only while it is
+stalled: after `_STALL` degenerate pivots in a row, until a step moves
+the objective again.  A column that can move both ways is priced at
+-|d_j| and enters downwards when its reduced cost d_j is positive.  The
+ratio test includes the entering column's own range: when that is the
+first limit reached, the column flips to its other bound without a
+pivot.  A free column has no bound to reach, so once basic it never
+leaves.  An LP whose columns are all free or nonnegative, such as the
+kinematic LP, is "plain": its nonbasic columns all sit at 0, and the
+loop runs the same arithmetic as a simplex without bounds.  At the end
+of a solve, x_B and the multipliers are solved from A, b and c at the
+optimal basis.
 A pivot updates only the tableau entries it changes, in the rows with a
 nonzero pivot-column entry and the columns with a nonzero pivot-row
 entry; the kinematic LP's rows each touch one element or facet, so that
@@ -20,27 +31,31 @@ that, a dense update runs in blocks of rows, so that no temporary is as
 large as the tableau.
 Inequalities are handled by LPBuilder, which gives each a slack column.
 Phase 1 crash-starts: a row starts on a column whose only nonzero entry
-is positive and in that row, such as an inequality's slack, and only the
-rows without one get an artificial.  When all of those rows have b = 0
-the start is feasible, and phase 1 is only the degenerate pivots that
-drive the artificials out.  Phase 1 depends on A, b and the free columns
-only, so LPs that differ only in their costs
-(`LPStandardForm.with_objective`) share one phase 1, memoized, and each
-runs only phase 2, on a copy of it.  A standalone LP, whose phase 1 is
-shared with nothing, runs phase 2 in phase 1's own array, so that its
-solve holds A and one tableau at its peak.  `solve_each` goes further for
-the costs w @ U of the rows w of a weight matrix: it walks the rows in
-order on one phase-2 tableau, each phase 2 starting from the basis where
-the previous one stopped, which stays feasible because A and b are the
-same.  At each optimal basis it prices the next rows in one matrix
-product and settles every row that the basis proves optimal too, without
-a phase 2 of its own.  It gives each status and objective, with the
-walk's rounding, and no solution.
-An LP with c >= 0 whose free columns and crash columns cost nothing,
-such as the static stress LP, skips phase 1: its rows without a crash
-column take free columns by Gaussian pivots (if a row finds none, the LP
-takes two phases), and that basis is dual feasible for any b, so `solve`
-runs the dual simplex from it.
+is positive and in that row, such as an inequality's slack, and a row
+whose x_B is 0 on a Gaussian pivot (`_phase1`); only the rows left get
+an artificial.  When all of those rows have x_B = 0 the start is
+feasible, and phase 1 is only the degenerate pivots that drive the
+artificials out.  Phase 1 depends on A, b and the bounds only, so LPs
+that differ only in their costs (`LPStandardForm.with_objective`) share
+one phase 1, memoized, and each runs only phase 2, on a copy of it.  So
+do LPs that differ only in one column that is zero in the LP they are
+made from (`LPStandardForm.with_column`): phase 1 never pivots on that
+column, which is solved into a copy at phase 1's basis.  A
+standalone LP, whose phase 1 is shared with nothing, runs phase 2 in
+phase 1's own array, so that its solve holds A and one tableau at its
+peak.  `solve_each` goes further for the costs w @ U of the rows w of a
+weight matrix: it walks the rows in order on one phase-2 tableau, each
+phase 2 starting from the basis where the previous one stopped, which
+stays feasible because A, b and the bounds are the same.  At each
+optimal basis it prices the next rows in one matrix product and settles
+every row that the basis proves optimal too, without a phase 2 of its
+own.  It gives each status and objective, with the walk's rounding, and
+no solution.
+A plain LP with c >= 0 whose free columns and crash columns cost
+nothing, such as the static stress LP, skips phase 1: its rows without a
+crash column take free columns by Gaussian pivots (if a row finds none,
+the LP takes two phases), and that basis is dual feasible for any b, so
+`solve` runs the dual simplex from it.
 `solve_each_rhs` walks a sequence of right-hand sides the same way as
 `solve_each` walks costs: each step sets x_B = B^-1 b at the previous
 optimal basis, which stays dual feasible because A and c are the same,
@@ -102,31 +117,36 @@ class LPIterationError(RuntimeError):
 
 class _Phase1(NamedTuple):
     """Phase 1's outcome: the phase 2 start (the constraint rows of the
-    tableau over the structural columns and the right-hand side, then a
-    cost row that phase 2 writes), its basis and the rows kept from A;
+    tableau over the structural columns and x_B, then a cost row that
+    phase 2 writes), its basis, the rows kept from A and where each
+    nonbasic column sits (`value`; a basic column's entry is unused);
     `tableau` is None if the LP is infeasible.  `pivots` is the number of
-    simplex pivots phase 1 took, not counting those that drive the
-    artificials out."""
+    simplex pivots phase 1 took, not counting the crash's Gaussian pivots
+    nor those that drive the artificials out."""
 
     tableau: np.ndarray | None
     basis: np.ndarray
     keep_rows: list
     pivots: int
+    value: np.ndarray | None = None
 
 
 class _Memo:
     """Phase 1 of one (A, b), shared by every LP made from it with
-    `with_objective` and by `solve_each`'s walks.  Once `shared` is set,
-    the first solve memoizes phase 1 (read-only; A and b are not changed
-    in place after that) and each solve runs phase 2 on a copy.  Until
-    then the LP is standalone: each solve runs phase 1 and then phase 2 in
-    the same array, and nothing is memoized."""
+    `with_objective` or `with_column` and by `solve_each`'s walks.  Once
+    `shared` is set, the first solve memoizes phase 1 (read-only; A and b
+    are not changed in place after that) and each solve runs phase 2 on a
+    copy.  Until then the LP is standalone: each solve runs phase 1 and
+    then phase 2 in the same array, and nothing is memoized.  An LP made
+    by `with_column` has its own memo, whose `column` is (the LP it was
+    made from, the column's index)."""
 
-    __slots__ = ("phase1", "shared")
+    __slots__ = ("phase1", "shared", "column")
 
-    def __init__(self):
+    def __init__(self, column=None):
         self.phase1 = None
         self.shared = False
+        self.column = column
 
 
 @dataclass(frozen=True)
@@ -134,9 +154,16 @@ class LPStandardForm:
     c: np.ndarray = field(repr=False)
     A: np.ndarray = field(repr=False)
     b: np.ndarray = field(repr=False)
-    # a boolean mask of the columns whose variable may take either sign;
-    # None makes every variable nonnegative
-    free: np.ndarray | None = field(default=None, repr=False)
+    # each column's bounds, lower <= x_j <= upper, with -inf or inf for a
+    # side without one; None gives lower 0 and upper inf, a nonnegative
+    # column
+    lower: np.ndarray | None = field(default=None, repr=False)
+    upper: np.ndarray | None = field(default=None, repr=False)
+    # the columns without bounds, and whether every other column is
+    # nonnegative (the columns of the dual simplex and the brute-force
+    # oracle); both follow from the bounds
+    free: np.ndarray = field(init=False, repr=False, compare=False)
+    plain: bool = field(init=False, repr=False, compare=False)
     # not an init field, so that `dataclasses.replace` starts a new one
     _memo: _Memo = field(default_factory=_Memo, init=False, repr=False,
                          compare=False)
@@ -153,22 +180,62 @@ class LPStandardForm:
         for name, arr in (("c", c), ("A", A), ("b", b)):
             if not np.all(np.isfinite(arr)):
                 raise LPError(f"{name} contains non-finite entries")
-        free = np.zeros(c.size, dtype=bool) if self.free is None else \
-            np.asarray(self.free, dtype=bool)
-        if free.shape != c.shape:
-            raise LPError(f"free mask has shape {free.shape}, expected {c.shape}")
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "free", free)
+        lower = np.zeros(c.size) if self.lower is None else \
+            np.asarray(self.lower, dtype=float)
+        upper = np.full(c.size, np.inf) if self.upper is None else \
+            np.asarray(self.upper, dtype=float)
+        if lower.shape != c.shape or upper.shape != c.shape:
+            raise LPError(f"bounds have shapes {lower.shape} and {upper.shape}, "
+                          f"expected {c.shape}")
+        if not (lower <= upper).all() or (lower == np.inf).any() or \
+                (upper == -np.inf).any():
+            raise LPError("bounds must satisfy lower <= upper, lower < inf "
+                          "and upper > -inf")
+        unbounded_above = upper == np.inf
+        free = (lower == -np.inf) & unbounded_above
+        plain = bool(unbounded_above.all()) and not lower[~free].any()
+        for name, value in (("c", c), ("A", A), ("b", b), ("lower", lower),
+                            ("upper", upper), ("free", free), ("plain", plain)):
+            object.__setattr__(self, name, value)
 
     def with_objective(self, c) -> LPStandardForm:
-        """The same A, b and free columns with costs c; it shares this LP's
+        """The same A, b and bounds with costs c; it shares this LP's
         phase 1, which from now on is memoized, so that phase 1 runs once
-        for both and each phase 2 runs on a copy of it."""
-        p = LPStandardForm(c=c, A=self.A, b=self.b, free=self.free)
+        for both and each phase 2 runs on a copy of it.  Only c is
+        checked: every other field is this LP's, checked already."""
+        c = np.asarray(c, dtype=float)
+        if c.shape != self.c.shape:
+            raise LPError(f"shape mismatch: c has shape {c.shape}, "
+                          f"expected {self.c.shape}")
+        if not np.all(np.isfinite(c)):
+            raise LPError("c contains non-finite entries")
+        p = object.__new__(LPStandardForm)
+        p.__dict__.update(self.__dict__, c=c)  # _memo included
         self._memo.shared = True
-        object.__setattr__(p, "_memo", self._memo)
+        return p
+
+    def with_column(self, j: int, a) -> LPStandardForm:
+        """This LP with column j replaced by a.  Column j must be zero
+        here, with 0 inside its bounds: then phase 1 never pivots on it and
+        leaves it nonbasic at 0, so the new LP's phase 1 is this LP's, with
+        column j of the tableau set to B^-1 a at its basis B (`_start`).
+        This LP's phase 1 is memoized from now on, as in `with_objective`,
+        and shared by every LP made from it."""
+        m, n = self.A.shape
+        a = np.asarray(a, dtype=float)
+        if not -n <= j < n or a.shape != (m,):
+            raise LPError(f"column {j} of shape {a.shape} does not fit a "
+                          f"{m} x {n} LP")
+        if not np.all(np.isfinite(a)):
+            raise LPError("the column contains non-finite entries")
+        j %= n
+        if self.A[:, j].any() or not self.lower[j] <= 0.0 <= self.upper[j]:
+            raise LPError(f"column {j} is not zero with 0 inside its bounds")
+        A = self.A.copy()
+        A[:, j] = a
+        p = object.__new__(LPStandardForm)
+        p.__dict__.update(self.__dict__, A=A, _memo=_Memo(column=(self, j)))
+        self._memo.shared = True
         return p
 
 
@@ -189,8 +256,11 @@ def _pivot(T: np.ndarray, row: int, col: int):
     or the whole tableau, costed by the entry counts at `_BLOCK_COST`,
     `_COLS_COST` and 1; the whole tableau in blocks of about
     `_BLOCK_ENTRIES` entries.  The result equals the dense update up to the
-    sign of a zero, so no pivot choice depends on which update ran."""
-    T[row] /= T[row, col]
+    sign of a zero, so no pivot choice depends on which update ran.  A
+    pivot of 1.0 leaves the row as it is, which dividing by it would do
+    bit for bit."""
+    if T[row, col] != 1.0:
+        T[row] /= T[row, col]
     pivot_row = T[row]
     factors = T[:, col].copy()
     factors[row] = 0.0
@@ -216,29 +286,59 @@ def _pivot(T: np.ndarray, row: int, col: int):
     T -= np.outer(factors, pivot_row)
 
 
-def _simplex(T: np.ndarray, basis: np.ndarray, free: np.ndarray,
-             phase: int, shape: tuple) -> tuple:
-    """Run the simplex on a tableau whose last row holds reduced costs and
-    last column the right-hand side, over the columns that the boolean mask
-    free covers.  A nonbasic free column is priced at -|d_j|, and enters
-    downwards when its reduced cost d_j is positive: the ratio test runs on
-    its negated column.  The entering column has the lowest price
-    (Dantzig), except after `_STALL` degenerate pivots in a row, when it is
-    the lowest-index improving column (Bland) until a pivot moves the
-    objective again; the leaving row is the ratio-test tie with the lowest
-    basic index.  The ratio test skips the rows whose basic variable is
-    free, so a free variable enters the basis at most once and never
-    leaves.  After the last one has entered, the loop is Bland's rule on
-    the nonnegative columns, which cannot cycle at one vertex, and every
-    other pivot lowers the objective, so it terminates, or fails after
-    `_MAX_ITER` pivots.  Mutates T and the int array basis; returns
-    (status, pivots)."""
-    n = len(free)
-    locked = free[basis]  # rows whose basic variable is free
+def _enter(T: np.ndarray, row: int, col: int, value: np.ndarray, bound: float):
+    """Pivot col into the basis in row, whose basic variable leaves at
+    bound, with x_B in T's last column: x_B is B^-1 (b - N x_N), so col's
+    own term comes back in before the pivot and the leaving variable's
+    goes out, each only when it is nonzero."""
+    if value[col] != 0.0:
+        T[:-1, -1] += value[col] * T[:-1, col]
+    if bound != 0.0:
+        T[row, -1] -= bound
+    _pivot(T, row, col)
+
+
+def _simplex(T: np.ndarray, basis: np.ndarray, lower: np.ndarray,
+             upper: np.ndarray, value: np.ndarray, plain: bool, phase: int,
+             shape: tuple) -> tuple:
+    """Run the bounded-variable simplex on a tableau whose last row holds
+    reduced costs and last column x_B, over the columns that lower and
+    upper bound; value holds where each nonbasic column sits, at a bound,
+    or at 0 inside its bounds.  A nonbasic column that can move both ways
+    (a free one, or one at 0 inside its bounds) is priced at -|d_j|, one
+    at its lower bound at d_j, one at its upper bound at -d_j; it enters
+    upwards when d_j < 0 and downwards when d_j > 0.  The entering column
+    has the lowest price (Dantzig), except after `_STALL` degenerate
+    pivots in a row, when it is the lowest-index improving column (Bland)
+    until a step moves the objective again.  The ratio test stops at the
+    first basic variable to reach one of its bounds, or at the entering
+    column's own other bound: then the column only moves there (a bound
+    flip), and the basis stays.  The leaving row is the ratio-test tie
+    with the lowest basic index, and its variable leaves at the bound it
+    reached.  A free variable has no bound to reach, so once basic it
+    never leaves; after the last one has entered, the loop is Bland's rule
+    on bounded columns, which cannot cycle at one vertex, and every other
+    step lowers the objective, so it terminates, or fails after
+    `_MAX_ITER` pivots and flips.  plain says that every column is free
+    or nonnegative, as in the kinematic LP: then every nonbasic column
+    sits at 0, no column has a second bound to flip to, and the loop
+    skips that bookkeeping.  Mutates T, the int array basis and value;
+    returns (status, pivots)."""
+    n = len(lower)
+    lb = lower[basis]
+    if plain:
+        down = lower == -np.inf  # the free columns
+    else:
+        up, down = value < upper, value > lower
+        ub = upper[basis]
     stalled = 0
     for pivots in range(_MAX_ITER):
         costs = T[-1, :n]
-        prices = np.where(free, -np.abs(costs), costs)
+        if plain:
+            prices = np.where(down, -np.abs(costs), costs)
+        else:
+            prices = np.minimum(np.where(up, costs, np.inf),
+                                np.where(down, -costs, np.inf))
         if stalled < _STALL:
             j = int(np.argmin(prices))
             if prices[j] >= -_PIVOT_TOL:
@@ -248,28 +348,60 @@ def _simplex(T: np.ndarray, basis: np.ndarray, free: np.ndarray,
             if candidates.size == 0:
                 return OPTIMAL, pivots
             j = int(candidates[0])
-        col = T[:-1, j] if costs[j] < 0.0 else -T[:-1, j]
-        rows = np.flatnonzero((col > _PIVOT_TOL) & ~locked)
-        if rows.size == 0:
-            return UNBOUNDED, pivots
-        ratios = T[rows, -1] / col[rows]
-        best = ratios.min()
-        ties = rows[ratios <= best + 1e-12]
+        rising = costs[j] < 0.0
+        col = T[:-1, j] if rising else -T[:-1, j]
+        if plain:
+            rows = np.flatnonzero((col > _PIVOT_TOL) & (lb > -np.inf))
+            if rows.size == 0:
+                return UNBOUNDED, pivots
+            ratios = T[rows, -1] / col[rows]
+            best = ratios.min()
+            ties = rows[ratios <= best + 1e-12]
+        else:
+            # each basic variable's distance to the bound it moves towards,
+            # per unit step of column j (inf where it has none)
+            x, size = T[:-1, -1], np.abs(col)
+            ratios = np.divide(np.where(col > 0.0, x - lb, ub - x), size,
+                               out=np.full(len(size), np.inf),
+                               where=size > _PIVOT_TOL)
+            best = ratios.min(initial=np.inf)
+            span = upper[j] - value[j] if rising else value[j] - lower[j]
+            if span <= best:
+                if span == np.inf:
+                    return UNBOUNDED, pivots
+                # a bound flip: column j moves to its other bound, x_B with it
+                moved = upper[j] if rising else lower[j]
+                T[:-1, -1] -= (moved - value[j]) * T[:-1, j]
+                value[j] = moved
+                up[j], down[j] = moved < upper[j], moved > lower[j]
+                stalled = 0
+                continue
+            ties = np.flatnonzero(ratios <= best + 1e-12)
         leave = int(ties[np.argmin(basis[ties])])
         stalled = stalled + 1 if best <= 1e-12 else 0
-        _pivot(T, leave, j)
+        if plain:
+            _pivot(T, leave, j)
+        else:
+            out = basis[leave]
+            bound = lb[leave] if col[leave] > 0.0 else ub[leave]
+            _enter(T, leave, j, value, bound)
+            value[out] = bound
+            up[out], down[out] = bound < upper[out], bound > lower[out]
+            ub[leave] = upper[j]
         basis[leave] = j
-        locked[leave] = free[j]
+        lb[leave] = lower[j]
     raise LPIterationError(phase, shape, _MAX_ITER)
 
 
-def _crash_basis(A: np.ndarray) -> np.ndarray:
-    """For each row, the lowest-index column whose only nonzero entry is
-    positive and lies in that row, or -1 if there is none.  Such a column
-    can start basic in its row: dividing the row by that entry makes it a
-    unit column, and keeps a nonnegative right-hand side nonnegative."""
+def _crash_basis(A: np.ndarray, eligible: np.ndarray) -> np.ndarray:
+    """For each row, the lowest-index eligible column whose only nonzero
+    entry is positive and lies in that row, or -1 if there is none.  Such
+    a column can start basic in its row: dividing the row by that entry
+    makes it a unit column, and keeps a nonnegative right-hand side
+    nonnegative, so eligible columns are those that can take any
+    nonnegative value."""
     nonzero = A != 0.0
-    single = np.flatnonzero(nonzero.sum(axis=0) == 1)
+    single = np.flatnonzero((nonzero.sum(axis=0) == 1) & eligible)
     _, row = np.nonzero(nonzero[:, single].T)  # the row of each such column
     positive = A[row, single] > 0.0
     rows, first = np.unique(row[positive], return_index=True)
@@ -278,22 +410,55 @@ def _crash_basis(A: np.ndarray) -> np.ndarray:
     return basic
 
 
-def _phase1(A: np.ndarray, b: np.ndarray, free: np.ndarray) -> _Phase1:
-    """Crash-start phase 1.  After the rows with b < 0 are flipped, every
-    row with a `_crash_basis` column starts on it, and only the other rows
-    get an artificial, which is nonnegative.  Minimize the sum of the
-    artificials (at once optimal if all of their rows have b = 0), then
-    drive the artificials left in the basis out of it, dropping the
-    redundant rows.  The tableau's last row is for phase 2's reduced
-    costs, which phase 2 writes."""
+def _divide_rows(T: np.ndarray, rows: np.ndarray, cols: np.ndarray):
+    """Divide each row rows[i] of T by its entry in column cols[i].  The
+    rows whose entry is 1.0 are left as they are, which dividing would do
+    bit for bit, and only the others are gathered: a crash column is
+    mostly a slack, whose entry is 1.0."""
+    entries = T[rows, cols]
+    scaled = entries != 1.0
+    if scaled.any():
+        T[rows[scaled]] /= entries[scaled, None]
+
+
+def _phase1(A: np.ndarray, b: np.ndarray, lower: np.ndarray,
+            upper: np.ndarray, plain: bool) -> _Phase1:
+    """Crash-start phase 1.  Every nonbasic column starts at 0, or at the
+    bound nearest 0 if 0 is outside its bounds, and the rows whose x_B
+    would be negative are flipped.  A row with a `_crash_basis` column
+    starts on it.  Each other row whose x_B is 0 then takes one Gaussian
+    pivot, on its largest entry among the columns with 0 strictly inside
+    their bounds, if that is above `_PIVOT_TOL`: x_B stays as it is, and
+    the new basic variable is 0, away from its bounds.  So a nonnegative
+    column is never a crash pivot, and the crash does not depend on one
+    (`LPStandardForm.with_column`).  On the elastic 6x6 plate the
+    kinematic LP's phase 2 takes 213 pivots from this start, and took
+    45,953 when the nonnegative columns were candidates too; on the
+    plastic 16x16 plate the box LP's takes 1,036, and failed its
+    certificate after 17,660 from the lowest-index entries.  Only the rows
+    left over get an artificial, which is nonnegative.  Minimize the sum
+    of the artificials (at once optimal if all of their rows have
+    x_B = 0), then drive the artificials left in the basis out of it,
+    dropping the redundant rows.  The tableau's last row is for phase 2's
+    reduced costs, which phase 2 writes."""
     m, n = A.shape
-    T = np.empty((m + 1, n + 1))  # [A | b] over the cost row
+    value = np.zeros(n) if plain else np.clip(0.0, lower, upper)
+    T = np.empty((m + 1, n + 1))  # [A | x_B] over the cost row
     T[:m, :n] = A
-    T[:m, -1] = b
-    T[:m][b < 0] *= -1.0
-    basis = _crash_basis(T[:m, :n])
+    T[-1] = 0.0
+    T[:m, -1] = b - A @ value if value.any() else b
+    T[:m][T[:m, -1] < 0] *= -1.0
+    basis = _crash_basis(T[:m, :n], (upper == np.inf) & (lower <= 0.0))
     crashed = np.flatnonzero(basis >= 0)
-    T[crashed] /= T[crashed, basis[crashed]][:, None]
+    _divide_rows(T, crashed, basis[crashed])
+    inside = ((lower < 0.0) & (upper > 0.0)).astype(float)
+    for r in np.flatnonzero((basis < 0) & (T[:m, -1] == 0.0)):
+        entries = np.abs(T[r, :n])
+        entries *= inside
+        j = int(entries.argmax())
+        if entries[j] > _PIVOT_TOL:
+            _pivot(T[:m], r, j)
+            basis[r] = j
     artificial = np.flatnonzero(basis < 0)
     k = len(artificial)
     basis[artificial] = n + np.arange(k)
@@ -307,13 +472,16 @@ def _phase1(A: np.ndarray, b: np.ndarray, free: np.ndarray) -> _Phase1:
         P[-1] -= P[artificial].sum(axis=0)
         tol = _FEAS_TOL * (1.0 + np.abs(T[:m, -1]).max(initial=0.0))
         del T
-        status, pivots = _simplex(P, basis, np.append(free, np.zeros(k, bool)),
-                                  1, (m, n))
-        if status != OPTIMAL or P[-1, -1] < -tol:
+        value = np.append(value, np.zeros(k))
+        status, pivots = _simplex(P, basis, np.append(lower, np.zeros(k)),
+                                  np.append(upper, np.full(k, np.inf)),
+                                  value, plain, 1, (m, n))
+        if status != OPTIMAL or P[:m, -1][basis >= n].sum() > tol:
             return _Phase1(None, basis[:0], [], pivots)
         # the artificial columns are not needed any more, and phase 2
         # overwrites the phase 1 costs
         T = np.delete(P, np.s_[n:n + k], axis=1)
+        value = value[:n]
         del P
 
     keep_rows = list(range(m))
@@ -323,7 +491,7 @@ def _phase1(A: np.ndarray, b: np.ndarray, free: np.ndarray) -> _Phase1:
             continue
         piv = np.nonzero(np.abs(T[r, :n]) > _PIVOT_TOL)[0]
         if piv.size:
-            _pivot(T[:m], r, int(piv[0]))
+            _enter(T, r, int(piv[0]), value, 0.0)
             basis[r] = int(piv[0])
         else:
             drop.append(r)
@@ -331,54 +499,71 @@ def _phase1(A: np.ndarray, b: np.ndarray, free: np.ndarray) -> _Phase1:
         keep_rows = [r for r in range(m) if r not in drop]
         T = T[keep_rows + [m]]
         basis = basis[keep_rows]
-    return _Phase1(T, basis, keep_rows, pivots)
+    return _Phase1(T, basis, keep_rows, pivots, value)
 
 
 def _start(p: LPStandardForm) -> _Phase1:
-    """Phase 1 of p, with a tableau and basis that the caller may run phase
-    2 in.  A standalone LP gets phase 1's own arrays; an LP whose memo is
-    shared gets copies of its memoized phase 1, run now if it is not yet
-    there."""
+    """Phase 1 of p, with a tableau, basis and nonbasic values that the
+    caller may run phase 2 in.  A standalone LP gets phase 1's own arrays;
+    an LP whose memo is shared gets copies of its memoized phase 1, run now
+    if it is not yet there."""
     memo = p._memo
+    if memo.column is not None:
+        return _start_with_column(p, *memo.column)
     if memo.phase1 is None:
-        start = _phase1(p.A, p.b, p.free)
+        start = _phase1(p.A, p.b, p.lower, p.upper, p.plain)
         if not memo.shared:
             return start
         memo.phase1 = start
         if start.tableau is not None:  # only copies of it are handed out
-            start.tableau.flags.writeable = start.basis.flags.writeable = False
+            for arr in (start.tableau, start.basis, start.value):
+                arr.flags.writeable = False
     start = memo.phase1
     if start.tableau is None:
         return start
-    return start._replace(tableau=start.tableau.copy(), basis=start.basis.copy())
+    return start._replace(tableau=start.tableau.copy(), basis=start.basis.copy(),
+                          value=start.value.copy())
+
+
+def _start_with_column(p: LPStandardForm, base: LPStandardForm, j: int) -> _Phase1:
+    """Phase 1 of p = base.with_column(j, a): a copy of base's, with
+    column j of the tableau solved from the data at its basis B, B^-1 a.
+    If base's phase 1 found it infeasible or dropped a redundant row, a
+    need not share that, so p runs its own phase 1."""
+    start = _start(base)
+    if start.tableau is None or len(start.keep_rows) < len(p.b):
+        return _phase1(p.A, p.b, p.lower, p.upper, p.plain)
+    start.tableau[:-1, j] = _solve_basis(p.A[:, start.basis], p.A[:, j])
+    return start
 
 
 def _phase2(T: np.ndarray, basis: np.ndarray, c: np.ndarray,
-            free: np.ndarray, shape: tuple) -> str:
+            p: LPStandardForm, value: np.ndarray) -> str:
     """Write the reduced costs of c at the basis into T's last row, then
-    run phase 2 from that basis.  The constraint rows of T are the tableau
-    of a feasible basis, so any c may follow any other."""
+    run phase 2 of p from that basis.  The constraint rows of T are the
+    tableau of a feasible basis, so any c may follow any other."""
     n = len(c)
     T[-1, :n] = c
     T[-1, n] = 0.0
     T[-1] -= c[basis] @ T[:-1]
-    return _simplex(T, basis, free, 2, shape)[0]
+    return _simplex(T, basis, p.lower, p.upper, value, p.plain, 2, p.A.shape)[0]
 
 
 def _dual_start(p: LPStandardForm):
     """The dual simplex's cold start for p, as (tableau, basis), or None
-    if p is not eligible.  p is eligible when c >= 0, c = 0 on the free
-    columns and on every `_crash_basis` column, and every row without a
-    crash column can take a free column (so there must be at least as many
-    free columns as such rows).  Those rows take one, by one
-    Gaussian pivot each on the largest entry among the free columns.  All
-    basic costs are then 0, so the reduced costs are c itself: >= 0, and
-    0 on the free columns, which is dual feasible for any b."""
+    if p is not eligible.  p is eligible when every column is free or
+    nonnegative, c >= 0, c = 0 on the free columns and on every
+    `_crash_basis` column, and every row without a crash column can take a
+    free column (so there must be at least as many free columns as such
+    rows).  Those rows take one, by one Gaussian pivot each on the largest
+    entry among the free columns.  All basic costs are then 0, so the
+    reduced costs are c itself: >= 0, and 0 on the free columns, which is
+    dual feasible for any b."""
     c, free = p.c, p.free
-    if (c < 0.0).any() or c[free].any():
+    if not p.plain or (c < 0.0).any() or c[free].any():
         return None
     m, n = p.A.shape
-    basis = _crash_basis(p.A)
+    basis = _crash_basis(p.A, np.ones(n, dtype=bool))
     crashed = np.flatnonzero(basis >= 0)
     if c[basis[crashed]].any() or np.count_nonzero(free) < m - len(crashed):
         return None
@@ -387,7 +572,7 @@ def _dual_start(p: LPStandardForm):
     T[:m, -1] = p.b
     T[-1, :n] = c
     T[-1, -1] = 0.0
-    T[crashed] /= T[crashed, basis[crashed]][:, None]
+    _divide_rows(T, crashed, basis[crashed])
     for r in np.flatnonzero(basis < 0):
         entries = np.where(free, np.abs(T[r, :n]), 0.0)
         j = int(np.argmax(entries))
@@ -452,12 +637,13 @@ def _dual_simplex(T: np.ndarray, basis: np.ndarray, free: np.ndarray,
 class _Final(NamedTuple):
     """Where a cold solve stopped: its status, and unless it is
     infeasible at phase 1, the final tableau with its reduced-cost row,
-    the basis and the rows of A kept."""
+    the basis, the rows of A kept and where each nonbasic column sits."""
 
     status: str
     tableau: np.ndarray | None = None
     basis: np.ndarray | None = None
     keep_rows: np.ndarray | None = None
+    value: np.ndarray | None = None
 
 
 def _solve_cold(p: LPStandardForm) -> _Final:
@@ -469,39 +655,47 @@ def _solve_cold(p: LPStandardForm) -> _Final:
     if start is not None:
         T, basis = start
         status = _dual_simplex(T, basis, p.free, (m, n))[0]
-        return _Final(status, T, basis, np.arange(m))
-    T, basis, keep_rows, _ = _start(p)
+        return _Final(status, T, basis, np.arange(m), np.zeros(n))
+    T, basis, keep_rows, _, value = _start(p)
     if T is None:
         return _Final(INFEASIBLE)
-    status = _phase2(T, basis, p.c, p.free, (m, n))
-    return _Final(status, T, basis, np.asarray(keep_rows))
+    status = _phase2(T, basis, p.c, p, value)
+    return _Final(status, T, basis, np.asarray(keep_rows), value)
+
+
+def _solve_basis(B: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """B^-1 rhs, or a least-squares solution if B is singular."""
+    try:
+        return np.linalg.solve(B, rhs)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(B, rhs, rcond=None)[0]
 
 
 def solve(p: LPStandardForm) -> LPSolution:
     """Dense simplex: the dual simplex from a crash basis when that basis
-    is dual feasible (`_dual_start`), else two phases.  Deterministic for
-    identical input, and the same whether phase 1 is run here or shared
-    with an LP of the same A and b."""
+    is dual feasible (`_dual_start`), else two phases.  At the optimal
+    basis B, x_B and the multipliers are solved from the data, not read
+    off the tableau, whose pivots carry rounding: B x_B = b - N x_N and
+    B^T y = c_B.  Deterministic for identical input, and the same whether
+    phase 1 is run here or shared with an LP of the same A and b."""
     m, n = p.A.shape
-    status, T, basis, keep_rows = _solve_cold(p)
+    status, T, basis, keep_rows, value = _solve_cold(p)
     if status != OPTIMAL:
         return LPSolution(status)
+    del T  # freed before B is gathered and factored
 
-    x = np.zeros(n)
-    x[basis] = T[:-1, -1]
-    del T  # freed before B is gathered and factored for y
-    obj = float(p.c @ x)
-
-    # equality multipliers from the final basis w.r.t. the original rows
-    # (dropped redundant rows get zero)
+    x = value.copy()
+    x[basis] = 0.0
+    rhs = p.b[keep_rows]
+    if x.any():
+        rhs = rhs - (p.A @ x)[keep_rows]
+    B = p.A[np.ix_(keep_rows, basis)]
+    x[basis] = _solve_basis(B, rhs)
+    # equality multipliers w.r.t. the original rows (dropped redundant
+    # rows get zero)
     y = np.zeros(m)
-    Bt = p.A[np.ix_(keep_rows, basis)].T
-    try:
-        y_keep = np.linalg.solve(Bt, p.c[basis])
-    except np.linalg.LinAlgError:
-        y_keep, *_ = np.linalg.lstsq(Bt, p.c[basis], rcond=None)
-    y[keep_rows] = y_keep
-    return LPSolution(OPTIMAL, x=x, y=y, objective=obj)
+    y[keep_rows] = _solve_basis(B.T, p.c[basis])
+    return LPSolution(OPTIMAL, x=x, y=y, objective=float(p.c @ x))
 
 
 def solve_each(p: LPStandardForm, unit_costs, weights) -> tuple:
@@ -510,17 +704,17 @@ def solve_each(p: LPStandardForm, unit_costs, weights) -> tuple:
     statuses and one of objectives, nan unless optimal.  One walk over the
     rows in order, after p's phase 1 (shared through its memo).  The first
     row not yet settled runs phase 2 from the basis where the previous
-    phase 2 stopped; A and b never change, so that basis stays feasible.
-    At the optimal basis B it reaches, the reduced costs of the unit costs
-    U, R = U - U_B B^-1 A, price the next `_LOOKAHEAD` rows not yet
-    settled in one product, w @ R, with a free column at -|d_j| as in
-    `_simplex`.  Each row with no price below -`_PIVOT_TOL`, the test
-    `_simplex` stops on, is optimal at B too, and settles with the value
-    w . (U_B x_B).  Rows that share optimal bases, such as the sign
-    patterns of a traction, so need far fewer phase 2s than there are
-    rows.  The rounding of the pivots before B carries into the values,
-    so values that must be exact, or a solution, come from `solve`.  p's
-    own costs are not used."""
+    phase 2 stopped; A, b and the bounds never change, so that basis stays
+    feasible.  At the optimal basis B it reaches, the reduced costs of the
+    unit costs U, R = U - U_B B^-1 A, price the next `_LOOKAHEAD` rows not
+    yet settled in one product, w @ R, each column in the directions it
+    can move, as in `_simplex`.  Each row with no price below
+    -`_PIVOT_TOL`, the test `_simplex` stops on, is optimal at B too, and
+    settles with the value w . (U x) at B's vertex x.  Rows that share
+    optimal bases, such as the sign patterns of a traction, so need far
+    fewer phase 2s than there are rows.  The rounding of the pivots before
+    B carries into the values, so values that must be exact, or a
+    solution, come from `solve`.  p's own costs are not used."""
     m, n = p.A.shape
     U = np.asarray(unit_costs, dtype=float)
     W = np.asarray(weights)
@@ -535,26 +729,35 @@ def solve_each(p: LPStandardForm, unit_costs, weights) -> tuple:
     status[:] = INFEASIBLE  # one str object; np.full would copy it per row
     objective = np.full(len(W), np.nan)
     p._memo.shared = True  # the LPs made from p share the walk's phase 1
-    T, basis, _, _ = _start(p)
+    T, basis, _, _, value = _start(p)
     if T is None:
         return status, objective
     todo = np.arange(len(W))  # todo[head:] are the rows not settled, in order
     head = 0
     while head < len(todo):
         row = todo[head]
-        if _phase2(T, basis, W[row] @ U, p.free, (m, n)) == UNBOUNDED:
+        if _phase2(T, basis, W[row] @ U, p, value) == UNBOUNDED:
             status[row] = UNBOUNDED
             head += 1
             continue
         U_B = U[:, basis]
         R = U - U_B @ T[:-1, :n]
-        # -|d_j| >= -tol on a free column is d_j >= -tol and -d_j >= -tol
-        R = np.hstack([R, -R[:, p.free]])
+        # -|d_j| >= -tol on a column that moves both ways is d_j >= -tol
+        # and -d_j >= -tol
+        if p.plain:
+            R = np.hstack([R, -R[:, p.free]])
+        else:
+            R = np.hstack([R[:, value < p.upper], -R[:, value > p.lower]])
         ahead = todo[head + 1:head + 1 + _LOOKAHEAD]
         optimal = (W[ahead] @ R >= -_PIVOT_TOL).all(axis=1)
         done = np.append(row, ahead[optimal])
         status[done] = OPTIMAL
-        objective[done] = W[done] @ (U_B @ T[:-1, -1])
+        at = U_B @ T[:-1, -1]
+        if not p.plain:  # the nonbasic columns away from 0 add their costs
+            nonbasic = value.copy()
+            nonbasic[basis] = 0.0
+            at = at + U @ nonbasic
+        objective[done] = W[done] @ at
         # the rows left in the window move up to just before the rest
         rest = ahead[~optimal]
         head += len(done)
@@ -565,15 +768,17 @@ def solve_each(p: LPStandardForm, unit_costs, weights) -> tuple:
 def solve_each_rhs(p: LPStandardForm, rhss):
     """For each right-hand side b in turn, the (status, objective) that
     `solve` gives p with b (objective None unless optimal), up to
-    rounding.  The first b, and each one after a step that was not optimal
-    or that dropped redundant rows, is solved cold as `solve` does.  Every
-    other b continues from the previous optimal basis: x_B = B^-1 b from
-    the original data, then the dual simplex.  A and c never change, so
-    that basis stays dual feasible, and right-hand sides that differ
-    little need few pivots.  As in `solve_each`, the reduced costs carry
-    the rounding of the pivots before a step, and p's own b is not
-    used."""
+    rounding.  Every column of p must be free or nonnegative.  The first
+    b, and each one after a step that was not optimal or that dropped
+    redundant rows, is solved cold as `solve` does.  Every other b
+    continues from the previous optimal basis: x_B = B^-1 b from the
+    original data, then the dual simplex.  A and c never change, so that
+    basis stays dual feasible, and right-hand sides that differ little
+    need few pivots.  As in `solve_each`, the reduced costs carry the
+    rounding of the pivots before a step, and p's own b is not used."""
     m, n = p.A.shape
+    if not p.plain:
+        raise LPError("solve_each_rhs takes only free and nonnegative columns")
     T, basis = None, None  # the last optimal tableau and basis, all rows kept
     for b in rhss:
         b = np.asarray(b, dtype=float)
@@ -582,8 +787,8 @@ def solve_each_rhs(p: LPStandardForm, rhss):
         if not np.all(np.isfinite(b)):
             raise LPError("right-hand side contains non-finite entries")
         if T is None:
-            status, T, basis, _ = _solve_cold(
-                LPStandardForm(c=p.c, A=p.A, b=b, free=p.free))
+            status, T, basis, _, _ = _solve_cold(
+                LPStandardForm(c=p.c, A=p.A, b=b, lower=p.lower, upper=p.upper))
         else:
             T[:-1, -1] = np.linalg.solve(p.A[:, basis], b)
             T[-1, -1] = -(p.c[basis] @ T[:-1, -1])
@@ -655,10 +860,10 @@ def _enumerate_best(A, b, c):
 def solve_brute(p: LPStandardForm) -> LPSolution:
     """Exhaustive basic-solution enumeration; testing oracle for solve().
     It enumerates nonnegative basic solutions only, so an LP with a free
-    column is an `LPError`."""
+    or bounded column is an `LPError`."""
     m, n = p.A.shape
-    if p.free.any():
-        raise LPError("brute-force oracle takes no free columns")
+    if not (p.lower == 0.0).all() or np.isfinite(p.upper).any():
+        raise LPError("brute-force oracle takes no free or bounded columns")
     if m > _BRUTE_CAP or n > _BRUTE_CAP:
         raise LPError(f"brute-force oracle limited to {_BRUTE_CAP} rows/cols")
     best_obj, best_x = _enumerate_best(p.A, p.b, p.c)
@@ -677,22 +882,23 @@ class LPBuilder:
     """Translate inequalities into standard form.
 
     Variables are declared in order by `add_vars`, and each is one column
-    of the standard form, marked free unless it is nonnegative.  Rows come
+    of the standard form, with the bounds it was declared with.  Rows come
     in dense blocks over all the variables declared by the time `build`
     runs, and keep the order they were added in, which is their order in
     the standard form and in `LPSolution.y`.  Each inequality row gets a
-    slack column after the variable columns.
+    nonnegative slack column after the variable columns.
     """
 
     def __init__(self):
-        self._nonneg = []     # one flag array per add_vars call
+        self._bounds = []     # (lower, upper, count) per add_vars call
         self._rows = []       # (block, rhs) per add_eq or add_le call
         self._is_le = []      # per row
         self.n_vars = 0
 
-    def add_vars(self, count: int, nonneg=True):
-        """Declare `count` variables; `nonneg` is one flag or one per variable."""
-        self._nonneg.append(np.full(count, nonneg, dtype=bool))
+    def add_vars(self, count: int, lower=0.0, upper=np.inf):
+        """Declare `count` variables; each bound is one number or one per
+        variable, -inf or inf for a side without one."""
+        self._bounds.append((lower, upper, count))
         self.n_vars += count
 
     def add_eq(self, rows, rhs):
@@ -719,7 +925,12 @@ class LPBuilder:
         A[slack, n + np.arange(len(slack))] = 1.0
         c = np.zeros(A.shape[1])
         c[:n] = 0.0 + np.asarray(objective, dtype=float)
-        free = np.zeros(A.shape[1], dtype=bool)
-        free[:n] = ~np.concatenate(self._nonneg)
+        lower = np.zeros(A.shape[1])
+        upper = np.full(A.shape[1], np.inf)
+        start = 0
+        for lo, hi, count in self._bounds:
+            lower[start:start + count] = lo
+            upper[start:start + count] = hi
+            start += count
         b = 0.0 + np.concatenate([rhs for _, rhs in self._rows])
-        return LPStandardForm(c=c, A=A, b=b, free=free)
+        return LPStandardForm(c=c, A=A, b=b, lower=lower, upper=upper)

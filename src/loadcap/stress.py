@@ -1,17 +1,27 @@
-"""Optimal equilibrating stress fields: minimax primal and kinematic dual.
+"""Optimal equilibrating stress fields: the static problem as a
+box-bounded LP, the kinematic dual, and the static LP as a reference.
 
 Elastic mode bounds every stress component; plastic mode bounds only the
 deviatoric part, leaving the pressure (and, in plane strain, the
-out-of-plane normal stress) as free variables.  The kinematic dual uses
-the matching strain budget: plain volume-weighted entrywise-1 norm in
-elastic mode, and its quotient by spherical shifts in plastic mode,
-which makes the two linear programs exact duals of each other.
-`optimal_stress` solves only the kinematic LP, reads the stress off its
-multipliers and certifies the pair by weak duality.  The static LP, an
-independent reference, is built once per mesh and mode with its
-right-hand side open (`static_lp`); it starts dual feasible, so it is
-solved by the dual simplex, and `static_optima` walks it over a sequence
-of tractions.
+out-of-plane normal stress) free.  The kinematic dual uses the matching
+strain budget: plain volume-weighted entrywise-1 norm in elastic mode,
+and its quotient by spherical shifts in plastic mode.
+
+- The box LP (`box_lp`) is the static problem with the bound scaled to
+  1: maximize lambda subject to E s = lambda f and |s| <= 1 (plastic:
+  |d| <= 1 on the deviatoric part d, with tr d = 0 and a free pressure),
+  with one row per velocity DOF, and one per element in plastic mode.
+  The simplex keeps its bounds out of the rows.  `optimal_stress` solves
+  it once: sigma_opt = 1 / lambda, sigma_hat = s / lambda, and the
+  multipliers of its equilibrium rows are the kinematic witness;
+  `certify` checks the three against each other.
+- The kinematic LP maximizes the work over the unit strain-budget ball.
+  The traction enters only its costs, so every objective shares one
+  phase 1: the exact-K walk over sign patterns runs on it, and `verify`
+  uses it as an independent reference for the box LP.
+- The static LP minimizes the bound T with the bound rows written out;
+  it starts dual feasible and is solved by the dual simplex
+  (`static_optima` walks it over a sequence of tractions).
 """
 
 from __future__ import annotations
@@ -66,8 +76,8 @@ class StressField(NamedTuple):
 
 
 class OptimalStressResult(NamedTuple):
-    """sigma_opt is the kinematic LP's optimum, dual_value the witness's
-    ratio work/budget, duality_gap |stress_measure(sigma_hat) - dual_value|,
+    """sigma_opt is the certified optimum (1 / lambda of the box LP in
+    `optimal_stress`), dual_value the witness's ratio work/budget, duality_gap |stress_measure(sigma_hat) - dual_value|,
     equilibrium_residual that of sigma_hat against the traction."""
 
     sigma_opt: float
@@ -168,7 +178,7 @@ def static_lp(ops: DiscreteOperators, mode: str) -> StaticLP:
     n_u = bound.shape[1] - nc
     # variables: every element's stress, then every element's u, then T
     builder = lp.LPBuilder()
-    builder.add_vars(n_el * (nc + n_u), nonneg=False)
+    builder.add_vars(n_el * (nc + n_u), lower=-np.inf)
     builder.add_vars(1)
     equilibrium = np.zeros((ops.n_dof, builder.n_vars))
     equilibrium[:, :n_el * nc] = (ops.strain_weights[:, None] * ops.strain_op).T
@@ -212,7 +222,8 @@ def optimal_stress_primal(ops: DiscreteOperators, t, mode: str):
     t = check_traction(ops, t)
     static = static_lp(ops, mode)
     prob = static.prob
-    sol = _solve(lp.LPStandardForm(c=prob.c, A=prob.A, free=prob.free,
+    sol = _solve(lp.LPStandardForm(c=prob.c, A=prob.A, lower=prob.lower,
+                                   upper=prob.upper,
                                    b=_static_rhs(static, work_vector(ops, t))),
                  "static LP")
     _check_static(sol.status)
@@ -297,9 +308,10 @@ def _dual_builder(ops: DiscreteOperators, mode: str) -> KinematicLP:
     eq[el, np.arange(n_rows)[:, None], n_dof + el * n_cols + np.arange(n_cols)] = local
 
     builder = lp.LPBuilder()
-    builder.add_vars(n_dof, nonneg=False)
+    builder.add_vars(n_dof, lower=-np.inf)
     # p, the first column of a plastic element, is free
-    builder.add_vars(n_el * n_cols, nonneg=np.arange(n_el * n_cols) % n_cols >= plastic)
+    builder.add_vars(n_el * n_cols,
+                     lower=np.where(np.arange(n_el * n_cols) % n_cols >= plastic, 0.0, -np.inf))
     builder.add_eq(eq.reshape(n_el * n_rows, -1), 0.0)
     budget = np.zeros(builder.n_vars)
     budget[n_dof:] = (ops.volumes[:, None] * local_budget).ravel()
@@ -333,17 +345,11 @@ def _check_kinematic(status: str):
         raise SolverFailure(f"kinematic LP ended with status {status}")
 
 
-def kinematic_supremum(kinematic: KinematicLP, objective: np.ndarray,
-                       shared: bool = True):
+def kinematic_supremum(kinematic: KinematicLP, objective: np.ndarray):
     """Maximize objective . w over the unit strain-budget ball (plastic:
     restricted to isochoric fields).  Returns (value, witness, the LP's
-    multipliers).  The LP shares the phase 1 of `kinematic.prob`, unless
-    shared is False: then it is a standalone LP, which runs phase 2 in
-    its own phase 1's array, for a kinematic LP that is solved once."""
-    c = _kinematic_costs(kinematic, objective)
-    prob = kinematic.prob
-    sol = _solve(prob.with_objective(c) if shared else
-                 lp.LPStandardForm(c=c, A=prob.A, b=prob.b, free=prob.free),
+    multipliers).  The LP shares the phase 1 of `kinematic.prob`."""
+    sol = _solve(kinematic.prob.with_objective(_kinematic_costs(kinematic, objective)),
                  "kinematic LP")
     _check_kinematic(sol.status)
     # 0.0 - x again, so that a zero optimum is reported as 0.0
@@ -369,9 +375,10 @@ def kinematic_suprema(kinematic: KinematicLP, unit_objectives,
     return np.subtract(0.0, value, out=value)  # 0.0 - value, in place
 
 
-def _stress_from_multipliers(ops: DiscreteOperators, mode: str,
-                             y) -> StressField:
-    """Stationarity of the kinematic LP in w reads
+def stress_from_multipliers(ops: DiscreteOperators, mode: str,
+                            y) -> StressField:
+    """The stress field dual to the kinematic LP, from its multipliers y.
+    Stationarity of the kinematic LP in w reads
     sum_ec (y_ec + [c diagonal] mu_e) B_e[c] = -f, with mu_e the isochoric
     multiplier (plastic only); equilibrium reads
     sum_ec vol_e wgt_c s_ec B_e[c] = f.  So the stress dual to the LP is
@@ -387,21 +394,152 @@ def _stress_from_multipliers(ops: DiscreteOperators, mode: str,
     return StressField(comps, s33)
 
 
-def optimal_stress(ops: DiscreteOperators, t, mode: str = ELASTIC) -> OptimalStressResult:
-    """Solve the kinematic LP once, standalone, and certify its optimum
+def _n_deviatoric(dim: int) -> int:
+    """The box LP's deviatoric columns per element in plastic mode: the
+    unique components and, in 2D, the out-of-plane d33."""
+    return n_comps(dim) + (dim == 2)
+
+
+def _pressure_op(ops: DiscreteOperators) -> np.ndarray:
+    """The equilibrium columns of the element pressures p: those of each
+    element's diagonal stress components, summed, (n_dof, n_el)."""
+    strain_op = ops.strain_op.reshape(ops.n_elements, -1, ops.n_dof)
+    weights = ops.strain_weights.reshape(ops.n_elements, -1)
+    return np.einsum("ec,eck->ke", weights[:, :ops.dim], strain_op[:, :ops.dim])
+
+
+def box_lp(ops: DiscreteOperators, mode: str) -> lp.LPStandardForm:
+    """The static problem as a box-bounded LP: maximize the load factor
+    lambda >= 0 subject to E s = lambda f, with
+    E = (strain_weights * strain_op)^T, one row per velocity DOF.  Its
+    last column, lambda's, is left zero: the LP of a work vector f has -f
+    there (`box_optimum`).  Its phase 1 does not depend on f, since the
+    crash pivots only on columns with 0 strictly inside their bounds,
+    never on lambda, which is nonnegative; so the LPs of many tractions
+    can share it (`lp.LPStandardForm.with_column`).
+
+    Elastic: s is every element's unique stress components, each in
+    [-1, 1].  Plastic: every element's deviatoric components d, each in
+    [-1, 1] (its unique components, then in 2D d33), then every element's
+    free pressure p, with s_ii = d_ii + p and s_ij = d_ij; one more row
+    per element keeps d traceless, d11 + d22 + d33 = 0, so that d is the
+    deviatoric part of s (in 2D, s33 = d33 + p is the out-of-plane
+    stress).  The bound is the stress measure, so the optimum is
+    sigma_opt = 1 / lambda, attained by s / lambda."""
+    check_mode(mode)
+    if mode == PLASTIC:
+        require_plastic_viable(ops)
+    dim, n_el, n_dof = ops.dim, ops.n_elements, ops.n_dof
+    nc = n_comps(dim)
+    E = (ops.strain_weights[:, None] * ops.strain_op).T
+    builder = lp.LPBuilder()
+    if mode == ELASTIC:
+        builder.add_vars(n_el * nc, lower=-1.0, upper=1.0)
+        builder.add_vars(1)
+        builder.add_eq(np.hstack([E, np.zeros((n_dof, 1))]), 0.0)
+    else:
+        n_dev = _n_deviatoric(dim)
+        builder.add_vars(n_el * n_dev, lower=-1.0, upper=1.0)
+        builder.add_vars(n_el, lower=-np.inf)
+        builder.add_vars(1)
+        equilibrium = np.zeros((n_dof, builder.n_vars))
+        deviatoric = equilibrium[:, :n_el * n_dev].reshape(n_dof, n_el, n_dev)
+        deviatoric[:, :, :nc] = E.reshape(n_dof, n_el, nc)
+        equilibrium[:, n_el * n_dev:-1] = _pressure_op(ops)
+        builder.add_eq(equilibrium, 0.0)
+        traceless = np.zeros((n_el, builder.n_vars))
+        diagonal = [*range(dim), nc] if dim == 2 else list(range(dim))
+        el = np.arange(n_el)[:, None]
+        traceless[el, el * n_dev + diagonal] = 1.0
+        builder.add_eq(traceless, 0.0)
+    objective = np.zeros(builder.n_vars)
+    objective[-1] = -1.0
+    return builder.build(objective)
+
+
+class BoxOptimum(NamedTuple):
+    """The box LP's optimum for a work vector: the load factor lambda, the
+    stress field s / lambda and the witness, the multipliers of the
+    equilibrium rows.  lambda is inf when a stress of measure 0 balances
+    the traction; then the stress field is that one and the witness 0."""
+
+    load_factor: float
+    sigma_hat: StressField
+    witness: np.ndarray
+
+
+def box_optimum(ops: DiscreteOperators, work, mode: str = ELASTIC,
+                box: lp.LPStandardForm | None = None) -> BoxOptimum:
+    """Solve the box LP of the work vector once: standalone, or sharing
+    the phase 1 of box, the `box_lp` of ops and mode, if it is given.
+
+    Its multipliers y price the equilibrium rows: lambda's reduced cost
+    is 0, so f . y = 1, and each stress column's reduced cost -E_k . y
+    sits at the bound the column takes, so the strain budget of y is
+    sum_k |E_k . y| = lambda.  So y is a kinematic witness with ratio
+    work/budget = 1 / lambda.  Unbounded lambda means that a stress of
+    measure 0 balances the traction: none but 0 in elastic mode, a
+    pressure field in plastic mode, found by least squares.  lambda = 0
+    means that the traction loads a mechanism."""
+    template = box_lp(ops, mode) if box is None else box
+    load = np.zeros(len(template.b))
+    load[:ops.n_dof] = 0.0 - np.asarray(work, dtype=float)  # 0.0 - x: no -0.0
+    if box is None:
+        A = template.A
+        A[:, -1] = load  # the template is this call's own
+        prob = lp.LPStandardForm(c=template.c, A=A, b=template.b,
+                                 lower=template.lower, upper=template.upper)
+    else:
+        prob = box.with_column(-1, load)
+    sol = _solve(prob, "box LP")
+    n_el, nc = ops.n_elements, n_comps(ops.dim)
+    plastic, planar = mode == PLASTIC, ops.dim == 2
+    if sol.status == lp.UNBOUNDED:
+        comps = np.zeros((n_el, nc))
+        if not plastic:
+            return BoxOptimum(np.inf, StressField(comps), np.zeros(ops.n_dof))
+        p = np.linalg.lstsq(_pressure_op(ops), work, rcond=None)[0]
+        comps[:, :ops.dim] = p[:, None]
+        return BoxOptimum(np.inf, StressField(comps, p if planar else None),
+                          np.zeros(ops.n_dof))
+    if sol.status != lp.OPTIMAL:
+        raise SolverFailure(
+            f"box LP ended with status {sol.status}; s = 0 with lambda = 0 "
+            "is feasible, so this indicates an internal error")
+    lam = sol.x[-1]
+    if not lam > 0.0:
+        raise SolverFailure(
+            "box LP: load factor 0: the traction loads a mechanism of the "
+            "mesh despite the supported boundary")
+    s = sol.x[:-1] / lam
+    if not plastic:
+        return BoxOptimum(lam, StressField(s.reshape(n_el, nc)), sol.y[:ops.n_dof])
+    n_dev = _n_deviatoric(ops.dim)
+    d = s[:n_el * n_dev].reshape(n_el, n_dev)
+    p = s[n_el * n_dev:]
+    comps = d[:, :nc].copy()
+    comps[:, :ops.dim] += p[:, None]
+    s33 = d[:, nc] + p if planar else None
+    return BoxOptimum(lam, StressField(comps, s33), sol.y[:ops.n_dof])
+
+
+def optimal_stress(ops: DiscreteOperators, t, mode: str = ELASTIC,
+                   box: lp.LPStandardForm | None = None) -> OptimalStressResult:
+    """Solve the box LP once (`box_optimum`, sharing the phase 1 of box if
+    it is given) and certify its optimum, sigma_opt = 1 / lambda
     (`certify`)."""
     t = check_traction(ops, t)
-    return certify(ops, t, mode, *kinematic_supremum(
-        kinematic_lp(ops, mode), work_vector(ops, t), shared=False))
+    opt = box_optimum(ops, work_vector(ops, t), mode, box)
+    return certify(ops, t, mode, 1.0 / opt.load_factor, opt.sigma_hat, opt.witness)
 
 
-def certify(ops: DiscreteOperators, t, mode: str, value: float, w, y) -> OptimalStressResult:
-    """Certify a kinematic optimum for t without the LP: read sigma_hat off
-    the multipliers y, and check that it balances t, that the witness w is
-    admissible, and that stress_measure(sigma_hat), the witness ratio
-    work/budget and the LP value agree.  By weak duality that proves both
-    optimal; a failed check raises SolverFailure naming it."""
-    sigma_hat = _stress_from_multipliers(ops, mode, y)
+def certify(ops: DiscreteOperators, t, mode: str, value: float, sigma_hat: StressField,
+            w) -> OptimalStressResult:
+    """Certify an optimum value for t without the LP: check that the
+    stress field sigma_hat balances t, that the witness w is admissible,
+    and that stress_measure(sigma_hat), the witness ratio work/budget and
+    value agree.  By weak duality that proves both optimal; a failed check
+    raises SolverFailure naming it."""
     ok, residual = check_equilibrium(ops, sigma_hat, t)
     if not ok:
         raise SolverFailure(

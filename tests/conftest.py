@@ -36,8 +36,48 @@ def dump(p) -> str:
         "c = " + np.array2string(p.c, max_line_width=120),
         "b = " + np.array2string(p.b, max_line_width=120),
         f"free columns: {np.flatnonzero(p.free).tolist()}",
+        "lower = " + np.array2string(p.lower, max_line_width=120),
+        "upper = " + np.array2string(p.upper, max_line_width=120),
         "A =",
         np.array2string(p.A, max_line_width=120)])
+
+
+def split_bounds(p):
+    """Oracle: the `lp.LPStandardForm` p with every bound but x >= 0 moved
+    into the rows of a nonnegative LP.  A column with a finite lower bound
+    l becomes x' = x - l, one with only an upper bound u becomes
+    x' = u - x, a free one a pair x = x+ - x-, and a column with both
+    bounds gets a row x' + s = u - l with a slack s.  Returns the LP and
+    the constant that the substitution moves out of the objective, so that
+    p's optimum is the LP's plus the constant."""
+    m, n = p.A.shape
+    cols, costs, extra = [], [], []
+    b, constant = p.b.copy(), 0.0
+    for j in range(n):
+        lo, hi, a, c = p.lower[j], p.upper[j], p.A[:, j], p.c[j]
+        if np.isfinite(lo):
+            b -= a * lo
+            constant += c * lo
+            cols.append(a)
+            costs.append(c)
+            if np.isfinite(hi):
+                extra.append((len(cols) - 1, hi - lo))
+        elif np.isfinite(hi):
+            b -= a * hi
+            constant += c * hi
+            cols.append(-a)
+            costs.append(-c)
+        else:
+            cols += [a, -a]
+            costs += [c, -c]
+    k = len(cols)
+    A = np.zeros((m + len(extra), k + len(extra)))
+    A[:m, :k] = np.transpose(cols)
+    rhs = np.concatenate([b, [width for _, width in extra]])
+    for i, (col, _) in enumerate(extra):
+        A[m + i, col] = A[m + i, k + i] = 1.0
+    return (lp.LPStandardForm(c=np.concatenate([costs, np.zeros(len(extra))]),
+                              A=A, b=rhs), constant)
 
 
 def split_free(p):
@@ -60,7 +100,8 @@ def cold_generalized_K(ops: kin.DiscreteOperators, mode: str) -> cap.CapacityRes
         if val > best_val + 1e-12:
             best_val, worst, best_w, best_y = val, t, w, y
     K = max(best_val, 0.0)
-    stress = st.certify(ops, worst, mode, K, best_w, best_y).sigma_hat
+    stress = st.certify(ops, worst, mode, K,
+                        st.stress_from_multipliers(ops, mode, best_y), best_w).sigma_hat
     return cap.CapacityResult(K=K, C=float("inf") if K == 0.0 else 1.0 / K,
                               worst_traction=worst, method=cap.EXACT,
                               certificate=best_w,
@@ -138,6 +179,31 @@ MESH_CASES = [
     ("rect22", lambda: msh.generate_rectangle(2, 1, 2, 2, "left", "right")),
     ("two_tet", make_two_tet_mesh),
 ]
+
+
+def kuhn_box(nx: int, ny: int, nz: int) -> msh.Mesh:
+    """Unit cubes cut into six tetrahedra each (Kuhn triangulation), the
+    face x = 0 clamped and every other boundary face loaded."""
+    def nid(i, j, k):
+        return (k * (ny + 1) + j) * (nx + 1) + i
+
+    nodes = np.array([[i, j, k] for k in range(nz + 1) for j in range(ny + 1)
+                      for i in range(nx + 1)], dtype=float)
+    elements = []
+    for corner in np.ndindex(nx, ny, nz):
+        for order in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
+            path = [list(corner)]
+            for axis in order:
+                path.append(path[-1].copy())
+                path[-1][axis] += 1
+            elements.append(msh.Element(msh.TETRAHEDRON, tuple(nid(*q) for q in path)))
+    faces = {}
+    for e in elements:
+        for face in combinations(sorted(e.nodes), 3):
+            faces[face] = faces.get(face, 0) + 1
+    facets = [msh.Facet(f, msh.GAMMA0 if np.all(nodes[list(f), 0] == 0.0) else msh.GAMMAT)
+              for f, count in sorted(faces.items()) if count == 1]
+    return msh.Mesh(3, nodes, elements, facets)
 
 
 def end_tension_plate(n: int):

@@ -9,7 +9,8 @@ from loadcap import lp
 from loadcap import mesh as msh
 from loadcap import stress as st
 
-from conftest import cold_generalized_K, make_two_tet_mesh, trace_norm_l1
+from conftest import (cold_generalized_K, end_tension_plate, make_two_tet_mesh,
+                      trace_norm_l1)
 
 
 @pytest.fixture
@@ -128,6 +129,20 @@ class TestGeneralizedK:
                 heur = cap.generalized_K(ops, mode, cap.HEURISTIC)
                 assert heur.K == pytest.approx(exact.K, rel=1e-8)
 
+    def test_heuristic_on_elastic_6x6_plate(self, monkeypatch):
+        # a box LP per sign pattern; one of the kinematic LPs of these
+        # patterns stalled phase 2 past 50,000 pivots
+        solve, solves = lp.solve, []
+        monkeypatch.setattr(lp, "solve", lambda p: solves.append(1) or solve(p))
+        ops = kin.assemble(end_tension_plate(6)[0])
+        res = cap.generalized_K(ops, st.ELASTIC, cap.HEURISTIC)
+        budget = kin.strain_norm_l1(ops, res.certificate)
+        assert trace_norm_l1(ops, res.certificate) / budget == pytest.approx(res.K, rel=1e-9)
+        assert kin.external_work(ops, res.worst_traction, res.certificate) / budget == \
+            pytest.approx(res.K, rel=1e-9)
+        assert res.K == pytest.approx(9.5, rel=1e-9)
+        assert len(solves) == 18
+
     def test_renumbering_invariance(self):
         m = msh.generate_rectangle(1, 1, 1, 1, "left", "right")
         perm = [2, 0, 3, 1]
@@ -211,11 +226,12 @@ class TestWalkMatchesColdEnumeration:
 
 
 class TestOneKinematicLP:
-    """One `generalized_K` call builds one kinematic LP and runs its phase 1
-    once.  Exact: the patterns are the rows of one walk, which runs phase 2
+    """Exact: one `generalized_K` call builds one kinematic LP and runs its
+    phase 1 once; the patterns are the rows of one walk, which runs phase 2
     only for the patterns that no basis before them proves optimal, and
-    each near tie is one solve of its own; heuristic: each step is one
-    solve."""
+    each near tie is one solve of its own.  Heuristic: each distinct sign
+    pattern is one box LP solve, all of them after one phase 1, and no
+    kinematic LP is built."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -263,21 +279,23 @@ class TestOneKinematicLP:
         assert counts["phase2"] < 2 ** 11 / 2
 
     # the restarts and steps on the 1x1 plate visit 10 (elastic) or 9
-    # (plastic) distinct sign patterns, in 15 or 14 steps
+    # (plastic) distinct sign patterns, in 15 or 14 steps; their box LPs
+    # share the phase 1 of one box LP
     @pytest.mark.parametrize("mode", [st.ELASTIC, st.PLASTIC])
     def test_heuristic(self, square_ops, counts, monkeypatch, mode):
         patterns, steps = {st.ELASTIC: (10, 15), st.PLASTIC: (9, 14)}[mode]
-        works, solve, traces, trace = [], cap.kinematic_supremum, [], cap.trace
+        works, solve, traces, trace = [], cap.box_optimum, [], cap.trace
 
-        def recorded(kinematic, work):
+        def recorded(ops, work, *args):
             works.append(work.tobytes())
-            return solve(kinematic, work)
-        monkeypatch.setattr(cap, "kinematic_supremum", recorded)
+            return solve(ops, work, *args)
+        monkeypatch.setattr(cap, "box_optimum", recorded)
         monkeypatch.setattr(cap, "trace",
                             lambda *args: traces.append(1) or trace(*args))
         cap.generalized_K(square_ops, mode, cap.HEURISTIC)
-        assert counts["builds"] == counts["phase1"] == 1
-        assert counts["solves"] == counts["patterns"] == len(set(works)) == patterns
+        assert counts["builds"] == counts["patterns"] == 0
+        assert counts["phase1"] == 1
+        assert counts["solves"] == len(works) == len(set(works)) == patterns
         assert len(traces) == steps
 
     def test_cap_checked_before_build(self, counts):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import warnings
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from loadcap import cli
+from loadcap import kinematics as kin
 from loadcap import lp
 from loadcap import mesh as msh
 
@@ -269,7 +271,7 @@ class TestBadNumbers:
 
 
 class TestSolveCounts:
-    """LP solves per command: each certified optimum costs one kinematic LP."""
+    """LP solves per command: each certified optimum costs one box LP."""
 
     def test_analyze_and_limit(self, capsys, square_files, solves):
         mesh_path, traction_path = square_files
@@ -316,20 +318,16 @@ class TestSolveCounts:
     @pytest.mark.parametrize("trials", [0, 2])
     def test_verify(self, capsys, square_files, bar_files, solves, monkeypatch,
                     trials):
-        # per trial and mode: the certified optimum and the scaled traction;
-        # then ten LP-oracle solves.  The static reference LPs are one walk
-        # per mode, one step per trial
-        solve_each_rhs, walks = lp.solve_each_rhs, []
+        # per trial and mode: the certified box LP optimum and the scaled
+        # traction's; then ten LP-oracle solves.  The kinematic reference
+        # LPs are one walk per mode, one row per trial, and none without
+        # trials
+        solve_each, walks = lp.solve_each, []
 
-        def counted_walk(p, rhss):
-            walks.append(0)
-
-            def steps():
-                for b in rhss:
-                    walks[-1] += 1
-                    yield b
-            return solve_each_rhs(p, steps())
-        monkeypatch.setattr(lp, "solve_each_rhs", counted_walk)
+        def counted_walk(p, unit_costs, weights):
+            walks.append(len(weights))
+            return solve_each(p, unit_costs, weights)
+        monkeypatch.setattr(lp, "solve_each", counted_walk)
         for (mesh_path, _), modes in ((square_files, 2), (bar_files, 1)):
             solves.clear()
             walks.clear()
@@ -337,13 +335,12 @@ class TestSolveCounts:
                                       "--trials", str(trials)])
             assert code == cli.EXIT_OK
             assert len(solves) == 2 * trials * modes + 10
-            assert walks == [trials] * modes
+            assert walks == ([trials] * modes if trials else [])
 
     def test_verify_phase1_runs(self, capsys, square_files, bar_files,
                                 monkeypatch):
-        # one phase 1 per mode shared by all kinematic solves, and one per
-        # LP-oracle solve; the static LPs start dual feasible and run the
-        # dual simplex without a phase 1
+        # one phase 1 per mode for the kinematic walk, one per mode shared
+        # by every traction's box LP, and one per LP-oracle solve
         phase1 = lp._phase1
         calls = []
         monkeypatch.setattr(lp, "_phase1",
@@ -354,7 +351,7 @@ class TestSolveCounts:
             code, _, _ = run(capsys, ["verify", mesh_path,
                                       "--trials", str(trials)])
             assert code == cli.EXIT_OK
-            assert len(calls) == modes + 10
+            assert len(calls) == 2 * modes + 10
 
 
 def test_pivot_limit_names_the_lp(capsys, square_files, monkeypatch):
@@ -366,12 +363,75 @@ def test_pivot_limit_names_the_lp(capsys, square_files, monkeypatch):
     assert code == cli.EXIT_SOLVER and out == ""
     lines = err.strip().splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith("solver failure: kinematic LP: simplex phase 2 ")
+    assert lines[0].startswith("solver failure: box LP: simplex phase 2 ")
+
+
+class TestEdgeCases:
+    """Loads the box LP meets at its edges: lambda unbounded, lambda = 0,
+    and equilibrium rows without any entry."""
+
+    @pytest.mark.parametrize("mode", ["elastic", "plastic"])
+    def test_zero_traction_reports_zero(self, capsys, tmp_path, square_files, mode):
+        zero = tmp_path / "zero.traction"
+        zero.write_text(json.dumps({"facets": [[0.0, 0.0]] * 3}))
+        code, out, err = run(capsys, ["analyze", square_files[0], str(zero),
+                                      "--mode", mode])
+        assert code == cli.EXIT_OK
+        report = json.loads(out)
+        assert report["sigma_opt"] == 0.0 and report["dual_value"] == 0.0
+        assert report["dual_witness"] == [0.0] * 4
+        assert err.startswith("sigma_opt = 0 ")
+
+    @pytest.mark.parametrize("command", [["analyze"], ["analyze", "--mode", "plastic"],
+                                         ["limit"]])
+    def test_unbalanced_load_fails_cleanly(self, capsys, square_files,
+                                           monkeypatch, command):
+        # without the strain of velocity DOF 0 the mesh has a mechanism,
+        # and the traction loads it: lambda = 0
+        assemble = kin.assemble
+
+        def mechanism(mesh, clamp=True):
+            ops = assemble(mesh, clamp)
+            strain_op = ops.strain_op.copy()
+            strain_op[:, 0] = 0.0
+            return dataclasses.replace(ops, strain_op=strain_op)
+        monkeypatch.setattr(kin, "assemble", mechanism)
+        code, out, err = run(capsys, [command[0], *square_files, *command[1:]])
+        assert code == cli.EXIT_SOLVER and out == ""
+        assert err.strip().splitlines() == [
+            "solver failure: box LP: load factor 0: the traction loads a "
+            "mechanism of the mesh despite the supported boundary"]
+
+    @pytest.mark.parametrize("mode", ["elastic", "plastic"])
+    def test_empty_equilibrium_rows(self, capsys, tmp_path, square_files, mode):
+        # a node in no element: its DOFs' equilibrium rows have no entry,
+        # so the crash finds no pivot in them and drops them
+        doc = json.loads(Path(square_files[0]).read_text())
+        doc["nodes"].append([5.0, 5.0])
+        mesh_path = tmp_path / "loose_node.mesh"
+        mesh_path.write_text(json.dumps(doc))
+        results = []
+        for path in (square_files[0], str(mesh_path)):
+            code, out, err = run(capsys, ["analyze", path, square_files[1],
+                                          "--mode", mode])
+            assert code == cli.EXIT_OK, err
+            results.append(json.loads(out))
+        assert results[1]["sigma_opt"] == pytest.approx(results[0]["sigma_opt"], rel=1e-12)
+        assert results[1]["dual_witness"][-2:] == [0.0, 0.0]
+
+    @pytest.mark.parametrize("mode,shape", [("elastic", "4 x 7"), ("plastic", "6 x 11")])
+    def test_box_lp_pivot_limit(self, capsys, square_files, monkeypatch, mode, shape):
+        monkeypatch.setattr(lp, "_MAX_ITER", 1)
+        code, out, err = run(capsys, ["analyze", *square_files, "--mode", mode])
+        assert code == cli.EXIT_SOLVER and out == ""
+        assert err.strip().splitlines() == [
+            "solver failure: box LP: simplex phase 2 did not terminate in 1 "
+            f"iterations on a {shape} LP (rows x cols)"]
 
 
 def test_elastic_4x4_plate_end_tension(capsys, tmp_path):
-    """The kinematic LP and its multipliers certify sigma_opt = 1; the
-    static LP of this case is checked in `test_stress.py`."""
+    """The box LP and its multipliers certify sigma_opt = 1; the static LP
+    of this case is checked in `test_stress.py`."""
     mesh, traction = end_tension_plate(4)
     mesh_path = tmp_path / "plate.mesh"
     msh.write_mesh(mesh, mesh_path)

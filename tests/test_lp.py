@@ -7,7 +7,7 @@ from loadcap import kinematics as kin
 from loadcap import lp
 from loadcap import stress as st
 
-from conftest import MESH_CASES, dump, enumerate_best_loop, split_free
+from conftest import MESH_CASES, dump, enumerate_best_loop, split_bounds, split_free
 
 
 def standard(c, A, b):
@@ -16,8 +16,11 @@ def standard(c, A, b):
 
 
 def standard_free(c, A, b, free):
+    """The LP with the columns that the mask free marks free, the others
+    nonnegative."""
     return lp.LPStandardForm(c=np.array(c, float), A=np.array(A, float),
-                             b=np.array(b, float), free=np.array(free, bool))
+                             b=np.array(b, float),
+                             lower=np.where(free, -np.inf, 0.0))
 
 
 @pytest.fixture
@@ -222,7 +225,7 @@ class TestBruteOracle:
 class TestBuilder:
     def test_free_variable_one_column(self):
         builder = lp.LPBuilder()
-        builder.add_vars(1, nonneg=False)
+        builder.add_vars(1, lower=-np.inf)
         builder.add_eq([[1.0]], -3.0)
         prob = builder.build([1.0])
         assert np.array_equal(prob.A, [[1.0]])
@@ -245,7 +248,7 @@ class TestBuilder:
         # columns: x (nonneg), y (free), then one slack per le row;
         # rows in the order their blocks were added
         builder = lp.LPBuilder()
-        builder.add_vars(2, nonneg=[True, False])
+        builder.add_vars(2, lower=[0.0, -np.inf])
         builder.add_le([[1.0, 2.0], [0.0, 1.0]], [4.0, 1.0])
         builder.add_eq([[1.0, -1.0]], 0.5)
         prob = builder.build([1.0, -1.0])
@@ -263,7 +266,7 @@ class TestBuilder:
 
     def test_costs_match_build(self):
         builder = lp.LPBuilder()
-        builder.add_vars(3, nonneg=[False, True, False])
+        builder.add_vars(3, lower=[-np.inf, 0.0, -np.inf])
         builder.add_le([[-0.0, 2.0, 0.0]], 4.0)
         builder.add_eq([[1.0, -1.0, 1.0]], -0.0)
         objective = np.array([-0.0, -1.0, 2.5])
@@ -365,9 +368,15 @@ class TestFreeVariables:
         assert lp.solve_brute(split_free(p)).objective == pytest.approx(2.0)
 
     def test_mask_shape_checked(self):
+        # the bounds that a free mask gives, and bounds that are no range
         for free in ([True], [[True, False]], [True, False, True]):
-            with pytest.raises(lp.LPError, match="free mask"):
+            with pytest.raises(lp.LPError, match="bounds have shapes"):
                 standard_free([1.0, 1.0], [[1.0, 1.0]], [1.0], free)
+        for lower, upper in (([1.0, 0.0], [0.0, 1.0]), ([np.inf, 0.0], None),
+                             (None, [-np.inf, 1.0]), ([np.nan, 0.0], None)):
+            with pytest.raises(lp.LPError, match="bounds must satisfy"):
+                lp.LPStandardForm(c=[1.0, 1.0], A=[[1.0, 1.0]], b=[1.0],
+                                  lower=lower, upper=upper)
 
     def test_with_objective_keeps_mask(self):
         p = standard_free([1.0, 1.0], [[1.0, 1.0]], [1.0], [True, False])
@@ -409,6 +418,180 @@ class TestFreeVariables:
         for p in seen:
             for arr in (p.A, p.b, p.c):
                 assert not np.any(np.signbit(arr) & (arr == 0.0))
+
+
+def random_bounds(rng, n):
+    """Bounds of n columns, each of one of six kinds: nonnegative, free,
+    a box around 0, a box away from 0, a lower bound only, an upper bound
+    only; a fixed column now and then."""
+    lower, upper = np.zeros(n), np.full(n, np.inf)
+    for j, kind in enumerate(rng.integers(6, size=n)):
+        lo, hi = np.sort(rng.uniform(-2.0, 2.0, size=2))
+        if kind == 1:
+            lower[j] = -np.inf
+        elif kind == 2:
+            lower[j], upper[j] = -rng.uniform(0.2, 1.5), rng.uniform(0.2, 1.5)
+        elif kind == 3:
+            lower[j], upper[j] = lo, hi if rng.random() < 0.9 else lo
+        elif kind == 4:
+            lower[j] = lo
+        elif kind == 5:
+            lower[j], upper[j] = -np.inf, hi
+    return lower, upper
+
+
+class TestBoundedVariables:
+    """Bounds are kept out of the rows: a nonbasic column sits at a bound,
+    or at 0 inside its bounds, and the ratio test includes its own other
+    bound.  The oracle is the same LP with the bounds written as rows of a
+    nonnegative LP (`split_bounds`)."""
+
+    @staticmethod
+    def random_lp(rng, kind):
+        """A random bounded LP: feasible by design (kinds 0 and 1, with a
+        zero right-hand side in kind 1), or with a random b."""
+        m = int(rng.integers(1, 5))
+        n = int(rng.integers(m + 1, 8))
+        A = rng.normal(size=(m, n))
+        lower, upper = random_bounds(rng, n)
+        x0 = np.clip(rng.normal(size=n), lower, upper)
+        b = A @ x0 if kind == 0 else np.zeros(m) if kind == 1 else rng.normal(size=m)
+        if kind == 1:
+            lower = np.minimum(lower, 0.0)
+            upper = np.maximum(upper, 0.0)
+        return lp.LPStandardForm(c=rng.normal(size=n), A=A, b=b, lower=lower,
+                                 upper=upper)
+
+    def test_random_agreement_with_split(self):
+        rng = np.random.default_rng(1717)
+        statuses = {lp.OPTIMAL: 0, lp.INFEASIBLE: 0, lp.UNBOUNDED: 0}
+        for trial in range(300):
+            p = self.random_lp(rng, trial % 3)
+            split, constant = split_bounds(p)
+            got, want = lp.solve(p), lp.solve(split)
+            assert got.status == want.status, f"trial {trial}: {dump(p)}"
+            statuses[got.status] += 1
+            if got.status != lp.OPTIMAL:
+                continue
+            assert got.objective == pytest.approx(want.objective + constant,
+                                                  abs=1e-7), f"trial {trial}"
+            check_bounded_optimum(p, got)
+        assert min(statuses.values()) > 20, statuses
+
+    def test_bound_flips(self):
+        # max x1 + x2 over [0, 1]^2 with x1 + x2 + s = 5: both columns
+        # only flip to their upper bounds, and s stays basic
+        p = lp.LPStandardForm(c=[-1.0, -1.0, 0.0], A=[[1.0, 1.0, 1.0]], b=[5.0],
+                              upper=[1.0, 1.0, np.inf])
+        sol = lp.solve(p)
+        assert np.array_equal(sol.x, [1.0, 1.0, 3.0]) and sol.objective == -2.0
+        check_bounded_optimum(p, sol)
+
+    def test_leaves_at_upper_bound(self):
+        # max x subject to x - y = 0, y in [-1, 2], x free: y rises to its
+        # upper bound and leaves the basis there
+        p = lp.LPStandardForm(c=[-1.0, 0.0], A=[[1.0, -1.0]], b=[0.0],
+                              lower=[-np.inf, -1.0], upper=[np.inf, 2.0])
+        sol = lp.solve(p)
+        assert np.array_equal(sol.x, [2.0, 2.0]) and sol.objective == -2.0
+        check_bounded_optimum(p, sol)
+
+    def test_starts_at_the_bound_nearest_zero(self):
+        # x in [2, 3] starts at 2, y in [-3, -1] at -1: x + y = 1 holds
+        # there, so the start is feasible without an artificial pivot
+        p = lp.LPStandardForm(c=[1.0, 1.0], A=[[1.0, 1.0]], b=[1.0],
+                              lower=[2.0, -3.0], upper=[3.0, -1.0])
+        sol = lp.solve(p)
+        assert sol.objective == pytest.approx(1.0)
+        check_bounded_optimum(p, sol)
+
+    def test_walks_match_solve(self):
+        rng = np.random.default_rng(1818)
+        settled = 0
+        for trial in range(60):
+            p = self.random_lp(rng, trial % 2)
+            U = rng.normal(size=(3, len(p.c)))
+            W = np.vstack([np.eye(3), rng.normal(size=(5, 3))])
+            status, objective = lp.solve_each(p, U, W)
+            for w, s, v in zip(W, status, objective):
+                want = lp.solve(dataclasses.replace(p, c=w @ U))
+                assert s == want.status, f"trial {trial}: {dump(p)}"
+                if s == lp.OPTIMAL:
+                    assert v == pytest.approx(want.objective, abs=1e-8)
+                    settled += 1
+        assert settled > 100
+
+    def test_with_column_shares_phase1(self, monkeypatch):
+        # LPs that differ from a base in one column, zero there, share the
+        # base's phase 1, and match the standalone LP with that column
+        rng = np.random.default_rng(1919)
+        phase1, runs = lp._phase1, []
+        monkeypatch.setattr(lp, "_phase1", lambda *a: runs.append(1) or phase1(*a))
+        solved = 0
+        for trial in range(40):
+            p = self.random_lp(rng, 1)
+            j = int(rng.integers(len(p.c)))
+            A = p.A.copy()
+            A[:, j] = 0.0
+            base = dataclasses.replace(p, A=A.copy())
+            runs.clear()
+            for _ in range(4):
+                a = rng.normal(size=len(p.b))
+                got = lp.solve(base.with_column(j, a))
+                A[:, j] = a
+                want = lp.solve(dataclasses.replace(p, A=A.copy()))
+                assert got.status == want.status, f"trial {trial}: {dump(p)}"
+                if got.status == lp.OPTIMAL:
+                    assert got.objective == pytest.approx(want.objective, abs=1e-8)
+                    check_bounded_optimum(dataclasses.replace(p, A=A.copy()), got)
+                    solved += 1
+            # the base's phase 1 once, and the standalone LPs' own; more
+            # only where the base's dropped a row or found no feasible point
+            assert len(runs) >= 5
+            if base._memo.phase1.tableau is not None and \
+                    len(base._memo.phase1.keep_rows) == len(p.b):
+                assert len(runs) == 5
+        assert solved > 60
+        with pytest.raises(lp.LPError, match="not zero"):
+            p.with_column(0, np.ones(len(p.b))) if p.A[:, 0].any() else \
+                dataclasses.replace(p, A=np.ones_like(p.A)).with_column(0, np.ones(len(p.b)))
+        with pytest.raises(lp.LPError, match="does not fit"):
+            base.with_column(len(p.c), np.ones(len(p.b)))
+
+    def test_builder_bounds(self):
+        builder = lp.LPBuilder()
+        builder.add_vars(2, lower=[-1.0, 0.0], upper=[1.0, np.inf])
+        builder.add_vars(1, lower=-np.inf)
+        builder.add_le([[1.0, 1.0, 1.0]], 4.0)
+        prob = builder.build([0.0, 0.0, -1.0])
+        assert np.array_equal(prob.lower, [-1.0, 0.0, -np.inf, 0.0])
+        assert np.array_equal(prob.upper, [1.0, np.inf, np.inf, np.inf])
+        assert np.array_equal(prob.free, [False, False, True, False])
+        assert not prob.plain and standard([1.0], [[1.0]], [1.0]).plain
+        # the free column rises until x0 reaches its lower bound -1
+        sol = lp.solve(prob)
+        assert sol.objective == pytest.approx(-5.0)
+        with pytest.raises(lp.LPError, match="no free or bounded"):
+            lp.solve_brute(prob)
+        with pytest.raises(lp.LPError, match="only free and nonnegative"):
+            list(lp.solve_each_rhs(prob, [prob.b]))
+
+
+def check_bounded_optimum(p, sol):
+    """x within its bounds and A x = b; the multipliers price every
+    column that sits strictly inside its bounds at 0, one at its lower
+    bound at >= 0 and one at its upper bound at <= 0; c.x = b.y plus the
+    bounds' terms."""
+    x, y = sol.x, sol.y
+    tol = 1e-8 * (1.0 + np.abs(p.c).max() + np.abs(p.b).max(initial=0.0))
+    assert np.all(x >= p.lower - 1e-9) and np.all(x <= p.upper + 1e-9)
+    assert np.abs(p.A @ x - p.b).max(initial=0.0) <= tol
+    d = p.c - p.A.T @ y
+    at_lower, at_upper = x <= p.lower + 1e-9, x >= p.upper - 1e-9
+    assert np.all(d[at_lower & ~at_upper] >= -tol)
+    assert np.all(d[at_upper & ~at_lower] <= tol)
+    assert np.all(np.abs(d[~at_lower & ~at_upper]) <= tol)
+    assert p.c @ x == pytest.approx(p.b @ y + d @ x, abs=tol)
 
 
 def same_solution(got, want):
@@ -764,7 +947,7 @@ def two_phase(p, monkeypatch):
     """`solve` on a fresh copy of p with the dual start switched off."""
     with monkeypatch.context() as mp:
         mp.setattr(lp, "_dual_start", lambda p: None)
-        return lp.solve(lp.LPStandardForm(c=p.c, A=p.A, b=p.b, free=p.free))
+        return lp.solve(lp.LPStandardForm(c=p.c, A=p.A, b=p.b, lower=p.lower, upper=p.upper))
 
 
 def dualized_beale():
@@ -908,7 +1091,7 @@ class TestSolveEachRhs:
         got = list(lp.solve_each_rhs(p, rhss))
         assert len(got) == len(rhss)
         for (status, objective), b in zip(got, rhss):
-            q = lp.LPStandardForm(c=p.c, A=p.A, b=b, free=p.free)
+            q = lp.LPStandardForm(c=p.c, A=p.A, b=b, lower=p.lower, upper=p.upper)
             want = lp.solve(q)
             assert status == want.status, dump(q)
             if status == lp.OPTIMAL:
@@ -1070,6 +1253,46 @@ class TestCrashStart:
                 check_optimal_invariants(p, got)
             statuses.add(got.status)
         assert statuses == {lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED}
+
+    def test_crash_rows_divided_bit_for_bit(self, monkeypatch):
+        # dividing only the crash rows whose entry is not 1.0 gives the
+        # phase 1 that dividing every crash row gave, bit for bit, and the
+        # same dual start
+        def divide_all(T, rows, cols):
+            T[rows] /= T[rows, cols][:, None]
+
+        ops = [kin.assemble(factory()) for _, factory in MESH_CASES]
+        lps = [p for _, _, p in slack_corpus()]
+        # the same LPs with every column scaled, so that no crash entry is 1
+        scales = np.random.default_rng(19).uniform(0.5, 2.0, size=(len(lps), 10))
+        lps += [dataclasses.replace(p, A=p.A * s[:p.A.shape[1]])
+                for p, s in zip(lps, scales)]
+        for o in ops:
+            for mode in st.MODES:
+                f = np.arange(1.0, o.n_dof + 1.0)
+                box = st.box_lp(o, mode)
+                load = np.zeros(len(box.b))
+                load[:o.n_dof] = -f
+                lps += [st.kinematic_lp(o, mode).prob, st.static_lp(o, mode).prob,
+                        box, box.with_column(-1, load)]
+        divided = 0
+        for p in lps:
+            args = (p.A, p.b, p.lower, p.upper, p.plain)
+            got, dual = lp._phase1(*args), lp._dual_start(p)
+            with monkeypatch.context() as mp:
+                mp.setattr(lp, "_divide_rows", divide_all)
+                want, want_dual = lp._phase1(*args), lp._dual_start(p)
+            assert (got.tableau is None) == (want.tableau is None)
+            if got.tableau is not None:
+                assert got.tableau.tobytes() == want.tableau.tobytes()
+                assert np.array_equal(got.basis, want.basis)
+            assert (dual is None) == (want_dual is None)
+            if dual is not None:
+                assert dual[0].tobytes() == want_dual[0].tobytes()
+            crash = lp._crash_basis(p.A, np.isposinf(p.upper))
+            rows = np.flatnonzero(crash >= 0)
+            divided += np.any(np.abs(p.A[rows, crash[rows]]) != 1.0)
+        assert divided > 50
 
     NEGATIVE_UNIT = ([1.0, 0.0, 0.0], [[1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]],
                      [1.0, -1.0])

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import zlib
 
@@ -8,8 +9,11 @@ from loadcap import kinematics as kin
 from loadcap import lp
 from loadcap import stress as st
 
-from conftest import (MESH_CASES, as_matrix, end_tension_plate, mat_norm,
-                      yield_value)
+from loadcap import capacity as cap
+from loadcap import mesh as msh
+
+from conftest import (MESH_CASES, as_matrix, end_tension_plate, kuhn_box,
+                      mat_norm, yield_value)
 
 
 @pytest.fixture
@@ -243,6 +247,115 @@ class TestStrongDuality:
         assert np.abs(rows @ res.dual_witness).max() <= 1e-9
 
 
+BOX_CASES = [("bar3", lambda: msh.generate_bar(2.0, 0.5, 3), st.ELASTIC)] + [
+    (name, factory, mode) for name, factory in
+    MESH_CASES + [("box211", lambda: kuhn_box(2, 1, 1))] for mode in st.MODES]
+
+
+def pressure_traction(mesh: msh.Mesh) -> np.ndarray:
+    """The traction -n on each loaded edge of a unit square, n its outward
+    normal: a uniform pressure, balanced by the spherical stress -I."""
+    rows = []
+    for f in mesh.facets_labeled(msh.GAMMAT):
+        x, y = mesh.nodes[list(f.nodes)].T
+        rows.append([-1.0, 0.0] if np.all(x == 1.0) else
+                    [0.0, 1.0] if np.all(y == 0.0) else [0.0, -1.0])
+    return np.array(rows)
+
+
+class TestBoxLP:
+    """The box LP, maximize lambda subject to E s = lambda f and |s| <= 1,
+    and the kinematic LP are two independent LPs with one optimum; the box
+    LP's multipliers are a kinematic witness."""
+
+    @pytest.mark.parametrize("name,factory,mode", BOX_CASES,
+                             ids=[f"{c[0]}-{c[2]}" for c in BOX_CASES])
+    def test_matches_kinematic_lp(self, name, factory, mode):
+        ops = kin.assemble(factory())
+        kinematic = st.kinematic_lp(ops, mode)
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
+        for _ in range(4):
+            t = rng.uniform(-1, 1, size=(len(ops.gammat_facets), ops.dim))
+            f = kin.work_vector(ops, t)
+            want = st.kinematic_supremum(kinematic, f)[0]
+            box = st.box_optimum(ops, f, mode)
+            assert 1.0 / box.load_factor == pytest.approx(want, rel=1e-9)
+            res = st.optimal_stress(ops, t, mode)
+            assert res.sigma_opt == pytest.approx(want, rel=1e-9)
+            # the witness does unit work at strain budget lambda
+            w = res.dual_witness
+            assert f @ w == pytest.approx(1.0, rel=1e-12)
+            budget = (kin.strain_norm_plastic if mode == st.PLASTIC
+                      else kin.strain_norm_l1)(ops, w)
+            assert budget == pytest.approx(box.load_factor, rel=1e-9)
+            if mode == st.PLASTIC:
+                dilation = kin.isochoric_constraints(ops) @ w
+                assert np.abs(dilation).max() <= 1e-12 * np.abs(w).max()
+
+    @pytest.mark.parametrize("mode", st.MODES)
+    def test_shape(self, square_ops, mode):
+        # elastic: every element's 3 components and lambda; plastic: 4
+        # deviatoric components, then a pressure per element, then lambda,
+        # and one traceless row per element
+        prob = st.box_lp(square_ops, mode)
+        plastic = mode == st.PLASTIC
+        assert prob.A.shape == (4 + 2 * plastic, 2 * (3 + plastic) + 2 * plastic + 1)
+        bounded = np.isfinite(prob.upper)
+        assert bounded.sum() == 2 * (3 + plastic)
+        assert np.all(prob.lower[bounded] == -1.0) and np.all(prob.upper[bounded] == 1.0)
+        assert prob.free.sum() == 2 * plastic
+        assert prob.c[-1] == -1.0 and not prob.c[:-1].any()
+        # lambda's column is left open, and no crash pivots on it
+        assert not prob.A[:, -1].any() and prob.lower[-1] == 0.0
+
+    @pytest.mark.parametrize("mode", st.MODES)
+    def test_zero_traction(self, square_ops, mode):
+        # lambda is unbounded; no stress at all balances the zero load
+        res = st.optimal_stress(square_ops, np.zeros((3, 2)), mode)
+        assert res.sigma_opt == 0.0 and res.dual_value == 0.0
+        assert not res.sigma_hat.comps.any() and not res.dual_witness.any()
+
+    def test_pressure_is_free_in_plastic_mode(self, unit_square):
+        # a uniform pressure is balanced by -I, whose yield measure is 0:
+        # lambda is unbounded in plastic mode, 1 in elastic mode
+        ops = kin.assemble(unit_square)
+        t = pressure_traction(unit_square)
+        assert st.optimal_stress(ops, t, st.ELASTIC).sigma_opt == pytest.approx(1.0)
+        res = st.optimal_stress(ops, t, st.PLASTIC)
+        assert res.sigma_opt == 0.0
+        assert res.equilibrium_residual <= 1e-12
+        assert res.sigma_hat.comps[:, :2] == pytest.approx(-1.0)
+        assert res.sigma_hat.s33 == pytest.approx(-1.0)
+        kinematic = st.kinematic_supremum(st.kinematic_lp(ops, st.PLASTIC),
+                                          kin.work_vector(ops, t))[0]
+        assert kinematic == pytest.approx(0.0, abs=1e-12)
+        with pytest.raises(cap.CapacityError, match="no work"):
+            cap.limit_analysis(ops, t, 1.0)
+
+    def test_mechanism_fails(self, square_ops):
+        # with the strain of DOF 0 dropped, a load on it cannot be balanced
+        ops = dataclasses.replace(square_ops, strain_op=square_ops.strain_op.copy())
+        ops.strain_op[:, 0] = 0.0
+        f = np.zeros(ops.n_dof)
+        f[0] = 1.0
+        for mode in st.MODES:
+            with pytest.raises(st.SolverFailure, match="^box LP: load factor 0"):
+                st.box_optimum(ops, f, mode)
+
+    @pytest.mark.parametrize("n,want", [(8, 1.0), (12, 1.0)])
+    def test_elastic_end_tension(self, n, want):
+        # the elastic 8x8 kinematic LP stalls past 50,000 pivots
+        mesh, t = end_tension_plate(n)
+        res = st.optimal_stress(kin.assemble(mesh), t, st.ELASTIC)
+        assert res.sigma_opt == pytest.approx(want, rel=1e-9)
+
+    def test_kuhn_cube_random_load(self):
+        ops = kin.assemble(kuhn_box(3, 3, 3))
+        t = np.random.default_rng(0).uniform(-1, 1, size=(len(ops.gammat_facets), 3))
+        res = st.optimal_stress(ops, t, st.ELASTIC)
+        assert res.duality_gap <= 1e-9 * res.sigma_opt
+
+
 class TestKinematicLP:
     """Every objective solved on one `kinematic_lp` shares its phase 1 and
     gives exactly what a fresh LP with that objective gives."""
@@ -259,7 +372,8 @@ class TestKinematicLP:
             got = lp.solve(kinematic.prob.with_objective(costs))
             want = lp.solve(lp.LPStandardForm(c=costs, A=kinematic.prob.A.copy(),
                                               b=kinematic.prob.b.copy(),
-                                              free=kinematic.prob.free.copy()))
+                                              lower=kinematic.prob.lower.copy(),
+                                              upper=kinematic.prob.upper.copy()))
             assert got.status == want.status == lp.OPTIMAL
             assert np.array_equal(got.x, want.x)
             assert np.array_equal(got.y, want.y)
@@ -376,23 +490,40 @@ class TestStressFromMultipliers:
     @pytest.mark.parametrize("mode", [st.ELASTIC, st.PLASTIC])
     def test_corrupted_multiplier_fails_certificate(self, square_ops, mode,
                                                     monkeypatch):
+        # row 0 of the box LP is the equilibrium row of velocity DOF 0: its
+        # multiplier is the witness's first entry
+        self.check_corrupted(square_ops, mode, monkeypatch, "y",
+                             "not isochoric" if mode == st.PLASTIC else "disagree")
+
+    @pytest.mark.parametrize("mode", [st.ELASTIC, st.PLASTIC])
+    def test_corrupted_stress_fails_certificate(self, square_ops, mode,
+                                                monkeypatch):
+        # column 0 of the box LP is element 0's first stress component
+        self.check_corrupted(square_ops, mode, monkeypatch, "x", "does not balance")
+
+    @staticmethod
+    def check_corrupted(ops, mode, monkeypatch, field, message):
         solve = lp.solve
 
         def corrupting_solve(prob, *args, **kwargs):
-            # row 0 of the kinematic LP is strain slot 0 of element 0
             sol = solve(prob, *args, **kwargs)
-            y = sol.y.copy()
-            y[0] += 0.1
-            return sol._replace(y=y)
+            values = getattr(sol, field).copy()
+            values[0] += 0.1
+            return sol._replace(**{field: values})
 
         t = np.array([[1.0, 0.0], [0.0, -0.5], [0.25, 0.0]])
-        st.optimal_stress(square_ops, t, mode)
+        st.optimal_stress(ops, t, mode)
         monkeypatch.setattr(lp, "solve", corrupting_solve)
-        with pytest.raises(st.SolverFailure, match="does not balance"):
-            st.optimal_stress(square_ops, t, mode)
+        with pytest.raises(st.SolverFailure, match=message):
+            st.optimal_stress(ops, t, mode)
 
 
-@pytest.mark.parametrize("name,solve", [("kinematic LP", st.optimal_stress),
+def kinematic_supremum_of(ops, t, mode):
+    return st.kinematic_supremum(st.kinematic_lp(ops, mode), kin.work_vector(ops, t))
+
+
+@pytest.mark.parametrize("name,solve", [("box LP", st.optimal_stress),
+                                        ("kinematic LP", kinematic_supremum_of),
                                         ("static LP", st.optimal_stress_primal)])
 def test_pivot_limit_names_the_lp(square_ops, monkeypatch, name, solve):
     def stalled(prob, *args, **kwargs):
