@@ -111,23 +111,24 @@ def generalized_K(ops: DiscreteOperators, mode: str = ELASTIC,
     """Compute K = sup_w trace_norm / strain_norm (plastic: isochoric w).
 
     Exact: every sign pattern maximizes a new work over the same kinematic
-    LP, built once here, so all of them share its phase 1. one simplex walk (`kinematic_suprema`) gives every vertex's
-    value, in Gray-code order (`_gray_signs`), and settles every vertex
-    that an optimal basis it reaches already proves optimal without a
-    phase 2 of its own.  Its values carry the rounding of the walk,
-    so every vertex within `_NEAR_TIE` (relative) of the best is solved
-    again on its own, by code counting up, and the first one that beats
-    all before it by more than 1e-12 is the worst traction.  K is
-    certified (`stress.certify`) from that solve's solution.
+    LP, built once here, so all of them share its phase 1.  One simplex
+    walk (`kinematic_suprema`) gives every vertex's value, in Gray-code
+    order (`_gray_signs`), and settles every vertex that an optimal basis
+    it reaches already proves optimal without a phase 2 of its own.  Its
+    values carry the rounding of the walk, so every vertex within
+    `_NEAR_TIE` (relative) of the best is solved again on its own, by code
+    counting up, and the first one that beats all before it by more than
+    1e-12 is the worst traction.  K is certified (`stress.certify`) from
+    that solve's solution.
 
     Heuristic: from all-ones and `HEURISTIC_RESTARTS` - 1 seeded random
     sign patterns, alternate between solving a pattern's box LP (all of
-    them share the phase 1 of one `stress.box_lp`), whose
-    value is sigma_opt = 1 / lambda and whose witness is its equilibrium
-    rows' multipliers, and taking the signs of the witness's trace, until
-    the signs repeat.  A pattern that
-    an earlier restart or step visited is not solved again: its solve is
-    deterministic, so its value and witness are kept for the call."""
+    them share the phase 1 of one `stress.box_lp`), whose value is
+    sigma_opt = 1 / lambda and whose witness is its equilibrium rows'
+    multipliers, and taking the signs of the witness's trace, until the
+    signs repeat.  A pattern that an earlier restart or step visited is
+    not solved again: its solve is deterministic, so its value and
+    witness are kept for the call."""
     if method == EXACT:
         m = _sign_components(ops)
         kinematic = kinematic_lp(ops, mode)

@@ -8,58 +8,38 @@ is nonnegative, and a free column has neither bound (`LPStandardForm`).
 The bounds stay out of the rows (Dantzig's bounded variables): a
 nonbasic column sits at one of its bounds, or at 0 if it is free or 0
 lies inside its bounds, and the tableau's last column holds x_B.  Both
-phases run one simplex loop.  It enters the column with the most
-negative price, which takes far fewer pivots than Bland's lowest-index
-rule on these LPs, and falls back to Bland's rule only while it is
-stalled: after `_STALL` degenerate pivots in a row, until a step moves
-the objective again.  A column that can move both ways is priced at
--|d_j| and enters downwards when its reduced cost d_j is positive.  The
-ratio test includes the entering column's own range: when that is the
-first limit reached, the column flips to its other bound without a
-pivot.  A free column has no bound to reach, so once basic it never
-leaves.  An LP whose columns are all free or nonnegative, such as the
-kinematic LP, is "plain": its nonbasic columns all sit at 0, and the
-loop runs the same arithmetic as a simplex without bounds.  At the end
-of a solve, x_B and the multipliers are solved from A, b and c at the
-optimal basis.
-A pivot updates only the tableau entries it changes, in the rows with a
-nonzero pivot-column entry and the columns with a nonzero pivot-row
-entry; the kinematic LP's rows each touch one element or facet, so that
-is often a small block.  It picks the update by these counts, and keeps
-the dense rank-1 update on tableaux under `_DENSE_BELOW` entries; above
-that, a dense update runs in blocks of rows, so that no temporary is as
-large as the tableau.
+phases run one simplex loop (`_simplex`): the most negative price
+enters, which takes far fewer pivots than Bland's lowest-index rule on
+these LPs, with Bland's rule only while the loop is stalled; a column
+that reaches its other bound first flips there without a pivot, and a
+count of pivots counts these flips too.  An LP whose columns are all
+free or nonnegative, such as the kinematic LP, is "plain": its nonbasic
+columns all sit at 0, and the loop runs the same arithmetic as a
+simplex without bounds.  On tableaux this small an iteration costs more
+in numpy calls than in arithmetic, so the loop keeps what changes only
+when a column moves, such as each column's price signs, and makes about
+a dozen calls per iteration besides the pivot.  A pivot updates only the
+entries it changes, in the rows with a nonzero pivot-column entry and
+the columns with a nonzero pivot-row entry, or the whole tableau, as
+the counts make cheapest (`_pivot`).  At the end of a solve, x_B and the
+multipliers are solved from A, b and c at the optimal basis.
 Inequalities are handled by LPBuilder, which gives each a slack column.
-Phase 1 crash-starts: a row starts on a column whose only nonzero entry
-is positive and in that row, such as an inequality's slack, and a row
-whose x_B is 0 on a Gaussian pivot (`_phase1`); only the rows left get
-an artificial.  When all of those rows have x_B = 0 the start is
-feasible, and phase 1 is only the degenerate pivots that drive the
-artificials out.  Phase 1 depends on A, b and the bounds only, so LPs
-that differ only in their costs (`LPStandardForm.with_objective`) share
-one phase 1, memoized, and each runs only phase 2, on a copy of it.  So
-do LPs that differ only in one column that is zero in the LP they are
-made from (`LPStandardForm.with_column`): phase 1 never pivots on that
-column, which is solved into a copy at phase 1's basis.  A
-standalone LP, whose phase 1 is shared with nothing, runs phase 2 in
-phase 1's own array, so that its solve holds A and one tableau at its
-peak.  `solve_each` goes further for the costs w @ U of the rows w of a
-weight matrix: it walks the rows in order on one phase-2 tableau, each
-phase 2 starting from the basis where the previous one stopped, which
-stays feasible because A, b and the bounds are the same.  At each
-optimal basis it prices the next rows in one matrix product and settles
-every row that the basis proves optimal too, without a phase 2 of its
-own.  It gives each status and objective, with the walk's rounding, and
-no solution.
+Phase 1 crash-starts (`_phase1`), so that only the rows without a crash
+column get an artificial.  It depends on A, b and the bounds only, so
+LPs that differ only in their costs (`LPStandardForm.with_objective`),
+or only in one column that is zero in the LP they are made from
+(`LPStandardForm.with_column`), share one phase 1, memoized, and each
+runs phase 2 on a copy of it.  A standalone LP runs phase 2 in phase 1's
+own array, so that its solve holds A and one tableau at its peak.
+`solve_each` walks the costs w @ U of the rows w of a weight matrix on
+one phase-2 tableau, each phase 2 from the basis where the last one
+stopped, and settles every row that an optimal basis it reaches proves
+optimal without a phase 2 of its own.
 A plain LP with c >= 0 whose free columns and crash columns cost
-nothing, such as the static stress LP, skips phase 1: its rows without a
-crash column take free columns by Gaussian pivots (if a row finds none,
-the LP takes two phases), and that basis is dual feasible for any b, so
-`solve` runs the dual simplex from it.
-`solve_each_rhs` walks a sequence of right-hand sides the same way as
-`solve_each` walks costs: each step sets x_B = B^-1 b at the previous
-optimal basis, which stays dual feasible because A and c are the same,
-and runs the dual simplex from there.
+nothing, such as the static stress LP, skips phase 1: its crash basis is
+dual feasible for any b (`_dual_start`), so `solve` runs the dual
+simplex from it, and `solve_each_rhs` walks a sequence of right-hand
+sides with it the same way as `solve_each` walks costs.
 """
 
 from __future__ import annotations
@@ -121,8 +101,8 @@ class _Phase1(NamedTuple):
     phase 2 writes), its basis, the rows kept from A and where each
     nonbasic column sits (`value`; a basic column's entry is unused);
     `tableau` is None if the LP is infeasible.  `pivots` is the number of
-    simplex pivots phase 1 took, not counting the crash's Gaussian pivots
-    nor those that drive the artificials out."""
+    simplex pivots and bound flips phase 1 took, not counting the crash's
+    Gaussian pivots nor those that drive the artificials out."""
 
     tableau: np.ndarray | None
     basis: np.ndarray
@@ -258,10 +238,11 @@ def _pivot(T: np.ndarray, row: int, col: int):
     `_BLOCK_ENTRIES` entries.  The result equals the dense update up to the
     sign of a zero, so no pivot choice depends on which update ran.  A
     pivot of 1.0 leaves the row as it is, which dividing by it would do
-    bit for bit."""
-    if T[row, col] != 1.0:
-        T[row] /= T[row, col]
-    pivot_row = T[row]
+    bit for bit.  Each update subtracts the broadcast product
+    factors[:, None] * row, the entries of `np.outer` for fewer calls."""
+    pivot, pivot_row = T[row, col], T[row]
+    if pivot != 1.0:
+        pivot_row /= pivot
     factors = T[:, col].copy()
     factors[row] = 0.0
     if T.size >= _DENSE_BELOW:
@@ -271,19 +252,19 @@ def _pivot(T: np.ndarray, row: int, col: int):
         by_cols = _COLS_COST * m * c
         if by_block <= by_cols and by_block < m * n:
             rows, cols = factors.nonzero()[0], pivot_row.nonzero()[0]
-            T[np.ix_(rows, cols)] -= np.outer(factors[rows], pivot_row[cols])
+            T[np.ix_(rows, cols)] -= factors[rows, None] * pivot_row[cols]
             return
         if by_cols < m * n:
             cols = pivot_row.nonzero()[0]
-            T[:, cols] -= np.outer(factors, pivot_row[cols])
+            T[:, cols] -= factors[:, None] * pivot_row[cols]
             return
         # a copy: its own block subtracts 0 * x from it, turning -0.0 to 0.0
         pivot_row = pivot_row.copy()
         step = max(1, _BLOCK_ENTRIES // n)
         for r in range(0, m, step):
-            T[r:r + step] -= np.outer(factors[r:r + step], pivot_row)
+            T[r:r + step] -= factors[r:r + step, None] * pivot_row
         return
-    T -= np.outer(factors, pivot_row)
+    T -= factors[:, None] * pivot_row
 
 
 def _enter(T: np.ndarray, row: int, col: int, value: np.ndarray, bound: float):
@@ -292,10 +273,20 @@ def _enter(T: np.ndarray, row: int, col: int, value: np.ndarray, bound: float):
     own term comes back in before the pivot and the leaving variable's
     goes out, each only when it is nonzero."""
     if value[col] != 0.0:
-        T[:-1, -1] += value[col] * T[:-1, col]
+        x = T[:-1, -1]
+        x += value[col] * T[:-1, col]
     if bound != 0.0:
         T[row, -1] -= bound
     _pivot(T, row, col)
+
+
+def _signs(value: float, lower: float, upper: float) -> tuple:
+    """(s_up, s_down) of a column at value, priced at min(s_up d_j,
+    s_down d_j): d_j, -d_j or -|d_j| as it can rise, fall or both, and 0
+    (it never enters) if its bounds fix it."""
+    if lower == upper:
+        return 0.0, 0.0
+    return 1.0 if value < upper else -1.0, -1.0 if value > lower else 1.0
 
 
 def _simplex(T: np.ndarray, basis: np.ndarray, lower: np.ndarray,
@@ -304,92 +295,98 @@ def _simplex(T: np.ndarray, basis: np.ndarray, lower: np.ndarray,
     """Run the bounded-variable simplex on a tableau whose last row holds
     reduced costs and last column x_B, over the columns that lower and
     upper bound; value holds where each nonbasic column sits, at a bound,
-    or at 0 inside its bounds.  A nonbasic column that can move both ways
-    (a free one, or one at 0 inside its bounds) is priced at -|d_j|, one
-    at its lower bound at d_j, one at its upper bound at -d_j; it enters
-    upwards when d_j < 0 and downwards when d_j > 0.  The entering column
-    has the lowest price (Dantzig), except after `_STALL` degenerate
-    pivots in a row, when it is the lowest-index improving column (Bland)
-    until a step moves the objective again.  The ratio test stops at the
-    first basic variable to reach one of its bounds, or at the entering
-    column's own other bound: then the column only moves there (a bound
-    flip), and the basis stays.  The leaving row is the ratio-test tie
-    with the lowest basic index, and its variable leaves at the bound it
-    reached.  A free variable has no bound to reach, so once basic it
-    never leaves; after the last one has entered, the loop is Bland's rule
-    on bounded columns, which cannot cycle at one vertex, and every other
-    step lowers the objective, so it terminates, or fails after
-    `_MAX_ITER` pivots and flips.  plain says that every column is free
-    or nonnegative, as in the kinematic LP: then every nonbasic column
-    sits at 0, no column has a second bound to flip to, and the loop
-    skips that bookkeeping.  Mutates T, the int array basis and value;
-    returns (status, pivots)."""
-    n = len(lower)
-    lb = lower[basis]
+    or at 0 inside its bounds.  Column j is priced at min(s_up d_j,
+    s_down d_j), with signs kept per column (`_signs`): -|d_j| if it can
+    move both ways, d_j at its lower bound, -d_j at its upper bound.  It
+    enters upwards when d_j < 0 and downwards when d_j > 0.  The entering
+    column has the lowest price (Dantzig), except after `_STALL`
+    degenerate pivots in a row, when it is the lowest-index improving
+    column (Bland) until a step moves the objective again.  The ratio test
+    stops at the first basic variable to reach one of its bounds, or at
+    the entering column's own other bound: then the column only moves
+    there (a bound flip), and the basis stays.  The leaving row is the
+    ratio-test tie with the lowest basic index, and its variable leaves at
+    the bound it reached.  A free variable never leaves once basic; after
+    the last one has entered, the loop is Bland's rule on bounded columns,
+    which cannot cycle at one vertex, and every other step lowers the
+    objective, so it terminates, or fails after `_MAX_ITER` pivots and
+    flips.  plain says that every column is free or nonnegative, as in
+    the kinematic LP: then the price is min(d_j, sign_j d_j), sign_j = -1
+    on the free columns, and no column has a bound to flip to.  Mutates
+    T, the int array basis and value; returns (status, pivots), pivots
+    counting the bound flips too."""
+    m, n = len(basis), len(lower)
+    costs, x = T[-1, :n], T[:-1, -1]  # views of the reduced costs and x_B
     if plain:
-        down = lower == -np.inf  # the free columns
+        sign = np.where(lower == -np.inf, -1.0, 1.0)
+        finite = lower[basis] > -np.inf  # the basic variables that can leave
     else:
-        up, down = value < upper, value > lower
-        ub = upper[basis]
+        signs = np.array([np.where(value < upper, 1.0, -1.0),
+                          np.where(value > lower, -1.0, 1.0)]) * (lower < upper)
+        lb, ub, ratios = lower[basis], upper[basis], np.empty(m)
     stalled = 0
     for pivots in range(_MAX_ITER):
-        costs = T[-1, :n]
         if plain:
-            prices = np.where(down, -np.abs(costs), costs)
+            prices = np.minimum(costs, costs * sign)
         else:
-            prices = np.minimum(np.where(up, costs, np.inf),
-                                np.where(down, -costs, np.inf))
+            products = costs * signs
+            prices = np.minimum(products[0], products[1])
         if stalled < _STALL:
-            j = int(np.argmin(prices))
+            j = prices.argmin()
             if prices[j] >= -_PIVOT_TOL:
                 return OPTIMAL, pivots
         else:
-            candidates = np.flatnonzero(prices < -_PIVOT_TOL)
-            if candidates.size == 0:
+            improving = prices < -_PIVOT_TOL
+            j = improving.argmax()
+            if not improving[j]:
                 return OPTIMAL, pivots
-            j = int(candidates[0])
         rising = costs[j] < 0.0
-        col = T[:-1, j] if rising else -T[:-1, j]
+        col = T[:-1, j]
         if plain:
-            rows = np.flatnonzero((col > _PIVOT_TOL) & (lb > -np.inf))
-            if rows.size == 0:
+            rows = (col > _PIVOT_TOL) if rising else (col < -_PIVOT_TOL)
+            rows = (rows & finite).nonzero()[0]
+            if not rows.size:
                 return UNBOUNDED, pivots
-            ratios = T[rows, -1] / col[rows]
-            best = ratios.min()
-            ties = rows[ratios <= best + 1e-12]
+            ratios = x[rows] / (col[rows] if rising else -col[rows])
+            if rows.size == 1:
+                ties, best = rows, ratios[0]
+            else:
+                best = ratios[ratios.argmin()]
+                ties = rows[ratios <= best + 1e-12]
         else:
             # each basic variable's distance to the bound it moves towards,
-            # per unit step of column j (inf where it has none)
-            x, size = T[:-1, -1], np.abs(col)
-            ratios = np.divide(np.where(col > 0.0, x - lb, ub - x), size,
-                               out=np.full(len(size), np.inf),
-                               where=size > _PIVOT_TOL)
-            best = ratios.min(initial=np.inf)
+            # per unit step of column j (inf where it has none): (x - l) / a
+            # rising and (l - x) / a falling, over the signed entry a, are
+            # the distance over |a| but for the sign of a zero
+            bound = np.where(col > 0.0 if rising else col < 0.0, lb, ub)
+            distance = x - bound if rising else bound - x
+            ratios.fill(np.inf)
+            np.divide(distance, col, out=ratios, where=abs(col) > _PIVOT_TOL)
+            best = ratios[ratios.argmin()] if m else np.inf
             span = upper[j] - value[j] if rising else value[j] - lower[j]
             if span <= best:
                 if span == np.inf:
                     return UNBOUNDED, pivots
                 # a bound flip: column j moves to its other bound, x_B with it
                 moved = upper[j] if rising else lower[j]
-                T[:-1, -1] -= (moved - value[j]) * T[:-1, j]
+                x -= (moved - value[j]) * col
                 value[j] = moved
-                up[j], down[j] = moved < upper[j], moved > lower[j]
+                signs[:, j] = _signs(moved, lower[j], upper[j])
                 stalled = 0
                 continue
-            ties = np.flatnonzero(ratios <= best + 1e-12)
-        leave = int(ties[np.argmin(basis[ties])])
+            ties = (ratios <= best + 1e-12).nonzero()[0]
+        leave = ties[0] if ties.size == 1 else ties[basis[ties].argmin()]
         stalled = stalled + 1 if best <= 1e-12 else 0
         if plain:
             _pivot(T, leave, j)
+            finite[leave] = sign[j] > 0.0
         else:
-            out = basis[leave]
-            bound = lb[leave] if col[leave] > 0.0 else ub[leave]
-            _enter(T, leave, j, value, bound)
-            value[out] = bound
-            up[out], down[out] = bound < upper[out], bound > lower[out]
-            ub[leave] = upper[j]
+            out, at = basis[leave], bound[leave]
+            _enter(T, leave, j, value, at)
+            value[out] = at
+            signs[:, out] = _signs(at, lower[out], upper[out])
+            lb[leave], ub[leave] = lower[j], upper[j]
         basis[leave] = j
-        lb[leave] = lower[j]
     raise LPIterationError(phase, shape, _MAX_ITER)
 
 
@@ -725,6 +722,7 @@ def solve_each(p: LPStandardForm, unit_costs, weights) -> tuple:
                       f"numbers of shape (rows, {len(U)})")
     if not (np.all(np.isfinite(U)) and np.all(np.isfinite(W))):
         raise LPError("unit costs or weights contain non-finite entries")
+    W = W.astype(float)  # cast once, not in each product: the same values
     status = np.empty(len(W), dtype=object)
     status[:] = INFEASIBLE  # one str object; np.full would copy it per row
     objective = np.full(len(W), np.nan)
@@ -733,7 +731,7 @@ def solve_each(p: LPStandardForm, unit_costs, weights) -> tuple:
     if T is None:
         return status, objective
     todo = np.arange(len(W))  # todo[head:] are the rows not settled, in order
-    head = 0
+    head, free = 0, np.flatnonzero(p.free)
     while head < len(todo):
         row = todo[head]
         if _phase2(T, basis, W[row] @ U, p, value) == UNBOUNDED:
@@ -745,12 +743,13 @@ def solve_each(p: LPStandardForm, unit_costs, weights) -> tuple:
         # -|d_j| >= -tol on a column that moves both ways is d_j >= -tol
         # and -d_j >= -tol
         if p.plain:
-            R = np.hstack([R, -R[:, p.free]])
+            R = np.concatenate((R, -R[:, free]), axis=1)
         else:
-            R = np.hstack([R[:, value < p.upper], -R[:, value > p.lower]])
+            R = np.concatenate((R[:, value < p.upper], -R[:, value > p.lower]),
+                               axis=1)
         ahead = todo[head + 1:head + 1 + _LOOKAHEAD]
         optimal = (W[ahead] @ R >= -_PIVOT_TOL).all(axis=1)
-        done = np.append(row, ahead[optimal])
+        done = np.concatenate(((row,), ahead[optimal]))
         status[done] = OPTIMAL
         at = U_B @ T[:-1, -1]
         if not p.plain:  # the nonbasic columns away from 0 add their costs

@@ -34,8 +34,7 @@ import numpy as np
 from . import lp
 from .kinematics import (DiscreteOperators, check_traction, comp_weights,
                          external_work, isochoric_constraints, n_comps,
-                         strain_norm_l1, strain_norm_plastic,
-                         traction_sup_norm, work_vector)
+                         strain_norm_l1, strain_norm_plastic, work_vector)
 
 ELASTIC = "elastic"
 PLASTIC = "plastic"
@@ -77,7 +76,8 @@ class StressField(NamedTuple):
 
 class OptimalStressResult(NamedTuple):
     """sigma_opt is the certified optimum (1 / lambda of the box LP in
-    `optimal_stress`), dual_value the witness's ratio work/budget, duality_gap |stress_measure(sigma_hat) - dual_value|,
+    `optimal_stress`), dual_value the witness's ratio work/budget,
+    duality_gap |stress_measure(sigma_hat) - dual_value|, and
     equilibrium_residual that of sigma_hat against the traction."""
 
     sigma_opt: float
@@ -116,15 +116,20 @@ def stress_measure(s: StressField, mode: str, ops: DiscreteOperators) -> float:
 
 def equilibrium_residual(ops: DiscreteOperators, s: StressField, t) -> float:
     """Max violation of the virtual-work identity over the DOF basis."""
-    lhs = (ops.strain_weights * _check_stress(ops, s).ravel()) @ ops.strain_op
-    return float(np.abs(lhs - work_vector(ops, t)).max(initial=0.0))
+    return check_equilibrium(ops, s, t)[1]
 
 
 def check_equilibrium(ops: DiscreteOperators, s: StressField, t):
-    """True iff the stress field equilibrates t within 1e-8 (1 + |t|_inf)."""
-    residual = equilibrium_residual(ops, s, t)
-    ok = residual <= 1e-8 * (1.0 + traction_sup_norm(ops, t))
-    return ok, residual
+    """(ok, residual): the max violation of the virtual-work identity
+    E s = f over the DOF basis, and whether it is within 1e-8 times the
+    largest sum of magnitudes that one of its rows adds up,
+    (|E| |s| + |f|)_k.  Every term scales alike with the unit of length,
+    so the verdict does not depend on it."""
+    weighted = ops.strain_weights * _check_stress(ops, s).ravel()
+    work = work_vector(ops, t)
+    residual = float(np.abs(weighted @ ops.strain_op - work).max(initial=0.0))
+    terms = np.abs(weighted) @ np.abs(ops.strain_op) + np.abs(work)
+    return residual <= 1e-8 * terms.max(initial=0.0), residual
 
 
 def _deviatoric_rows(dim: int) -> np.ndarray:
@@ -546,8 +551,10 @@ def certify(ops: DiscreteOperators, t, mode: str, value: float, sigma_hat: Stres
             "certificate failed: the recovered stress does not balance the "
             f"traction (equilibrium residual {residual:.3e})")
     if mode == PLASTIC:
-        dilation = np.abs(isochoric_constraints(ops) @ w).max(initial=0.0)
-        if dilation > 1e-8 * (1.0 + np.abs(w).max(initial=0.0)):
+        # relative to the largest sum of magnitudes of a dilation's terms
+        isochoric = isochoric_constraints(ops)
+        dilation = np.abs(isochoric @ w).max(initial=0.0)
+        if dilation > 1e-8 * (np.abs(isochoric) @ np.abs(w)).max(initial=0.0):
             raise SolverFailure(
                 "certificate failed: the plastic witness is not isochoric "
                 f"(volumetric strain {dilation:.3e})")

@@ -258,3 +258,112 @@ def enumerate_best_loop(A, b, c):
         if best_obj is None or obj < best_obj - 1e-12:
             best_obj, best_x = obj, x
     return best_obj, best_x
+
+
+def reference_pivot(T, row, col):
+    """Oracle: `lp._pivot` with each update an `np.outer` product; the
+    same choice of update."""
+    if T[row, col] != 1.0:
+        T[row] /= T[row, col]
+    pivot_row = T[row]
+    factors = T[:, col].copy()
+    factors[row] = 0.0
+    if T.size >= lp._DENSE_BELOW:
+        m, n = T.shape
+        c = np.count_nonzero(pivot_row)
+        by_block = lp._BLOCK_COST * np.count_nonzero(factors) * c
+        by_cols = lp._COLS_COST * m * c
+        if by_block <= by_cols and by_block < m * n:
+            rows, cols = factors.nonzero()[0], pivot_row.nonzero()[0]
+            T[np.ix_(rows, cols)] -= np.outer(factors[rows], pivot_row[cols])
+            return
+        if by_cols < m * n:
+            cols = pivot_row.nonzero()[0]
+            T[:, cols] -= np.outer(factors, pivot_row[cols])
+            return
+        pivot_row = pivot_row.copy()
+        step = max(1, lp._BLOCK_ENTRIES // n)
+        for r in range(0, m, step):
+            T[r:r + step] -= np.outer(factors[r:r + step], pivot_row)
+        return
+    T -= np.outer(factors, pivot_row)
+
+
+def reference_enter(T, row, col, value, bound):
+    """Oracle: `lp._enter` over `reference_pivot`."""
+    if value[col] != 0.0:
+        T[:-1, -1] += value[col] * T[:-1, col]
+    if bound != 0.0:
+        T[row, -1] -= bound
+    reference_pivot(T, row, col)
+
+
+def reference_simplex(T, basis, lower, upper, value, plain, phase, shape):
+    """Oracle: `lp._simplex` with its prices, ratio test and tie rule
+    recomputed in full at every iteration (np.where masks, np.argmin,
+    np.flatnonzero), over `reference_enter`; the same arguments,
+    mutations and result, pivot for pivot."""
+    n = len(lower)
+    lb = lower[basis]
+    if plain:
+        down = lower == -np.inf
+    else:
+        up, down = value < upper, value > lower
+        ub = upper[basis]
+    stalled = 0
+    for pivots in range(lp._MAX_ITER):
+        costs = T[-1, :n]
+        if plain:
+            prices = np.where(down, -np.abs(costs), costs)
+        else:
+            prices = np.minimum(np.where(up, costs, np.inf),
+                                np.where(down, -costs, np.inf))
+        if stalled < lp._STALL:
+            j = int(np.argmin(prices))
+            if prices[j] >= -lp._PIVOT_TOL:
+                return lp.OPTIMAL, pivots
+        else:
+            candidates = np.flatnonzero(prices < -lp._PIVOT_TOL)
+            if candidates.size == 0:
+                return lp.OPTIMAL, pivots
+            j = int(candidates[0])
+        rising = costs[j] < 0.0
+        col = T[:-1, j] if rising else -T[:-1, j]
+        if plain:
+            rows = np.flatnonzero((col > lp._PIVOT_TOL) & (lb > -np.inf))
+            if rows.size == 0:
+                return lp.UNBOUNDED, pivots
+            ratios = T[rows, -1] / col[rows]
+            best = ratios.min()
+            ties = rows[ratios <= best + 1e-12]
+        else:
+            x, size = T[:-1, -1], np.abs(col)
+            ratios = np.divide(np.where(col > 0.0, x - lb, ub - x), size,
+                               out=np.full(len(size), np.inf),
+                               where=size > lp._PIVOT_TOL)
+            best = ratios.min(initial=np.inf)
+            span = upper[j] - value[j] if rising else value[j] - lower[j]
+            if span <= best:
+                if span == np.inf:
+                    return lp.UNBOUNDED, pivots
+                moved = upper[j] if rising else lower[j]
+                T[:-1, -1] -= (moved - value[j]) * T[:-1, j]
+                value[j] = moved
+                up[j], down[j] = moved < upper[j], moved > lower[j]
+                stalled = 0
+                continue
+            ties = np.flatnonzero(ratios <= best + 1e-12)
+        leave = int(ties[np.argmin(basis[ties])])
+        stalled = stalled + 1 if best <= 1e-12 else 0
+        if plain:
+            reference_pivot(T, leave, j)
+        else:
+            out = basis[leave]
+            bound = lb[leave] if col[leave] > 0.0 else ub[leave]
+            reference_enter(T, leave, j, value, bound)
+            value[out] = bound
+            up[out], down[out] = bound < upper[out], bound > lower[out]
+            ub[leave] = upper[j]
+        basis[leave] = j
+        lb[leave] = lower[j]
+    raise lp.LPIterationError(phase, shape, lp._MAX_ITER)

@@ -391,3 +391,55 @@ class TestKinematicLimitCheck:
     def test_zero_traction_error(self, square_ops):
         with pytest.raises(cap.CapacityError):
             cap.kinematic_limit_check(square_ops, np.zeros((3, 2)), Y0=1.0)
+
+
+class TestPinnedCounts:
+    """Counts of simplex work, pinned on three workloads: a change to the
+    simplex loop's bookkeeping that keeps every pivot keeps them all.
+    phase2 counts phase 2s (walk steps and standalone solves alike),
+    iterations their pivots and bound flips, and pivots every `_pivot`
+    call, the crash's Gaussian pivots included."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"phase2": 0, "iterations": 0, "pivots": 0, "phase2_pivots": 0}
+        simplex, pivot, phase = lp._simplex, lp._pivot, []
+
+        def counted_simplex(*args):
+            phase.append(args[6])
+            try:
+                status, iterations = simplex(*args)
+            finally:
+                phase.pop()
+            if args[6] == 2:
+                counts["phase2"] += 1
+                counts["iterations"] += iterations
+            return status, iterations
+
+        def counted_pivot(*args):
+            counts["pivots"] += 1
+            counts["phase2_pivots"] += phase == [2]
+            return pivot(*args)
+        monkeypatch.setattr(lp, "_simplex", counted_simplex)
+        monkeypatch.setattr(lp, "_pivot", counted_pivot)
+        return counts
+
+    @pytest.mark.parametrize("mode, phase2, iterations, K",
+                             [(st.ELASTIC, 455, 2181, 6.0), (st.PLASTIC, 325, 1981, 2.5)])
+    def test_exact_K_on_2x2_plate(self, counts, mode, phase2, iterations, K):
+        ops = kin.assemble(msh.generate_rectangle(1, 1, 2, 2, "left", "right"))
+        assert cap.generalized_K(ops, mode, cap.EXACT).K == pytest.approx(K, rel=1e-12)
+        assert (counts["phase2"], counts["iterations"]) == (phase2, iterations)
+
+    def test_plastic_5x5_plate_end_tension(self, counts):
+        mesh, t = end_tension_plate(5)
+        assert st.optimal_stress(kin.assemble(mesh), t, st.PLASTIC).sigma_opt == \
+            pytest.approx(0.5, rel=1e-12)
+        assert (counts["pivots"], counts["phase2_pivots"]) == (175, 69)
+        assert (counts["phase2"], counts["iterations"]) == (1, 69)
+
+    def test_heuristic_on_elastic_3x3_plate(self, counts):
+        ops = kin.assemble(msh.generate_rectangle(1, 1, 3, 3, "left", "right"))
+        result = cap.generalized_K(ops, st.ELASTIC, cap.HEURISTIC)
+        assert result.K == pytest.approx(7.0, rel=1e-12)
+        assert (counts["phase2"], counts["iterations"]) == (14, 250)

@@ -5,9 +5,11 @@ import pytest
 
 from loadcap import kinematics as kin
 from loadcap import lp
+from loadcap import mesh as msh
 from loadcap import stress as st
 
-from conftest import MESH_CASES, dump, enumerate_best_loop, split_bounds, split_free
+from conftest import (MESH_CASES, dump, enumerate_best_loop, make_two_tet_mesh,
+                      reference_simplex, split_bounds, split_free)
 
 
 def standard(c, A, b):
@@ -90,6 +92,19 @@ class TestSolveBasics:
         assert s1.objective == s2.objective
 
 
+# Beale (1955), slacks first, and a rescaled Beale example, slacks last:
+# (c, A) of LPs with b = (0, 0, 1) on which Dantzig pricing with the
+# smallest-subscript leaving rule cycles
+BEALE_ORIGINAL = ([0.0, 0.0, 0.0, -0.75, 20.0, -0.5, 6.0],
+                  [[1.0, 0.0, 0.0, 0.25, -8.0, -1.0, 9.0],
+                   [0.0, 1.0, 0.0, 0.5, -12.0, -0.5, 3.0],
+                   [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0]])
+BEALE_RESCALED = ([-0.75, 150.0, -0.02, 6.0, 0.0, 0.0, 0.0],
+                  [[0.25, -60.0, -1.0 / 25.0, 9.0, 1.0, 0.0, 0.0],
+                   [0.5, -90.0, -1.0 / 50.0, 3.0, 0.0, 1.0, 0.0],
+                   [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]])
+
+
 class TestAntiCycling:
     """Textbook LPs on which Dantzig pricing with the smallest-subscript
     leaving rule cycles; the Bland fallback must still reach the optimum."""
@@ -104,12 +119,7 @@ class TestAntiCycling:
         return p
 
     def test_beale_original(self, monkeypatch):
-        # Beale (1955), slacks first
-        c = [0.0, 0.0, 0.0, -0.75, 20.0, -0.5, 6.0]
-        A = [[1.0, 0.0, 0.0, 0.25, -8.0, -1.0, 9.0],
-             [0.0, 1.0, 0.0, 0.5, -12.0, -0.5, 3.0],
-             [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0]]
-        p = self._cycling_lp(c, A, monkeypatch)
+        p = self._cycling_lp(*BEALE_ORIGINAL, monkeypatch)
         sol = lp.solve(p)
         check_optimal_invariants(p, sol)
         want = lp.solve_brute(p)
@@ -117,12 +127,7 @@ class TestAntiCycling:
         assert sol.objective == pytest.approx(want.objective, abs=1e-12)
 
     def test_beale_cycling_example(self, monkeypatch):
-        # a rescaled Beale example, slacks last
-        c = [-0.75, 150.0, -0.02, 6.0, 0.0, 0.0, 0.0]
-        A = [[0.25, -60.0, -1.0 / 25.0, 9.0, 1.0, 0.0, 0.0],
-             [0.5, -90.0, -1.0 / 50.0, 3.0, 0.0, 1.0, 0.0],
-             [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]]
-        p = self._cycling_lp(c, A, monkeypatch)
+        p = self._cycling_lp(*BEALE_RESCALED, monkeypatch)
         sol = lp.solve(p)
         check_optimal_invariants(p, sol)
         want = lp.solve_brute(p)
@@ -1349,18 +1354,28 @@ class TestPivot:
         T[row, col] = rng.uniform(0.5, 2.0)
         return T
 
-    def test_matches_dense_update(self, monkeypatch):
-        """Every branch of the choice is taken; the outer products' shapes
-        tell them apart: the whole tableau (below the size gate), every row
-        by every column in blocks of rows (dense, above it), all rows by
-        the pivot row's nonzero columns, or the nonzero rows by those
-        columns."""
-        outer, shapes = np.outer, []
+    class Recorded(np.ndarray):
+        """A tableau that records the shape of each two-dimensional block
+        of entries it updates in place: `T -= X` records X's shape and
+        `T[key] -= X` the shape of T[key]; the division of the pivot row
+        is one-dimensional and not recorded.  Its views record nothing."""
 
-        def spy(a, b):
-            shapes.append((len(a), len(b)))
-            return outer(a, b)
-        monkeypatch.setattr(np, "outer", spy)
+        def __setitem__(self, key, value):
+            if "updates" in self.__dict__ and np.ndim(value) == 2:
+                self.updates.append(np.shape(value))
+            super().__setitem__(key, value)
+
+        def __isub__(self, other):
+            if "updates" in self.__dict__:
+                self.updates.append(np.shape(other))
+            return super().__isub__(other)
+
+    def test_matches_dense_update(self):
+        """Every branch of the choice is taken; the shapes of the blocks
+        the pivot updates tell them apart: the whole tableau (below the
+        size gate), every row by every column in blocks of rows (dense,
+        above it), all rows by the pivot row's nonzero columns, or the
+        nonzero rows by those columns."""
         rng = np.random.default_rng(1010)
         fills = (0.01, 0.03, 0.1, 0.3, 1.0)
         branches, blocks = set(), set()
@@ -1373,7 +1388,8 @@ class TestPivot:
                     row, col = int(rng.integers(m)), int(rng.integers(n))
                     T = self.tableau(rng, shape, row_fill, col_fill, row, col)
                     want = self.dense_pivot(T, row, col)
-                    shapes.clear()
+                    T = T.view(self.Recorded)
+                    T.updates = shapes = []
                     lp._pivot(T, row, col)
                     assert np.array_equal(T, want), (shape, row_fill, col_fill)
                     (rows, cols), *more = shapes
@@ -1386,3 +1402,117 @@ class TestPivot:
                         branches.add("columns" if rows == m else "block")
         assert branches == {"small", "dense", "columns", "block"}
         assert max(blocks) > 1
+
+
+def same_bits(a, b) -> bool:
+    """Equal shape, dtype and bytes: equal entries, signs of zeros too."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestLoopMatchesReference:
+    """Every `_simplex` call, phase 1, phase 2 and walk steps alike, ends
+    as `conftest.reference_simplex`, the loop that recomputes its prices,
+    ratio test and tie rule in full at each iteration, ends on copies of
+    its arguments: the same tableau, basis and nonbasic values, bit for
+    bit, the same status and the same count of pivots and flips, or the
+    same iteration limit."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """(phase, status, pivots, flips) of each checked `_simplex` call:
+        its pivots count the bound flips too."""
+        calls, simplex, enter, entered = [], lp._simplex, lp._enter, []
+        monkeypatch.setattr(lp, "_enter",
+                            lambda *args: entered.append(1) or enter(*args))
+
+        def checked(T, basis, lower, upper, value, plain, phase, shape):
+            want = [T.copy(), basis.copy(), value.copy()]
+            try:
+                result = reference_simplex(want[0], want[1], lower, upper, want[2],
+                                           plain, phase, shape)
+            except lp.LPIterationError as exc:
+                result = str(exc)
+            entered.clear()
+            try:
+                got = simplex(T, basis, lower, upper, value, plain, phase, shape)
+            except lp.LPIterationError as exc:
+                assert str(exc) == result
+                raise
+            assert got == result
+            assert same_bits(T, want[0]) and same_bits(basis, want[1])
+            assert same_bits(value, want[2])
+            calls.append((phase, *got, 0 if plain else got[1] - len(entered)))
+            return got
+        monkeypatch.setattr(lp, "_simplex", checked)
+        return calls
+
+    def test_dense_and_slack_corpora(self, calls):
+        for trial, A, b, costs in dense_corpus():
+            base = standard(np.zeros(A.shape[1]), A, b)
+            for c in costs:
+                lp.solve(standard(c, A, b))
+                lp.solve(base.with_objective(c))
+        for trial, _, p in slack_corpus():
+            lp.solve(p)
+        assert {status for _, status, _, _ in calls} == {lp.OPTIMAL, lp.UNBOUNDED}
+        assert {phase for phase, *_ in calls} == {1, 2}
+
+    def test_bounded_corpus(self, calls):
+        rng = np.random.default_rng(1717)
+        fixed = 0
+        for trial in range(300):
+            p = TestBoundedVariables.random_lp(rng, trial % 3)
+            fixed += np.count_nonzero(p.lower == p.upper)
+            lp.solve(p)
+        assert fixed > 0
+        assert sum(flips for *_, flips in calls) > 0
+        assert {status for _, status, _, _ in calls} == {lp.OPTIMAL, lp.UNBOUNDED}
+
+    @pytest.mark.parametrize("stall", [0, 1, 50])
+    def test_bland_fallback(self, calls, monkeypatch, stall):
+        """The Beale LPs reach Bland's rule at the default `_STALL`; at 0
+        and 1 every corpus LP runs under it too."""
+        monkeypatch.setattr(lp, "_STALL", stall)
+        for c, A in (BEALE_ORIGINAL, BEALE_RESCALED):
+            lp.solve(standard(c, A, [0.0, 0.0, 1.0]))
+        if stall == 50:
+            assert max(pivots for _, _, pivots, _ in calls) > stall
+            return
+        for trial, A, b, costs in dense_corpus():
+            lp.solve(standard(costs[0], A, b))
+        rng = np.random.default_rng(1818)
+        for trial in range(60):
+            lp.solve(TestBoundedVariables.random_lp(rng, trial % 3))
+
+    def test_iteration_limit(self, calls, monkeypatch):
+        monkeypatch.setattr(lp, "_MAX_ITER", 2)
+        limited = 0
+        for trial, A, b, costs in dense_corpus():
+            try:
+                lp.solve(standard(costs[0], A, b))
+            except lp.LPIterationError:
+                limited += 1
+        assert limited > 0
+
+    @pytest.mark.parametrize("mode", [st.ELASTIC, st.PLASTIC])
+    @pytest.mark.parametrize("n", [1, 2, 3, "two_tet"])
+    def test_box_and_kinematic_lps(self, calls, mode, n):
+        """Box LPs standalone and sharing a phase 1, kinematic LPs solved
+        one by one and walked, under random tractions and sign patterns."""
+        mesh = make_two_tet_mesh() if n == "two_tet" else \
+            msh.generate_rectangle(1, 1, n, n, "left", "right")
+        ops = kin.assemble(mesh)
+        rng = np.random.default_rng(2024)
+        box, kinematic = st.box_lp(ops, mode), st.kinematic_lp(ops, mode)
+        m = len(ops.gammat_facets) * ops.dim
+        unit = np.array([kin.work_vector(ops, e.reshape(-1, ops.dim))
+                         for e in np.eye(m)])
+        for _ in range(3):
+            t = rng.uniform(-1.0, 1.0, size=(len(ops.gammat_facets), ops.dim))
+            st.optimal_stress(ops, t, mode)
+            st.box_optimum(ops, kin.work_vector(ops, t), mode, box)
+            st.kinematic_supremum(kinematic, kin.work_vector(ops, t))
+        st.kinematic_suprema(kinematic, unit, np.where(rng.random((40, m)) < 0.5, -1, 1))
+        assert {phase for phase, *_ in calls} == {2}
+        assert sum(pivots for _, _, pivots, _ in calls) > 0
+        assert sum(flips for *_, flips in calls) > 0 or n == 1

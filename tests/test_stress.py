@@ -109,6 +109,54 @@ class TestCheckEquilibrium:
                 st.stress_measure(s, st.PLASTIC, square_ops)
 
 
+class TestCertifyLengthUnit:
+    """`certify`'s tolerances are relative to the terms each of its checks
+    adds up, so a uniform change of the length unit changes no verdict: the
+    plates below, with their nodes scaled by 1e-8 or 1e8, certify the
+    value of the unscaled plate, where absolute floors of 1e-8 failed 9 of
+    the 12 plastic cases at 1e-8 ("not isochoric") and 3 of the 24 cases
+    at 1e8 ("does not balance").  A corrupted witness or stress still
+    fails at every scale."""
+
+    @staticmethod
+    def scaled(nx, ny, seed, scale):
+        mesh = msh.generate_rectangle(1.0, 1.0, nx, ny, "left", "right")
+        rng = np.random.default_rng(seed)
+        t = rng.uniform(-1.0, 1.0, size=(len(mesh.facets_labeled(msh.GAMMAT)), 2))
+        mesh = msh.Mesh(mesh.dim, scale * mesh.nodes, mesh.elements, mesh.facets)
+        return kin.assemble(mesh), t
+
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+    @pytest.mark.parametrize("mode", [st.ELASTIC, st.PLASTIC])
+    def test_scaled_plates_certify(self, mode, scale):
+        for nx, ny in ((1, 1), (2, 2), (3, 2)):
+            for seed in range(4):
+                want = st.optimal_stress(*self.scaled(nx, ny, seed, 1.0), mode)
+                got = st.optimal_stress(*self.scaled(nx, ny, seed, scale), mode)
+                assert got.sigma_opt == pytest.approx(want.sigma_opt, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+    @pytest.mark.parametrize("mode, field, message", [
+        (st.ELASTIC, "y", "disagree"), (st.PLASTIC, "y", "not isochoric"),
+        (st.ELASTIC, "x", "does not balance"), (st.PLASTIC, "x", "does not balance")])
+    def test_corruption_fails_at_every_scale(self, monkeypatch, mode, field,
+                                             message, scale):
+        # y[0] is the witness's first entry, x[0] element 0's first stress
+        # component; each moves by a tenth of its vector's largest entry
+        ops, t = self.scaled(2, 2, 0, scale)
+        solve = lp.solve
+
+        def corrupting_solve(prob, *args, **kwargs):
+            sol = solve(prob, *args, **kwargs)
+            values = getattr(sol, field).copy()
+            values[0] += 0.1 * np.abs(values).max()
+            return sol._replace(**{field: values})
+        st.optimal_stress(ops, t, mode)
+        monkeypatch.setattr(lp, "solve", corrupting_solve)
+        with pytest.raises(st.SolverFailure, match=message):
+            st.optimal_stress(ops, t, mode)
+
+
 class TestOptimalStressBar:
     def test_unit_traction(self, bar_ops):
         res = st.optimal_stress(bar_ops, np.array([[1.0]]), st.ELASTIC)
