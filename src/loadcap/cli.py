@@ -50,11 +50,11 @@ def _load_mesh(path) -> msh.Mesh:
 
 def _load_traction(path, ops: kin.DiscreteOperators) -> np.ndarray:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:  # JSON's encoding
             doc = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read traction file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot parse traction file {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError(f"traction file {path} is not a JSON object")

@@ -1,6 +1,5 @@
 """Dense two-phase bounded-variable simplex with Dantzig pricing and a
-Bland fallback, a dense dual simplex for LPs whose crash basis is dual
-feasible, and an enumeration oracle.
+Bland fallback, and an enumeration oracle.
 
 Standard form with bounds: minimize c.x subject to A.x = b and
 lower <= x <= upper, where a bound may be infinite; by default a column
@@ -35,11 +34,6 @@ own array, so that its solve holds A and one tableau at its peak.
 one phase-2 tableau, each phase 2 from the basis where the last one
 stopped, and settles every row that an optimal basis it reaches proves
 optimal without a phase 2 of its own.
-A plain LP with c >= 0 whose free columns and crash columns cost
-nothing, such as the static stress LP, skips phase 1: its crash basis is
-dual feasible for any b (`_dual_start`), so `solve` runs the dual
-simplex from it, and `solve_each_rhs` walks a sequence of right-hand
-sides with it the same way as `solve_each` walks costs.
 """
 
 from __future__ import annotations
@@ -53,7 +47,6 @@ import numpy as np
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
-DUAL = "dual"
 
 _PIVOT_TOL = 1e-9
 _FEAS_TOL = 1e-8
@@ -85,13 +78,12 @@ class LPError(ValueError):
 
 class LPIterationError(RuntimeError):
     """Iteration limit exceeded; never reported as a wrong answer.  phase
-    is 1 or 2 for the two-phase simplex and `DUAL` for the dual simplex."""
+    is the simplex phase that hit the limit, 1 or 2."""
 
-    def __init__(self, phase, shape: tuple, iterations: int):
+    def __init__(self, phase: int, shape: tuple, iterations: int):
         self.phase, self.shape, self.iterations = phase, shape, iterations
-        name = "dual simplex" if phase == DUAL else f"simplex phase {phase}"
         super().__init__(
-            f"{name} did not terminate in {iterations} "
+            f"simplex phase {phase} did not terminate in {iterations} "
             f"iterations on a {shape[0]} x {shape[1]} LP (rows x cols)")
 
 
@@ -140,8 +132,8 @@ class LPStandardForm:
     lower: np.ndarray | None = field(default=None, repr=False)
     upper: np.ndarray | None = field(default=None, repr=False)
     # the columns without bounds, and whether every other column is
-    # nonnegative (the columns of the dual simplex and the brute-force
-    # oracle); both follow from the bounds
+    # nonnegative (`_simplex` then runs without bound flips); both follow
+    # from the bounds
     free: np.ndarray = field(init=False, repr=False, compare=False)
     plain: bool = field(init=False, repr=False, compare=False)
     # not an init field, so that `dataclasses.replace` starts a new one
@@ -546,120 +538,6 @@ def _phase2(T: np.ndarray, basis: np.ndarray, c: np.ndarray,
     return _simplex(T, basis, p.lower, p.upper, value, p.plain, 2, p.A.shape)[0]
 
 
-def _dual_start(p: LPStandardForm):
-    """The dual simplex's cold start for p, as (tableau, basis), or None
-    if p is not eligible.  p is eligible when every column is free or
-    nonnegative, c >= 0, c = 0 on the free columns and on every
-    `_crash_basis` column, and every row without a crash column can take a
-    free column (so there must be at least as many free columns as such
-    rows).  Those rows take one, by one Gaussian pivot each on the largest
-    entry among the free columns.  All basic costs are then 0, so the
-    reduced costs are c itself: >= 0, and 0 on the free columns, which is
-    dual feasible for any b."""
-    c, free = p.c, p.free
-    if not p.plain or (c < 0.0).any() or c[free].any():
-        return None
-    m, n = p.A.shape
-    basis = _crash_basis(p.A, np.ones(n, dtype=bool))
-    crashed = np.flatnonzero(basis >= 0)
-    if c[basis[crashed]].any() or np.count_nonzero(free) < m - len(crashed):
-        return None
-    T = np.empty((m + 1, n + 1))  # [A | b] over [c | 0]
-    T[:m, :n] = p.A
-    T[:m, -1] = p.b
-    T[-1, :n] = c
-    T[-1, -1] = 0.0
-    _divide_rows(T, crashed, basis[crashed])
-    for r in np.flatnonzero(basis < 0):
-        entries = np.where(free, np.abs(T[r, :n]), 0.0)
-        j = int(np.argmax(entries))
-        if entries[j] <= _PIVOT_TOL:
-            return None
-        _pivot(T, r, j)
-        basis[r] = j
-    return T, basis
-
-
-def _dual_simplex(T: np.ndarray, basis: np.ndarray, free: np.ndarray,
-                  shape: tuple) -> tuple:
-    """Run the dual simplex on a tableau laid out as in `_simplex`, whose
-    basis is dual feasible: reduced costs >= 0, and 0 on the nonbasic free
-    columns.  The leaving row has the most negative basic value among the
-    rows whose basic variable is not free; a free basic variable never
-    leaves.  The entering column has the least ratio d_j / |T_rj| over the
-    nonbasic columns with T_rj < 0, or T_rj != 0 for a free one, whose
-    d_j = 0; among ties, the largest |T_rj|.  A free column enters at most
-    once, so its pivots cannot be part of a cycle; after `_STALL` other
-    dual-degenerate pivots (ratio 0) in a row, the loop follows dual
-    Bland's rule (the negative row with the lowest basic index leaves, the
-    lowest-index tie enters) until a pivot moves the dual objective again.
-    A leaving row without an entering column proves the LP infeasible.
-    Fails after `_MAX_ITER` pivots.  Mutates T and the int array basis;
-    returns (status, pivots)."""
-    n = len(free)
-    locked = free[basis]
-    stalled = 0
-    for pivots in range(_MAX_ITER):
-        values = np.where(locked, 0.0, T[:-1, -1])
-        if stalled < _STALL:
-            r = int(np.argmin(values))
-            if values[r] >= -_PIVOT_TOL:
-                return OPTIMAL, pivots
-        else:
-            rows = np.flatnonzero(values < -_PIVOT_TOL)
-            if rows.size == 0:
-                return OPTIMAL, pivots
-            r = int(rows[np.argmin(basis[rows])])
-        row = T[r, :n]
-        cols = np.flatnonzero(np.where(free, np.abs(row) > _PIVOT_TOL,
-                                       row < -_PIVOT_TOL))
-        if cols.size == 0:
-            return INFEASIBLE, pivots
-        size = np.abs(row[cols])
-        ratios = np.maximum(T[-1, cols], 0.0) / size
-        best = ratios.min()
-        ties = ratios <= best + 1e-12
-        j = int(cols[np.argmax(np.where(ties, size, -1.0) if stalled < _STALL
-                               else ties)])
-        if best > 1e-12:
-            stalled = 0
-        elif not free[j]:
-            stalled += 1
-        _pivot(T, r, j)
-        basis[r] = j
-        locked[r] = free[j]
-    raise LPIterationError(DUAL, shape, _MAX_ITER)
-
-
-class _Final(NamedTuple):
-    """Where a cold solve stopped: its status, and unless it is
-    infeasible at phase 1, the final tableau with its reduced-cost row,
-    the basis, the rows of A kept and where each nonbasic column sits."""
-
-    status: str
-    tableau: np.ndarray | None = None
-    basis: np.ndarray | None = None
-    keep_rows: np.ndarray | None = None
-    value: np.ndarray | None = None
-
-
-def _solve_cold(p: LPStandardForm) -> _Final:
-    """The dual simplex from `_dual_start` if p is eligible; otherwise
-    phase 2 from `_start`: in phase 1's array if p is standalone, else on
-    a copy of its shared phase 1."""
-    m, n = p.A.shape
-    start = _dual_start(p)
-    if start is not None:
-        T, basis = start
-        status = _dual_simplex(T, basis, p.free, (m, n))[0]
-        return _Final(status, T, basis, np.arange(m), np.zeros(n))
-    T, basis, keep_rows, _, value = _start(p)
-    if T is None:
-        return _Final(INFEASIBLE)
-    status = _phase2(T, basis, p.c, p, value)
-    return _Final(status, T, basis, np.asarray(keep_rows), value)
-
-
 def _solve_basis(B: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """B^-1 rhs, or a least-squares solution if B is singular."""
     try:
@@ -669,14 +547,16 @@ def _solve_basis(B: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def solve(p: LPStandardForm) -> LPSolution:
-    """Dense simplex: the dual simplex from a crash basis when that basis
-    is dual feasible (`_dual_start`), else two phases.  At the optimal
-    basis B, x_B and the multipliers are solved from the data, not read
-    off the tableau, whose pivots carry rounding: B x_B = b - N x_N and
-    B^T y = c_B.  Deterministic for identical input, and the same whether
-    phase 1 is run here or shared with an LP of the same A and b."""
-    m, n = p.A.shape
-    status, T, basis, keep_rows, value = _solve_cold(p)
+    """Dense two-phase simplex: phase 2 from `_start`, in phase 1's array
+    if p is standalone, else on a copy of its shared phase 1.  At the
+    optimal basis B, x_B and the multipliers are solved from the data, not
+    read off the tableau, whose pivots carry rounding: B x_B = b - N x_N
+    and B^T y = c_B.  Deterministic for identical input, and the same
+    whether phase 1 is run here or shared with an LP of the same A and b."""
+    T, basis, keep_rows, _, value = _start(p)
+    if T is None:
+        return LPSolution(INFEASIBLE)
+    status = _phase2(T, basis, p.c, p, value)
     if status != OPTIMAL:
         return LPSolution(status)
     del T  # freed before B is gathered and factored
@@ -690,7 +570,7 @@ def solve(p: LPStandardForm) -> LPSolution:
     x[basis] = _solve_basis(B, rhs)
     # equality multipliers w.r.t. the original rows (dropped redundant
     # rows get zero)
-    y = np.zeros(m)
+    y = np.zeros(len(p.b))
     y[keep_rows] = _solve_basis(B.T, p.c[basis])
     return LPSolution(OPTIMAL, x=x, y=y, objective=float(p.c @ x))
 
@@ -762,40 +642,6 @@ def solve_each(p: LPStandardForm, unit_costs, weights) -> tuple:
         head += len(done)
         todo[head:head + len(rest)] = rest
     return status, objective
-
-
-def solve_each_rhs(p: LPStandardForm, rhss):
-    """For each right-hand side b in turn, the (status, objective) that
-    `solve` gives p with b (objective None unless optimal), up to
-    rounding.  Every column of p must be free or nonnegative.  The first
-    b, and each one after a step that was not optimal or that dropped
-    redundant rows, is solved cold as `solve` does.  Every other b
-    continues from the previous optimal basis: x_B = B^-1 b from the
-    original data, then the dual simplex.  A and c never change, so that
-    basis stays dual feasible, and right-hand sides that differ little
-    need few pivots.  As in `solve_each`, the reduced costs carry the
-    rounding of the pivots before a step, and p's own b is not used."""
-    m, n = p.A.shape
-    if not p.plain:
-        raise LPError("solve_each_rhs takes only free and nonnegative columns")
-    T, basis = None, None  # the last optimal tableau and basis, all rows kept
-    for b in rhss:
-        b = np.asarray(b, dtype=float)
-        if b.shape != (m,):
-            raise LPError(f"right-hand side has shape {b.shape}, expected ({m},)")
-        if not np.all(np.isfinite(b)):
-            raise LPError("right-hand side contains non-finite entries")
-        if T is None:
-            status, T, basis, _, _ = _solve_cold(
-                LPStandardForm(c=p.c, A=p.A, b=b, lower=p.lower, upper=p.upper))
-        else:
-            T[:-1, -1] = np.linalg.solve(p.A[:, basis], b)
-            T[-1, -1] = -(p.c[basis] @ T[:-1, -1])
-            status = _dual_simplex(T, basis, p.free, (m, n))[0]
-        objective = float(p.c[basis] @ T[:-1, -1]) if status == OPTIMAL else None
-        if status != OPTIMAL or len(basis) < m:  # not optimal, or rows dropped
-            T = None
-        yield status, objective
 
 
 _BRUTE_CAP = 14

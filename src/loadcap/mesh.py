@@ -299,9 +299,9 @@ def write_mesh(mesh: Mesh, path):
 def read_mesh(path) -> Mesh:
     """Parse a mesh file; raises MeshError with a field diagnostic on bad input."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:  # JSON's encoding
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise MeshError(f"cannot parse mesh file {path}: {exc}") from exc
     try:
         return _mesh_from_doc(doc)

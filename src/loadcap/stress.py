@@ -1,5 +1,5 @@
 """Optimal equilibrating stress fields: the static problem as a
-box-bounded LP, the kinematic dual, and the static LP as a reference.
+box-bounded LP, and the kinematic dual.
 
 Elastic mode bounds every stress component; plastic mode bounds only the
 deviatoric part, leaving the pressure (and, in plane strain, the
@@ -19,9 +19,6 @@ and its quotient by spherical shifts in plastic mode.
   The traction enters only its costs, so every objective shares one
   phase 1: the exact-K walk over sign patterns runs on it, and `verify`
   uses it as an independent reference for the box LP.
-- The static LP minimizes the bound T with the bound rows written out;
-  it starts dual feasible and is solved by the dual simplex
-  (`static_optima` walks it over a sequence of tractions).
 """
 
 from __future__ import annotations
@@ -132,128 +129,12 @@ def check_equilibrium(ops: DiscreteOperators, s: StressField, t):
     return residual <= 1e-8 * terms.max(initial=0.0), residual
 
 
-def _deviatoric_rows(dim: int) -> np.ndarray:
-    """Matrix of the deviatoric part of an element stress, by unique
-    components (3D: d11, d22, d33, d23, d13, d12; 2D: d11, d22, d33, d12).
-    Its columns are the element's unique stress components and, in 2D, the
-    free out-of-plane normal stress u after them."""
-    third = np.full((3, 3), -1 / 3)
-    np.fill_diagonal(third, 2 / 3)
-    nc = n_comps(dim)
-    n = nc + (dim == 2)
-    rows = np.zeros((n, n))
-    rows[:3, [0, 1, nc] if dim == 2 else [0, 1, 2]] = third
-    rows[3:, dim:nc] = np.eye(nc - dim)
-    return rows
-
-
 def _solve(prob: lp.LPStandardForm, name: str) -> lp.LPSolution:
     """`lp.solve`, with a pivot-limit failure named after the LP."""
     try:
         return lp.solve(prob)
     except lp.LPIterationError as exc:
         raise SolverFailure(f"{name}: {exc}") from exc
-
-
-class StaticLP(NamedTuple):
-    """The static LP of one mesh and mode with its right-hand side left
-    open: minimize the stress bound T over the stress fields that balance
-    a traction.  Its columns are every element's stress components, then
-    in 2D plastic mode every element's out-of-plane normal stress u, then
-    T, then the bound rows' slacks.  Its first n_dof rows are the
-    equilibrium rows and the bound rows have b = 0, so the LP of a
-    traction t has b = (work_vector(t), 0) (`_static_rhs`).  Only T has a
-    cost, so `lp.solve` runs the dual simplex on it from its slacks and
-    free stress columns, and a walk over tractions keeps its basis."""
-
-    n_dof: int
-    n_comp: int
-    n_u: int  # 1 for the 2D out-of-plane stress in plastic mode, else 0
-    prob: lp.LPStandardForm
-
-
-def static_lp(ops: DiscreteOperators, mode: str) -> StaticLP:
-    """The static LP of `ops` in `mode`, to solve for many tractions."""
-    check_mode(mode)
-    if mode == PLASTIC:
-        require_plastic_viable(ops)
-    dim, n_el = ops.dim, ops.n_elements
-    nc = n_comps(dim)
-    bound = _deviatoric_rows(dim) if mode == PLASTIC else np.eye(nc)
-    n_u = bound.shape[1] - nc
-    # variables: every element's stress, then every element's u, then T
-    builder = lp.LPBuilder()
-    builder.add_vars(n_el * (nc + n_u), lower=-np.inf)
-    builder.add_vars(1)
-    equilibrium = np.zeros((ops.n_dof, builder.n_vars))
-    equilibrium[:, :n_el * nc] = (ops.strain_weights[:, None] * ops.strain_op).T
-    builder.add_eq(equilibrium, 0.0)
-    # per element and bound row r: r.s <= T, then -r.s <= T
-    signed = np.stack([bound, -bound], axis=1).reshape(-1, bound.shape[1])
-    el, rows = np.arange(n_el)[:, None, None], np.arange(len(signed))[:, None]
-    bounds = np.zeros((n_el, len(signed), builder.n_vars))
-    bounds[el, rows, el * nc + np.arange(nc)] = signed[:, :nc]
-    bounds[el, rows, n_el * nc + el * n_u + np.arange(n_u)] = signed[:, nc:]
-    bounds[:, :, -1] = -1.0
-    builder.add_le(bounds.reshape(-1, builder.n_vars), 0.0)
-    objective = np.zeros(builder.n_vars)
-    objective[-1] = 1.0
-    return StaticLP(ops.n_dof, nc, n_u, builder.build(objective))
-
-
-def _static_rhs(static: StaticLP, work) -> np.ndarray:
-    """The static LP's right-hand side for the work vector of a traction;
-    adding 0.0 turns a -0.0 of the work into 0.0."""
-    b = np.zeros(len(static.prob.b))
-    b[:static.n_dof] = np.asarray(work, dtype=float) + 0.0
-    return b
-
-
-def _check_static(status: str):
-    """Raise the `SolverFailure` of a static LP that ended with status."""
-    if status != lp.OPTIMAL:
-        raise SolverFailure(
-            f"primal stress LP ended with status {status}; with a "
-            "nonempty supported boundary on a connected mesh this indicates "
-            "an internal error")
-
-
-def optimal_stress_primal(ops: DiscreteOperators, t, mode: str):
-    """Minimize the stress bound T over all equilibrating stress fields.
-
-    Returns (sigma_opt, sigma_hat).
-    """
-    check_mode(mode)
-    t = check_traction(ops, t)
-    static = static_lp(ops, mode)
-    prob = static.prob
-    sol = _solve(lp.LPStandardForm(c=prob.c, A=prob.A, lower=prob.lower,
-                                   upper=prob.upper,
-                                   b=_static_rhs(static, work_vector(ops, t))),
-                 "static LP")
-    _check_static(sol.status)
-    n_el = ops.n_elements
-    n_stress = n_el * static.n_comp
-    return float(sol.objective), StressField(
-        sol.x[:n_stress].reshape(n_el, static.n_comp),
-        sol.x[n_stress:n_stress + n_el] if static.n_u else None)
-
-
-def static_optima(static: StaticLP, works) -> np.ndarray:
-    """The value of `optimal_stress_primal` for the traction of each work
-    vector in turn, from one walk over the right-hand sides
-    (`lp.solve_each_rhs`), without stress fields.  A value may differ
-    from `optimal_stress_primal`'s in its last digits.  Failures raise the
-    same `SolverFailure`s."""
-    rhss = (_static_rhs(static, work) for work in works)
-    values = []
-    try:
-        for status, value in lp.solve_each_rhs(static.prob, rhss):
-            _check_static(status)
-            values.append(value)
-    except lp.LPIterationError as exc:
-        raise SolverFailure(f"static LP: {exc}") from exc
-    return np.array(values)
 
 
 @functools.lru_cache(maxsize=None)
@@ -287,15 +168,22 @@ class KinematicLP(NamedTuple):
     """The kinematic LP of one mesh and mode with its objective left open.
     Its feasible set, the unit strain-budget ball, is the same for every
     objective, so every `kinematic_supremum` on it shares one phase 1.
-    The velocity DOFs are the first n_dof columns of `prob`."""
+    The velocity DOFs are the first n_dof columns of `prob`.  prob is the
+    LP of the mesh with its lengths multiplied by a power of two
+    (`kinematic_lp`): its works are the mesh's times work_scale, and its
+    equality rows the mesh's over row_scale, both exactly."""
 
     n_dof: int
     prob: lp.LPStandardForm
+    work_scale: float
+    row_scale: float
 
 
-def _dual_builder(ops: DiscreteOperators, mode: str) -> KinematicLP:
+def _dual_builder(ops: DiscreteOperators, mode: str, scale: float) -> KinematicLP:
     """Kinematic LP over the velocity DOFs and each element's
-    `_element_block` columns, with zero costs.
+    `_element_block` columns, with zero costs, of the mesh with its
+    lengths multiplied by scale: the strains are divided by scale and the
+    volumes multiplied by scale^dim.
 
     The equality rows come element by element, as in `_element_block`;
     their multipliers carry the stress field.  The last row bounds the
@@ -306,9 +194,9 @@ def _dual_builder(ops: DiscreteOperators, mode: str) -> KinematicLP:
     local, local_budget = _element_block(dim, mode)
     n_rows, n_cols = local.shape
     eq = np.zeros((n_el, n_rows, n_dof + n_el * n_cols))
-    eq[:, :nc, :n_dof] = ops.strain_op.reshape(n_el, nc, n_dof)
+    eq[:, :nc, :n_dof] = ops.strain_op.reshape(n_el, nc, n_dof) / scale
     if plastic:
-        eq[:, -1, :n_dof] = isochoric_constraints(ops)
+        eq[:, -1, :n_dof] = isochoric_constraints(ops) / scale
     el = np.arange(n_el)[:, None, None]
     eq[el, np.arange(n_rows)[:, None], n_dof + el * n_cols + np.arange(n_cols)] = local
 
@@ -319,24 +207,33 @@ def _dual_builder(ops: DiscreteOperators, mode: str) -> KinematicLP:
                      lower=np.where(np.arange(n_el * n_cols) % n_cols >= plastic, 0.0, -np.inf))
     builder.add_eq(eq.reshape(n_el * n_rows, -1), 0.0)
     budget = np.zeros(builder.n_vars)
-    budget[n_dof:] = (ops.volumes[:, None] * local_budget).ravel()
+    budget[n_dof:] = (ops.volumes[:, None] * local_budget).ravel() * scale ** dim
     builder.add_le(budget, 1.0)
-    return KinematicLP(n_dof, builder.build(np.zeros(builder.n_vars)))
+    return KinematicLP(n_dof, builder.build(np.zeros(builder.n_vars)),
+                       scale ** (dim - 1), scale ** dim)
 
 
 def kinematic_lp(ops: DiscreteOperators, mode: str) -> KinematicLP:
-    """The kinematic LP of `ops` in `mode`, to solve for many objectives."""
+    """The kinematic LP of `ops` in `mode`, to solve for many objectives.
+    Its lengths are the mesh's times 2^-floor(log2(extent)), extent the
+    largest side of the mesh's bounding box, which is exact and brings
+    the extent into [1, 2): the simplex's tolerances are absolute, and
+    at a length unit of 1e-4 the budget row's entries, about 1e-8, come
+    so near them that the simplex can stop at a wrong vertex.  The value
+    of the LP does not depend on the unit of length."""
     check_mode(mode)
     if mode == PLASTIC:
         require_plastic_viable(ops)
-    return _dual_builder(ops, mode)
+    extent = np.ptp(ops.mesh.nodes, axis=0).max()
+    return _dual_builder(ops, mode, 2.0 ** (1 - int(np.frexp(extent)[1])))
 
 
 def _kinematic_costs(kinematic: KinematicLP, objective) -> np.ndarray:
-    """The LP's costs for maximizing objective . w."""
+    """The LP's costs for maximizing objective . w, objective a work
+    vector of the mesh."""
     # 0.0 - x, unlike -x, gives 0.0 and not -0.0 for a zero entry
     c = np.zeros(len(kinematic.prob.c))
-    c[:kinematic.n_dof] = 0.0 - objective
+    c[:kinematic.n_dof] = 0.0 - kinematic.work_scale * np.asarray(objective)
     return c
 
 
@@ -353,12 +250,15 @@ def _check_kinematic(status: str):
 def kinematic_supremum(kinematic: KinematicLP, objective: np.ndarray):
     """Maximize objective . w over the unit strain-budget ball (plastic:
     restricted to isochoric fields).  Returns (value, witness, the LP's
-    multipliers).  The LP shares the phase 1 of `kinematic.prob`."""
+    multipliers), the last two scaled back to the mesh's lengths.  The LP
+    shares the phase 1 of `kinematic.prob`."""
     sol = _solve(kinematic.prob.with_objective(_kinematic_costs(kinematic, objective)),
                  "kinematic LP")
     _check_kinematic(sol.status)
+    y = sol.y / kinematic.row_scale
+    y[-1] = sol.y[-1]  # the budget row's, which the scaling leaves as it is
     # 0.0 - x again, so that a zero optimum is reported as 0.0
-    return 0.0 - sol.objective, sol.x[:kinematic.n_dof], sol.y
+    return 0.0 - sol.objective, kinematic.work_scale * sol.x[:kinematic.n_dof], y
 
 
 def kinematic_suprema(kinematic: KinematicLP, unit_objectives,
@@ -536,6 +436,15 @@ def optimal_stress(ops: DiscreteOperators, t, mode: str = ELASTIC,
     t = check_traction(ops, t)
     opt = box_optimum(ops, work_vector(ops, t), mode, box)
     return certify(ops, t, mode, 1.0 / opt.load_factor, opt.sigma_hat, opt.witness)
+
+
+def optimal_stress_primal(ops: DiscreteOperators, t, mode: str):
+    """(sigma_opt, sigma_hat) = (1 / lambda, s / lambda) of the box LP
+    (`box_optimum`), uncertified.  The package does not call it: it stays
+    only because the benchmark's layer tracing (`TRACED` in
+    `bench/tracing.py`) wraps it."""
+    opt = box_optimum(ops, work_vector(ops, t), mode)
+    return 1.0 / opt.load_factor, opt.sigma_hat
 
 
 def certify(ops: DiscreteOperators, t, mode: str, value: float, sigma_hat: StressField,

@@ -212,6 +212,26 @@ class TestVerify:
         assert json.loads(out)["all_ok"]
 
 
+def test_small_length_unit(capsys, tmp_path):
+    # on the 2x1 plate at a length unit of 1e-4, capacity reported
+    # K = 3.333 and a C that is not safe, plastic capacity failed, and
+    # verify failed a kinematic LP as unbounded: its entries came near the
+    # simplex's absolute tolerances, until the kinematic LP's lengths were
+    # normalized by a power of two
+    mesh_path = tmp_path / "small.mesh"
+    msh.write_mesh(msh.generate_rectangle(1e-4, 1e-4, 2, 1, "left", "right"),
+                   mesh_path)
+    for mode, K in (("elastic", 13 / 3), ("plastic", 2.5)):
+        code, out, _ = run(capsys, ["capacity", str(mesh_path), "--mode", mode])
+        assert code == cli.EXIT_OK
+        report = json.loads(out)
+        assert report["K"] == pytest.approx(K, rel=1e-9)
+        assert report["C"] == pytest.approx(1.0 / K, rel=1e-9)
+    code, out, _ = run(capsys, ["verify", str(mesh_path)])
+    assert code == cli.EXIT_OK
+    assert json.loads(out)["all_ok"]
+
+
 class TestBadNumbers:
     @pytest.mark.parametrize("y0", ["nan", "inf", "0", "-1"])
     def test_limit_rejects_y0(self, capsys, square_files, y0):
@@ -257,6 +277,19 @@ class TestBadNumbers:
             code, out, err = run(capsys, [command, mesh_path, str(bad)])
             assert code == cli.EXIT_INPUT and out == ""
             assert_one_error_line(err)
+
+    @pytest.mark.parametrize("which", ["mesh", "traction"])
+    def test_file_not_utf8(self, capsys, square_files, tmp_path, which):
+        # JSON is UTF-8, and byte 0xFF never occurs in it
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        mesh_path, traction_path = square_files
+        argv = ["analyze", str(bad), traction_path] if which == "mesh" \
+            else ["analyze", mesh_path, str(bad)]
+        code, out, err = run(capsys, argv)
+        assert code == cli.EXIT_INPUT and out == ""
+        assert_one_error_line(err)
+        assert f"cannot parse {which} file" in err
 
     @pytest.mark.parametrize("doc", ["null", "5", '{"facets": {"a": 1}}'],
                              ids=["null", "number", "facets_object"])

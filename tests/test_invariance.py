@@ -1,8 +1,9 @@
 """Properties the theory guarantees: `sigma_opt` does not depend on how the
 nodes, elements and facets are numbered, nor on a permutation or
-reflection of the axes, a translation or the unit of length.  The
-simplex's pivots, and so the vertex it reaches, depend on the column order
-and values; the optimum must not."""
+reflection of the axes, a translation or the unit of length, and exact K
+does not depend on the unit of length.  The simplex's pivots, and so the
+vertex it reaches, depend on the column order and values; the optimum
+must not."""
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as hs  # noqa: E402
 
+from loadcap import capacity as cap  # noqa: E402
 from loadcap import kinematics as kin  # noqa: E402
 from loadcap import mesh as msh  # noqa: E402
 from loadcap import stress as st  # noqa: E402
@@ -77,3 +79,36 @@ def test_sigma_opt_small_units():
     base = sigma_opt(mesh, t, st.ELASTIC)
     small = transformed(mesh, t, np.eye(2), 1e-4, np.zeros(2))
     assert sigma_opt(*small, st.ELASTIC) == pytest.approx(base, rel=1e-9)
+
+
+UNITS = (1e-6, 1e-4, 3e-3, 1e-2, 1e2, 1e4)
+
+
+def exact_K(nx, ny, unit, mode) -> float:
+    """K of the plate, after checking that its witness has unit strain
+    budget, as the kinematic LP's optimum of the mesh's own lengths has."""
+    ops = kin.assemble(msh.generate_rectangle(unit, unit, nx, ny, "left", "right"))
+    res = cap.generalized_K(ops, mode)
+    norm = kin.strain_norm_plastic if mode == st.PLASTIC else kin.strain_norm_l1
+    assert norm(ops, res.certificate) == pytest.approx(1.0, rel=1e-9)
+    return res.K
+
+
+@pytest.mark.parametrize("nx,ny", [(1, 1), (2, 1), (2, 2)])
+@pytest.mark.parametrize("mode", st.MODES)
+def test_exact_K_length_unit(nx, ny, mode):
+    # the kinematic LP's budget-row entries scale as unit^2: at 1e-4 they
+    # came near the simplex's absolute tolerances, and the 2x1 plate gave
+    # K = 3.333 where it is 4.333 (elastic) and a false "unbounded"
+    # (plastic), until the LP's lengths were normalized by a power of two
+    base = exact_K(nx, ny, 1.0, mode)
+    for unit in UNITS:
+        assert exact_K(nx, ny, unit, mode) == pytest.approx(base, rel=1e-9), unit
+
+
+@pytest.mark.parametrize("mode,want", [(st.ELASTIC, 7.4), (st.PLASTIC, 8 / 3)],
+                         ids=st.MODES)
+def test_exact_K_length_unit_at_the_cap(mode, want):
+    # the 3x2 plate has 16 sign components, the cap; at this unit its walk
+    # found a false "unbounded" in both modes
+    assert exact_K(3, 2, 1e-2, mode) == pytest.approx(want, rel=1e-9)

@@ -410,7 +410,8 @@ class TestFreeVariables:
     @pytest.mark.parametrize("mode", [st.ELASTIC, st.PLASTIC])
     def test_no_negative_zero_in_lps(self, mode, monkeypatch):
         # zero and negative traction entries give zero work entries, whose
-        # negated costs must not be -0.0
+        # negated load column (box LP) and costs (kinematic LP) must not be
+        # -0.0
         ops = kin.assemble(MESH_CASES[1][1]())
         t = np.zeros((len(ops.gammat_facets), 2))
         t[0] = [-1.0, 0.0]
@@ -418,7 +419,7 @@ class TestFreeVariables:
         solve, seen = lp.solve, []
         monkeypatch.setattr(lp, "solve", lambda p: seen.append(p) or solve(p))
         st.optimal_stress(ops, t, mode)
-        st.optimal_stress_primal(ops, t, mode)
+        st.kinematic_supremum(st.kinematic_lp(ops, mode), kin.work_vector(ops, t))
         assert len(seen) == 2
         for p in seen:
             for arr in (p.A, p.b, p.c):
@@ -578,8 +579,6 @@ class TestBoundedVariables:
         assert sol.objective == pytest.approx(-5.0)
         with pytest.raises(lp.LPError, match="no free or bounded"):
             lp.solve_brute(prob)
-        with pytest.raises(lp.LPError, match="only free and nonnegative"):
-            list(lp.solve_each_rhs(prob, [prob.b]))
 
 
 def check_bounded_optimum(p, sol):
@@ -916,9 +915,9 @@ class TestSolveEach:
 
 
 def eligible_lp(rng, kind):
-    """A random LP that starts dual feasible: free columns and slacks cost
-    nothing, the other columns cost >= 0, and the rows without a slack
-    take free columns.  kind 0 is feasible by design, kind 1 infeasible by
+    """A random LP whose crash basis is dual feasible: free columns and
+    slacks cost nothing, the other columns cost >= 0, and the rows without
+    a slack take free columns.  kind 0 is feasible by design, kind 1 infeasible by
     design (row 0 has only positive entries, its slack among them, and
     b[0] < 0) and kind 2 has a random b."""
     m = int(rng.integers(2, 5))
@@ -948,18 +947,11 @@ def eligible_lp(rng, kind):
                          np.concatenate([free, np.zeros(len(slack_rows), bool)]))
 
 
-def two_phase(p, monkeypatch):
-    """`solve` on a fresh copy of p with the dual start switched off."""
-    with monkeypatch.context() as mp:
-        mp.setattr(lp, "_dual_start", lambda p: None)
-        return lp.solve(lp.LPStandardForm(c=p.c, A=p.A, b=p.b, lower=p.lower, upper=p.upper))
-
-
 def dualized_beale():
     """Beale's cycling LP (min c.x, A x <= (0, 0, 1), x >= 0) with its
     second row scaled by 1/10, dualized: min (0, 0, 1).u subject to
-    -A^T u + v = c, u, v >= 0.  Its slacks v start dual feasible, and the
-    dual simplex without the Bland fallback cycles on it; the optimum is
+    -A^T u + v = c, u, v >= 0.  Its slacks v start dual feasible, and a
+    dual simplex without a Bland fallback cycles on it; the optimum is
     1.25, minus Beale's."""
     A = np.array([[0.25, -8.0, -1.0, 9.0],
                   [0.05, -1.2, -0.05, 0.3],
@@ -969,11 +961,12 @@ def dualized_beale():
 
 
 class TestDualSimplex:
-    """An LP whose crash basis is dual feasible (c >= 0, and c = 0 on the
-    free and crash columns) runs the dual simplex from it, without phase
-    1; the two-phase path is the oracle."""
+    """LPs built for a dual simplex, which the package no longer has:
+    random LPs whose crash basis is dual feasible (`eligible_lp`), with
+    free columns, slacks and negative right-hand sides, and Beale's
+    cycling LP dualized.  The two-phase simplex must solve them too."""
 
-    def test_random_agreement_with_two_phase(self, monkeypatch, phase1_runs):
+    def test_random_agreement_with_two_phase(self, phase1_runs):
         rng = np.random.default_rng(1313)
         statuses = {lp.OPTIMAL: 0, lp.INFEASIBLE: 0}
         brute_checked = negative_free = 0
@@ -981,10 +974,7 @@ class TestDualSimplex:
             p = eligible_lp(rng, trial % 3)
             phase1_runs.clear()
             got = lp.solve(p)
-            assert not phase1_runs, f"trial {trial}: {dump(p)}"
-            want = two_phase(p, monkeypatch)
-            assert p._memo.phase1 is None, f"trial {trial}: {dump(p)}"
-            assert got.status == want.status, f"trial {trial}: {dump(p)}"
+            assert len(phase1_runs) == 1, f"trial {trial}: {dump(p)}"
             split = split_free(p)
             if max(split.A.shape) <= lp._BRUTE_CAP:
                 brute = lp.solve_brute(split)
@@ -994,197 +984,19 @@ class TestDualSimplex:
                 brute_checked += 1
             statuses[got.status] += 1
             if got.status == lp.OPTIMAL:
-                assert got.objective == pytest.approx(want.objective, abs=1e-9), \
-                    f"trial {trial}"
                 check_optimal_invariants(p, got)
                 negative_free += bool(np.any(got.x[p.free] < -1e-6))
         assert min(statuses.values()) > 40, statuses
         assert brute_checked > 100
         assert negative_free > 10
 
-    def test_static_lp_is_eligible(self):
-        ops = kin.assemble(MESH_CASES[1][1]())
-        for mode in st.MODES:
-            prob = st.static_lp(ops, mode).prob
-            T, basis = lp._dual_start(prob)
-            # the equilibrium rows take free stress columns, the bound
-            # rows start on their slacks, and the reduced costs are c
-            assert prob.free[basis[:ops.n_dof]].all()
-            assert not prob.free[basis[ops.n_dof:]].any()
-            assert np.array_equal(T[-1, :-1], prob.c)
-
-    def test_refused_for_costs_on_free_columns(self):
-        # x free, s >= 0, x + s = 1: any cost on x, of either sign
-        for c in ([1.0, 0.0], [-1.0, 0.0]):
-            assert lp._dual_start(standard_free(c, [[1.0, 1.0]], [1.0],
-                                                [True, False])) is None
-        ops = kin.assemble(MESH_CASES[1][1]())
-        kinematic = st.kinematic_lp(ops, st.ELASTIC)
-        f = kin.work_vector(ops, np.ones((len(ops.gammat_facets), 2)))
-        costs = np.zeros(len(kinematic.prob.c))
-        costs[:ops.n_dof] = -f
-        assert lp._dual_start(kinematic.prob.with_objective(costs)) is None
-
-    def test_refused_for_negative_or_crash_costs(self, phase1_runs):
-        # a negative cost, and a cost on the slack that starts row 0
-        A = [[1.0, 1.0, 1.0, 0.0], [1.0, -1.0, 0.0, 1.0]]
-        for c in ([-1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 1.0, 0.0]):
-            p = standard(c, A, [1.0, 0.5])
-            assert lp._dual_start(p) is None
-            phase1_runs.clear()
-            assert lp.solve(p).status == lp.OPTIMAL
-            (run,) = phase1_runs
-            assert run is not None
-
-    @pytest.mark.parametrize("mode", [st.ELASTIC, st.PLASTIC])
-    def test_refused_for_too_few_free_columns(self, mode, monkeypatch):
-        # a zero traction leaves the kinematic LP without costs, but it has
-        # fewer free columns (velocities, pressures) than rows without a
-        # crash column (strain rows): refused before any pivot
-        ops = kin.assemble(MESH_CASES[1][1]())
-        prob = st.kinematic_lp(ops, mode).prob
-        assert not prob.c.any()
-
-        def no_pivot(*args):
-            raise AssertionError("pivoted")
-        with monkeypatch.context() as mp:
-            mp.setattr(lp, "_pivot", no_pivot)
-            assert lp._dual_start(prob) is None
-        assert lp.solve(prob).objective == 0.0
-
-    def test_row_without_free_column_takes_two_phases(self, monkeypatch,
-                                                      phase1_runs):
-        # row 1 repeats row 0, so after row 0 takes a free column, no free
-        # entry is left in row 1: phase 1 runs and drops the row
-        p = standard_free([0.0, 0.0, 1.0], [[1.0, 2.0, 1.0], [1.0, 2.0, 1.0]],
-                          [1.0, 1.0], [True, True, False])
-        pivot, pivots = lp._pivot, []
-        monkeypatch.setattr(lp, "_pivot",
-                            lambda *args: pivots.append(1) or pivot(*args))
-        assert lp._dual_start(p) is None
-        assert len(pivots) == 1
-        sol = lp.solve(p)
-        (run,) = phase1_runs
-        assert run.keep_rows == [0]
-        assert sol.objective == 0.0
-        check_optimal_invariants(p, sol)
-
-    def test_cycling_lp_terminates(self, monkeypatch, phase1_runs):
+    def test_cycling_lp_terminates(self):
         p = dualized_beale()
-        with monkeypatch.context() as mp:
-            mp.setattr(lp, "_STALL", 1000)  # never falls back to dual Bland
-            mp.setattr(lp, "_MAX_ITER", 1000)
-            with pytest.raises(lp.LPIterationError, match="dual simplex"):
-                lp.solve(dualized_beale())
         sol = lp.solve(p)
-        assert p._memo.phase1 is None
-        assert not phase1_runs
         check_optimal_invariants(p, sol)
         want = lp.solve_brute(p)
         assert want.objective == pytest.approx(1.25, abs=1e-12)
         assert sol.objective == pytest.approx(want.objective, abs=1e-12)
-
-
-class TestSolveEachRhs:
-    """The walk over right-hand sides gives, for each b in turn, the status
-    and objective that `solve` gives the LP with that b."""
-
-    @staticmethod
-    def walk_matches_solve(p, rhss):
-        """The walk's statuses, after checking them and its objectives
-        against `solve`."""
-        got = list(lp.solve_each_rhs(p, rhss))
-        assert len(got) == len(rhss)
-        for (status, objective), b in zip(got, rhss):
-            q = lp.LPStandardForm(c=p.c, A=p.A, b=b, lower=p.lower, upper=p.upper)
-            want = lp.solve(q)
-            assert status == want.status, dump(q)
-            if status == lp.OPTIMAL:
-                assert objective == pytest.approx(want.objective, rel=1e-9, abs=1e-9)
-            else:
-                assert objective is None
-        return [status for status, _ in got]
-
-    @staticmethod
-    def counted_cold(monkeypatch):
-        """The number of cold solves, counted from now on."""
-        cold, calls = lp._solve_cold, []
-        monkeypatch.setattr(lp, "_solve_cold",
-                            lambda p: calls.append(1) or cold(p))
-        return calls
-
-    def test_random_walks_match_solve(self, monkeypatch):
-        rng = np.random.default_rng(1314)
-        counts = {lp.OPTIMAL: 0, lp.INFEASIBLE: 0, lp.UNBOUNDED: 0}
-        cold = self.counted_cold(monkeypatch)
-        steps = 0
-        for trial in range(120):
-            if trial % 2:
-                p = eligible_lp(rng, trial % 3)
-            else:  # the first step takes two phases
-                p = TestFreeVariables.random_lp(rng, trial % 4)
-            m, n = p.A.shape
-            # nearby right-hand sides, as in a walk over tractions, and
-            # random ones, some of them infeasible
-            x0 = np.where(p.free, rng.uniform(-1.0, 1.0, n), rng.uniform(0.0, 1.0, n))
-            rhss = []
-            for step in range(8):
-                if step % 3 == 2:
-                    rhss.append(rng.normal(size=m))
-                else:
-                    x0[rng.integers(n)] = rng.uniform(0.0, 1.0)
-                    rhss.append(p.A @ x0)
-            for s in self.walk_matches_solve(p, rhss):
-                counts[s] += 1
-            steps += len(rhss)
-        assert counts[lp.OPTIMAL] > 500 and counts[lp.UNBOUNDED] > 50, counts
-        assert counts[lp.INFEASIBLE] > 25, counts
-        # walk_matches_solve solves every step cold once more
-        warm = steps - (len(cold) - steps)
-        assert warm > 500
-
-    def test_static_lps(self):
-        for name, factory in MESH_CASES:
-            ops = kin.assemble(factory())
-            rng = np.random.default_rng(1315)
-            tractions = [rng.uniform(-1.0, 1.0, size=(len(ops.gammat_facets), ops.dim))
-                         for _ in range(6)]
-            for mode in st.MODES:
-                static = st.static_lp(ops, mode)
-                rhss = [st._static_rhs(static, kin.work_vector(ops, t))
-                        for t in tractions]
-                assert self.walk_matches_solve(static.prob, rhss) == \
-                    [lp.OPTIMAL] * 6, name
-
-    def test_infeasible_then_feasible(self, monkeypatch):
-        # x free, s >= 0: x + s = b0, x = b1, s costs 1.  b = (0, 1) needs
-        # s = -1 and is infeasible; the step after it is solved cold
-        p = standard_free([0.0, 1.0], [[1.0, 1.0], [1.0, 0.0]], [0.0, 0.0],
-                          [True, False])
-        cold = self.counted_cold(monkeypatch)
-        rhss = [[1.0, 0.5], [0.0, 1.0], [2.0, 1.0], [3.0, 1.0]]
-        assert list(lp.solve_each_rhs(p, rhss)) == [
-            (lp.OPTIMAL, 0.5), (lp.INFEASIBLE, None), (lp.OPTIMAL, 1.0),
-            (lp.OPTIMAL, 2.0)]
-        assert len(cold) == 2
-
-    def test_dropped_rows_solved_cold(self, monkeypatch):
-        # row 1 repeats row 0: the two-phase start drops it, so a later b
-        # that makes the rows disagree must not reuse that basis
-        p = standard([1.0, 2.0, 0.0], [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]],
-                     [0.0, 0.0])
-        cold = self.counted_cold(monkeypatch)
-        rhss = [[1.0, 1.0], [2.0, 2.0], [1.0, 2.0], [3.0, 3.0]]
-        assert self.walk_matches_solve(p, rhss) == [
-            lp.OPTIMAL, lp.OPTIMAL, lp.INFEASIBLE, lp.OPTIMAL]
-        assert len(cold) == 4 + 4  # the walk's and walk_matches_solve's
-
-    def test_rhs_checked(self):
-        p = standard([1.0, 1.0], [[1.0, 1.0]], [1.0])
-        with pytest.raises(lp.LPError, match="shape"):
-            list(lp.solve_each_rhs(p, [[1.0, 2.0]]))
-        with pytest.raises(lp.LPError, match="non-finite"):
-            list(lp.solve_each_rhs(p, [[np.inf]]))
 
 
 class TestIterationLimit:
@@ -1207,19 +1019,6 @@ class TestIterationLimit:
         assert f"phase {phase}" in message
         assert "3 x 7" in message
         assert f"{max_iter} iterations" in message
-
-    def test_dual_names_dual_simplex(self, monkeypatch):
-        p = dualized_beale()
-        monkeypatch.setattr(lp, "_MAX_ITER", 1)
-        with pytest.raises(lp.LPIterationError) as info:
-            lp.solve(p)
-        err = info.value
-        assert (err.phase, err.shape, err.iterations) == (lp.DUAL, (4, 7), 1)
-        assert str(err) == ("dual simplex did not terminate in 1 iterations "
-                            "on a 4 x 7 LP (rows x cols)")
-        with pytest.raises(lp.LPIterationError, match="^dual simplex did not "
-                                                      "terminate in 1 iter"):
-            list(lp.solve_each_rhs(p, [p.b]))
 
     def test_walk_names_phase_shape_and_count(self, monkeypatch):
         p = self._lp()
@@ -1261,8 +1060,7 @@ class TestCrashStart:
 
     def test_crash_rows_divided_bit_for_bit(self, monkeypatch):
         # dividing only the crash rows whose entry is not 1.0 gives the
-        # phase 1 that dividing every crash row gave, bit for bit, and the
-        # same dual start
+        # phase 1 that dividing every crash row gave, bit for bit
         def divide_all(T, rows, cols):
             T[rows] /= T[rows, cols][:, None]
 
@@ -1278,22 +1076,19 @@ class TestCrashStart:
                 box = st.box_lp(o, mode)
                 load = np.zeros(len(box.b))
                 load[:o.n_dof] = -f
-                lps += [st.kinematic_lp(o, mode).prob, st.static_lp(o, mode).prob,
-                        box, box.with_column(-1, load)]
+                lps += [st.kinematic_lp(o, mode).prob, box,
+                        box.with_column(-1, load)]
         divided = 0
         for p in lps:
             args = (p.A, p.b, p.lower, p.upper, p.plain)
-            got, dual = lp._phase1(*args), lp._dual_start(p)
+            got = lp._phase1(*args)
             with monkeypatch.context() as mp:
                 mp.setattr(lp, "_divide_rows", divide_all)
-                want, want_dual = lp._phase1(*args), lp._dual_start(p)
+                want = lp._phase1(*args)
             assert (got.tableau is None) == (want.tableau is None)
             if got.tableau is not None:
                 assert got.tableau.tobytes() == want.tableau.tobytes()
                 assert np.array_equal(got.basis, want.basis)
-            assert (dual is None) == (want_dual is None)
-            if dual is not None:
-                assert dual[0].tobytes() == want_dual[0].tobytes()
             crash = lp._crash_basis(p.A, np.isposinf(p.upper))
             rows = np.flatnonzero(crash >= 0)
             divided += np.any(np.abs(p.A[rows, crash[rows]]) != 1.0)
@@ -1302,11 +1097,9 @@ class TestCrashStart:
     NEGATIVE_UNIT = ([1.0, 0.0, 0.0], [[1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]],
                      [1.0, -1.0])
 
-    def test_negative_unit_column_not_basic(self, monkeypatch, phase1_runs):
+    def test_negative_unit_column_not_basic(self, phase1_runs):
         # flipping row 1 makes column 2 a unit column with entry -1; starting
-        # on it would give x2 = -1 and the wrong optimum 0.  The LP starts
-        # dual feasible, so the dual start is switched off to reach phase 1
-        monkeypatch.setattr(lp, "_dual_start", lambda p: None)
+        # on it would give x2 = -1 and the wrong optimum 0
         p = standard(*self.NEGATIVE_UNIT)
         sol = lp.solve(p)
         check_optimal_invariants(p, sol)
@@ -1314,17 +1107,6 @@ class TestCrashStart:
         assert sol.objective == lp.solve_brute(p).objective == 1.0
         (run,) = phase1_runs
         assert run.pivots > 0
-
-    def test_negative_unit_column_dual(self, phase1_runs):
-        # the dual simplex starts on columns 1 and 2 with x2 = -1, and
-        # pivots row 1 out
-        p = standard(*self.NEGATIVE_UNIT)
-        sol = lp.solve(p)
-        check_optimal_invariants(p, sol)
-        assert np.array_equal(sol.x, [1.0, 0.0, 0.0])
-        assert sol.objective == 1.0
-        assert p._memo.phase1 is None
-        assert not phase1_runs
 
 
 class TestPivot:

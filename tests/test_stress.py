@@ -235,10 +235,11 @@ class TestDegeneratePlates:
 
     @staticmethod
     def check_static_lp(n, mode, want):
+        # the static problem's box LP against the kinematic LP
         mesh, t = end_tension_plate(n)
         ops = kin.assemble(mesh)
-        static, _ = st.optimal_stress_primal(ops, t, mode)
-        kinematic = st.optimal_stress(ops, t, mode).sigma_opt
+        static = st.optimal_stress(ops, t, mode).sigma_opt
+        kinematic = kinematic_supremum_of(ops, t, mode)[0]
         assert static == pytest.approx(kinematic, rel=1e-9)
         assert static == pytest.approx(want, abs=1e-9)
 
@@ -249,8 +250,6 @@ class TestDegeneratePlates:
         self.check_static_lp(6, st.PLASTIC, 0.5)
 
     def test_elastic_6x6_static_lp(self):
-        # the dual simplex from the static LP's crash basis: phase 1 took
-        # 37,036 pivots on this LP
         self.check_static_lp(6, st.ELASTIC, 1.0)
 
 
@@ -474,66 +473,24 @@ class TestKinematicLP:
         assert type(got.value.__cause__) is type(want.value.__cause__)
 
 
-class TestStaticLP:
-    """One `static_lp` per mesh and mode; each traction only sets the
-    equilibrium rows' right-hand side."""
-
-    @pytest.mark.parametrize("name,factory", MESH_CASES, ids=[c[0] for c in MESH_CASES])
-    @pytest.mark.parametrize("mode", [st.ELASTIC, st.PLASTIC])
-    def test_optima_match_primal(self, name, factory, mode):
-        ops = kin.assemble(factory())
-        static = st.static_lp(ops, mode)
-        rng = np.random.default_rng(zlib.crc32(name.encode()))
-        shape = (len(ops.gammat_facets), ops.dim)
-        tractions = [rng.uniform(-1, 1, size=shape) for _ in range(6)]
-        want = [st.optimal_stress_primal(ops, t, mode)[0] for t in tractions]
-        got = st.static_optima(static, [kin.work_vector(ops, t) for t in tractions])
-        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
-        assert st.static_optima(static, []).shape == (0,)
-
-    def test_rhs_is_work_then_zeros(self, square_ops):
-        static = st.static_lp(square_ops, st.PLASTIC)
-        f = kin.work_vector(square_ops, np.ones((3, 2)))
-        b = st._static_rhs(static, f)
-        assert np.array_equal(b[:square_ops.n_dof], f)
-        assert not b[square_ops.n_dof:].any()
-        assert static.n_u == 1 and static.prob.free.sum() == \
-            square_ops.n_elements * (static.n_comp + 1)
-
-    @pytest.mark.parametrize("status", [lp.INFEASIBLE, "pivot limit"])
-    def test_optima_fail_as_primal(self, square_ops, monkeypatch, status):
-        static = st.static_lp(square_ops, st.ELASTIC)
-        t = np.ones((3, 2))
-        if status == "pivot limit":
-            monkeypatch.setattr(lp, "_MAX_ITER", 0)
-        else:
-            monkeypatch.setattr(lp, "solve", lambda p: lp.LPSolution(status))
-            monkeypatch.setattr(lp, "solve_each_rhs",
-                                lambda p, rhss: ((status, None) for _ in rhss))
-        with pytest.raises(st.SolverFailure) as want:
-            st.optimal_stress_primal(square_ops, t, st.ELASTIC)
-        with pytest.raises(st.SolverFailure) as got:
-            st.static_optima(static, [kin.work_vector(square_ops, t)])
-        assert str(got.value) == str(want.value)
-        assert str(got.value).startswith(
-            "static LP: dual simplex did not" if status == "pivot limit"
-            else "primal stress LP ended with status infeasible")
-        assert type(got.value.__cause__) is type(want.value.__cause__)
-
-
 class TestStressFromMultipliers:
     @pytest.mark.parametrize("name,factory", MESH_CASES, ids=[c[0] for c in MESH_CASES])
     @pytest.mark.parametrize("mode", [st.ELASTIC, st.PLASTIC])
     def test_matches_static_lp(self, name, factory, mode):
+        # the stress recovered from the kinematic LP's multipliers balances
+        # the traction and attains the box LP's optimum
         ops = kin.assemble(factory())
+        kinematic = st.kinematic_lp(ops, mode)
         rng = np.random.default_rng(31)
         for _ in range(3):
             t = rng.uniform(-1, 1, size=(len(ops.gammat_facets), ops.dim))
-            res = st.optimal_stress(ops, t, mode)
-            static, _ = st.optimal_stress_primal(ops, t, mode)
-            assert st.stress_measure(res.sigma_hat, mode, ops) == \
+            static = st.optimal_stress(ops, t, mode).sigma_opt
+            value, _, y = st.kinematic_supremum(kinematic, kin.work_vector(ops, t))
+            stress = st.stress_from_multipliers(ops, mode, y)
+            assert st.check_equilibrium(ops, stress, t)[0]
+            assert st.stress_measure(stress, mode, ops) == \
                 pytest.approx(static, rel=1e-9, abs=1e-12)
-            assert res.sigma_opt == pytest.approx(static, rel=1e-9, abs=1e-12)
+            assert value == pytest.approx(static, rel=1e-9, abs=1e-12)
 
     @pytest.mark.parametrize("mode", [st.ELASTIC, st.PLASTIC])
     def test_corrupted_multiplier_fails_certificate(self, square_ops, mode,
@@ -571,8 +528,7 @@ def kinematic_supremum_of(ops, t, mode):
 
 
 @pytest.mark.parametrize("name,solve", [("box LP", st.optimal_stress),
-                                        ("kinematic LP", kinematic_supremum_of),
-                                        ("static LP", st.optimal_stress_primal)])
+                                        ("kinematic LP", kinematic_supremum_of)])
 def test_pivot_limit_names_the_lp(square_ops, monkeypatch, name, solve):
     def stalled(prob, *args, **kwargs):
         raise lp.LPIterationError(2, prob.A.shape, 7)
