@@ -27,7 +27,7 @@ from .kinematics import (DiscreteOperators, check_traction, trace,
                          traction_sup_norm, work_vector)
 from .stress import (ELASTIC, PLASTIC, box_lp, box_optimum, certify,
                      kinematic_lp, kinematic_suprema, kinematic_supremum,
-                     stress_from_multipliers, stress_measure)
+                     stress_field, stress_measure)
 
 EXACT = "exact_vertex_enumeration"
 HEURISTIC = "alternating_heuristic"
@@ -46,15 +46,15 @@ class CapacityError(ValueError):
 
 class CapacityResult(NamedTuple):
     """K and C = 1/K, the traction that attains K and the velocity field
-    that certifies it.  K_traction_side, exact method only, is the stress
-    measure of the certified stress of worst_traction."""
+    that certifies it.  The heuristic's K is a lower bound only.
+    K_traction_side, exact method only, is the stress measure of the
+    certified stress of worst_traction."""
 
     K: float
     C: float
     worst_traction: np.ndarray
     method: str
     certificate: np.ndarray
-    lower_bound_only: bool = False
     K_traction_side: float | None = None
 
 
@@ -136,15 +136,15 @@ def generalized_K(ops: DiscreteOperators, mode: str = ELASTIC,
         values = kinematic_suprema(kinematic, unit_work, _gray_signs(m))
         top = values.max()
         steps = np.flatnonzero(values >= top - _NEAR_TIE * (1.0 + abs(top)))
-        best_val, worst, best_w, best_y = -1.0, None, None, None
+        best_val, worst, best_w, best_s = -1.0, None, None, None
         for code in np.sort(steps ^ (steps >> 1)):
             t = _vertex(int(code), m).reshape(-1, ops.dim)
-            val, w, y = kinematic_supremum(kinematic, work_vector(ops, t))
+            val, w, s = kinematic_supremum(kinematic, work_vector(ops, t))
             if val > best_val + 1e-12:
-                best_val, worst, best_w, best_y = val, t, w, y
+                best_val, worst, best_w, best_s = val, t, w, s
         K = max(best_val, 0.0)
         stress = certify(ops, worst, mode, K,
-                         stress_from_multipliers(ops, mode, best_y), best_w).sigma_hat
+                         stress_field(ops, mode, best_s), best_w).sigma_hat
         return CapacityResult(K=K, C=_safe_inverse(K), worst_traction=worst,
                               method=EXACT, certificate=best_w,
                               K_traction_side=stress_measure(stress, mode, ops))
@@ -172,8 +172,7 @@ def generalized_K(ops: DiscreteOperators, mode: str = ELASTIC,
                 signs = new_signs
         K = max(best_val, 0.0)
         return CapacityResult(K=K, C=_safe_inverse(K), worst_traction=worst,
-                              method=HEURISTIC, certificate=best_w,
-                              lower_bound_only=True)
+                              method=HEURISTIC, certificate=best_w)
     raise CapacityError(f"unknown method {method!r}")
 
 

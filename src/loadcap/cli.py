@@ -136,7 +136,7 @@ def cmd_capacity(args) -> int:
     else:
         method = cap.HEURISTIC
     result = cap.generalized_K(ops, args.mode, method)
-    if result.lower_bound_only:
+    if result.method == cap.HEURISTIC:
         interpretation = (
             "K is a lower bound on the stress concentration factor, so C is "
             "an upper bound on the load capacity, not a safe load: a traction "
@@ -153,7 +153,7 @@ def cmd_capacity(args) -> int:
         "method": result.method,
         "K": result.K,
         "C": result.C,
-        "lower_bound_only": result.lower_bound_only,
+        "lower_bound_only": result.method == cap.HEURISTIC,
         "caps_hit": m > cap.SIGN_PATTERN_CAP,
         "worst_traction": [[float(v) for v in row] for row in result.worst_traction],
         "certificate": [float(v) for v in result.certificate],

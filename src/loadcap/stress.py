@@ -16,21 +16,27 @@ and its quotient by spherical shifts in plastic mode.
   multipliers of its equilibrium rows are the kinematic witness;
   `certify` checks the three against each other.
 - The kinematic LP maximizes the work over the unit strain-budget ball.
-  The traction enters only its costs, so every objective shares one
-  phase 1: the exact-K walk over sign patterns runs on it, and `verify`
-  uses it as an independent reference for the box LP.
+  It is built as the box LP's dual (`_dual_builder`): one row per stress
+  column of the box LP, over that column's budget weight, so the yield
+  condition is written once, in `box_lp`, and a stress field is decoded
+  from the box LP's stress columns in one place (`stress_field`).  The
+  traction enters only its costs, so every objective shares one phase 1:
+  the exact-K walk over sign patterns runs on it, and `verify` solves it
+  apart from the box LP as a reference.  Being derived, it would share a
+  formulation error of `box_lp`; `certify`'s checks, which do not use
+  the LP solver, catch such an error.
 """
 
 from __future__ import annotations
 
-import functools
+import dataclasses
 from typing import NamedTuple
 
 import numpy as np
 
 from . import lp
-from .kinematics import (DiscreteOperators, check_traction, comp_weights,
-                         external_work, isochoric_constraints, n_comps,
+from .kinematics import (DiscreteOperators, check_traction, external_work,
+                         isochoric_constraints, n_comps,
                          strain_norm_l1, strain_norm_plastic, work_vector)
 
 ELASTIC = "elastic"
@@ -81,8 +87,8 @@ class OptimalStressResult(NamedTuple):
     sigma_hat: StressField
     dual_value: float
     dual_witness: np.ndarray
-    duality_gap: float = 0.0
-    equilibrium_residual: float = 0.0
+    duality_gap: float
+    equilibrium_residual: float
 
 
 def _check_stress(ops: DiscreteOperators, s: StressField) -> np.ndarray:
@@ -111,11 +117,6 @@ def stress_measure(s: StressField, mode: str, ops: DiscreteOperators) -> float:
     return float(np.abs(comps).max(initial=0.0))
 
 
-def equilibrium_residual(ops: DiscreteOperators, s: StressField, t) -> float:
-    """Max violation of the virtual-work identity over the DOF basis."""
-    return check_equilibrium(ops, s, t)[1]
-
-
 def check_equilibrium(ops: DiscreteOperators, s: StressField, t):
     """(ok, residual): the max violation of the virtual-work identity
     E s = f over the DOF basis, and whether it is within 1e-8 times the
@@ -137,80 +138,70 @@ def _solve(prob: lp.LPStandardForm, name: str) -> lp.LPSolution:
         raise SolverFailure(f"{name}: {exc}") from exc
 
 
-@functools.lru_cache(maxsize=None)
-def _element_block(dim: int, mode: str):
-    """One element's part of the kinematic LP, the same for every element.
-
-    Returns its rows (one per strain slot, then in plastic mode the
-    isochoric row) over its columns (in plastic mode the spherical shift
-    p, then a (+, -) budget pair per slot), and each column's strain-budget
-    weight per unit volume.  Plane strain in plastic mode adds the
-    out-of-plane diagonal slot, whose strain is zero.
-    """
-    nc = n_comps(dim)
-    plastic = int(mode == PLASTIC)
-    n_slots = nc + (plastic and dim == 2)
-    slot = np.arange(n_slots)
-    rows = np.zeros((n_slots + plastic, plastic + 2 * n_slots))
-    rows[slot, plastic + 2 * slot] = -1.0
-    rows[slot, plastic + 2 * slot + 1] = 1.0
-    if plastic:
-        rows[[*range(dim), *range(nc, n_slots)], 0] = 1.0
-    slot_wgt = np.ones(n_slots)
-    slot_wgt[:nc] = comp_weights(dim)
-    budget = np.zeros(rows.shape[1])
-    budget[plastic:] = np.repeat(slot_wgt, 2)
-    rows.flags.writeable = budget.flags.writeable = False  # shared by every call
-    return rows, budget
-
-
 class KinematicLP(NamedTuple):
     """The kinematic LP of one mesh and mode with its objective left open.
     Its feasible set, the unit strain-budget ball, is the same for every
     objective, so every `kinematic_supremum` on it shares one phase 1.
     The velocity DOFs are the first n_dof columns of `prob`.  prob is the
     LP of the mesh with its lengths multiplied by a power of two
-    (`kinematic_lp`): its works are the mesh's times work_scale, and its
-    equality rows the mesh's over row_scale, both exactly."""
+    (`kinematic_lp`), whose works are the mesh's times work_scale,
+    exactly.  Row rows[j] of prob is the box LP's stress column j of that
+    mesh over weights[j], its weight in the strain budget, so the
+    multipliers y of the rows give the box LP's stress columns
+    -y[rows] / weights, those of a stress field of the mesh."""
 
     n_dof: int
     prob: lp.LPStandardForm
     work_scale: float
-    row_scale: float
+    rows: np.ndarray
+    weights: np.ndarray
+
+
+def _box_columns(ops: DiscreteOperators, mode: str) -> tuple:
+    """The strain-budget weight and the element of each stress column of
+    `box_lp`: the weight is strain_weights for a stress component, and the
+    element volume for a plastic element's d33 and p."""
+    n_el = ops.n_elements
+    if mode != PLASTIC:
+        return ops.strain_weights, np.repeat(np.arange(n_el), n_comps(ops.dim))
+    n_dev = _n_deviatoric(ops.dim)
+    weights = np.column_stack([ops.strain_weights.reshape(n_el, -1), ops.volumes])
+    return (np.concatenate([weights[:, :n_dev].ravel(), ops.volumes]),
+            np.concatenate([np.repeat(np.arange(n_el), n_dev), np.arange(n_el)]))
 
 
 def _dual_builder(ops: DiscreteOperators, mode: str, scale: float) -> KinematicLP:
-    """Kinematic LP over the velocity DOFs and each element's
-    `_element_block` columns, with zero costs, of the mesh with its
-    lengths multiplied by scale: the strains are divided by scale and the
-    volumes multiplied by scale^dim.
-
-    The equality rows come element by element, as in `_element_block`;
-    their multipliers carry the stress field.  The last row bounds the
-    strain budget by 1.
-    """
-    dim, n_el, n_dof = ops.dim, ops.n_elements, ops.n_dof
-    nc, plastic = n_comps(dim), mode == PLASTIC
-    local, local_budget = _element_block(dim, mode)
-    n_rows, n_cols = local.shape
-    eq = np.zeros((n_el, n_rows, n_dof + n_el * n_cols))
-    eq[:, :nc, :n_dof] = ops.strain_op.reshape(n_el, nc, n_dof) / scale
-    if plastic:
-        eq[:, -1, :n_dof] = isochoric_constraints(ops) / scale
-    el = np.arange(n_el)[:, None, None]
-    eq[el, np.arange(n_rows)[:, None], n_dof + el * n_cols + np.arange(n_cols)] = local
+    """The kinematic LP as the dual of `box_lp`, with zero costs, for the
+    mesh with its lengths multiplied by scale.  Its free columns are the
+    box LP's row multipliers: the velocity DOFs, then in plastic mode one
+    per traceless row.  Each stress column of the box LP, over its weight,
+    is one row, element by element (on the plastic 6x6 plate phase 1 then
+    takes a third of the time it takes in the box LP's column order).  A
+    bounded column adds a (+, -) pair, the strain of its row, which the
+    last row, the strain budget, weighs by the same weight and bounds by
+    1; a free column, a plastic pressure, adds none: the witness is
+    isochoric."""
+    dim = ops.dim
+    scaled = dataclasses.replace(ops, strain_op=ops.strain_op / scale,
+                                 strain_weights=ops.strain_weights * scale ** dim,
+                                 volumes=ops.volumes * scale ** dim)
+    box = box_lp(scaled, mode)
+    weights, element = _box_columns(scaled, mode)
+    order = np.argsort(element, kind="stable")  # the box column of each row
+    eq = box.A[:, order].T / weights[order, None]
+    bounded = np.flatnonzero(np.isfinite(box.upper[order]))
+    pairs = np.zeros((len(order), len(bounded), 2))
+    pairs[bounded, np.arange(len(bounded))] = -1.0, 1.0
 
     builder = lp.LPBuilder()
-    builder.add_vars(n_dof, lower=-np.inf)
-    # p, the first column of a plastic element, is free
-    builder.add_vars(n_el * n_cols,
-                     lower=np.where(np.arange(n_el * n_cols) % n_cols >= plastic, 0.0, -np.inf))
-    builder.add_eq(eq.reshape(n_el * n_rows, -1), 0.0)
+    builder.add_vars(eq.shape[1], lower=-np.inf)
+    builder.add_vars(2 * len(bounded))
+    builder.add_eq(np.hstack([eq, pairs.reshape(len(order), -1)]), 0.0)
     budget = np.zeros(builder.n_vars)
-    budget[n_dof:] = (ops.volumes[:, None] * local_budget).ravel() * scale ** dim
+    budget[eq.shape[1]:] = np.repeat(weights[order[bounded]], 2)
     builder.add_le(budget, 1.0)
-    return KinematicLP(n_dof, builder.build(np.zeros(builder.n_vars)),
-                       scale ** (dim - 1), scale ** dim)
+    return KinematicLP(ops.n_dof, builder.build(np.zeros(builder.n_vars)),
+                       scale ** (dim - 1), np.argsort(order), weights)
 
 
 def kinematic_lp(ops: DiscreteOperators, mode: str) -> KinematicLP:
@@ -220,10 +211,8 @@ def kinematic_lp(ops: DiscreteOperators, mode: str) -> KinematicLP:
     the extent into [1, 2): the simplex's tolerances are absolute, and
     at a length unit of 1e-4 the budget row's entries, about 1e-8, come
     so near them that the simplex can stop at a wrong vertex.  The value
-    of the LP does not depend on the unit of length."""
-    check_mode(mode)
-    if mode == PLASTIC:
-        require_plastic_viable(ops)
+    of the LP does not depend on the unit of length.  `box_lp` checks the
+    mode."""
     extent = np.ptp(ops.mesh.nodes, axis=0).max()
     return _dual_builder(ops, mode, 2.0 ** (1 - int(np.frexp(extent)[1])))
 
@@ -249,16 +238,17 @@ def _check_kinematic(status: str):
 
 def kinematic_supremum(kinematic: KinematicLP, objective: np.ndarray):
     """Maximize objective . w over the unit strain-budget ball (plastic:
-    restricted to isochoric fields).  Returns (value, witness, the LP's
-    multipliers), the last two scaled back to the mesh's lengths.  The LP
-    shares the phase 1 of `kinematic.prob`."""
+    restricted to isochoric fields).  Returns (value, witness, s): the
+    witness scaled back to the mesh's lengths, and s, from the multipliers
+    y of the LP's rows (`KinematicLP`), the box LP's stress columns of a
+    stress field that balances the objective (`stress_field`) and attains
+    the value.  The LP shares the phase 1 of `kinematic.prob`."""
     sol = _solve(kinematic.prob.with_objective(_kinematic_costs(kinematic, objective)),
                  "kinematic LP")
     _check_kinematic(sol.status)
-    y = sol.y / kinematic.row_scale
-    y[-1] = sol.y[-1]  # the budget row's, which the scaling leaves as it is
     # 0.0 - x again, so that a zero optimum is reported as 0.0
-    return 0.0 - sol.objective, kinematic.work_scale * sol.x[:kinematic.n_dof], y
+    return (0.0 - sol.objective, kinematic.work_scale * sol.x[:kinematic.n_dof],
+            -sol.y[kinematic.rows] / kinematic.weights)
 
 
 def kinematic_suprema(kinematic: KinematicLP, unit_objectives,
@@ -280,29 +270,23 @@ def kinematic_suprema(kinematic: KinematicLP, unit_objectives,
     return np.subtract(0.0, value, out=value)  # 0.0 - value, in place
 
 
-def stress_from_multipliers(ops: DiscreteOperators, mode: str,
-                            y) -> StressField:
-    """The stress field dual to the kinematic LP, from its multipliers y.
-    Stationarity of the kinematic LP in w reads
-    sum_ec (y_ec + [c diagonal] mu_e) B_e[c] = -f, with mu_e the isochoric
-    multiplier (plastic only); equilibrium reads
-    sum_ec vol_e wgt_c s_ec B_e[c] = f.  So the stress dual to the LP is
-    s_ec = -(y_ec + [c diagonal] mu_e) / (vol_e wgt_c), and the plane-strain
-    out-of-plane slot gives s33_e = -(y_e33 + mu_e) / vol_e."""
-    dim, n_el, nc = ops.dim, ops.n_elements, n_comps(ops.dim)
-    plastic = mode == PLASTIC
-    y = y[:n_el * len(_element_block(dim, mode)[0])].reshape(n_el, -1)
-    mu = y[:, -1] if plastic else np.zeros(n_el)
-    on_diag = np.arange(nc) < dim
-    comps = -(y[:, :nc] + on_diag * mu[:, None]) / ops.strain_weights.reshape(n_el, nc)
-    s33 = -(y[:, nc] + mu) / ops.volumes if plastic and dim == 2 else None
-    return StressField(comps, s33)
-
-
 def _n_deviatoric(dim: int) -> int:
     """The box LP's deviatoric columns per element in plastic mode: the
     unique components and, in 2D, the out-of-plane d33."""
     return n_comps(dim) + (dim == 2)
+
+
+def stress_field(ops: DiscreteOperators, mode: str, s) -> StressField:
+    """The stress field of the box LP's stress columns s, lambda's left
+    out (`box_lp`): in plastic mode s_ii = d_ii + p, s_ij = d_ij and, in
+    2D, s33 = d33 + p."""
+    n_el, nc = ops.n_elements, n_comps(ops.dim)
+    if mode != PLASTIC:
+        return StressField(s.reshape(n_el, nc))
+    d, p = s[:-n_el].reshape(n_el, -1), s[-n_el:]
+    comps = d[:, :nc].copy()
+    comps[:, :ops.dim] += p[:, None]
+    return StressField(comps, d[:, nc] + p if ops.dim == 2 else None)
 
 
 def _pressure_op(ops: DiscreteOperators) -> np.ndarray:
@@ -397,16 +381,11 @@ def box_optimum(ops: DiscreteOperators, work, mode: str = ELASTIC,
     else:
         prob = box.with_column(-1, load)
     sol = _solve(prob, "box LP")
-    n_el, nc = ops.n_elements, n_comps(ops.dim)
-    plastic, planar = mode == PLASTIC, ops.dim == 2
     if sol.status == lp.UNBOUNDED:
-        comps = np.zeros((n_el, nc))
-        if not plastic:
-            return BoxOptimum(np.inf, StressField(comps), np.zeros(ops.n_dof))
-        p = np.linalg.lstsq(_pressure_op(ops), work, rcond=None)[0]
-        comps[:, :ops.dim] = p[:, None]
-        return BoxOptimum(np.inf, StressField(comps, p if planar else None),
-                          np.zeros(ops.n_dof))
+        s = np.zeros(len(template.c) - 1)
+        if mode == PLASTIC:
+            s[-ops.n_elements:] = np.linalg.lstsq(_pressure_op(ops), work, rcond=None)[0]
+        return BoxOptimum(np.inf, stress_field(ops, mode, s), np.zeros(ops.n_dof))
     if sol.status != lp.OPTIMAL:
         raise SolverFailure(
             f"box LP ended with status {sol.status}; s = 0 with lambda = 0 "
@@ -416,16 +395,7 @@ def box_optimum(ops: DiscreteOperators, work, mode: str = ELASTIC,
         raise SolverFailure(
             "box LP: load factor 0: the traction loads a mechanism of the "
             "mesh despite the supported boundary")
-    s = sol.x[:-1] / lam
-    if not plastic:
-        return BoxOptimum(lam, StressField(s.reshape(n_el, nc)), sol.y[:ops.n_dof])
-    n_dev = _n_deviatoric(ops.dim)
-    d = s[:n_el * n_dev].reshape(n_el, n_dev)
-    p = s[n_el * n_dev:]
-    comps = d[:, :nc].copy()
-    comps[:, :ops.dim] += p[:, None]
-    s33 = d[:, nc] + p if planar else None
-    return BoxOptimum(lam, StressField(comps, s33), sol.y[:ops.n_dof])
+    return BoxOptimum(lam, stress_field(ops, mode, sol.x[:-1] / lam), sol.y[:ops.n_dof])
 
 
 def optimal_stress(ops: DiscreteOperators, t, mode: str = ELASTIC,

@@ -94,14 +94,14 @@ def cold_generalized_K(ops: kin.DiscreteOperators, mode: str) -> cap.CapacityRes
     vertex that beats all before it by more than 1e-12 is the worst
     traction, certified from its own solution."""
     kinematic = st.kinematic_lp(ops, mode)
-    best_val, worst, best_w, best_y = -1.0, None, None, None
+    best_val, worst, best_w, best_s = -1.0, None, None, None
     for t in cap._vertex_tractions(ops):
-        val, w, y = st.kinematic_supremum(kinematic, kin.work_vector(ops, t))
+        val, w, s = st.kinematic_supremum(kinematic, kin.work_vector(ops, t))
         if val > best_val + 1e-12:
-            best_val, worst, best_w, best_y = val, t, w, y
+            best_val, worst, best_w, best_s = val, t, w, s
     K = max(best_val, 0.0)
     stress = st.certify(ops, worst, mode, K,
-                        st.stress_from_multipliers(ops, mode, best_y), best_w).sigma_hat
+                        st.stress_field(ops, mode, best_s), best_w).sigma_hat
     return cap.CapacityResult(K=K, C=float("inf") if K == 0.0 else 1.0 / K,
                               worst_traction=worst, method=cap.EXACT,
                               certificate=best_w,

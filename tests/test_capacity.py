@@ -120,7 +120,7 @@ class TestGeneralizedK:
     def test_heuristic_is_lower_bound(self, square_ops):
         exact = cap.generalized_K(square_ops)
         heur = cap.generalized_K(square_ops, method=cap.HEURISTIC)
-        assert heur.lower_bound_only
+        assert heur.method == cap.HEURISTIC
         assert heur.K <= exact.K + 1e-8
 
     def test_heuristic_matches_exact_here(self, square_ops, two_tet_mesh):
@@ -163,7 +163,7 @@ class TestGeneralizedK:
         with pytest.raises(cap.CapacityError, match="capped at 16"):
             cap.generalized_K(ops)
         res = cap.generalized_K(ops, method=cap.HEURISTIC)
-        assert res.lower_bound_only and res.K > 0
+        assert res.method == cap.HEURISTIC and res.K > 0
 
 
 def assert_same_result(got: cap.CapacityResult, want: cap.CapacityResult):
@@ -426,7 +426,7 @@ class TestPinnedCounts:
         return counts
 
     @pytest.mark.parametrize("mode, phase2, iterations, K",
-                             [(st.ELASTIC, 455, 2181, 6.0), (st.PLASTIC, 325, 1981, 2.5)])
+                             [(st.ELASTIC, 455, 2181, 6.0), (st.PLASTIC, 321, 1917, 2.5)])
     def test_exact_K_on_2x2_plate(self, counts, mode, phase2, iterations, K):
         ops = kin.assemble(msh.generate_rectangle(1, 1, 2, 2, "left", "right"))
         assert cap.generalized_K(ops, mode, cap.EXACT).K == pytest.approx(K, rel=1e-12)

@@ -396,8 +396,9 @@ class TestFreeVariables:
     @pytest.mark.parametrize("name,factory", MESH_CASES, ids=[c[0] for c in MESH_CASES])
     @pytest.mark.parametrize("mode", [st.ELASTIC, st.PLASTIC])
     def test_kinematic_lp_one_column_per_variable(self, name, factory, mode):
-        # per element: the plastic pressure p, then a (+, -) budget pair per
-        # strain slot; plane strain adds the out-of-plane slot
+        # the velocity DOFs and, in plastic mode, one multiplier per element
+        # are free; then a (+, -) budget pair per strain slot of each
+        # element, where plane strain adds the out-of-plane slot
         ops = kin.assemble(factory())
         prob = st.kinematic_lp(ops, mode).prob
         plastic = mode == st.PLASTIC
@@ -405,7 +406,7 @@ class TestFreeVariables:
         per_element = plastic + 2 * n_slots
         assert prob.A.shape[1] == ops.n_dof + ops.n_elements * per_element + 1
         assert prob.free.sum() == ops.n_dof + plastic * ops.n_elements
-        assert prob.free[:ops.n_dof].all()
+        assert prob.free[:ops.n_dof + plastic * ops.n_elements].all()
 
     @pytest.mark.parametrize("mode", [st.ELASTIC, st.PLASTIC])
     def test_no_negative_zero_in_lps(self, mode, monkeypatch):

@@ -104,7 +104,7 @@ class TestCheckEquilibrium:
         for s in (st.StressField(np.zeros((2, 2))), st.StressField(np.zeros(6)),
                   st.StressField(np.zeros((2, 3)), s33=np.zeros(3))):
             with pytest.raises(st.StressError):
-                st.equilibrium_residual(square_ops, s, t)
+                st.check_equilibrium(square_ops, s, t)[1]
             with pytest.raises(st.StressError):
                 st.stress_measure(s, st.PLASTIC, square_ops)
 
@@ -426,6 +426,31 @@ class TestKinematicLP:
             assert np.array_equal(got.y, want.y)
             assert got.objective == want.objective
 
+    @pytest.mark.parametrize("mesh", [
+        msh.generate_rectangle(1e-3, 1e-3, 2, 2, "left", "right"),
+        msh.generate_rectangle(1.0, 1.0, 2, 2, "left", "right"),
+        msh.generate_rectangle(700.0, 350.0, 2, 1, "left", "right"),
+        kuhn_box(2, 1, 1)], ids=["plate 1e-3", "plate 1", "plate 700", "kuhn box"])
+    def test_elastic_rows_are_the_scaled_strains(self, mesh):
+        # built as the box LP's dual, the elastic LP is that of the mesh
+        # with its lengths multiplied by a power of two: the strain rows
+        # over it, up to the rounding of multiplying by the box LP's
+        # weights and dividing again, and budget pairs weighted by the
+        # strain weights times its power dim, exactly
+        ops = kin.assemble(mesh)
+        scale = 2.0 ** (1 - np.frexp(np.ptp(mesh.nodes, axis=0).max())[1])
+        prob = st.kinematic_lp(ops, st.ELASTIC).prob
+        n_dof, n_rows = ops.n_dof, len(ops.strain_weights)
+        assert prob.A.shape == (n_rows + 1, n_dof + 2 * n_rows + 1)
+        want = ops.strain_op / scale
+        got = prob.A[:n_rows, :n_dof]
+        assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want)))
+        pairs = prob.A[:n_rows, n_dof:-1].reshape(n_rows, n_rows, 2)
+        assert np.array_equal(pairs, np.eye(n_rows)[:, :, None] * [-1.0, 1.0])
+        assert np.array_equal(prob.A[-1, n_dof:-1],
+                              np.repeat(ops.strain_weights * scale ** ops.dim, 2))
+        assert not prob.A[-1, :n_dof].any() and prob.A[-1, -1] == 1.0
+
     def test_supremum_matches_fresh_lp(self, square_ops):
         kinematic = st.kinematic_lp(square_ops, st.PLASTIC)
         rng = np.random.default_rng(16)
@@ -477,16 +502,17 @@ class TestStressFromMultipliers:
     @pytest.mark.parametrize("name,factory", MESH_CASES, ids=[c[0] for c in MESH_CASES])
     @pytest.mark.parametrize("mode", [st.ELASTIC, st.PLASTIC])
     def test_matches_static_lp(self, name, factory, mode):
-        # the stress recovered from the kinematic LP's multipliers balances
-        # the traction and attains the box LP's optimum
+        # `stress_field` of the stress columns that the kinematic LP's
+        # multipliers give balances the traction and attains the box LP's
+        # optimum
         ops = kin.assemble(factory())
         kinematic = st.kinematic_lp(ops, mode)
         rng = np.random.default_rng(31)
         for _ in range(3):
             t = rng.uniform(-1, 1, size=(len(ops.gammat_facets), ops.dim))
             static = st.optimal_stress(ops, t, mode).sigma_opt
-            value, _, y = st.kinematic_supremum(kinematic, kin.work_vector(ops, t))
-            stress = st.stress_from_multipliers(ops, mode, y)
+            value, _, s = st.kinematic_supremum(kinematic, kin.work_vector(ops, t))
+            stress = st.stress_field(ops, mode, s)
             assert st.check_equilibrium(ops, stress, t)[0]
             assert st.stress_measure(stress, mode, ops) == \
                 pytest.approx(static, rel=1e-9, abs=1e-12)
