@@ -8,6 +8,7 @@ human-readable summary plus wall time on stderr.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -264,6 +265,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_ok else EXIT_SOLVER
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="loadcap",

@@ -97,10 +97,9 @@ def assemble(mesh: msh.Mesh, clamp: bool = True) -> DiscreteOperators:
     n_el, nc = len(mesh.elements), n_comps(dim)
     conn = np.array([e.nodes for e in mesh.elements]).reshape(n_el, dim + 1)
     edges = mesh.nodes[conn[:, 1:]] - mesh.nodes[conn[:, :1]]
+    volumes = msh.element_measures(edges)
     if dim == 1:  # bars: length times cross-section
-        volumes = np.abs(edges[:, 0, 0]) * [e.area for e in mesh.elements]
-    else:
-        volumes = np.abs(np.linalg.det(edges)) / (2.0 if dim == 2 else 6.0)
+        volumes = volumes * [e.area for e in mesh.elements]
     grads = _shape_gradients(edges)
     # eps_ij = 1/2 (d_i w_j + d_j w_i), by (element, comp, local node, axis)
     local = np.zeros((n_el, nc, dim + 1, dim))
@@ -125,7 +124,7 @@ def assemble(mesh: msh.Mesh, clamp: bool = True) -> DiscreteOperators:
         strain_weights=(volumes[:, None] * comp_weights(dim)).ravel(),
         volumes=volumes,
         trace_op=trace_op.reshape(len(gammat) * dim, -1)[:, free],
-        areas=np.array([msh.facet_measure(mesh, f) for f in gammat]),
+        areas=msh.facet_measures(mesh, fnodes),
         gammat_facets=gammat)
 
 

@@ -114,16 +114,14 @@ class Mesh:
                 and self.facets == other.facets)
 
 
-def element_measure(mesh: Mesh, elem: Element) -> float:
-    """Length / area / volume of an element (sign stripped)."""
-    pts = mesh.nodes[list(elem.nodes)]
-    if elem.kind == BAR:
-        return float(np.linalg.norm(pts[1] - pts[0]))
-    edges = pts[1:] - pts[0]
-    det = np.linalg.det(edges)
-    if elem.kind == TRIANGLE:
-        return abs(det) / 2.0
-    return abs(det) / 6.0
+def element_measures(edges: np.ndarray) -> np.ndarray:
+    """Length, area or volume (sign stripped) of each simplex element whose
+    edge vectors from its first node are edges[e, k] = p_(k+1) - p_0, an
+    (n_el, dim, dim) array; a bar's is its length, not times its area."""
+    dim = edges.shape[-1]
+    if dim == 1:  # det is sign * exp(log|det|), inexact even for a 1x1
+        return np.abs(edges[:, 0, 0])
+    return np.abs(np.linalg.det(edges)) / math.factorial(dim)
 
 
 def element_faces(elem: Element):
@@ -138,44 +136,49 @@ def element_faces(elem: Element):
             frozenset((n[1], n[2], n[3])), frozenset((n[0], n[2], n[3]))]
 
 
-def facet_measure(mesh: Mesh, facet: Facet) -> float:
-    """Measure of a boundary facet.
-
-    In 1D a facet is a single node; its measure is the cross-section area
-    of the incident bar, so boundary integrals carry force units.
-    """
-    pts = mesh.nodes[list(facet.nodes)]
-    if len(facet.nodes) == 1:
-        node = facet.nodes[0]
-        for e in mesh.elements:
-            if e.kind == BAR and node in e.nodes:
-                return float(e.area)
-        raise MeshError(f"facet node {node} not attached to any bar")
-    if len(facet.nodes) == 2:
-        return float(np.linalg.norm(pts[1] - pts[0]))
-    return float(np.linalg.norm(np.cross(pts[1] - pts[0], pts[2] - pts[0])) / 2.0)
+def facet_measures(mesh: Mesh, fnodes: np.ndarray) -> np.ndarray:
+    """Measures of the boundary facets of a valid mesh with node ids fnodes,
+    an (n_facets, dim) array.  In 1D a facet is a single node; its measure is
+    the cross-section area of its bar, so boundary integrals carry force units."""
+    if mesh.dim == 1:  # a boundary node of a valid mesh is in one bar only
+        area_at = np.zeros(mesh.n_nodes)
+        area_at[[e.nodes for e in mesh.elements]] = [[e.area] for e in mesh.elements]
+        return area_at[fnodes[:, 0]]
+    pts = mesh.nodes[fnodes]
+    # a facet's edge, or twice its area vector; vecdot is the dot product
+    # that np.linalg.norm takes of a single vector
+    normal = (pts[:, 1] - pts[:, 0] if mesh.dim == 2
+              else np.cross(pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0]))
+    return np.sqrt(np.vecdot(normal, normal)) / (mesh.dim - 1.0)
 
 
 def validate(mesh: Mesh):
     """Return a list of invariant violations; empty for a valid mesh."""
-    problems = []
-    n = mesh.n_nodes
-    coords = mesh.nodes.tolist()
+    n, dim = mesh.n_nodes, mesh.dim
+    found, good = {}, []  # element index -> its problem; elements to measure
     for i, e in enumerate(mesh.elements):
         if any(k < 0 or k >= n for k in e.nodes):
-            problems.append(f"element {i} references node out of range")
-            continue
-        if _KIND_DIM[e.kind] != mesh.dim:
-            problems.append(f"element {i} kind {e.kind} does not match dim {mesh.dim}")
-            continue
-        # |det| of the edge vectors at most 1e-14 longest^dim, a rule that
-        # does not depend on the length unit; as dim-th roots, which do not
-        # overflow
-        longest = max(math.dist(coords[a], coords[b])
-                      for a, b in combinations(e.nodes, 2))
-        size = (element_measure(mesh, e) * math.factorial(mesh.dim)) ** (1 / mesh.dim)
-        if size <= 1e-14 ** (1 / mesh.dim) * longest:
-            problems.append(f"element {i} has zero measure")
+            found[i] = f"element {i} references node out of range"
+        elif _KIND_DIM[e.kind] != dim:
+            found[i] = f"element {i} kind {e.kind} does not match dim {dim}"
+        else:
+            good.append(i)
+    pts = mesh.nodes[np.array([mesh.elements[i].nodes for i in good],
+                              dtype=int).reshape(-1, dim + 1)]
+    a, b = np.array(list(combinations(range(dim + 1), 2))).T  # pairs, (0, k) first
+    sides = pts[:, b] - pts[:, a]
+    # |det| of the edge vectors at most 1e-14 longest^dim, a rule that
+    # does not depend on the length unit; as dim-th roots and with hypot,
+    # which do not overflow
+    longest = np.hypot.reduce(np.abs(sides), axis=2).max(axis=1)
+    size = (element_measures(sides[:, :dim]) * math.factorial(dim)) ** (1 / dim)
+    for i in np.array(good, dtype=int)[size <= 1e-14 ** (1 / dim) * longest]:
+        found[i] = f"element {i} has zero measure"
+    problems = [found[i] for i in sorted(found)]
+    used = np.zeros(n, dtype=bool)
+    used[[k for e in mesh.elements for k in e.nodes if 0 <= k < n]] = True
+    if not used.all():
+        problems.append(f"node {np.argmin(used)} is not a node of any element")
     owners = {}  # face node set -> elements that have it as a face
     for i, e in enumerate(mesh.elements):
         for fs in element_faces(e):

@@ -1,3 +1,4 @@
+import math
 from itertools import combinations
 
 import numpy as np
@@ -204,6 +205,50 @@ def kuhn_box(nx: int, ny: int, nz: int) -> msh.Mesh:
     facets = [msh.Facet(f, msh.GAMMA0 if np.all(nodes[list(f), 0] == 0.0) else msh.GAMMAT)
               for f, count in sorted(faces.items()) if count == 1]
     return msh.Mesh(3, nodes, elements, facets)
+
+
+def element_measure_oracle(mesh: msh.Mesh, elem: msh.Element) -> float:
+    """Oracle: length / area / volume of one element (sign stripped), from
+    its own nodes."""
+    pts = mesh.nodes[list(elem.nodes)]
+    if elem.kind == msh.BAR:
+        return float(np.linalg.norm(pts[1] - pts[0]))
+    det = np.linalg.det(pts[1:] - pts[0])
+    return abs(det) / (2.0 if elem.kind == msh.TRIANGLE else 6.0)
+
+
+def facet_measure_oracle(mesh: msh.Mesh, facet: msh.Facet) -> float:
+    """Oracle: measure of one boundary facet; in 1D the cross-section area
+    of the first bar that has the facet's node."""
+    pts = mesh.nodes[list(facet.nodes)]
+    if len(facet.nodes) == 1:
+        return float(next(e.area for e in mesh.elements
+                          if e.kind == msh.BAR and facet.nodes[0] in e.nodes))
+    if len(facet.nodes) == 2:
+        return float(np.linalg.norm(pts[1] - pts[0]))
+    return float(np.linalg.norm(np.cross(pts[1] - pts[0], pts[2] - pts[0])) / 2.0)
+
+
+def element_problems_oracle(mesh: msh.Mesh) -> list:
+    """Oracle: `mesh.validate`'s element problems (node out of range, kind
+    against dim, zero measure), one element at a time."""
+    problems = []
+    n = mesh.n_nodes
+    coords = mesh.nodes.tolist()
+    for i, e in enumerate(mesh.elements):
+        if any(k < 0 or k >= n for k in e.nodes):
+            problems.append(f"element {i} references node out of range")
+            continue
+        if len(e.nodes) != mesh.dim + 1:
+            problems.append(f"element {i} kind {e.kind} does not match dim {mesh.dim}")
+            continue
+        longest = max(math.dist(coords[a], coords[b])
+                      for a, b in combinations(e.nodes, 2))
+        size = (element_measure_oracle(mesh, e)
+                * math.factorial(mesh.dim)) ** (1 / mesh.dim)
+        if size <= 1e-14 ** (1 / mesh.dim) * longest:
+            problems.append(f"element {i} has zero measure")
+    return problems
 
 
 def end_tension_plate(n: int):

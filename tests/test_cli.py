@@ -4,6 +4,7 @@ import re
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from loadcap import cli
@@ -436,21 +437,30 @@ class TestEdgeCases:
             "mechanism of the mesh despite the supported boundary"]
 
     @pytest.mark.parametrize("mode", ["elastic", "plastic"])
-    def test_empty_equilibrium_rows(self, capsys, tmp_path, square_files, mode):
-        # a node in no element: its DOFs' equilibrium rows have no entry,
-        # so the crash finds no pivot in them and drops them
-        doc = json.loads(Path(square_files[0]).read_text())
-        doc["nodes"].append([5.0, 5.0])
-        mesh_path = tmp_path / "loose_node.mesh"
-        mesh_path.write_text(json.dumps(doc))
-        results = []
-        for path in (square_files[0], str(mesh_path)):
-            code, out, err = run(capsys, ["analyze", path, square_files[1],
-                                          "--mode", mode])
-            assert code == cli.EXIT_OK, err
-            results.append(json.loads(out))
-        assert results[1]["sigma_opt"] == pytest.approx(results[0]["sigma_opt"], rel=1e-12)
-        assert results[1]["dual_witness"][-2:] == [0.0, 0.0]
+    def test_empty_equilibrium_rows(self, capsys, square_files, monkeypatch, mode):
+        # two velocity DOFs that no element strains and no facet loads: their
+        # equilibrium rows have no entry, so the crash finds no pivot in
+        # them and drops them (no valid mesh has such a DOF: every node is
+        # a node of an element)
+        argv = ["analyze", *square_files, "--mode", mode]
+        code, out, err = run(capsys, argv)
+        assert code == cli.EXIT_OK, err
+        plain = json.loads(out)
+        assemble = kin.assemble
+
+        def with_idle_dofs(mesh, clamp=True):
+            ops = assemble(mesh, clamp)
+            pad = ((0, 0), (0, 2))
+            return dataclasses.replace(ops, n_dof=ops.n_dof + 2,
+                                       strain_op=np.pad(ops.strain_op, pad),
+                                       trace_op=np.pad(ops.trace_op, pad))
+        monkeypatch.setattr(kin, "assemble", with_idle_dofs)
+        code, out, err = run(capsys, argv)
+        assert code == cli.EXIT_OK, err
+        padded = json.loads(out)
+        assert padded["sigma_opt"] == pytest.approx(plain["sigma_opt"], rel=1e-12)
+        assert len(padded["dual_witness"]) == len(plain["dual_witness"]) + 2
+        assert padded["dual_witness"][-2:] == [0.0, 0.0]
 
     @pytest.mark.parametrize("mode,shape", [("elastic", "4 x 7"), ("plastic", "6 x 11")])
     def test_box_lp_pivot_limit(self, capsys, square_files, monkeypatch, mode, shape):
@@ -603,11 +613,64 @@ class TestMeshInput:
         assert_one_error_line(err)
 
     def test_readme_mesh_example(self, capsys, tmp_path):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        blocks = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
-        example = next(b for b in blocks if '"elements"' in b)
         path = tmp_path / "readme.mesh"
-        path.write_text(example)
+        path.write_text(json.dumps(_readme_mesh()))
         code, out, _ = run(capsys, ["capacity", str(path)])
         assert code == cli.EXIT_OK
         assert json.loads(out)["K"] > 0.0
+
+    @pytest.mark.parametrize("command", [["analyze", "T"], ["capacity"],
+                                         ["limit", "T"], ["verify", "--trials", "1"]])
+    def test_unused_node(self, capsys, tmp_path, square_files, command):
+        # the README square with a node that no element has: unrejected, its
+        # two velocity DOFs would be a rigid kernel of the clamped body
+        doc = _readme_mesh()
+        doc["nodes"].append([5.0, 5.0])
+        path = tmp_path / "unused.mesh"
+        path.write_text(json.dumps(doc))
+        argv = [command[0], str(path)] + [square_files[1] if a == "T" else a
+                                          for a in command[1:]]
+        code, out, err = run(capsys, argv)
+        assert code == cli.EXIT_INPUT and out == ""
+        assert err.strip().splitlines() == [
+            "error: invalid mesh: node 4 is not a node of any element"]
+
+
+def _readme_mesh() -> dict:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
+    return json.loads(next(b for b in blocks if '"elements"' in b))
+
+
+def _outcome(capsys, argv):
+    """Exit code, stdout and stderr but its wall-time line, of one
+    `cli.main` call, with argparse's exits as codes."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, [line for line in captured.err.splitlines()
+                                if not line.startswith("wall time: ")]
+
+
+def test_parser_reuse_carries_no_state(capsys, square_files):
+    """`cli.main` builds its parser once per process; an option given in
+    one call must not become the default of the next."""
+    mesh_path, traction_path = square_files
+    argvs = [["analyze", mesh_path, traction_path, "--mode", "plastic"],
+             ["analyze", mesh_path, traction_path],
+             ["capacity", mesh_path, "--method", "heuristic"],
+             ["capacity", mesh_path],
+             ["verify", mesh_path, "--seed", "7", "--trials", "2"],
+             ["verify", mesh_path, "--trials", "2"],
+             ["capacity", mesh_path, "--method", "none"],
+             ["--version"]]
+    first = []
+    for argv in argvs:
+        cli._build_parser.cache_clear()
+        first.append(_outcome(capsys, argv))
+    assert [code for code, _, _ in first] == [0, 0, 0, 0, 0, 0, 2, 0]
+    cli._build_parser.cache_clear()
+    assert [_outcome(capsys, argv) for argv in argvs] == first
+    assert cli._build_parser.cache_info().misses == 1

@@ -6,6 +6,14 @@ import pytest
 from loadcap import kinematics as kin
 from loadcap import mesh as msh
 
+from conftest import (element_measure_oracle, element_problems_oracle,
+                      facet_measure_oracle, kuhn_box)
+
+
+def facet_measures(m: msh.Mesh) -> np.ndarray:
+    """`mesh.facet_measures` of every facet of m."""
+    return msh.facet_measures(m, np.array([f.nodes for f in m.facets]))
+
 
 class TestValidate:
     def test_minimal_bar_valid(self, unit_bar):
@@ -85,8 +93,7 @@ class TestGenerateBar:
     def test_uniform_subdivision(self):
         m = msh.generate_bar(2.0, 1.0, 4)
         assert m.n_nodes == 5
-        for e in m.elements:
-            assert msh.element_measure(m, e) == pytest.approx(0.5)
+        assert kin.assemble(m).volumes.tolist() == pytest.approx([0.5] * 4)
 
     @pytest.mark.parametrize("args", [(1, 1, 0), (0, 1, 1), (1, -1, 1)])
     def test_bad_parameters(self, args):
@@ -125,8 +132,7 @@ class TestGenerateRectangle:
 
     def test_total_area(self):
         m = msh.generate_rectangle(2.0, 3.0, 3, 2, "left", "right")
-        total = sum(msh.element_measure(m, e) for e in m.elements)
-        assert total == pytest.approx(6.0, abs=1e-12)
+        assert kin.assemble(m).volumes.sum() == pytest.approx(6.0, abs=1e-12)
 
 
 class TestSerialization:
@@ -168,16 +174,107 @@ class TestSerialization:
 
 class TestMeasures:
     def test_two_tet_volumes(self, two_tet_mesh):
-        vols = [msh.element_measure(two_tet_mesh, e)
-                for e in two_tet_mesh.elements]
+        vols = kin.assemble(two_tet_mesh).volumes
         assert vols[0] == pytest.approx(1.0 / 6.0)
         assert sum(vols) > 0
 
     def test_facet_measures(self, two_tet_mesh):
-        for f in two_tet_mesh.facets:
-            assert msh.facet_measure(two_tet_mesh, f) > 0
+        assert np.all(facet_measures(two_tet_mesh) > 0)
 
     def test_bar_facet_measure_is_cross_section(self):
         m = msh.generate_bar(1.0, 2.5, 2)
-        for f in m.facets:
-            assert msh.facet_measure(m, f) == pytest.approx(2.5)
+        assert facet_measures(m).tolist() == pytest.approx([2.5, 2.5])
+
+
+def _near_flat(rng, dim: int, n: int, unit: float) -> msh.Mesh:
+    """n separate simplices, each with its last node moved towards the
+    hull of the others, to 1e-16 to 1e-11 of its distance from it: on
+    both sides of the zero-measure threshold.  Interleaved with an element
+    whose node is out of range and, but in 1D, a bar of the wrong kind."""
+    kind = {1: msh.BAR, 2: msh.TRIANGLE, 3: msh.TETRAHEDRON}[dim]
+    nodes, elements = [], []
+    for t in np.logspace(-16, -11, n):
+        pts = rng.uniform(-1.0, 1.0, size=(dim + 1, dim))
+        base = (pts[1:-1] - pts[0]).T
+        foot = pts[0] + base @ np.linalg.lstsq(base, pts[-1] - pts[0], rcond=None)[0]
+        pts[-1] = foot + t * (pts[-1] - foot)
+        first = len(nodes)
+        nodes.extend(pts)
+        elements.append(msh.Element(kind, tuple(range(first, first + dim + 1)),
+                                    area=1.0))
+    elements.insert(3, msh.Element(kind, (0,) * dim + (len(nodes),), area=1.0))
+    if dim > 1:
+        elements.insert(7, msh.Element(msh.BAR, (0, 1), area=1.0))
+    return msh.Mesh(dim, unit * np.array(nodes), elements)
+
+
+class TestBatchedGeometry:
+    """validate, and the volumes and areas of assemble, against the
+    per-element and per-facet formulas."""
+
+    @pytest.mark.parametrize("unit", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_validate_matches_oracle(self, dim, unit):
+        m = _near_flat(np.random.default_rng(dim), dim, 24, unit)
+        expected = element_problems_oracle(m)
+        flat = sum(p.endswith("zero measure") for p in expected)
+        if dim > 1:  # a 1D element is flat only at zero length
+            assert 0 < flat < 24
+        assert msh.validate(m) == expected + ["gamma0 is empty", "gammaT is empty"]
+
+    @pytest.mark.parametrize("unit", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+    def test_zero_length_bars(self, unit):
+        nodes = unit * np.array([[0.0], [1e-20], [1.0], [1.0], [-2.0]])
+        m = msh.Mesh(1, nodes, [msh.Element(msh.BAR, pair, area=1.0)
+                                for pair in ((0, 1), (2, 3), (3, 4), (1, 2))])
+        assert element_problems_oracle(m) == ["element 1 has zero measure"]
+        assert msh.validate(m) == ["element 1 has zero measure",
+                                   "gamma0 is empty", "gammaT is empty"]
+
+    @pytest.mark.parametrize("unit", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_measures_match_oracle_bit_for_bit(self, dim, unit):
+        rng = np.random.default_rng(10 + dim)
+        if dim == 1:
+            m = msh.generate_bar(1.0, 1.0, 6)
+            m = msh.Mesh(1, m.nodes, [msh.Element(msh.BAR, e.nodes, area=a)
+                                      for e, a in zip(m.elements,
+                                                      rng.uniform(0.5, 2.0, 6))],
+                         m.facets)
+        else:
+            m = (msh.generate_rectangle(1.0, 1.0, 3, 2, "left", "right")
+                 if dim == 2 else kuhn_box(2, 1, 1))
+        # every node moved by up to a fifth of a cell
+        nodes = unit * (m.nodes + rng.uniform(-0.1, 0.1, size=m.nodes.shape))
+        m = msh.Mesh(dim, nodes, m.elements, m.facets)
+        ops = kin.assemble(m)
+        assert ops.volumes.tolist() == [
+            element_measure_oracle(m, e) * (e.area if dim == 1 else 1.0)
+            for e in m.elements]
+        assert ops.areas.tolist() == [facet_measure_oracle(m, f)
+                                      for f in ops.gammat_facets]
+        assert facet_measures(m).tolist() == [facet_measure_oracle(m, f)
+                                              for f in m.facets]
+
+
+class TestUnusedNode:
+    def test_reported(self, unit_square):
+        m = msh.Mesh(2, np.vstack([unit_square.nodes, [[5.0, 5.0], [6.0, 5.0]]]),
+                     unit_square.elements, unit_square.facets)
+        assert msh.validate(m) == ["node 4 is not a node of any element"]
+        with pytest.raises(kin.KinematicsError, match="node 4 is not a node"):
+            kin.assemble(m)
+
+    def test_node_of_a_bad_element_is_used(self, unit_square):
+        # an element of the wrong kind, and one with a node out of range,
+        # still have the nodes they name
+        m = msh.Mesh(2, np.vstack([unit_square.nodes, [[5.0, 5.0], [6.0, 5.0]]]),
+                     list(unit_square.elements)
+                     + [msh.Element(msh.BAR, (4, 0), area=1.0),
+                        msh.Element(msh.TRIANGLE, (5, 0, 9))],
+                     unit_square.facets)
+        assert msh.validate(m) == [
+            "element 2 kind bar does not match dim 2",
+            "element 3 references node out of range",
+            "element 2 is not connected to gamma0 through shared faces "
+            "(2 loose elements)"]
