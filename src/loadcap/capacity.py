@@ -184,10 +184,12 @@ def generalized_K_dual_check(ops: DiscreteOperators, mode: str = ELASTIC) -> flo
     """K recomputed from the static side: the max of the box LP's
     sigma_opt = 1 / lambda over the vertices of the unit traction ball,
     every vertex's LP sharing the phase 1 of one `box_lp`, as the
-    heuristic's do.  The box LP does not depend on the kinematic LPs that
-    `generalized_K` walks, so the check is independent of them.  The
-    package does not call it: it stays only because the benchmark's layer
-    tracing (`TRACED` in `bench/tracing.py`) wraps it."""
+    heuristic's do.  The kinematic LP that `generalized_K` walks is built
+    as the box LP's dual (`stress.kinematic_lp`), so the two share any
+    error in `box_lp`'s formulation: the check compares the two solves,
+    not the two formulations.  The package does not call it: it stays
+    only because the benchmark's layer tracing (`TRACED` in
+    `bench/tracing.py`) wraps it."""
     tractions = _vertex_tractions(ops)
     box = box_lp(ops, mode)
     return max(1.0 / box_optimum(ops, work_vector(ops, t), mode, box).load_factor

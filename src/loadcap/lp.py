@@ -31,9 +31,9 @@ or only in one column that is zero in the LP they are made from
 runs phase 2 on a copy of it.  A standalone LP runs phase 2 in phase 1's
 own array, so that its solve holds A and one tableau at its peak.
 `solve_each` walks the costs w @ U of the rows w of a weight matrix on
-one phase-2 tableau, each phase 2 from the basis where the last one
-stopped, and settles every row that an optimal basis it reaches proves
-optimal without a phase 2 of its own.
+one phase-2 tableau of a plain LP, each phase 2 from the basis where the
+last one stopped, and settles every row that an optimal basis it reaches
+proves optimal without a phase 2 of its own.
 """
 
 from __future__ import annotations
@@ -577,21 +577,22 @@ def solve(p: LPStandardForm) -> LPSolution:
 
 def solve_each(p: LPStandardForm, unit_costs, weights) -> tuple:
     """For each row w of weights, the status and objective that `solve`
-    gives p with costs w @ unit_costs, up to rounding: an array of
-    statuses and one of objectives, nan unless optimal.  One walk over the
-    rows in order, after p's phase 1 (shared through its memo).  The first
-    row not yet settled runs phase 2 from the basis where the previous
-    phase 2 stopped; A, b and the bounds never change, so that basis stays
-    feasible.  At the optimal basis B it reaches, the reduced costs of the
-    unit costs U, R = U - U_B B^-1 A, price the next `_LOOKAHEAD` rows not
-    yet settled in one product, w @ R, each column in the directions it
-    can move, as in `_simplex`.  Each row with no price below
-    -`_PIVOT_TOL`, the test `_simplex` stops on, is optimal at B too, and
-    settles with the value w . (U x) at B's vertex x.  Rows that share
-    optimal bases, such as the sign patterns of a traction, so need far
-    fewer phase 2s than there are rows.  The rounding of the pivots before
-    B carries into the values, so values that must be exact, or a
-    solution, come from `solve`.  p's own costs are not used."""
+    gives the plain LP p (`LPError` otherwise) with costs w @ unit_costs,
+    up to rounding: an array of statuses and one of objectives, nan unless
+    optimal.  One walk over the rows in order, after p's phase 1 (shared
+    through its memo).  The first row not yet settled runs phase 2 from
+    the basis where the previous phase 2 stopped; A and b never change, so
+    that basis stays feasible.  At the optimal basis B it reaches, the
+    reduced costs of the unit costs U, R = U - U_B B^-1 A, price the next
+    `_LOOKAHEAD` rows not yet settled in one product, w @ R, a nonnegative
+    column upwards and a free one both ways, as in `_simplex`.  Each row
+    with no price below -`_PIVOT_TOL`, the test `_simplex` stops on, is
+    optimal at B too, and settles with the value w . (U_B x_B) at B's
+    vertex.  Rows that share optimal bases, such as the sign patterns of a
+    traction, so need far fewer phase 2s than there are rows.  The
+    rounding of the pivots before B carries into the values, so values
+    that must be exact, or a solution, come from `solve`.  p's own costs
+    are not used."""
     m, n = p.A.shape
     U = np.asarray(unit_costs, dtype=float)
     W = np.asarray(weights)
@@ -602,6 +603,8 @@ def solve_each(p: LPStandardForm, unit_costs, weights) -> tuple:
                       f"numbers of shape (rows, {len(U)})")
     if not (np.all(np.isfinite(U)) and np.all(np.isfinite(W))):
         raise LPError("unit costs or weights contain non-finite entries")
+    if not p.plain:
+        raise LPError("solve_each needs every column free or nonnegative")
     W = W.astype(float)  # cast once, not in each product: the same values
     status = np.empty(len(W), dtype=object)
     status[:] = INFEASIBLE  # one str object; np.full would copy it per row
@@ -620,23 +623,13 @@ def solve_each(p: LPStandardForm, unit_costs, weights) -> tuple:
             continue
         U_B = U[:, basis]
         R = U - U_B @ T[:-1, :n]
-        # -|d_j| >= -tol on a column that moves both ways is d_j >= -tol
-        # and -d_j >= -tol
-        if p.plain:
-            R = np.concatenate((R, -R[:, free]), axis=1)
-        else:
-            R = np.concatenate((R[:, value < p.upper], -R[:, value > p.lower]),
-                               axis=1)
+        # -|d_j| >= -tol on a free column is d_j >= -tol and -d_j >= -tol
+        R = np.concatenate((R, -R[:, free]), axis=1)
         ahead = todo[head + 1:head + 1 + _LOOKAHEAD]
         optimal = (W[ahead] @ R >= -_PIVOT_TOL).all(axis=1)
         done = np.concatenate(((row,), ahead[optimal]))
         status[done] = OPTIMAL
-        at = U_B @ T[:-1, -1]
-        if not p.plain:  # the nonbasic columns away from 0 add their costs
-            nonbasic = value.copy()
-            nonbasic[basis] = 0.0
-            at = at + U @ nonbasic
-        objective[done] = W[done] @ at
+        objective[done] = W[done] @ (U_B @ T[:-1, -1])
         # the rows left in the window move up to just before the rest
         rest = ahead[~optimal]
         head += len(done)

@@ -21,10 +21,9 @@ and its quotient by spherical shifts in plastic mode.
   condition is written once, in `box_lp`, and a stress field is decoded
   from the box LP's stress columns in one place (`stress_field`).  The
   traction enters only its costs, so every objective shares one phase 1:
-  the exact-K walk over sign patterns runs on it, and `verify` solves it
-  apart from the box LP as a reference.  Being derived, it would share a
-  formulation error of `box_lp`; `certify`'s checks, which do not use
-  the LP solver, catch such an error.
+  the exact-K walk over sign patterns runs on it.  Being derived, it
+  would share a formulation error of `box_lp`; `certify`'s checks, which
+  do not use the LP solver, catch such an error.
 """
 
 from __future__ import annotations
@@ -128,6 +127,17 @@ def check_equilibrium(ops: DiscreteOperators, s: StressField, t):
     residual = float(np.abs(weighted @ ops.strain_op - work).max(initial=0.0))
     terms = np.abs(weighted) @ np.abs(ops.strain_op) + np.abs(work)
     return residual <= 1e-8 * terms.max(initial=0.0), residual
+
+
+def check_isochoric(ops: DiscreteOperators, w):
+    """(ok, dilation): the largest volumetric strain of an element under
+    the velocity field w, and whether it is within 1e-8 times the largest
+    sum of magnitudes that one element's dilation adds up, (|C| |w|)_e,
+    with C the isochoric constraints; as in `check_equilibrium`, the
+    verdict does not depend on the unit of length."""
+    C = isochoric_constraints(ops)
+    dilation = float(np.abs(C @ w).max(initial=0.0))
+    return dilation <= 1e-8 * (np.abs(C) @ np.abs(w)).max(initial=0.0), dilation
 
 
 def _solve(prob: lp.LPStandardForm, name: str) -> lp.LPSolution:
@@ -430,10 +440,8 @@ def certify(ops: DiscreteOperators, t, mode: str, value: float, sigma_hat: Stres
             "certificate failed: the recovered stress does not balance the "
             f"traction (equilibrium residual {residual:.3e})")
     if mode == PLASTIC:
-        # relative to the largest sum of magnitudes of a dilation's terms
-        isochoric = isochoric_constraints(ops)
-        dilation = np.abs(isochoric @ w).max(initial=0.0)
-        if dilation > 1e-8 * (np.abs(isochoric) @ np.abs(w)).max(initial=0.0):
+        isochoric, dilation = check_isochoric(ops, w)
+        if not isochoric:
             raise SolverFailure(
                 "certificate failed: the plastic witness is not isochoric "
                 f"(volumetric strain {dilation:.3e})")

@@ -11,6 +11,7 @@ from loadcap import cli
 from loadcap import kinematics as kin
 from loadcap import lp
 from loadcap import mesh as msh
+from loadcap import stress as st
 
 from conftest import end_tension_plate
 
@@ -212,13 +213,80 @@ class TestVerify:
         assert code == cli.EXIT_OK
         assert json.loads(out)["all_ok"]
 
+    def test_elastic_8x8_plate(self, capsys, tmp_path):
+        # verify used to walk this plate's 385 x 913 kinematic LP as a
+        # reference, which hit the 50,000-pivot limit
+        mesh_path = tmp_path / "plate.mesh"
+        msh.write_mesh(end_tension_plate(8)[0], mesh_path)
+        code, out, _ = run(capsys, ["verify", str(mesh_path), "--trials", "1"])
+        assert code == cli.EXIT_OK
+        assert json.loads(out)["all_ok"]
+
+    def test_box_lp_formulation_error(self, capsys, tmp_path, monkeypatch):
+        # off-diagonal stress columns of weight 1 instead of 2 in the
+        # equilibrium rows: the box LP's stresses do not balance the traction
+        box_lp = st.box_lp
+
+        def halved(ops, mode):
+            p = box_lp(ops, mode)
+            nc = kin.n_comps(ops.dim)
+            per = nc + (mode == st.PLASTIC and ops.dim == 2)
+            cols = np.arange(ops.n_elements)[:, None] * per + np.arange(ops.dim, nc)
+            A = p.A.copy()
+            A[:ops.n_dof, cols.ravel()] *= 0.5
+            return lp.LPStandardForm(c=p.c, A=A, b=p.b, lower=p.lower,
+                                     upper=p.upper)
+        monkeypatch.setattr(st, "box_lp", halved)
+        mesh_path = tmp_path / "plate.mesh"
+        msh.write_mesh(msh.generate_rectangle(1, 1, 2, 2, "left", "right"),
+                       mesh_path)
+        code, out, _ = run(capsys, ["verify", str(mesh_path), "--trials", "3"])
+        assert code == cli.EXIT_SOLVER
+        checks = json.loads(out)["checks"]
+        assert len(checks) == 2 + 2 * 3 * 2 + 10
+        duality = [c for c in checks if c["check"].startswith("duality_trial")]
+        assert len(duality) == 6 and not any(c["ok"] for c in duality)
+
+    @pytest.mark.parametrize("factor", [0.0, 1e3])
+    def test_duality_bounds_checked(self, capsys, square_files, monkeypatch,
+                                    factor):
+        # a sigma_opt below every probe's ratio, or above the measure of the
+        # least-squares stress, fails although its certificate's gap holds
+        optimal_stress = st.optimal_stress
+
+        def moved(*args):
+            res = optimal_stress(*args)
+            return res._replace(sigma_opt=factor * res.sigma_opt)
+        monkeypatch.setattr(st, "optimal_stress", moved)
+        code, out, _ = run(capsys, ["verify", square_files[0], "--trials", "3"])
+        assert code == cli.EXIT_SOLVER
+        failed = [c["check"] for c in json.loads(out)["checks"] if not c["ok"]]
+        assert failed == [f"duality_trial{k}_{mode}" for k in range(3)
+                          for mode in ("elastic", "plastic")]
+
+    def test_no_isochoric_field(self, capsys, tmp_path):
+        # three triangles about the one free node: only w = 0 is isochoric,
+        # so the plastic probes' projections leave rounding only, which is
+        # not admissible and bounds nothing
+        nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 0.0]])
+        elements = [msh.Element(msh.TRIANGLE, e)
+                    for e in ((0, 1, 3), (0, 3, 2), (1, 4, 3))]
+        facets = [msh.Facet(f, msh.GAMMA0) for f in ((0, 1), (2, 0), (1, 4))]
+        facets += [msh.Facet(f, msh.GAMMAT) for f in ((4, 3), (3, 2))]
+        mesh_path = tmp_path / "fan.mesh"
+        msh.write_mesh(msh.Mesh(2, nodes, tuple(elements), tuple(facets)), mesh_path)
+        code, out, _ = run(capsys, ["verify", str(mesh_path), "--trials", "5"])
+        assert code == cli.EXIT_OK
+        assert json.loads(out)["all_ok"]
+
 
 def test_small_length_unit(capsys, tmp_path):
     # on the 2x1 plate at a length unit of 1e-4, capacity reported
-    # K = 3.333 and a C that is not safe, plastic capacity failed, and
-    # verify failed a kinematic LP as unbounded: its entries came near the
-    # simplex's absolute tolerances, until the kinematic LP's lengths were
-    # normalized by a power of two
+    # K = 3.333 and a C that is not safe, and plastic capacity failed: the
+    # kinematic LP's entries came near the simplex's absolute tolerances,
+    # until its lengths were normalized by a power of two.  verify, which
+    # solved that LP too, checks weak-duality bounds that scale with the
+    # unit of length
     mesh_path = tmp_path / "small.mesh"
     msh.write_mesh(msh.generate_rectangle(1e-4, 1e-4, 2, 1, "left", "right"),
                    mesh_path)
@@ -353,28 +421,21 @@ class TestSolveCounts:
     def test_verify(self, capsys, square_files, bar_files, solves, monkeypatch,
                     trials):
         # per trial and mode: the certified box LP optimum and the scaled
-        # traction's; then ten LP-oracle solves.  The kinematic reference
-        # LPs are one walk per mode, one row per trial, and none without
-        # trials
-        solve_each, walks = lp.solve_each, []
-
-        def counted_walk(p, unit_costs, weights):
-            walks.append(len(weights))
-            return solve_each(p, unit_costs, weights)
-        monkeypatch.setattr(lp, "solve_each", counted_walk)
+        # traction's; then ten LP-oracle solves.  The duality bounds solve
+        # no LP, so nothing walks
+        monkeypatch.setattr(lp, "solve_each", None)
         for (mesh_path, _), modes in ((square_files, 2), (bar_files, 1)):
             solves.clear()
-            walks.clear()
-            code, _, _ = run(capsys, ["verify", mesh_path,
-                                      "--trials", str(trials)])
+            code, out, _ = run(capsys, ["verify", mesh_path,
+                                        "--trials", str(trials)])
             assert code == cli.EXIT_OK
             assert len(solves) == 2 * trials * modes + 10
-            assert walks == ([trials] * modes if trials else [])
+            assert len(json.loads(out)["checks"]) == 2 + 2 * trials * modes + 10
 
     def test_verify_phase1_runs(self, capsys, square_files, bar_files,
                                 monkeypatch):
-        # one phase 1 per mode for the kinematic walk, one per mode shared
-        # by every traction's box LP, and one per LP-oracle solve
+        # one phase 1 per mode, shared by every traction's box LP, and one
+        # per LP-oracle solve
         phase1 = lp._phase1
         calls = []
         monkeypatch.setattr(lp, "_phase1",
@@ -382,10 +443,11 @@ class TestSolveCounts:
         trials = 2
         for (mesh_path, _), modes in ((square_files, 2), (bar_files, 1)):
             calls.clear()
-            code, _, _ = run(capsys, ["verify", mesh_path,
-                                      "--trials", str(trials)])
+            code, out, _ = run(capsys, ["verify", mesh_path,
+                                        "--trials", str(trials)])
             assert code == cli.EXIT_OK
-            assert len(calls) == 2 * modes + 10
+            assert len(calls) == modes + 10
+            assert len(json.loads(out)["checks"]) == 2 + 2 * trials * modes + 10
 
 
 def test_pivot_limit_names_the_lp(capsys, square_files, monkeypatch):
