@@ -5,15 +5,19 @@ K is the operator norm of the boundary trace on the clamped kinematic
 space: the supremum of boundary L1 norm over strain norm.  Its exact
 computation maximizes a convex piecewise-linear functional over a
 polytope, done here by exhaustive enumeration of boundary sign patterns
-(hard cap 16 scalar components) on the kinematic LP, where a pattern's
-traction enters only the costs: one simplex walk over the patterns in
-Gray-code order, which runs phase 2, from the optimal basis where the
-last one stopped, only for a pattern that no basis before it proves
-optimal, then a full solve of every pattern whose walk value is a near
-tie of the best, among which the worst traction is chosen.  Beyond
-the cap an alternating heuristic produces a certified lower bound; it
-solves the box LP of each sign pattern it visits (`stress.box_optimum`),
-once.  `limit_analysis` reads lambda* off one plastic box LP, whose
+(hard cap 16 scalar components), the vertices of the unit traction ball,
+which one int8 matrix holds (`_sign_vertices`).  Exact K runs on the
+kinematic LP, where a pattern's traction enters only the costs: one
+simplex walk over the patterns in Gray-code order, which runs phase 2,
+from the optimal basis where the last one stopped, only for a pattern
+that no basis before it proves optimal, then a full solve of every
+pattern whose walk value is a near tie of the best, among which the
+worst traction is chosen.  Beyond the cap an alternating heuristic
+produces a lower bound; it solves the box LP of each sign pattern it
+visits (`stress.box_optimum`), once.  Both certify the worst pattern's
+own solution (`stress.certify`), so the heuristic's K is the certified
+value of one traction, a lower bound on K, and its C is not a safe
+load.  `limit_analysis` reads lambda* off one plastic box LP, whose
 optimum is the load factor itself.
 """
 
@@ -47,15 +51,15 @@ class CapacityError(ValueError):
 class CapacityResult(NamedTuple):
     """K and C = 1/K, the traction that attains K and the velocity field
     that certifies it.  The heuristic's K is a lower bound only.
-    K_traction_side, exact method only, is the stress measure of the
-    certified stress of worst_traction."""
+    K_traction_side is the stress measure of the certified stress of
+    worst_traction."""
 
     K: float
     C: float
     worst_traction: np.ndarray
     method: str
     certificate: np.ndarray
-    K_traction_side: float | None = None
+    K_traction_side: float
 
 
 class LimitResult(NamedTuple):
@@ -65,42 +69,22 @@ class LimitResult(NamedTuple):
     lambda_kinematic: float
 
 
-def _sign_components(ops: DiscreteOperators) -> int:
-    """m, the number of boundary components, checked against the cap."""
+def _sign_vertices(ops: DiscreteOperators) -> np.ndarray:
+    """The 2^(m-1) vertices of the unit traction ball up to sign, raveled,
+    m the number of boundary components, which is checked against the cap
+    first: an int8 matrix whose row k is code k, component 0 is +1 (t and
+    -t give the same value), and component b + 1 is -1 exactly when bit b
+    of k is set.  Built by doubling: rows 2^b to 2^(b+1) - 1 are the rows
+    before them with component b + 1 negative, so no temporary array."""
     m = len(ops.gammat_facets) * ops.dim
     if m > SIGN_PATTERN_CAP:
         raise CapacityError(
             f"exact enumeration capped at {SIGN_PATTERN_CAP} boundary "
             f"components; this mesh has {m} (use the heuristic)")
-    return m
-
-
-def _vertex(code: int, m: int) -> np.ndarray:
-    """Vertex `code` of the unit traction ball, raveled: component 0 is +1
-    (t and -t give the same value), and component b + 1 is -1 exactly when
-    bit b of code is set."""
-    return np.concatenate(([1.0], 1.0 - 2.0 * ((code >> np.arange(m - 1)) & 1)))
-
-
-def _vertex_tractions(ops: DiscreteOperators):
-    """The 2^(m-1) vertices of the unit traction ball up to sign, by code
-    counting up.  The cap is checked at once; the vertices come one at a
-    time."""
-    m = _sign_components(ops)
-    return (_vertex(code, m).reshape(-1, ops.dim) for code in range(2 ** (m - 1)))
-
-
-def _gray_signs(m: int) -> np.ndarray:
-    """The 2^(m-1) vertices of the unit traction ball up to sign, raveled,
-    in Gray-code order: row k is `_vertex(k ^ (k >> 1), m)`, so each row
-    flips one sign of the row before, component b + 1 with b the lowest
-    set bit of k.  Built by reflection: rows 2^b to 2^(b+1) - 1 are the
-    rows before them in reverse, with component b + 1 negative.  int8, and
-    no temporary array."""
     signs = np.ones((2 ** (m - 1), m), dtype=np.int8)
     for b in range(m - 1):
         half = 2 ** b
-        signs[half:2 * half] = signs[half - 1::-1]
+        signs[half:2 * half] = signs[:half]
         signs[half:2 * half, b + 1] = -1
     return signs
 
@@ -111,14 +95,14 @@ def generalized_K(ops: DiscreteOperators, mode: str = ELASTIC,
 
     Exact: every sign pattern maximizes a new work over the same kinematic
     LP, built once here, so all of them share its phase 1.  One simplex
-    walk (`kinematic_suprema`) gives every vertex's value, in Gray-code
-    order (`_gray_signs`), and settles every vertex that an optimal basis
-    it reaches already proves optimal without a phase 2 of its own.  Its
-    values carry the rounding of the walk, so every vertex within
-    `_NEAR_TIE` (relative) of the best is solved again on its own, by code
-    counting up, and the first one that beats all before it by more than
-    1e-12 is the worst traction.  K is certified (`stress.certify`) from
-    that solve's solution.
+    walk (`kinematic_suprema`) gives every vertex's value, reading the
+    vertex matrix (`_sign_vertices`) in Gray-code order, row k ^ (k >> 1)
+    at step k, so that each step flips one sign, and settles every vertex
+    that an optimal basis it reaches already proves optimal without a
+    phase 2 of its own.  Its values carry the rounding of the walk, so
+    every vertex within `_NEAR_TIE` (relative) of the best is solved again
+    on its own, by code counting up, and the first one that beats all
+    before it by more than 1e-12 is the worst traction.
 
     Heuristic: from all-ones and `HEURISTIC_RESTARTS` - 1 seeded random
     sign patterns, alternate between solving a pattern's box LP (all of
@@ -126,74 +110,74 @@ def generalized_K(ops: DiscreteOperators, mode: str = ELASTIC,
     sigma_opt = 1 / lambda and whose witness is its equilibrium rows'
     multipliers, and taking the signs of the witness's trace, until the
     signs repeat.  A pattern that an earlier restart or step visited is
-    not solved again: its solve is deterministic, so its value and
-    witness are kept for the call."""
+    not solved again: its solve is deterministic, so its optimum is kept
+    for the call.  K is then a lower bound on the true K.
+
+    Either way K is certified (`stress.certify`) from the worst pattern's
+    own solution, once, and K_traction_side is the stress measure of its
+    certified stress."""
+    best_val = -1.0
     if method == EXACT:
-        m = _sign_components(ops)
+        signs = _sign_vertices(ops)
         kinematic = kinematic_lp(ops, mode)
         unit_work = np.array([work_vector(ops, e.reshape(-1, ops.dim))
-                              for e in np.eye(m)])
-        values = kinematic_suprema(kinematic, unit_work, _gray_signs(m))
+                              for e in np.eye(signs.shape[1])])
+        k = np.arange(len(signs))
+        values = kinematic_suprema(kinematic, unit_work, signs[k ^ (k >> 1)])
         top = values.max()
         steps = np.flatnonzero(values >= top - _NEAR_TIE * (1.0 + abs(top)))
-        best_val, worst, best_w, best_s = -1.0, None, None, None
         for code in np.sort(steps ^ (steps >> 1)):
-            t = _vertex(int(code), m).reshape(-1, ops.dim)
+            t = signs[code].reshape(-1, ops.dim).astype(float)
             val, w, s = kinematic_supremum(kinematic, work_vector(ops, t))
             if val > best_val + 1e-12:
                 best_val, worst, best_w, best_s = val, t, w, s
-        K = max(best_val, 0.0)
-        stress = certify(ops, worst, mode, K,
-                         stress_field(ops, mode, best_s), best_w).sigma_hat
-        return CapacityResult(K=K, C=_safe_inverse(K), worst_traction=worst,
-                              method=EXACT, certificate=best_w,
-                              K_traction_side=stress_measure(stress, mode, ops))
-    if method == HEURISTIC:
+        sigma_hat = stress_field(ops, mode, best_s)
+    elif method == HEURISTIC:
         box = box_lp(ops, mode)
         shape = (len(ops.gammat_facets), ops.dim)
         rng = np.random.default_rng(0)
         starts = [np.ones(shape)]
         starts += [np.where(rng.random(shape) < 0.5, -1.0, 1.0)
                    for _ in range(HEURISTIC_RESTARTS - 1)]
-        best_val, best_w, worst = -1.0, None, starts[0]
-        solved = {}  # sign pattern -> (value, witness)
+        solved = {}  # sign pattern -> its BoxOptimum
         for signs in starts:
             for _ in range(HEURISTIC_MAX_ITER):
                 key = signs.tobytes()
                 if key not in solved:
-                    opt = box_optimum(ops, work_vector(ops, signs), mode, box)
-                    solved[key] = 1.0 / opt.load_factor, opt.witness
-                val, w = solved[key]
+                    solved[key] = box_optimum(ops, work_vector(ops, signs), mode, box)
+                opt = solved[key]
+                val = 1.0 / opt.load_factor
                 if val > best_val + 1e-12:
-                    best_val, worst, best_w = val, signs, w
-                new_signs = np.where(trace(ops, w) >= 0.0, 1.0, -1.0)
+                    best_val, worst, best_w = val, signs, opt.witness
+                    sigma_hat = opt.sigma_hat
+                new_signs = np.where(trace(ops, opt.witness) >= 0.0, 1.0, -1.0)
                 if np.array_equal(new_signs, signs):
                     break
                 signs = new_signs
-        K = max(best_val, 0.0)
-        return CapacityResult(K=K, C=_safe_inverse(K), worst_traction=worst,
-                              method=HEURISTIC, certificate=best_w)
-    raise CapacityError(f"unknown method {method!r}")
-
-
-def _safe_inverse(K: float) -> float:
-    return float("inf") if K == 0.0 else 1.0 / K
+    else:
+        raise CapacityError(f"unknown method {method!r}")
+    K = max(best_val, 0.0)
+    certify(ops, worst, mode, K, sigma_hat, best_w)
+    return CapacityResult(K=K, C=float("inf") if K == 0.0 else 1.0 / K,
+                          worst_traction=worst, method=method, certificate=best_w,
+                          K_traction_side=stress_measure(sigma_hat, mode, ops))
 
 
 def generalized_K_dual_check(ops: DiscreteOperators, mode: str = ELASTIC) -> float:
     """K recomputed from the static side: the max of the box LP's
     sigma_opt = 1 / lambda over the vertices of the unit traction ball,
-    every vertex's LP sharing the phase 1 of one `box_lp`, as the
-    heuristic's do.  The kinematic LP that `generalized_K` walks is built
-    as the box LP's dual (`stress.kinematic_lp`), so the two share any
-    error in `box_lp`'s formulation: the check compares the two solves,
-    not the two formulations.  The package does not call it: it stays
+    the rows of `_sign_vertices`, every vertex's LP sharing the phase 1 of
+    one `box_lp`, as the heuristic's do.  The kinematic LP that
+    `generalized_K` walks is built as the box LP's dual
+    (`stress.kinematic_lp`), so the two share any error in `box_lp`'s
+    formulation: the check compares the two solves, not the two
+    formulations.  The package does not call it: it stays
     only because the benchmark's layer tracing (`TRACED` in
     `bench/tracing.py`) wraps it."""
-    tractions = _vertex_tractions(ops)
+    signs = _sign_vertices(ops)
     box = box_lp(ops, mode)
-    return max(1.0 / box_optimum(ops, work_vector(ops, t), mode, box).load_factor
-               for t in tractions)
+    return max(1.0 / box_optimum(ops, work_vector(ops, t.reshape(-1, ops.dim)),
+                                 mode, box).load_factor for t in signs)
 
 
 def limit_analysis(ops: DiscreteOperators, t, Y0: float) -> LimitResult:

@@ -160,7 +160,7 @@ def cmd_capacity(args) -> int:
         "certificate": [float(v) for v in result.certificate],
         "interpretation": interpretation,
     })
-    if result.K_traction_side is not None:
+    if result.method == cap.EXACT:
         report["K_traction_side"] = result.K_traction_side
         report["K_cross_check_gap"] = abs(result.K - result.K_traction_side)
     _emit(report, [summary], t0)
@@ -334,7 +334,7 @@ def main(argv=None) -> int:
             cap.CapacityError, lp.LPError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (st.SolverFailure, lp.LPIterationError) as exc:
+    except (st.SolverFailure, lp.LPIterationError, lp.LPBasisError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

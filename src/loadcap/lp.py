@@ -21,7 +21,8 @@ a dozen calls per iteration besides the pivot.  A pivot updates only the
 entries it changes, in the rows with a nonzero pivot-column entry and
 the columns with a nonzero pivot-row entry, or the whole tableau, as
 the counts make cheapest (`_pivot`).  At the end of a solve, x_B and the
-multipliers are solved from A, b and c at the optimal basis.
+multipliers are solved from A, b and c at the optimal basis; a singular
+basis, or an x_B outside its bounds, fails with `LPBasisError`.
 Inequalities are handled by LPBuilder, which gives each a slack column.
 Phase 1 crash-starts (`_phase1`), so that only the rows without a crash
 column get an artificial.  It depends on A, b and the bounds only, so
@@ -85,6 +86,22 @@ class LPIterationError(RuntimeError):
         super().__init__(
             f"simplex phase {phase} did not terminate in {iterations} "
             f"iterations on a {shape[0]} x {shape[1]} LP (rows x cols)")
+
+
+class LPBasisError(RuntimeError):
+    """The optimal basis B that phase 2 stopped at gives no solution from
+    the data: B is singular, or x_B leaves its bounds by more than
+    `_FEAS_TOL` relative to the bound, as the rounding of a long run of
+    pivots can make it; never reported as a wrong answer.  violation is
+    the largest distance of x_B past a bound, inf if B is singular."""
+
+    def __init__(self, shape: tuple, pivots: int, violation: float):
+        self.shape, self.pivots, self.violation = shape, pivots, violation
+        problem = ("that is singular" if violation == np.inf else
+                   f"whose x_B leaves its bounds by {violation:.3e}")
+        super().__init__(
+            f"simplex phase 2 stopped after {pivots} pivots at a basis "
+            f"{problem} on a {shape[0]} x {shape[1]} LP (rows x cols)")
 
 
 class _Phase1(NamedTuple):
@@ -518,32 +535,29 @@ def _start_with_column(p: LPStandardForm, base: LPStandardForm, j: int) -> _Phas
     """Phase 1 of p = base.with_column(j, a): a copy of base's, with
     column j of the tableau solved from the data at its basis B, B^-1 a.
     If base's phase 1 found it infeasible or dropped a redundant row, a
-    need not share that, so p runs its own phase 1."""
+    need not share that, and B^-1 a needs B nonsingular in floating point,
+    so otherwise p runs its own phase 1."""
     start = _start(base)
-    if start.tableau is None or len(start.keep_rows) < len(p.b):
-        return _phase1(p.A, p.b, p.lower, p.upper, p.plain)
-    start.tableau[:-1, j] = _solve_basis(p.A[:, start.basis], p.A[:, j])
-    return start
+    if start.tableau is not None and len(start.keep_rows) == len(p.b):
+        try:
+            start.tableau[:-1, j] = np.linalg.solve(p.A[:, start.basis], p.A[:, j])
+            return start
+        except np.linalg.LinAlgError:
+            pass
+    return _phase1(p.A, p.b, p.lower, p.upper, p.plain)
 
 
 def _phase2(T: np.ndarray, basis: np.ndarray, c: np.ndarray,
-            p: LPStandardForm, value: np.ndarray) -> str:
+            p: LPStandardForm, value: np.ndarray) -> tuple:
     """Write the reduced costs of c at the basis into T's last row, then
-    run phase 2 of p from that basis.  The constraint rows of T are the
-    tableau of a feasible basis, so any c may follow any other."""
+    run phase 2 of p from that basis; returns (status, pivots).  The
+    constraint rows of T are the tableau of a feasible basis, so any c
+    may follow any other."""
     n = len(c)
     T[-1, :n] = c
     T[-1, n] = 0.0
     T[-1] -= c[basis] @ T[:-1]
-    return _simplex(T, basis, p.lower, p.upper, value, p.plain, 2, p.A.shape)[0]
-
-
-def _solve_basis(B: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """B^-1 rhs, or a least-squares solution if B is singular."""
-    try:
-        return np.linalg.solve(B, rhs)
-    except np.linalg.LinAlgError:
-        return np.linalg.lstsq(B, rhs, rcond=None)[0]
+    return _simplex(T, basis, p.lower, p.upper, value, p.plain, 2, p.A.shape)
 
 
 def solve(p: LPStandardForm) -> LPSolution:
@@ -551,12 +565,15 @@ def solve(p: LPStandardForm) -> LPSolution:
     if p is standalone, else on a copy of its shared phase 1.  At the
     optimal basis B, x_B and the multipliers are solved from the data, not
     read off the tableau, whose pivots carry rounding: B x_B = b - N x_N
-    and B^T y = c_B.  Deterministic for identical input, and the same
-    whether phase 1 is run here or shared with an LP of the same A and b."""
+    and B^T y = c_B.  A singular B, or an x_B that leaves its bounds by
+    more than `_FEAS_TOL` (1 + |bound|), raises `LPBasisError`: the
+    tableau's rounding misled phase 2.  Deterministic for identical input,
+    and the same whether phase 1 is run here or shared with an LP of the
+    same A and b."""
     T, basis, keep_rows, _, value = _start(p)
     if T is None:
         return LPSolution(INFEASIBLE)
-    status = _phase2(T, basis, p.c, p, value)
+    status, pivots = _phase2(T, basis, p.c, p, value)
     if status != OPTIMAL:
         return LPSolution(status)
     del T  # freed before B is gathered and factored
@@ -567,11 +584,20 @@ def solve(p: LPStandardForm) -> LPSolution:
     if x.any():
         rhs = rhs - (p.A @ x)[keep_rows]
     B = p.A[np.ix_(keep_rows, basis)]
-    x[basis] = _solve_basis(B, rhs)
     # equality multipliers w.r.t. the original rows (dropped redundant
     # rows get zero)
     y = np.zeros(len(p.b))
-    y[keep_rows] = _solve_basis(B.T, p.c[basis])
+    try:
+        x[basis] = np.linalg.solve(B, rhs)
+        y[keep_rows] = np.linalg.solve(B.T, p.c[basis])
+    except np.linalg.LinAlgError:
+        raise LPBasisError(p.A.shape, pivots, np.inf) from None
+    lower, upper, x_B = p.lower[basis], p.upper[basis], x[basis]
+    inside = (x_B >= lower - _FEAS_TOL * (1.0 + np.abs(lower))) & \
+        (x_B <= upper + _FEAS_TOL * (1.0 + np.abs(upper)))
+    if not inside.all():
+        violation = np.maximum(lower - x_B, x_B - upper)[~inside].max()
+        raise LPBasisError(p.A.shape, pivots, float(violation))
     return LPSolution(OPTIMAL, x=x, y=y, objective=float(p.c @ x))
 
 
@@ -617,7 +643,7 @@ def solve_each(p: LPStandardForm, unit_costs, weights) -> tuple:
     head, free = 0, np.flatnonzero(p.free)
     while head < len(todo):
         row = todo[head]
-        if _phase2(T, basis, W[row] @ U, p, value) == UNBOUNDED:
+        if _phase2(T, basis, W[row] @ U, p, value)[0] == UNBOUNDED:
             status[row] = UNBOUNDED
             head += 1
             continue

@@ -141,10 +141,11 @@ def check_isochoric(ops: DiscreteOperators, w):
 
 
 def _solve(prob: lp.LPStandardForm, name: str) -> lp.LPSolution:
-    """`lp.solve`, with a pivot-limit failure named after the LP."""
+    """`lp.solve`, with a pivot-limit or optimal-basis failure named after
+    the LP."""
     try:
         return lp.solve(prob)
-    except lp.LPIterationError as exc:
+    except (lp.LPIterationError, lp.LPBasisError) as exc:
         raise SolverFailure(f"{name}: {exc}") from exc
 
 

@@ -91,12 +91,14 @@ def split_free(p):
 
 def cold_generalized_K(ops: kin.DiscreteOperators, mode: str) -> cap.CapacityResult:
     """Oracle: exact K from one solve per vertex of the unit traction ball,
-    by code counting up, each phase 2 from the shared phase 1; the first
-    vertex that beats all before it by more than 1e-12 is the worst
-    traction, certified from its own solution."""
+    by code counting up (the rows of `capacity._sign_vertices`), each
+    phase 2 from the shared phase 1; the first vertex that beats all
+    before it by more than 1e-12 is the worst traction, certified from
+    its own solution."""
     kinematic = st.kinematic_lp(ops, mode)
     best_val, worst, best_w, best_s = -1.0, None, None, None
-    for t in cap._vertex_tractions(ops):
+    for signs in cap._sign_vertices(ops):
+        t = signs.reshape(-1, ops.dim).astype(float)
         val, w, s = st.kinematic_supremum(kinematic, kin.work_vector(ops, t))
         if val > best_val + 1e-12:
             best_val, worst, best_w, best_s = val, t, w, s

@@ -84,7 +84,8 @@ class TestGeneralizedK:
                                           kin.work_vector(ops, res.worst_traction))[0]
             assert res.K_traction_side == pytest.approx(value, rel=1e-8)
             heur = cap.generalized_K(ops, mode, cap.HEURISTIC)
-            assert heur.K_traction_side is None
+            assert heur.K_traction_side == pytest.approx(
+                heur.K, abs=st.DUALITY_GAP_TOL * (1.0 + heur.K))
 
     def test_failed_certificate_raises(self, square_ops, monkeypatch):
         solve = cap.kinematic_supremum
@@ -96,26 +97,51 @@ class TestGeneralizedK:
         with pytest.raises(st.SolverFailure, match="does not balance"):
             cap.generalized_K(square_ops)
 
+    @staticmethod
+    def sign_vertices(m):
+        return cap._sign_vertices(SimpleNamespace(gammat_facets=[None] * m, dim=1))
+
     @pytest.mark.parametrize("m", [1, 2, 5, 10])
     def test_vertex_order(self, m):
-        # code's bit b set <=> component b + 1 negative, code counting up
-        ops = SimpleNamespace(gammat_facets=[None] * m, dim=1)
-        want = [[1.0] + [-1.0 if code >> b & 1 else 1.0 for b in range(m - 1)]
+        # row k is code k: bit b of k set <=> component b + 1 negative
+        signs = self.sign_vertices(m)
+        assert signs.dtype == np.int8
+        want = [[1] + [-1 if code >> b & 1 else 1 for b in range(m - 1)]
                 for code in range(2 ** (m - 1))]
-        got = [t.ravel().tolist() for t in cap._vertex_tractions(ops)]
-        assert got == want
+        assert signs.tolist() == want
+        assert len({tuple(row) for row in signs.tolist()}) == 2 ** (m - 1)
 
     @pytest.mark.parametrize("m", [1, 2, 5, 10])
     def test_gray_order(self, m):
-        signs = cap._gray_signs(m)
-        assert signs.dtype == np.int8
-        got = signs.tolist()
-        want = [cap._vertex(k ^ (k >> 1), m).tolist() for k in range(2 ** (m - 1))]
-        assert got == want
-        assert sorted(got) == sorted(cap._vertex(code, m).tolist()
-                                     for code in range(2 ** (m - 1)))
+        # the walk's order, row k ^ (k >> 1) at step k, visits every
+        # vertex once and flips one sign per step
+        signs = self.sign_vertices(m)
+        k = np.arange(2 ** (m - 1))
+        got = signs[k ^ (k >> 1)].tolist()
+        assert sorted(got) == sorted(signs.tolist())
+        assert len({tuple(row) for row in got}) == 2 ** (m - 1)
         flips = [np.count_nonzero(np.subtract(a, b)) for a, b in zip(got, got[1:])]
         assert flips == [1] * (2 ** (m - 1) - 1)
+
+    def test_heuristic_certificate_failure_raises(self, square_ops, monkeypatch):
+        # a zeroed witness has ratio 0, which the stress measure does not
+        # match: the heuristic's K is certified like every other
+        solve = cap.box_optimum
+        monkeypatch.setattr(cap, "box_optimum", lambda *args: solve(*args)._replace(
+            witness=np.zeros(square_ops.n_dof)))
+        with pytest.raises(st.SolverFailure, match="^certificate failed"):
+            cap.generalized_K(square_ops, method=cap.HEURISTIC)
+
+    @pytest.mark.parametrize("method", [cap.EXACT, cap.HEURISTIC])
+    @pytest.mark.parametrize("mode", [st.ELASTIC, st.PLASTIC])
+    def test_certified_once(self, square_ops, monkeypatch, method, mode):
+        calls = []
+        certify = cap.certify
+        monkeypatch.setattr(cap, "certify",
+                            lambda *args: calls.append(1) or certify(*args))
+        res = cap.generalized_K(square_ops, mode, method)
+        assert len(calls) == 1
+        assert res.method == method
 
     def test_heuristic_is_lower_bound(self, square_ops):
         exact = cap.generalized_K(square_ops)
@@ -221,7 +247,7 @@ class TestWalkMatchesColdEnumeration:
                             lambda *args: np.array([0.0, 0.0, 1.0, 1.0] + [0.0] * 28))
         monkeypatch.setattr(cap, "kinematic_supremum", recorded)
         res = cap.generalized_K(square_ops)
-        vertices = [cap._vertex(code, 6).reshape(3, 2) for code in (2, 3)]
+        vertices = cap._sign_vertices(square_ops)[[2, 3]].reshape(2, 3, 2)
         assert np.array_equal(solved, [kin.work_vector(square_ops, t) for t in vertices])
         assert any(np.array_equal(res.worst_traction, t) for t in vertices)
 

@@ -115,6 +115,12 @@ class TestAnalyze:
         assert code == cli.EXIT_INPUT
         assert "isochoric" in err
 
+    def test_mesh_path_is_a_directory(self, capsys, tmp_path, bar_files):
+        code, out, err = run(capsys, ["analyze", str(tmp_path), bar_files[1]])
+        assert code == cli.EXIT_INPUT and out == ""
+        assert_one_error_line(err)
+        assert err.startswith(f"error: cannot read mesh file {tmp_path}: ")
+
     def test_invalid_mesh_file(self, capsys, tmp_path, bar_files):
         _, traction_path = bar_files
         bad = tmp_path / "bad.mesh"
@@ -460,6 +466,45 @@ def test_pivot_limit_names_the_lp(capsys, square_files, monkeypatch):
     lines = err.strip().splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("solver failure: box LP: simplex phase 2 ")
+
+
+class TestOptimalBasisFailure:
+    """A phase 2 that stops at a basis whose solution from the data is
+    unusable exits 3 with one line naming the LP's shape, phase 2's pivot
+    count and the violation."""
+
+    @staticmethod
+    def analyze(capsys, monkeypatch, files, spoil):
+        phase2 = lp._phase2
+
+        def spoiled(T, basis, c, p, value):
+            status, pivots = phase2(T, basis, c, p, value)
+            spoil(basis, value)
+            return status, pivots
+        monkeypatch.setattr(lp, "_phase2", spoiled)
+        code, out, err = run(capsys, ["analyze", *files])
+        assert code == cli.EXIT_SOLVER and out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        return lines[0]
+
+    def test_singular_basis(self, capsys, square_files, monkeypatch):
+        def repeat_column(basis, value):
+            basis[1] = basis[0]
+        line = self.analyze(capsys, monkeypatch, square_files, repeat_column)
+        assert line == ("solver failure: box LP: simplex phase 2 stopped after 2 "
+                        "pivots at a basis that is singular on a 4 x 7 LP "
+                        "(rows x cols)")
+
+    def test_basis_out_of_bounds(self, capsys, bar_files, monkeypatch):
+        # the bar's optimal basis holds lambda alone, with the stress at its
+        # upper bound 1: at its lower bound instead, lambda = -1 / 1.5
+        def flip_stress(basis, value):
+            value[0] = -value[0]
+        line = self.analyze(capsys, monkeypatch, bar_files, flip_stress)
+        assert line == ("solver failure: box LP: simplex phase 2 stopped after 1 "
+                        "pivots at a basis whose x_B leaves its bounds by "
+                        "6.667e-01 on a 1 x 2 LP (rows x cols)")
 
 
 class TestEdgeCases:

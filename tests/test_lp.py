@@ -1020,6 +1020,68 @@ class TestIterationLimit:
             lp.solve_each(p, [p.c], [[1.0]])
 
 
+class TestOptimalBasis:
+    """`solve` solves x_B and the multipliers from the data at the basis
+    where phase 2 stops, and raises `LPBasisError`, naming the LP's shape,
+    phase 2's pivots and the violation, where that basis gives none."""
+
+    @pytest.fixture
+    def spoil(self, monkeypatch):
+        """Make phase 2 stop with its basis and nonbasic values changed by
+        a function of the two."""
+        phase2 = lp._phase2
+
+        def install(change):
+            def spoiled(T, basis, c, p, value):
+                status, pivots = phase2(T, basis, c, p, value)
+                change(basis, value)
+                return status, pivots
+            monkeypatch.setattr(lp, "_phase2", spoiled)
+        return install
+
+    def test_singular_basis(self, spoil):
+        p = standard([1.0, 2.0, 0.0], [[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]], [1.0, 1.0])
+        spoil(lambda basis, value: basis.__setitem__(1, basis[0]))
+        with pytest.raises(lp.LPBasisError,
+                           match=r"stopped after \d+ pivots at a basis that is "
+                                 r"singular on a 2 x 3 LP") as info:
+            lp.solve(p)
+        assert (info.value.shape, info.value.violation) == ((2, 3), np.inf)
+
+    def test_basis_out_of_bounds(self, spoil):
+        # x0 + x1 = 2 over [0, 1]^2 holds only at (1, 1), where one column
+        # is nonbasic at 1; at 0 instead, the basic one is 2
+        p = lp.LPStandardForm(c=[1.0, 1.0], A=[[1.0, 1.0]], b=[2.0],
+                              upper=[1.0, 1.0])
+        assert np.array_equal(lp.solve(p).x, [1.0, 1.0])
+        spoil(lambda basis, value: value.fill(0.0))
+        with pytest.raises(lp.LPBasisError,
+                           match=r"x_B leaves its bounds by 1\.000e\+00 on a "
+                                 r"1 x 2 LP") as info:
+            lp.solve(p)
+        assert info.value.violation == 1.0
+
+    def test_with_column_at_a_singular_basis(self, monkeypatch):
+        # B^-1 a cannot be taken at a singular basis of the shared phase 1:
+        # the LP runs its own phase 1, and solves as the standalone LP does
+        base = lp.LPStandardForm(c=[0.0, 1.0, -1.0], A=[[1.0, 1.0, 0.0]], b=[1.0],
+                                 lower=[0.0, 0.0, -1.0], upper=[np.inf, np.inf, 1.0])
+        lp.solve(base.with_column(2, [1.0]))  # memoizes the base's phase 1
+        phase1, runs = lp._phase1, []
+        monkeypatch.setattr(lp, "_phase1", lambda *a: runs.append(1) or phase1(*a))
+        solve = np.linalg.solve
+
+        def singular_once(*args):
+            monkeypatch.setattr(np.linalg, "solve", solve)
+            raise np.linalg.LinAlgError("Singular matrix")
+        monkeypatch.setattr(np.linalg, "solve", singular_once)
+        got = lp.solve(base.with_column(2, [2.0]))
+        assert len(runs) == 1
+        want = lp.solve(dataclasses.replace(base, A=[[1.0, 1.0, 2.0]]))
+        assert got.status == want.status == lp.OPTIMAL
+        assert np.array_equal(got.x, want.x) and got.objective == want.objective
+
+
 class TestCrashStart:
     """Phase 1 starts each row on a column whose only nonzero entry is
     positive and in that row, and gives artificials only to the others."""

@@ -44,6 +44,12 @@ class TestValidate:
                        list(m.facets) + [msh.Facet((1,), msh.GAMMAT)])
         assert any("face of 2 elements" in p for p in msh.validate(bad))
 
+    def test_duplicate_facet_rejected(self):
+        m = msh.generate_bar(1.0, 1.0, 1)
+        bad = msh.Mesh(1, m.nodes, m.elements,
+                       list(m.facets) + [msh.Facet((1,), msh.GAMMAT)])
+        assert "facet 2 duplicates another facet" in msh.validate(bad)
+
     def test_generated_meshes_valid(self):
         for n in (1, 2, 5):
             assert msh.validate(msh.generate_bar(2.0, 0.5, n)) == []
@@ -120,6 +126,18 @@ class TestGenerateRectangle:
     def test_equal_edges_rejected(self):
         with pytest.raises(msh.MeshError):
             msh.generate_rectangle(1, 1, 1, 1, "left", "left")
+
+    @pytest.mark.parametrize("args, message", [
+        ((0, 1, 1, 1, "left", "right"), "width and height must be positive"),
+        ((1, -1, 1, 1, "left", "right"), "width and height must be positive"),
+        ((1, 1, 0, 1, "left", "right"), "nx and ny must be at least 1"),
+        ((1, 1, 1, 0, "left", "right"), "nx and ny must be at least 1"),
+        ((1, 1, 1, 1, "west", "right"), "support_edge must be one of left, right"),
+        ((1, 1, 1, 1, "left", "east"), "load_edge must be one of left, right"),
+    ])
+    def test_bad_parameters(self, args, message):
+        with pytest.raises(msh.MeshError, match=f"^{message}"):
+            msh.generate_rectangle(*args)
 
     def test_unloaded_edges_are_gammat(self):
         m = msh.generate_rectangle(1, 1, 2, 3, "left", "right")
