@@ -10,15 +10,16 @@ which one int8 matrix holds (`_sign_vertices`).  Exact K runs on the
 kinematic LP, where a pattern's traction enters only the costs: one
 simplex walk over the patterns in Gray-code order, which runs phase 2,
 from the optimal basis where the last one stopped, only for a pattern
-that no basis before it proves optimal, then a full solve of every
-pattern whose walk value is a near tie of the best, among which the
-worst traction is chosen.  Beyond the cap an alternating heuristic
-produces a lower bound; it solves the box LP of each sign pattern it
-visits (`stress.box_optimum`), once.  Both certify the worst pattern's
-own solution (`stress.certify`), so the heuristic's K is the certified
-value of one traction, a lower bound on K, and its C is not a safe
-load.  `limit_analysis` reads lambda* off one plastic box LP, whose
-optimum is the load factor itself.
+that no basis before it proves optimal and whose weak-duality bound
+there does not put it below the best found so far (`lp.DOMINATED`),
+then a full solve of every pattern whose walk value is a near tie of
+the best, among which the worst traction is chosen.  Beyond the cap an
+alternating heuristic produces a lower bound; it solves the box LP of
+each sign pattern it visits (`stress.box_optimum`), once.  Both certify
+the worst pattern's own solution (`stress.certify`), so the heuristic's
+K is the certified value of one traction, a lower bound on K, and its C
+is not a safe load.  `limit_analysis` reads lambda* off one plastic box
+LP, whose optimum is the load factor itself.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import lp
 from .kinematics import (DiscreteOperators, check_traction, trace,
                          traction_sup_norm, work_vector)
 from .stress import (ELASTIC, PLASTIC, box_lp, box_optimum, certify,
@@ -38,10 +40,6 @@ HEURISTIC = "alternating_heuristic"
 SIGN_PATTERN_CAP = 16
 HEURISTIC_MAX_ITER = 50
 HEURISTIC_RESTARTS = 8
-# a walk value this close to the best, relative to 1 + |best|, is solved
-# again cold: the walk's rounding measured 3.6e-14 at m = 12 and 6.7e-13 at
-# m = 16 (absolute, on the 2x2 and 3x2 plates)
-_NEAR_TIE = 1e-9
 
 
 class CapacityError(ValueError):
@@ -99,10 +97,14 @@ def generalized_K(ops: DiscreteOperators, mode: str = ELASTIC,
     vertex matrix (`_sign_vertices`) in Gray-code order, row k ^ (k >> 1)
     at step k, so that each step flips one sign, and settles every vertex
     that an optimal basis it reaches already proves optimal without a
-    phase 2 of its own.  Its values carry the rounding of the walk, so
-    every vertex within `_NEAR_TIE` (relative) of the best is solved again
-    on its own, by code counting up, and the first one that beats all
-    before it by more than 1e-12 is the worst traction.
+    phase 2 of its own.  A vertex whose bound at such a basis, by the
+    strain budget, puts its value below the best found so far by more
+    than `lp._NEAR_TIE` (relative) is settled too, with that bound
+    (`lp.DOMINATED`): it can be neither the worst nor a near tie.  The
+    values carry the rounding of the walk, so every vertex within
+    `lp._NEAR_TIE` (relative) of the best is solved again on its own, by
+    code counting up, and the first one that beats all before it by more
+    than 1e-12 is the worst traction.
 
     Heuristic: from all-ones and `HEURISTIC_RESTARTS` - 1 seeded random
     sign patterns, alternate between solving a pattern's box LP (all of
@@ -120,12 +122,12 @@ def generalized_K(ops: DiscreteOperators, mode: str = ELASTIC,
     if method == EXACT:
         signs = _sign_vertices(ops)
         kinematic = kinematic_lp(ops, mode)
-        unit_work = np.array([work_vector(ops, e.reshape(-1, ops.dim))
-                              for e in np.eye(signs.shape[1])])
+        # row i is the work vector of the unit traction on component i
+        unit_work = 0.0 + np.repeat(ops.areas, ops.dim)[:, None] * ops.trace_op
         k = np.arange(len(signs))
         values = kinematic_suprema(kinematic, unit_work, signs[k ^ (k >> 1)])
         top = values.max()
-        steps = np.flatnonzero(values >= top - _NEAR_TIE * (1.0 + abs(top)))
+        steps = np.flatnonzero(values >= top - lp._NEAR_TIE * (1.0 + abs(top)))
         for code in np.sort(steps ^ (steps >> 1)):
             t = signs[code].reshape(-1, ops.dim).astype(float)
             val, w, s = kinematic_supremum(kinematic, work_vector(ops, t))

@@ -192,11 +192,13 @@ def cmd_limit(args) -> int:
 
 
 def _probe_ratio(ops: kin.DiscreteOperators, work, mode: str, rng) -> float:
-    """The largest |work . w| / budget(w) over four random clamped velocity
-    fields w, in plastic mode first projected onto the isochoric ones by
-    least squares: each is admissible, so by weak duality this bounds
-    sigma_opt below."""
-    W = rng.uniform(-1.0, 1.0, size=(4, ops.n_dof))
+    """The largest |work . w| / budget(w) over five clamped velocity fields
+    w, four random ones and the work vector itself, which the load does
+    the most work against per unit of its Euclidean length; in plastic
+    mode they are first projected onto the isochoric fields by least
+    squares.  Each is admissible, so by weak duality this bounds sigma_opt
+    below."""
+    W = np.vstack([rng.uniform(-1.0, 1.0, size=(4, ops.n_dof)), work])
     norm = kin.strain_norm_l1
     if mode == st.PLASTIC:
         C = kin.isochoric_constraints(ops)

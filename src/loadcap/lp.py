@@ -34,7 +34,10 @@ own array, so that its solve holds A and one tableau at its peak.
 `solve_each` walks the costs w @ U of the rows w of a weight matrix on
 one phase-2 tableau of a plain LP, each phase 2 from the basis where the
 last one stopped, and settles every row that an optimal basis it reaches
-proves optimal without a phase 2 of its own.
+proves optimal without a phase 2 of its own.  Given the LP's normalizing
+row, it also settles as `DOMINATED`, with a weak-duality lower bound and
+no phase 2, every row whose bound at that basis lies above the best
+optimum found so far by more than `_NEAR_TIE`.
 """
 
 from __future__ import annotations
@@ -48,6 +51,9 @@ import numpy as np
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
+# a row of `solve_each` whose optimum is far above the best (its objective
+# is a lower bound on that optimum)
+DOMINATED = "dominated"
 
 _PIVOT_TOL = 1e-9
 _FEAS_TOL = 1e-8
@@ -71,6 +77,11 @@ _COLS_COST = 4
 # window, because a row it cannot settle is priced again at every later
 # basis (timed from 32 to 1024 on exact K at 12 to 16 sign components)
 _LOOKAHEAD = 256
+# objectives of a walk this close to its best, relative to 1 + |best|, are
+# near ties: the walk's rounding measured 3.6e-14 at 12 and 6.7e-13 at 16
+# sign components (absolute, exact K on the 2x2 and 3x2 plates), so its
+# values cannot order them and `solve_each` never prunes one
+_NEAR_TIE = 1e-9
 
 
 class LPError(ValueError):
@@ -601,7 +612,25 @@ def solve(p: LPStandardForm) -> LPSolution:
     return LPSolution(OPTIMAL, x=x, y=y, objective=float(p.c @ x))
 
 
-def solve_each(p: LPStandardForm, unit_costs, weights) -> tuple:
+def _normal_row(p: LPStandardForm, r) -> np.ndarray:
+    """1 / A[r] over the nonnegative columns of the plain LP p, after
+    checking that row r normalizes it: b = e_r, and A[r] is positive on
+    every nonnegative column and zero on every free one; `LPError`
+    otherwise."""
+    m = len(p.b)
+    if not (isinstance(r, (int, np.integer)) and -m <= r < m):
+        raise LPError(f"normalizing row {r!r} is not a row of a {m}-row LP")
+    a, unit = p.A[r], np.zeros(m)
+    unit[r] = 1.0
+    if not (np.array_equal(p.b, unit) and (a[~p.free] > 0.0).all()
+            and not a[p.free].any()):
+        raise LPError(f"row {r} does not normalize the LP: b must be e_r and "
+                      "the row positive on the nonnegative columns and zero "
+                      "on the free ones")
+    return 1.0 / a[~p.free]
+
+
+def solve_each(p: LPStandardForm, unit_costs, weights, normal_row=None) -> tuple:
     """For each row w of weights, the status and objective that `solve`
     gives the plain LP p (`LPError` otherwise) with costs w @ unit_costs,
     up to rounding: an array of statuses and one of objectives, nan unless
@@ -618,7 +647,18 @@ def solve_each(p: LPStandardForm, unit_costs, weights) -> tuple:
     traction, so need far fewer phase 2s than there are rows.  The
     rounding of the pivots before B carries into the values, so values
     that must be exact, or a solution, come from `solve`.  p's own costs
-    are not used."""
+    are not used.
+
+    normal_row, if given, is a row r that normalizes p (`_normal_row`),
+    as the strain budget does the kinematic LP.  At a basis B where every
+    free column is basic, B's multipliers y less delta e_r, with
+    delta(w) = max(0, max_j -d_j(w) / A[r, j]) over the nonnegative
+    columns j and d(w) = w @ R, are then feasible for the dual, so by weak
+    duality row w's optimum is at least w . (U_B x_B) - delta(w).  A row
+    of the window that B does not settle, whose bound lies above the best
+    objective settled so far by more than `_NEAR_TIE` (1 + |best|), can be
+    neither the optimum of all rows nor a near tie of it: it settles as
+    `DOMINATED`, with its bound as its objective, and runs no phase 2."""
     m, n = p.A.shape
     U = np.asarray(unit_costs, dtype=float)
     W = np.asarray(weights)
@@ -631,6 +671,8 @@ def solve_each(p: LPStandardForm, unit_costs, weights) -> tuple:
         raise LPError("unit costs or weights contain non-finite entries")
     if not p.plain:
         raise LPError("solve_each needs every column free or nonnegative")
+    if normal_row is not None:
+        inverse, bounded = _normal_row(p, normal_row), np.flatnonzero(~p.free)
     W = W.astype(float)  # cast once, not in each product: the same values
     status = np.empty(len(W), dtype=object)
     status[:] = INFEASIBLE  # one str object; np.full would copy it per row
@@ -640,7 +682,7 @@ def solve_each(p: LPStandardForm, unit_costs, weights) -> tuple:
     if T is None:
         return status, objective
     todo = np.arange(len(W))  # todo[head:] are the rows not settled, in order
-    head, free = 0, np.flatnonzero(p.free)
+    head, free, best = 0, np.flatnonzero(p.free), np.inf
     while head < len(todo):
         row = todo[head]
         if _phase2(T, basis, W[row] @ U, p, value)[0] == UNBOUNDED:
@@ -654,11 +696,26 @@ def solve_each(p: LPStandardForm, unit_costs, weights) -> tuple:
         ahead = todo[head + 1:head + 1 + _LOOKAHEAD]
         optimal = (W[ahead] @ R >= -_PIVOT_TOL).all(axis=1)
         done = np.concatenate(((row,), ahead[optimal]))
+        vertex = U_B @ T[:-1, -1]  # each unit cost's objective at B
         status[done] = OPTIMAL
-        objective[done] = W[done] @ (U_B @ T[:-1, -1])
-        # the rows left in the window move up to just before the rest
+        objective[done] = W[done] @ vertex
         rest = ahead[~optimal]
-        head += len(done)
+        if normal_row is not None:
+            best = min(best, objective[done].min())
+            if rest.size and np.count_nonzero(p.free[basis]) == free.size:
+                # -delta: the least d_j / A[r, j] on the nonnegative
+                # columns, or 0 if none is negative; one product over the
+                # rows left costs less than selecting them from W[ahead] @ R
+                W_rest = W[rest]
+                ratios = (W_rest @ (R[:, bounded] * inverse)).min(axis=1)
+                bound = W_rest @ vertex + np.minimum(ratios, 0.0)
+                pruned = bound > best + _NEAR_TIE * (1.0 + abs(best))
+                if pruned.any():
+                    status[rest[pruned]] = DOMINATED
+                    objective[rest[pruned]] = bound[pruned]
+                    rest = rest[~pruned]
+        # the rows left in the window move up to just before the rest
+        head += 1 + len(ahead) - len(rest)
         todo[head:head + len(rest)] = rest
     return status, objective
 

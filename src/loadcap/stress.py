@@ -267,15 +267,21 @@ def kinematic_suprema(kinematic: KinematicLP, unit_objectives,
     """The value of `kinematic_supremum` for the objective
     w @ unit_objectives of each row w of weights, from one simplex walk
     (`lp.solve_each`), without witnesses or multipliers.  A value may
-    differ from `kinematic_supremum`'s in its last digits.  Failures raise
-    the same `SolverFailure`s, for the first row that fails."""
+    differ from `kinematic_supremum`'s in its last digits.  The strain
+    budget, the LP's last row, normalizes it, so the walk settles a row
+    whose weak-duality bound shows it far below the largest value as
+    `lp.DOMINATED`: its value here is that bound, an upper bound on its
+    supremum that lies below the largest value by more than
+    `lp._NEAR_TIE` (1 + |largest|).  Failures raise the same
+    `SolverFailure`s, for the first row that fails."""
     unit_costs = np.reshape([_kinematic_costs(kinematic, f) for f in unit_objectives],
                             (-1, len(kinematic.prob.c)))
     try:
-        status, value = lp.solve_each(kinematic.prob, unit_costs, weights)
+        status, value = lp.solve_each(kinematic.prob, unit_costs, weights,
+                                      normal_row=len(kinematic.prob.b) - 1)
     except lp.LPIterationError as exc:
         raise SolverFailure(f"kinematic LP: {exc}") from exc
-    failed = status[status != lp.OPTIMAL]
+    failed = status[(status != lp.OPTIMAL) & (status != lp.DOMINATED)]
     if failed.size:
         _check_kinematic(failed[0])
     return np.subtract(0.0, value, out=value)  # 0.0 - value, in place

@@ -111,6 +111,25 @@ class TestGeneralizedK:
         assert signs.tolist() == want
         assert len({tuple(row) for row in signs.tolist()}) == 2 ** (m - 1)
 
+    @pytest.mark.parametrize("make", [
+        lambda: msh.generate_bar(1.0, 1.0, 8),
+        lambda: msh.generate_rectangle(0.7, 1.3, 2, 1, "left", "right"),
+        make_two_tet_mesh], ids=["bar8", "rect2x1", "two_tet"])
+    def test_unit_works(self, make, monkeypatch):
+        # the walk's unit works, one product, are the work vectors of the
+        # unit tractions, bit for bit
+        ops = kin.assemble(make())
+        walked, suprema = [], cap.kinematic_suprema
+        monkeypatch.setattr(cap, "kinematic_suprema", lambda kinematic, unit, weights:
+                            walked.append(unit) or suprema(kinematic, unit, weights))
+        cap.generalized_K(ops)
+        m = len(ops.gammat_facets) * ops.dim
+        want = np.array([kin.work_vector(ops, e.reshape(-1, ops.dim))
+                         for e in np.eye(m)])
+        (got,) = walked
+        assert (got.dtype, got.shape, got.tobytes()) == \
+            (want.dtype, want.shape, want.tobytes())
+
     @pytest.mark.parametrize("m", [1, 2, 5, 10])
     def test_gray_order(self, m):
         # the walk's order, row k ^ (k >> 1) at step k, visits every
@@ -271,9 +290,9 @@ class TestOneKinematicLP:
                 return fn(*args, **kwargs)
             return wrapper
 
-        def counted_walk(p, unit_costs, weights):
+        def counted_walk(p, unit_costs, weights, **kwargs):
             counts["walk_rows"] += len(weights)
-            return solve_each(p, unit_costs, weights)
+            return solve_each(p, unit_costs, weights, **kwargs)
         solve_each = counted("walks", lp.solve_each)
         monkeypatch.setattr(st, "_dual_builder", counted("builds", st._dual_builder))
         monkeypatch.setattr(lp, "_phase1", counted("phase1", lp._phase1))
@@ -287,12 +306,13 @@ class TestOneKinematicLP:
     # the vertices of the 1x1 plate whose value is K (elastic: codes 0, 8,
     # 21 and 23; plastic: 10 codes); every other one is at least 1 below K.
     # Each near-tie solve runs one phase 2, and the walk runs 3 (elastic)
-    # or 6 (plastic) for its 32 patterns
+    # or 4 (plastic) for its 32 patterns: in plastic mode, 2 of the 6 that
+    # it ran before the strain budget's bound pruned its rows
     @pytest.mark.parametrize("mode", [st.ELASTIC, st.PLASTIC])
     def test_exact(self, square_ops, counts, mode):
         cap.generalized_K(square_ops, mode, cap.EXACT)
         ties = {st.ELASTIC: 4, st.PLASTIC: 10}[mode]
-        walk_phase2 = {st.ELASTIC: 3, st.PLASTIC: 6}[mode]
+        walk_phase2 = {st.ELASTIC: 3, st.PLASTIC: 4}[mode]
         assert counts == {"builds": 1, "phase1": 1, "walks": 1,
                           "walk_rows": 2 ** 5, "phase2": walk_phase2 + ties,
                           "solves": ties, "patterns": ties}
@@ -451,11 +471,29 @@ class TestPinnedCounts:
         monkeypatch.setattr(lp, "_pivot", counted_pivot)
         return counts
 
+    # without the walk's pruning by the strain budget, the 2x2 plate took
+    # 455 phase 2s (2,181 iterations) elastic and 321 (1,917) plastic
     @pytest.mark.parametrize("mode, phase2, iterations, K",
-                             [(st.ELASTIC, 455, 2181, 6.0), (st.PLASTIC, 321, 1917, 2.5)])
+                             [(st.ELASTIC, 26, 155, 6.0), (st.PLASTIC, 123, 967, 2.5)],
+                             ids=[st.ELASTIC, st.PLASTIC])
     def test_exact_K_on_2x2_plate(self, counts, mode, phase2, iterations, K):
         ops = kin.assemble(msh.generate_rectangle(1, 1, 2, 2, "left", "right"))
         assert cap.generalized_K(ops, mode, cap.EXACT).K == pytest.approx(K, rel=1e-12)
+        assert (counts["phase2"], counts["iterations"]) == (phase2, iterations)
+
+    # the cap, m = 16: 2^15 patterns, which took 13,608 (elastic) and
+    # 16,160 (plastic) phase 2s without the pruning.  The worst traction is
+    # the one the walk found then, as a vertex code (`_sign_vertices`)
+    @pytest.mark.parametrize("mode, phase2, iterations, K, code",
+                             [(st.ELASTIC, 222, 2206, 7.4, 10754),
+                              (st.PLASTIC, 1345, 13105, 8.0 / 3.0, 0)],
+                             ids=[st.ELASTIC, st.PLASTIC])
+    def test_exact_K_on_3x2_plate(self, counts, mode, phase2, iterations, K, code):
+        ops = kin.assemble(msh.generate_rectangle(1, 1, 3, 2, "left", "right"))
+        result = cap.generalized_K(ops, mode, cap.EXACT)
+        assert result.K == pytest.approx(K, rel=1e-12)
+        worst = cap._sign_vertices(ops)[code].reshape(-1, 2)
+        assert np.array_equal(result.worst_traction, worst)
         assert (counts["phase2"], counts["iterations"]) == (phase2, iterations)
 
     def test_plastic_5x5_plate_end_tension(self, counts):

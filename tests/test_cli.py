@@ -270,6 +270,25 @@ class TestVerify:
         assert failed == [f"duality_trial{k}_{mode}" for k in range(3)
                           for mode in ("elastic", "plastic")]
 
+    def test_work_vector_probe(self, capsys, tmp_path, monkeypatch):
+        # the load's own work vector, as a probe field, lifts each bound
+        # below to 27-65 % of sigma_opt on this plate (3-29 % from the
+        # random probes alone), so a sigma_opt a quarter of the true one
+        # fails every duality check and nothing else
+        optimal_stress = st.optimal_stress
+
+        def quartered(*args):
+            res = optimal_stress(*args)
+            return res._replace(sigma_opt=0.25 * res.sigma_opt)
+        monkeypatch.setattr(st, "optimal_stress", quartered)
+        mesh_path = tmp_path / "plate.mesh"
+        msh.write_mesh(end_tension_plate(4)[0], mesh_path)
+        code, out, _ = run(capsys, ["verify", str(mesh_path), "--trials", "3"])
+        assert code == cli.EXIT_SOLVER
+        failed = [c["check"] for c in json.loads(out)["checks"] if not c["ok"]]
+        assert failed == [f"duality_trial{k}_{mode}" for k in range(3)
+                          for mode in ("elastic", "plastic")]
+
     def test_no_isochoric_field(self, capsys, tmp_path):
         # three triangles about the one free node: only w = 0 is isochoric,
         # so the plastic probes' projections leave rounding only, which is
@@ -408,10 +427,10 @@ class TestSolveCounts:
             calls["phase2"] += 1
             return phase2(*args)
 
-        def counted_walk(p, unit_costs, weights):
+        def counted_walk(p, unit_costs, weights, **kwargs):
             calls["walks"] += 1
             calls["walk_rows"] += len(weights)
-            return solve_each(p, unit_costs, weights)
+            return solve_each(p, unit_costs, weights, **kwargs)
         monkeypatch.setattr(lp, "_phase1", counted_phase1)
         monkeypatch.setattr(lp, "_phase2", counted_phase2)
         monkeypatch.setattr(lp, "solve_each", counted_walk)

@@ -93,6 +93,24 @@ class TestAssemble:
         for node in left_nodes:
             assert np.all(ops.dof_index[node] == -1)
 
+    @pytest.mark.parametrize("make", [
+        lambda: msh.generate_bar(2.0, 0.5, 8),
+        lambda: msh.generate_rectangle(0.7, 1.3, 3, 2, "left", "right"),
+        lambda: msh.generate_rectangle(1, 1, 2, 2, "bottom", "left"),
+        kuhn_cube], ids=["bar8", "rect3x2", "rect2x2-bottom-left", "kuhn_cube"])
+    def test_clamped_operators_are_free_columns(self, make):
+        # unclamped, every node's DOFs are free, in node-major order; the
+        # clamped operators are those columns of the free DOFs, bit for
+        # bit, and both are column-major
+        mesh = make()
+        ops, full = kin.assemble(mesh), kin.assemble(mesh, clamp=False)
+        assert np.array_equal(full.dof_index.ravel(), np.arange(full.n_dof))
+        free = ops.dof_index.ravel() >= 0
+        for name in ("strain_op", "trace_op"):
+            got, want = getattr(ops, name), getattr(full, name)[:, free]
+            assert got.flags.f_contiguous and getattr(full, name).flags.f_contiguous
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
     def test_invalid_mesh_rejected(self):
         m = msh.Mesh(1, np.array([[0.0], [0.0]]),
                      [msh.Element(msh.BAR, (0, 1), area=1.0)],

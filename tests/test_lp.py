@@ -731,16 +731,25 @@ class TestSolveEach:
     objective that `solve` gives the LP with costs w @ unit_costs."""
 
     @staticmethod
-    def walk_matches_solve(p, unit_costs, weights, phase2_runs):
+    def walk_matches_solve(p, unit_costs, weights, phase2_runs, normal_row=None):
         """The walk's statuses and phase-2 runs, after checking its
-        statuses and objectives against one cold `solve` per row."""
+        statuses and objectives against one cold `solve` per row.  A
+        dominated row's objective is at most its cold optimum, up to
+        rounding, and above the best optimal row's by more than the
+        near-tie margin."""
         before = len(phase2_runs)
-        status, objective = lp.solve_each(p, unit_costs, weights)
+        status, objective = lp.solve_each(p, unit_costs, weights, normal_row)
         walk_runs = len(phase2_runs) - before
         assert status.shape == objective.shape == (len(weights),)
+        best = objective[status == lp.OPTIMAL].min(initial=np.inf)
         for s, value, w in zip(status, objective, np.asarray(weights, float)):
             q = p.with_objective(w @ np.asarray(unit_costs, float))
             want = lp.solve(q)
+            if s == lp.DOMINATED:
+                assert want.status == lp.OPTIMAL, dump(q)
+                assert value <= want.objective + 1e-12 * (1.0 + abs(want.objective))
+                assert value > best + lp._NEAR_TIE * (1.0 + abs(best))
+                continue
             assert s == want.status, dump(q)
             if s == lp.OPTIMAL:
                 assert value == pytest.approx(want.objective, rel=1e-9, abs=1e-9)
@@ -810,6 +819,12 @@ class TestSolveEach:
                                                  phase2_runs)
         assert statuses == [lp.OPTIMAL] * 40
         assert runs < 40
+        # the strain budget, the last row, normalizes the LP: rows whose
+        # bound is above the best are settled without a phase 2
+        statuses, pruned_runs = self.walk_matches_solve(
+            prob, unit_costs, weights, phase2_runs, len(prob.b) - 1)
+        assert set(statuses) == {lp.OPTIMAL, lp.DOMINATED}
+        assert pruned_runs <= runs
 
     @pytest.mark.parametrize("lookahead", [0, 1, 3])
     def test_window(self, monkeypatch, phase2_runs, lookahead):
@@ -825,6 +840,81 @@ class TestSolveEach:
                                                  phase2_runs)
         assert statuses == [lp.OPTIMAL] * 20
         assert runs == 20 if lookahead == 0 else runs < 20
+
+    @staticmethod
+    def normalized_lp(rng):
+        """A random LP shaped like the kinematic LP: free columns, then
+        nonnegative ones and a slack; equality rows with right-hand side 0,
+        free entries and no slack, then a last row, b = e_r, that is
+        positive on the nonnegative columns and 0 on the free ones.  It is
+        feasible (the slack alone takes the last row), and bounded when the
+        free columns of the equality rows are independent, which fewer free
+        columns than rows make almost sure."""
+        m = int(rng.integers(2, 6))
+        n_free, n_pos = int(rng.integers(0, m)), int(rng.integers(2, 8))
+        n = n_free + n_pos + 1
+        A = np.zeros((m + 1, n))
+        A[:m, :-1] = rng.normal(size=(m, n - 1))
+        A[m, n_free:] = rng.uniform(0.2, 2.0, size=n_pos + 1)
+        return standard_free(np.zeros(n), A, np.eye(m + 1)[m], np.arange(n) < n_free)
+
+    def test_random_normalized_walks(self, phase2_runs):
+        # sign patterns of a few random unit costs, as in exact K: with the
+        # normalizing row, some rows settle dominated, and the walk runs
+        # fewer phase 2s
+        rng = np.random.default_rng(1215)
+        counts = {lp.OPTIMAL: 0, lp.DOMINATED: 0}
+        runs = pruned_runs = 0
+        for trial in range(60):
+            p = self.normalized_lp(rng)
+            k = int(rng.integers(3, 7))
+            unit_costs = rng.normal(size=(k, p.A.shape[1]))
+            weights = np.where(rng.random((2 ** (k - 1), k)) < 0.5, -1, 1)
+            weights[:, 0] = 1
+            runs += self.walk_matches_solve(p, unit_costs, weights, phase2_runs)[1]
+            statuses, walk_runs = self.walk_matches_solve(
+                p, unit_costs, weights, phase2_runs, len(p.b) - 1)
+            pruned_runs += walk_runs
+            for s in statuses:
+                counts[s] += 1
+        assert min(counts.values()) > 100, counts
+        assert pruned_runs < runs
+
+    def test_near_tie_not_pruned(self, phase2_runs):
+        # a, b, s >= 0 and a + b + s = 1, which normalizes the LP, with
+        # costs -w: the first row stops at a = 1 with the best objective,
+        # -1.  There b's price is -w_b, so the bound of each other row is
+        # -w_b: within the near-tie margin of -1 for an exact tie and one
+        # 1e-10 off it, which are not pruned (the tie runs phase 2, at
+        # whose basis the other is optimal), and far above it for w_b = 0.5
+        p = standard([0.0] * 3, [[1.0, 1.0, 1.0]], [1.0])
+        weights = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0 - 1e-10, 0.0],
+                   [0.0, 0.5, 0.0]]
+        status, objective = lp.solve_each(p, -np.eye(3), weights, 0)
+        assert status.tolist() == [lp.OPTIMAL] * 3 + [lp.DOMINATED]
+        assert objective.tolist() == [-1.0, -1.0, -(1.0 - 1e-10), -0.5]
+        assert len(phase2_runs) == 2
+        self.walk_matches_solve(p, -np.eye(3), weights, phase2_runs, 0)
+
+    def test_normal_row_checked(self):
+        # b = e_r, and row r positive on every nonnegative column and zero
+        # on every free one
+        p = standard_free([0.0] * 3, [[1.0, 1.0, 0.0], [0.0, 2.0, 1.0]], [0.0, 1.0],
+                          [True, False, False])
+        assert lp.solve_each(p, np.eye(3), [[0.0, 1.0, 0.0]], 1)[0].tolist() == \
+            [lp.OPTIMAL]
+        assert lp.solve_each(p, np.eye(3), [[0.0, 1.0, 0.0]], -1)[0].tolist() == \
+            [lp.OPTIMAL]
+        for row in (0, 2, -3, 1.0, "1"):
+            with pytest.raises(lp.LPError, match="normaliz"):
+                lp.solve_each(p, np.eye(3), [[1.0, 0.0, 0.0]], row)
+        for A, b in (([[1.0, 1.0, 0.0], [0.0, 2.0, 1.0]], [0.0, 2.0]),
+                     ([[1.0, 1.0, 0.0], [0.0, 2.0, 1.0]], [1.0, 1.0]),
+                     ([[1.0, 1.0, 0.0], [0.0, 2.0, 0.0]], [0.0, 1.0]),
+                     ([[1.0, 1.0, 0.0], [0.5, 2.0, 1.0]], [0.0, 1.0])):
+            q = standard_free([0.0] * 3, A, b, [True, False, False])
+            with pytest.raises(lp.LPError, match="does not normalize"):
+                lp.solve_each(q, np.eye(3), [[1.0, 0.0, 0.0]], 1)
 
     def test_unbounded_then_bounded(self, phase2_runs):
         # x free, s >= 0, x + s = 1: cost +1 on x is unbounded below, cost
