@@ -30,7 +30,7 @@ import numpy as np
 
 from . import lp
 from .kinematics import (DiscreteOperators, check_traction, trace,
-                         traction_sup_norm, work_vector)
+                         traction_sup_norm, unit_works, work_vector)
 from .stress import (ELASTIC, PLASTIC, box_lp, box_optimum, certify,
                      kinematic_lp, kinematic_suprema, kinematic_supremum,
                      stress_field, stress_measure)
@@ -122,10 +122,8 @@ def generalized_K(ops: DiscreteOperators, mode: str = ELASTIC,
     if method == EXACT:
         signs = _sign_vertices(ops)
         kinematic = kinematic_lp(ops, mode)
-        # row i is the work vector of the unit traction on component i
-        unit_work = 0.0 + np.repeat(ops.areas, ops.dim)[:, None] * ops.trace_op
         k = np.arange(len(signs))
-        values = kinematic_suprema(kinematic, unit_work, signs[k ^ (k >> 1)])
+        values = kinematic_suprema(kinematic, unit_works(ops), signs[k ^ (k >> 1)])
         top = values.max()
         steps = np.flatnonzero(values >= top - lp._NEAR_TIE * (1.0 + abs(top)))
         for code in np.sort(steps ^ (steps >> 1)):

@@ -75,21 +75,6 @@ def _shape_gradients(edges: np.ndarray) -> np.ndarray:
                           axis=1)
 
 
-def _on_free_dofs(values: np.ndarray, rows: np.ndarray, columns: np.ndarray,
-                  n_rows: int, n_dof: int) -> np.ndarray:
-    """The (n_rows, n_dof) matrix with values at (rows, columns), broadcast
-    together.  It is written in one flat buffer with a spill column n_dof
-    after the matrix, which takes the clamped DOFs' entries and is dropped,
-    so that no matrix over every node's DOFs is built and no column of it
-    is copied out.  Each (row, column) of the matrix must appear once: an
-    entry is set, not added.  The matrix is column-major: the products
-    with the operators round by their memory layout, and every result of
-    the package has been computed on this one."""
-    flat = np.zeros((n_dof + 1) * n_rows)
-    flat[columns * n_rows + rows] = values
-    return flat[:n_dof * n_rows].reshape(n_dof, n_rows).T
-
-
 def assemble(mesh: msh.Mesh, clamp: bool = True) -> DiscreteOperators:
     """Build the discrete strain and trace operators for a valid mesh.
 
@@ -108,9 +93,6 @@ def assemble(mesh: msh.Mesh, clamp: bool = True) -> DiscreteOperators:
     n_dof = int(free.sum())
     dof_index = -np.ones(n_nodes * dim, dtype=int)
     dof_index[free] = np.arange(n_dof)
-    # each (node, component)'s column in the operators: a clamped one's is
-    # the spill column n_dof (`_on_free_dofs`)
-    column = np.where(free, dof_index, n_dof)
 
     n_el, nc = len(mesh.elements), n_comps(dim)
     conn = np.array([e.nodes for e in mesh.elements]).reshape(n_el, dim + 1)
@@ -125,26 +107,23 @@ def assemble(mesh: msh.Mesh, clamp: bool = True) -> DiscreteOperators:
         local[:, c, :, i] += 0.5 * grads[:, :, j]
         local[:, c, :, j] += 0.5 * grads[:, :, i]
     axis = np.arange(dim)
-    # rows by (element, comp), DOFs by (element, local node, axis)
-    strain_op = _on_free_dofs(local, np.arange(n_el * nc).reshape(n_el, nc, 1, 1),
-                              column[conn[:, None, :, None] * dim + axis],
-                              n_el * nc, n_dof)
+    strain_op = np.zeros((n_el, nc, n_nodes, dim))
+    strain_op[np.arange(n_el)[:, None, None, None], np.arange(nc)[:, None, None],
+              conn[:, None, :, None], axis] = local
 
     gammat = tuple(mesh.facets_labeled(msh.GAMMAT))
     fnodes = np.array([f.nodes for f in gammat]).reshape(len(gammat), dim)
-    # rows by (facet, axis), DOFs by (facet, axis, facet node)
-    rows = np.arange(len(gammat) * dim).reshape(-1, dim, 1)
-    trace_op = _on_free_dofs(1.0 / dim, rows,
-                             column[fnodes[:, None, :] * dim + axis[:, None]],
-                             len(gammat) * dim, n_dof)
+    trace_op = np.zeros((len(gammat), dim, n_nodes, dim))
+    trace_op[np.arange(len(gammat))[:, None, None], axis[:, None],
+             fnodes[:, None, :], axis[:, None]] = 1.0 / dim
 
     return DiscreteOperators(
         mesh=mesh, n_dof=n_dof,
         dof_index=dof_index.reshape(n_nodes, dim),
-        strain_op=strain_op,
+        strain_op=strain_op.reshape(n_el * nc, -1)[:, free],
         strain_weights=(volumes[:, None] * comp_weights(dim)).ravel(),
         volumes=volumes,
-        trace_op=trace_op,
+        trace_op=trace_op.reshape(len(gammat) * dim, -1)[:, free],
         areas=msh.facet_measures(mesh, fnodes),
         gammat_facets=gammat)
 
@@ -201,13 +180,24 @@ def traction_sup_norm(ops: DiscreteOperators, t) -> float:
     return float(np.abs(check_traction(ops, t)).max(initial=0.0))
 
 
+def _component_works(ops: DiscreteOperators, t) -> np.ndarray:
+    """Row i: the work vector of component i of the traction alone, for t
+    a column of one value per component or a scalar for all of them."""
+    return np.repeat(ops.areas, ops.dim)[:, None] * (t * ops.trace_op)
+
+
 def work_vector(ops: DiscreteOperators, t) -> np.ndarray:
     """Generalized force: f such that external_work(t, w) = f . w."""
-    t = check_traction(ops, t).reshape(-1, 1)
-    rows = np.repeat(ops.areas, ops.dim)[:, None] * (t * ops.trace_op)
+    rows = _component_works(ops, check_traction(ops, t).reshape(-1, 1))
     # cumsum, unlike sum, adds the rows one by one in facet order; 0.0 +
     # turns a sum of -0.0 terms into 0.0
     return 0.0 + np.cumsum(rows, axis=0)[-1]
+
+
+def unit_works(ops: DiscreteOperators) -> np.ndarray:
+    """Row i: the work vector of the unit traction on component i, the
+    same bits as `work_vector` gives it, from one product."""
+    return 0.0 + _component_works(ops, 1.0)
 
 
 def isochoric_constraints(ops: DiscreteOperators) -> np.ndarray:

@@ -34,10 +34,10 @@ own array, so that its solve holds A and one tableau at its peak.
 `solve_each` walks the costs w @ U of the rows w of a weight matrix on
 one phase-2 tableau of a plain LP, each phase 2 from the basis where the
 last one stopped, and settles every row that an optimal basis it reaches
-proves optimal without a phase 2 of its own.  Given the LP's normalizing
-row, it also settles as `DOMINATED`, with a weak-duality lower bound and
-no phase 2, every row whose bound at that basis lies above the best
-optimum found so far by more than `_NEAR_TIE`.
+proves optimal without a phase 2 of its own.  If a row of the LP
+normalizes it (b = e_r), it also settles as `DOMINATED`, with a
+weak-duality lower bound and no phase 2, every row whose bound at that
+basis lies above the best optimum found so far by more than `_NEAR_TIE`.
 """
 
 from __future__ import annotations
@@ -612,29 +612,25 @@ def solve(p: LPStandardForm) -> LPSolution:
     return LPSolution(OPTIMAL, x=x, y=y, objective=float(p.c @ x))
 
 
-def _normal_row(p: LPStandardForm, r) -> np.ndarray:
-    """1 / A[r] over the nonnegative columns of the plain LP p, after
-    checking that row r normalizes it: b = e_r, and A[r] is positive on
-    every nonnegative column and zero on every free one; `LPError`
-    otherwise."""
-    m = len(p.b)
-    if not (isinstance(r, (int, np.integer)) and -m <= r < m):
-        raise LPError(f"normalizing row {r!r} is not a row of a {m}-row LP")
-    a, unit = p.A[r], np.zeros(m)
-    unit[r] = 1.0
-    if not (np.array_equal(p.b, unit) and (a[~p.free] > 0.0).all()
-            and not a[p.free].any()):
-        raise LPError(f"row {r} does not normalize the LP: b must be e_r and "
-                      "the row positive on the nonnegative columns and zero "
-                      "on the free ones")
+def _normal_row(p: LPStandardForm):
+    """1 / A[r] over the nonnegative columns of the plain LP p, if a row r
+    normalizes it: b = e_r, and A[r] is positive on every nonnegative
+    column and zero on every free one; None if no row does."""
+    (rows,) = np.nonzero(p.b)
+    if rows.size != 1 or p.b[rows[0]] != 1.0:
+        return None
+    a = p.A[rows[0]]
+    if not ((a[~p.free] > 0.0).all() and not a[p.free].any()):
+        return None
     return 1.0 / a[~p.free]
 
 
-def solve_each(p: LPStandardForm, unit_costs, weights, normal_row=None) -> tuple:
+def solve_each(p: LPStandardForm, unit_costs, weights) -> tuple:
     """For each row w of weights, the status and objective that `solve`
     gives the plain LP p (`LPError` otherwise) with costs w @ unit_costs,
-    up to rounding: an array of statuses and one of objectives, nan unless
-    optimal.  One walk over the rows in order, after p's phase 1 (shared
+    up to rounding, or `DOMINATED` and a lower bound on that objective:
+    an array of statuses and one of objectives, nan unless optimal or
+    dominated.  One walk over the rows in order, after p's phase 1 (shared
     through its memo).  The first row not yet settled runs phase 2 from
     the basis where the previous phase 2 stopped; A and b never change, so
     that basis stays feasible.  At the optimal basis B it reaches, the
@@ -649,8 +645,8 @@ def solve_each(p: LPStandardForm, unit_costs, weights, normal_row=None) -> tuple
     that must be exact, or a solution, come from `solve`.  p's own costs
     are not used.
 
-    normal_row, if given, is a row r that normalizes p (`_normal_row`),
-    as the strain budget does the kinematic LP.  At a basis B where every
+    If a row r normalizes p (`_normal_row`), as the strain budget does
+    the kinematic LP, the walk also prunes.  At a basis B where every
     free column is basic, B's multipliers y less delta e_r, with
     delta(w) = max(0, max_j -d_j(w) / A[r, j]) over the nonnegative
     columns j and d(w) = w @ R, are then feasible for the dual, so by weak
@@ -671,8 +667,7 @@ def solve_each(p: LPStandardForm, unit_costs, weights, normal_row=None) -> tuple
         raise LPError("unit costs or weights contain non-finite entries")
     if not p.plain:
         raise LPError("solve_each needs every column free or nonnegative")
-    if normal_row is not None:
-        inverse, bounded = _normal_row(p, normal_row), np.flatnonzero(~p.free)
+    inverse, bounded = _normal_row(p), np.flatnonzero(~p.free)
     W = W.astype(float)  # cast once, not in each product: the same values
     status = np.empty(len(W), dtype=object)
     status[:] = INFEASIBLE  # one str object; np.full would copy it per row
@@ -700,7 +695,7 @@ def solve_each(p: LPStandardForm, unit_costs, weights, normal_row=None) -> tuple
         status[done] = OPTIMAL
         objective[done] = W[done] @ vertex
         rest = ahead[~optimal]
-        if normal_row is not None:
+        if inverse is not None:
             best = min(best, objective[done].min())
             if rest.size and np.count_nonzero(p.free[basis]) == free.size:
                 # -delta: the least d_j / A[r, j] on the nonnegative

@@ -277,8 +277,7 @@ def kinematic_suprema(kinematic: KinematicLP, unit_objectives,
     unit_costs = np.reshape([_kinematic_costs(kinematic, f) for f in unit_objectives],
                             (-1, len(kinematic.prob.c)))
     try:
-        status, value = lp.solve_each(kinematic.prob, unit_costs, weights,
-                                      normal_row=len(kinematic.prob.b) - 1)
+        status, value = lp.solve_each(kinematic.prob, unit_costs, weights)
     except lp.LPIterationError as exc:
         raise SolverFailure(f"kinematic LP: {exc}") from exc
     failed = status[(status != lp.OPTIMAL) & (status != lp.DOMINATED)]

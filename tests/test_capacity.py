@@ -111,25 +111,6 @@ class TestGeneralizedK:
         assert signs.tolist() == want
         assert len({tuple(row) for row in signs.tolist()}) == 2 ** (m - 1)
 
-    @pytest.mark.parametrize("make", [
-        lambda: msh.generate_bar(1.0, 1.0, 8),
-        lambda: msh.generate_rectangle(0.7, 1.3, 2, 1, "left", "right"),
-        make_two_tet_mesh], ids=["bar8", "rect2x1", "two_tet"])
-    def test_unit_works(self, make, monkeypatch):
-        # the walk's unit works, one product, are the work vectors of the
-        # unit tractions, bit for bit
-        ops = kin.assemble(make())
-        walked, suprema = [], cap.kinematic_suprema
-        monkeypatch.setattr(cap, "kinematic_suprema", lambda kinematic, unit, weights:
-                            walked.append(unit) or suprema(kinematic, unit, weights))
-        cap.generalized_K(ops)
-        m = len(ops.gammat_facets) * ops.dim
-        want = np.array([kin.work_vector(ops, e.reshape(-1, ops.dim))
-                         for e in np.eye(m)])
-        (got,) = walked
-        assert (got.dtype, got.shape, got.tobytes()) == \
-            (want.dtype, want.shape, want.tobytes())
-
     @pytest.mark.parametrize("m", [1, 2, 5, 10])
     def test_gray_order(self, m):
         # the walk's order, row k ^ (k >> 1) at step k, visits every
@@ -290,9 +271,9 @@ class TestOneKinematicLP:
                 return fn(*args, **kwargs)
             return wrapper
 
-        def counted_walk(p, unit_costs, weights, **kwargs):
+        def counted_walk(p, unit_costs, weights):
             counts["walk_rows"] += len(weights)
-            return solve_each(p, unit_costs, weights, **kwargs)
+            return solve_each(p, unit_costs, weights)
         solve_each = counted("walks", lp.solve_each)
         monkeypatch.setattr(st, "_dual_builder", counted("builds", st._dual_builder))
         monkeypatch.setattr(lp, "_phase1", counted("phase1", lp._phase1))

@@ -427,10 +427,10 @@ class TestSolveCounts:
             calls["phase2"] += 1
             return phase2(*args)
 
-        def counted_walk(p, unit_costs, weights, **kwargs):
+        def counted_walk(p, unit_costs, weights):
             calls["walks"] += 1
             calls["walk_rows"] += len(weights)
-            return solve_each(p, unit_costs, weights, **kwargs)
+            return solve_each(p, unit_costs, weights)
         monkeypatch.setattr(lp, "_phase1", counted_phase1)
         monkeypatch.setattr(lp, "_phase2", counted_phase2)
         monkeypatch.setattr(lp, "solve_each", counted_walk)

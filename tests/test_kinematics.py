@@ -93,24 +93,6 @@ class TestAssemble:
         for node in left_nodes:
             assert np.all(ops.dof_index[node] == -1)
 
-    @pytest.mark.parametrize("make", [
-        lambda: msh.generate_bar(2.0, 0.5, 8),
-        lambda: msh.generate_rectangle(0.7, 1.3, 3, 2, "left", "right"),
-        lambda: msh.generate_rectangle(1, 1, 2, 2, "bottom", "left"),
-        kuhn_cube], ids=["bar8", "rect3x2", "rect2x2-bottom-left", "kuhn_cube"])
-    def test_clamped_operators_are_free_columns(self, make):
-        # unclamped, every node's DOFs are free, in node-major order; the
-        # clamped operators are those columns of the free DOFs, bit for
-        # bit, and both are column-major
-        mesh = make()
-        ops, full = kin.assemble(mesh), kin.assemble(mesh, clamp=False)
-        assert np.array_equal(full.dof_index.ravel(), np.arange(full.n_dof))
-        free = ops.dof_index.ravel() >= 0
-        for name in ("strain_op", "trace_op"):
-            got, want = getattr(ops, name), getattr(full, name)[:, free]
-            assert got.flags.f_contiguous and getattr(full, name).flags.f_contiguous
-            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
-
     def test_invalid_mesh_rejected(self):
         m = msh.Mesh(1, np.array([[0.0], [0.0]]),
                      [msh.Element(msh.BAR, (0, 1), area=1.0)],
@@ -241,6 +223,21 @@ class TestWorkAndNorms:
         for a, tv, T in zip(ops.areas, t, ops.trace_op.reshape(len(t), 3, -1)):
             want += a * (tv @ T)
         assert np.array_equal(kin.work_vector(ops, t), want)
+
+    @pytest.mark.parametrize("make", [
+        lambda: msh.generate_bar(1.0, 1.0, 8),
+        lambda: msh.generate_rectangle(0.7, 1.3, 2, 1, "left", "right"),
+        kuhn_cube], ids=["bar8", "rect2x1", "kuhn_cube"])
+    def test_unit_works(self, make):
+        # row i is the work vector of the unit traction on component i,
+        # bit for bit
+        ops = kin.assemble(make())
+        m = len(ops.gammat_facets) * ops.dim
+        want = np.array([kin.work_vector(ops, e.reshape(-1, ops.dim))
+                         for e in np.eye(m)])
+        got = kin.unit_works(ops)
+        assert (got.dtype, got.shape, got.tobytes()) == \
+            (want.dtype, want.shape, want.tobytes())
 
     def test_work_vector_consistency(self, two_tet_mesh):
         ops = kin.assemble(two_tet_mesh)

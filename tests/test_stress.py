@@ -497,7 +497,7 @@ class TestKinematicLP:
             monkeypatch.setattr(lp, "_MAX_ITER", 0)
         else:
             monkeypatch.setattr(lp, "solve", lambda p: lp.LPSolution(status))
-            monkeypatch.setattr(lp, "solve_each", lambda p, costs, weights, normal_row: (
+            monkeypatch.setattr(lp, "solve_each", lambda p, unit_costs, weights: (
                 np.array([lp.DOMINATED, status, lp.INFEASIBLE], dtype=object),
                 np.array([-1.0, np.nan, np.nan])))
         with pytest.raises(st.SolverFailure) as want:
