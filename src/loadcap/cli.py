@@ -204,7 +204,7 @@ def _probe_ratio(ops: kin.DiscreteOperators, work, mode: str, rng) -> float:
         C = kin.isochoric_constraints(ops)
         W -= np.linalg.lstsq(C, C @ W.T, rcond=None)[0].T
         # a mesh without isochoric fields leaves only rounding
-        W = [w for w in W if st.check_isochoric(ops, w)[0]]
+        W = [w for w in W if st.check_isochoric(C, w)[0]]
         norm = kin.strain_norm_plastic
     ratios = [abs(work @ w) / budget for w in W if (budget := norm(ops, w)) > 0.0]
     return max(ratios, default=0.0)

@@ -42,6 +42,7 @@ basis lies above the best optimum found so far by more than `_NEAR_TIE`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import NamedTuple
@@ -272,7 +273,7 @@ def _pivot(T: np.ndarray, row: int, col: int):
         by_cols = _COLS_COST * m * c
         if by_block <= by_cols and by_block < m * n:
             rows, cols = factors.nonzero()[0], pivot_row.nonzero()[0]
-            T[np.ix_(rows, cols)] -= factors[rows, None] * pivot_row[cols]
+            T[rows[:, None], cols] -= factors[rows, None] * pivot_row[cols]
             return
         if by_cols < m * n:
             cols = pivot_row.nonzero()[0]
@@ -418,11 +419,13 @@ def _crash_basis(A: np.ndarray, eligible: np.ndarray) -> np.ndarray:
     nonnegative, so eligible columns are those that can take any
     nonnegative value."""
     nonzero = A != 0.0
-    single = np.flatnonzero((nonzero.sum(axis=0) == 1) & eligible)
+    single = ((nonzero.sum(axis=0) == 1) & eligible).nonzero()[0]
+    basic = np.full(A.shape[0], -1)
+    if not single.size:
+        return basic
     _, row = np.nonzero(nonzero[:, single].T)  # the row of each such column
     positive = A[row, single] > 0.0
     rows, first = np.unique(row[positive], return_index=True)
-    basic = np.full(A.shape[0], -1)
     basic[rows] = single[positive][first]
     return basic
 
@@ -466,17 +469,20 @@ def _phase1(A: np.ndarray, b: np.ndarray, lower: np.ndarray,
     T[:m, -1] = b - A @ value if value.any() else b
     T[:m][T[:m, -1] < 0] *= -1.0
     basis = _crash_basis(T[:m, :n], (upper == np.inf) & (lower <= 0.0))
-    crashed = np.flatnonzero(basis >= 0)
-    _divide_rows(T, crashed, basis[crashed])
-    inside = ((lower < 0.0) & (upper > 0.0)).astype(float)
-    for r in np.flatnonzero((basis < 0) & (T[:m, -1] == 0.0)):
+    crashed = (basis >= 0).nonzero()[0]
+    if crashed.size:
+        _divide_rows(T, crashed, basis[crashed])
+    at_zero = ((basis < 0) & (T[:m, -1] == 0.0)).nonzero()[0]
+    if at_zero.size:
+        inside = ((lower < 0.0) & (upper > 0.0)).astype(float)
+    for r in at_zero:
         entries = np.abs(T[r, :n])
         entries *= inside
         j = int(entries.argmax())
         if entries[j] > _PIVOT_TOL:
             _pivot(T[:m], r, j)
             basis[r] = j
-    artificial = np.flatnonzero(basis < 0)
+    artificial = (basis < 0).nonzero()[0]
     k = len(artificial)
     basis[artificial] = n + np.arange(k)
     pivots = 0
@@ -489,23 +495,23 @@ def _phase1(A: np.ndarray, b: np.ndarray, lower: np.ndarray,
         P[-1] -= P[artificial].sum(axis=0)
         tol = _FEAS_TOL * (1.0 + np.abs(T[:m, -1]).max(initial=0.0))
         del T
-        value = np.append(value, np.zeros(k))
-        status, pivots = _simplex(P, basis, np.append(lower, np.zeros(k)),
-                                  np.append(upper, np.full(k, np.inf)),
+        value = np.concatenate((value, np.zeros(k)))
+        status, pivots = _simplex(P, basis, np.concatenate((lower, np.zeros(k))),
+                                  np.concatenate((upper, np.full(k, np.inf))),
                                   value, plain, 1, (m, n))
         if status != OPTIMAL or P[:m, -1][basis >= n].sum() > tol:
             return _Phase1(None, basis[:0], [], pivots)
         # the artificial columns are not needed any more, and phase 2
         # overwrites the phase 1 costs
-        T = np.delete(P, np.s_[n:n + k], axis=1)
+        T = np.concatenate((P[:, :n], P[:, n + k:]), axis=1)
         value = value[:n]
         del P
 
     keep_rows = list(range(m))
     drop = []
-    for r in range(m):
-        if basis[r] < n:
-            continue
+    # the artificials still basic; a pivot in one of their rows moves no
+    # other row's basic variable
+    for r in (basis >= n).nonzero()[0]:
         piv = np.nonzero(np.abs(T[r, :n]) > _PIVOT_TOL)[0]
         if piv.size:
             _enter(T, r, int(piv[0]), value, 0.0)
@@ -591,22 +597,37 @@ def solve(p: LPStandardForm) -> LPSolution:
 
     x = value.copy()
     x[basis] = 0.0
-    rhs = p.b[keep_rows]
+    # with every row kept, plain slices gather B and b
+    every = len(keep_rows) == len(p.b)
+    rhs = p.b if every else p.b[keep_rows]
     if x.any():
-        rhs = rhs - (p.A @ x)[keep_rows]
-    B = p.A[np.ix_(keep_rows, basis)]
-    # equality multipliers w.r.t. the original rows (dropped redundant
-    # rows get zero)
-    y = np.zeros(len(p.b))
+        Ax = p.A @ x
+        rhs = rhs - (Ax if every else Ax[keep_rows])
+    B = p.A[:, basis] if every else p.A[np.ix_(keep_rows, basis)]
     try:
-        x[basis] = np.linalg.solve(B, rhs)
-        y[keep_rows] = np.linalg.solve(B.T, p.c[basis])
+        x_B = np.linalg.solve(B, rhs)
+        y_B = np.linalg.solve(B.T, p.c[basis])
     except np.linalg.LinAlgError:
         raise LPBasisError(p.A.shape, pivots, np.inf) from None
-    lower, upper, x_B = p.lower[basis], p.upper[basis], x[basis]
-    inside = (x_B >= lower - _FEAS_TOL * (1.0 + np.abs(lower))) & \
-        (x_B <= upper + _FEAS_TOL * (1.0 + np.abs(upper)))
+    x[basis] = x_B
+    # equality multipliers w.r.t. the original rows (dropped redundant
+    # rows get zero)
+    if every:
+        y = y_B
+    else:
+        y = np.zeros(len(p.b))
+        y[keep_rows] = y_B
+    if p.plain:
+        # the test below, whose widened bounds are here -_FEAS_TOL or -inf
+        # and inf: x_B passes the upper one unless it is nan, and then it
+        # fails the lower one too
+        inside = x_B >= np.where(p.free[basis], -np.inf, -_FEAS_TOL)
+    else:
+        lower, upper = p.lower[basis], p.upper[basis]
+        inside = (x_B >= lower - _FEAS_TOL * (1.0 + np.abs(lower))) & \
+            (x_B <= upper + _FEAS_TOL * (1.0 + np.abs(upper)))
     if not inside.all():
+        lower, upper = p.lower[basis], p.upper[basis]
         violation = np.maximum(lower - x_B, x_B - upper)[~inside].max()
         raise LPBasisError(p.A.shape, pivots, float(violation))
     return LPSolution(OPTIMAL, x=x, y=y, objective=float(p.c @ x))
@@ -719,27 +740,42 @@ _BRUTE_CAP = 14
 
 
 def _independent_rows(A: np.ndarray, b: np.ndarray):
-    """Gaussian elimination on [A|b]: returns (row indices, infeasible)."""
+    """Gaussian elimination on [A|b]: returns (row indices, infeasible).
+    It runs on Python floats, whose divisions, products and differences
+    are the IEEE ones that numpy's would be, in the same order."""
     M = np.hstack([A, b.reshape(-1, 1)]).astype(float)
     m, n1 = M.shape
-    rows = []
-    used = np.zeros(m, dtype=bool)
     scale = max(1.0, np.abs(M).max(initial=0.0))
+    M = M.tolist()
+    rows = []
+    used = [False] * m
     for col in range(n1 - 1):
         cand = [r for r in range(m) if not used[r]]
         if not cand:
             break
-        r = max(cand, key=lambda rr: abs(M[rr, col]))
-        if abs(M[r, col]) <= 1e-9 * scale:
+        r = max(cand, key=lambda rr: abs(M[rr][col]))
+        top = M[r]
+        if abs(top[col]) <= 1e-9 * scale:
             continue
         used[r] = True
         rows.append(r)
         for rr in range(m):
-            if rr != r and abs(M[rr, col]) > 0:
-                M[rr] -= (M[rr, col] / M[r, col]) * M[r]
-    infeasible = any(not used[r] and abs(M[r, -1]) > 1e-7 * scale
+            row = M[rr]
+            if rr != r and abs(row[col]) > 0:
+                factor = row[col] / top[col]
+                M[rr] = [v - factor * t for v, t in zip(row, top)]
+    infeasible = any(not used[r] and abs(M[r][-1]) > 1e-7 * scale
                      for r in range(m))
     return sorted(rows), infeasible
+
+
+@functools.cache
+def _bases(n: int, r: int) -> np.ndarray:
+    """The combinations of r of n column indices, one per row, in
+    `combinations` order; read-only, as it is shared."""
+    cols = np.array(list(combinations(range(n), r)))
+    cols.flags.writeable = False
+    return cols
 
 
 def _enumerate_best(A, b, c):
@@ -755,13 +791,13 @@ def _enumerate_best(A, b, c):
     n = A.shape[1]
     if r == 0:
         return 0.0, np.zeros(n)
-    cols = np.array(list(combinations(range(n), r)))
+    cols = _bases(n, r)
     B = Ar[:, cols].transpose(1, 0, 2)  # B[k] = Ar[:, cols[k]]
     regular = np.abs(np.linalg.det(B)) >= 1e-9
     cols, B = cols[regular], B[regular]
     xb = np.linalg.solve(B, np.broadcast_to(br[:, None], (len(B), r, 1)))[..., 0]
     X = np.zeros((len(cols), n))
-    np.put_along_axis(X, cols, xb, axis=1)
+    X[np.arange(len(cols))[:, None], cols] = xb
     residual = np.abs(X @ A.T - b).max(axis=1, initial=0.0)
     feasible = np.all(xb >= -1e-9, axis=1) & \
         (residual <= 1e-7 * (1.0 + np.abs(b).max(initial=0.0)))

@@ -35,12 +35,17 @@ class MeshError(ValueError):
 
 def is_number(value) -> bool:
     """Whether value is a real number and not a bool: JSON's true is not 1
-    here, although float() and operator.index read it as 1."""
+    here, although float() and operator.index read it as 1.  JSON's
+    numbers are exactly int or float, which are tested first."""
+    if type(value) is float or type(value) is int:
+        return True
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _node_ids(nodes) -> tuple:
     """Node ids as ints; 1.5, "x" or true is an error, not a conversion."""
+    if all(type(n) is int for n in nodes):
+        return tuple(nodes)
     try:
         if all(is_number(n) for n in nodes):
             return tuple(operator.index(n) for n in nodes)
@@ -179,9 +184,10 @@ def validate(mesh: Mesh):
     used[[k for e in mesh.elements for k in e.nodes if 0 <= k < n]] = True
     if not used.all():
         problems.append(f"node {np.argmin(used)} is not a node of any element")
+    faces = [element_faces(e) for e in mesh.elements]
     owners = {}  # face node set -> elements that have it as a face
-    for i, e in enumerate(mesh.elements):
-        for fs in element_faces(e):
+    for i, element in enumerate(faces):
+        for fs in element:
             owners.setdefault(fs, []).append(i)
     for i, f in enumerate(mesh.facets):
         if any(k < 0 or k >= n for k in f.nodes):
@@ -199,7 +205,7 @@ def validate(mesh: Mesh):
             for i in owners.get(frozenset(f.nodes), ())}
     stack = list(held)
     while stack:
-        for fs in element_faces(mesh.elements[stack.pop()]):
+        for fs in faces[stack.pop()]:
             for j in owners[fs]:
                 if j not in held:
                     held.add(j)

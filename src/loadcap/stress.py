@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import lp
-from .kinematics import (DiscreteOperators, check_traction, external_work,
+from .kinematics import (DiscreteOperators, check_traction,
                          isochoric_constraints, n_comps,
                          strain_norm_l1, strain_norm_plastic, work_vector)
 
@@ -122,20 +122,25 @@ def check_equilibrium(ops: DiscreteOperators, s: StressField, t):
     largest sum of magnitudes that one of its rows adds up,
     (|E| |s| + |f|)_k.  Every term scales alike with the unit of length,
     so the verdict does not depend on it."""
+    return _balance(ops, s, work_vector(ops, t))
+
+
+def _balance(ops: DiscreteOperators, s: StressField, work: np.ndarray):
+    """`check_equilibrium` for the work vector f = work of the traction."""
     weighted = ops.strain_weights * _check_stress(ops, s).ravel()
-    work = work_vector(ops, t)
     residual = float(np.abs(weighted @ ops.strain_op - work).max(initial=0.0))
     terms = np.abs(weighted) @ np.abs(ops.strain_op) + np.abs(work)
     return residual <= 1e-8 * terms.max(initial=0.0), residual
 
 
-def check_isochoric(ops: DiscreteOperators, w):
+def check_isochoric(C: np.ndarray, w):
     """(ok, dilation): the largest volumetric strain of an element under
     the velocity field w, and whether it is within 1e-8 times the largest
     sum of magnitudes that one element's dilation adds up, (|C| |w|)_e,
-    with C the isochoric constraints; as in `check_equilibrium`, the
-    verdict does not depend on the unit of length."""
-    C = isochoric_constraints(ops)
+    with C the isochoric constraints (`isochoric_constraints`), which a
+    caller that checks several fields builds once; as in
+    `check_equilibrium`, the verdict does not depend on the unit of
+    length."""
     dilation = float(np.abs(C @ w).max(initial=0.0))
     return dilation <= 1e-8 * (np.abs(C) @ np.abs(w)).max(initial=0.0), dilation
 
@@ -440,13 +445,14 @@ def certify(ops: DiscreteOperators, t, mode: str, value: float, sigma_hat: Stres
     and that stress_measure(sigma_hat), the witness ratio work/budget and
     value agree.  By weak duality that proves both optimal; a failed check
     raises SolverFailure naming it."""
-    ok, residual = check_equilibrium(ops, sigma_hat, t)
+    work = work_vector(ops, t)  # the balance's right-hand side and the work
+    ok, residual = _balance(ops, sigma_hat, work)
     if not ok:
         raise SolverFailure(
             "certificate failed: the recovered stress does not balance the "
             f"traction (equilibrium residual {residual:.3e})")
     if mode == PLASTIC:
-        isochoric, dilation = check_isochoric(ops, w)
+        isochoric, dilation = check_isochoric(isochoric_constraints(ops), w)
         if not isochoric:
             raise SolverFailure(
                 "certificate failed: the plastic witness is not isochoric "
@@ -454,7 +460,7 @@ def certify(ops: DiscreteOperators, t, mode: str, value: float, sigma_hat: Stres
     measure = stress_measure(sigma_hat, mode, ops)
     strain_norm = strain_norm_plastic if mode == PLASTIC else strain_norm_l1
     budget = strain_norm(ops, w)
-    ratio = external_work(ops, t, w) / budget if budget > 0.0 else 0.0
+    ratio = float(work @ w) / budget if budget > 0.0 else 0.0
     gap = abs(measure - ratio)
     if max(gap, abs(value - measure)) > DUALITY_GAP_TOL * (1.0 + measure):
         raise SolverFailure(

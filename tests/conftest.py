@@ -278,6 +278,30 @@ def unit_square():
     return msh.generate_rectangle(1.0, 1.0, 1, 1, "left", "right")
 
 
+def independent_rows_on_arrays(A, b):
+    """Oracle: `lp._independent_rows` with its elimination on numpy rows."""
+    M = np.hstack([A, b.reshape(-1, 1)]).astype(float)
+    m, n1 = M.shape
+    rows = []
+    used = np.zeros(m, dtype=bool)
+    scale = max(1.0, np.abs(M).max(initial=0.0))
+    for col in range(n1 - 1):
+        cand = [r for r in range(m) if not used[r]]
+        if not cand:
+            break
+        r = max(cand, key=lambda rr: abs(M[rr, col]))
+        if abs(M[r, col]) <= 1e-9 * scale:
+            continue
+        used[r] = True
+        rows.append(r)
+        for rr in range(m):
+            if rr != r and abs(M[rr, col]) > 0:
+                M[rr] -= (M[rr, col] / M[r, col]) * M[r]
+    infeasible = any(not used[r] and abs(M[r, -1]) > 1e-7 * scale
+                     for r in range(m))
+    return sorted(rows), infeasible
+
+
 def enumerate_best_loop(A, b, c):
     """Oracle: `lp._enumerate_best` as one loop over the column
     combinations, each basis solved on its own."""

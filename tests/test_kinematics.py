@@ -93,6 +93,18 @@ class TestAssemble:
         for node in left_nodes:
             assert np.all(ops.dof_index[node] == -1)
 
+    @pytest.mark.parametrize("make", [
+        lambda: msh.generate_bar(1.0, 1.0, 8),
+        lambda: msh.generate_rectangle(1.0, 1.0, 2, 2, "left", "right"),
+        kuhn_cube], ids=["bar8", "rect2x2", "kuhn_cube"])
+    def test_operators_column_major(self, make):
+        # the last bits of a report depend on the layout of the operators,
+        # not only on their entries: the same entries row-major change the
+        # equilibrium residual of about a third of the benchmark's reports
+        ops = kin.assemble(make())
+        assert ops.strain_op.flags.f_contiguous
+        assert ops.trace_op.flags.f_contiguous
+
     def test_invalid_mesh_rejected(self):
         m = msh.Mesh(1, np.array([[0.0], [0.0]]),
                      [msh.Element(msh.BAR, (0, 1), area=1.0)],

@@ -8,7 +8,8 @@ from loadcap import lp
 from loadcap import mesh as msh
 from loadcap import stress as st
 
-from conftest import (MESH_CASES, dump, enumerate_best_loop, make_two_tet_mesh,
+from conftest import (MESH_CASES, dump, enumerate_best_loop,
+                      independent_rows_on_arrays, make_two_tet_mesh,
                       reference_simplex, split_bounds, split_free)
 
 
@@ -192,6 +193,29 @@ class TestBruteOracle:
                     np.array_equal(got[1], want[1]), f"trial {trial}"
             statuses.add(lp.solve_brute(standard(c, A, b)).status)
         assert statuses == {lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED}
+
+    def test_independent_rows_match_array_elimination(self):
+        # the elimination on Python floats runs the IEEE operations of the
+        # one on numpy rows, in the same order: the same rows and verdicts,
+        # also where entries tie or cancel exactly (small integers)
+        rng = np.random.default_rng(46)
+        verdicts = set()
+        for trial in range(300):
+            m = int(rng.integers(1, 7))
+            n = int(rng.integers(1, 9))
+            A = (rng.integers(-2, 3, size=(m, n)).astype(float) if trial % 2
+                 else rng.normal(size=(m, n)))
+            b = A @ rng.uniform(0.0, 1.0, size=n)
+            if trial % 3 == 1 and m > 1:
+                A[-1] = 2.0 * A[0]  # a redundant row, or an inconsistent one
+                b[-1] = 2.0 * b[0] + trial % 2
+            elif trial % 3 == 2:
+                A[rng.integers(m)] = 0.0
+                b = b + (trial % 4 == 2) * rng.normal(size=m)
+            got = lp._independent_rows(A, b)
+            assert got == independent_rows_on_arrays(A, b), f"trial {trial}"
+            verdicts.add((got[1], len(got[0]) < m))
+        assert verdicts == {(False, False), (False, True), (True, True)}
 
     def test_random_agreement_200(self):
         rng = np.random.default_rng(42)
