@@ -43,7 +43,6 @@ basis lies above the best optimum found so far by more than `_NEAR_TIE`.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from itertools import combinations
 from typing import NamedTuple
 
@@ -135,12 +134,11 @@ class _Phase1(NamedTuple):
 class _Memo:
     """Phase 1 of one (A, b), shared by every LP made from it with
     `with_objective` or `with_column` and by `solve_each`'s walks.  Once
-    `shared` is set, the first solve memoizes phase 1 (read-only; A and b
-    are not changed in place after that) and each solve runs phase 2 on a
-    copy.  Until then the LP is standalone: each solve runs phase 1 and
-    then phase 2 in the same array, and nothing is memoized.  An LP made
-    by `with_column` has its own memo, whose `column` is (the LP it was
-    made from, the column's index)."""
+    `shared` is set, the first solve memoizes phase 1 (read-only) and each
+    solve runs phase 2 on a copy.  Until then the LP is standalone: each
+    solve runs phase 1 and then phase 2 in the same array, and nothing is
+    memoized.  An LP made by `with_column` has its own memo, whose
+    `column` is (the LP it was made from, the column's index)."""
 
     __slots__ = ("phase1", "shared", "column")
 
@@ -150,94 +148,92 @@ class _Memo:
         self.column = column
 
 
-@dataclass(frozen=True)
 class LPStandardForm:
-    c: np.ndarray = field(repr=False)
-    A: np.ndarray = field(repr=False)
-    b: np.ndarray = field(repr=False)
-    # each column's bounds, lower <= x_j <= upper, with -inf or inf for a
-    # side without one; None gives lower 0 and upper inf, a nonnegative
-    # column
-    lower: np.ndarray | None = field(default=None, repr=False)
-    upper: np.ndarray | None = field(default=None, repr=False)
-    # the columns without bounds, and whether every other column is
-    # nonnegative (`_simplex` then runs without bound flips); both follow
-    # from the bounds
-    free: np.ndarray = field(init=False, repr=False, compare=False)
-    plain: bool = field(init=False, repr=False, compare=False)
-    # not an init field, so that `dataclasses.replace` starts a new one
-    _memo: _Memo = field(default_factory=_Memo, init=False, repr=False,
-                         compare=False)
+    """One LP, minimize c . x subject to A x = b and lower <= x <= upper,
+    with -inf or inf for a side without a bound; lower None gives 0 and
+    upper None gives inf, a nonnegative column.  free marks the
+    columns without bounds, and plain says whether every other column is
+    nonnegative (`_simplex` then runs without bound flips); both follow
+    from the bounds.  The arrays are checked once, here, and an LP's
+    arrays are not changed in place after that.  Each LP has a phase 1
+    memo of its own, unless `with_objective` made it; two LPs are equal
+    only if they are the same object."""
 
-    def __post_init__(self):
-        c = np.asarray(self.c, dtype=float)
-        A = np.asarray(self.A, dtype=float)
-        b = np.asarray(self.b, dtype=float)
+    __slots__ = ("c", "A", "b", "lower", "upper", "free", "plain", "_memo")
+
+    def __init__(self, c, A, b, lower=None, upper=None):
+        c = np.asarray(c, dtype=float)
+        A = np.asarray(A, dtype=float)
+        b = np.asarray(b, dtype=float)
         if A.ndim != 2 or c.ndim != 1 or b.ndim != 1:
             raise LPError("A must be a matrix, b and c vectors")
         if A.shape != (b.size, c.size):
             raise LPError(
                 f"shape mismatch: A is {A.shape}, b has {b.size}, c has {c.size}")
         for name, arr in (("c", c), ("A", A), ("b", b)):
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise LPError(f"{name} contains non-finite entries")
-        lower = np.zeros(c.size) if self.lower is None else \
-            np.asarray(self.lower, dtype=float)
-        upper = np.full(c.size, np.inf) if self.upper is None else \
-            np.asarray(self.upper, dtype=float)
-        if lower.shape != c.shape or upper.shape != c.shape:
-            raise LPError(f"bounds have shapes {lower.shape} and {upper.shape}, "
-                          f"expected {c.shape}")
-        if not (lower <= upper).all() or (lower == np.inf).any() or \
-                (upper == -np.inf).any():
-            raise LPError("bounds must satisfy lower <= upper, lower < inf "
-                          "and upper > -inf")
-        unbounded_above = upper == np.inf
-        free = (lower == -np.inf) & unbounded_above
-        plain = bool(unbounded_above.all()) and not lower[~free].any()
-        for name, value in (("c", c), ("A", A), ("b", b), ("lower", lower),
-                            ("upper", upper), ("free", free), ("plain", plain)):
-            object.__setattr__(self, name, value)
+        n = c.size
+        if lower is None and upper is None:
+            lower, upper = np.zeros(n), np.full(n, np.inf)
+            free, plain = np.zeros(n, dtype=bool), True
+        else:
+            lower = np.zeros(n) if lower is None else np.asarray(lower, float)
+            upper = np.full(n, np.inf) if upper is None else np.asarray(upper, float)
+            if lower.shape != c.shape or upper.shape != c.shape:
+                raise LPError(f"bounds have shapes {lower.shape} and {upper.shape}, "
+                              f"expected {c.shape}")
+            if not (lower <= upper).all() or (lower == np.inf).any() or \
+                    (upper == -np.inf).any():
+                raise LPError("bounds must satisfy lower <= upper, lower < inf "
+                              "and upper > -inf")
+            unbounded_above = upper == np.inf
+            free = (lower == -np.inf) & unbounded_above
+            plain = bool(unbounded_above.all()) and not lower[~free].any()
+        self.c, self.A, self.b = c, A, b
+        self.lower, self.upper, self.free, self.plain = lower, upper, free, plain
+        self._memo = _Memo()
+
+    def _derive(self, c: np.ndarray, A: np.ndarray, memo: _Memo) -> LPStandardForm:
+        """This LP with c, A and memo, checked already, in place of its own;
+        this LP's phase 1 is memoized from now on."""
+        p = object.__new__(LPStandardForm)
+        p.c, p.A, p.b, p.lower, p.upper = c, A, self.b, self.lower, self.upper
+        p.free, p.plain, p._memo = self.free, self.plain, memo
+        self._memo.shared = True
+        return p
 
     def with_objective(self, c) -> LPStandardForm:
         """The same A, b and bounds with costs c; it shares this LP's
-        phase 1, which from now on is memoized, so that phase 1 runs once
-        for both and each phase 2 runs on a copy of it.  Only c is
-        checked: every other field is this LP's, checked already."""
+        phase 1, so that phase 1 runs once for both and each phase 2 runs
+        on a copy of it.  Only c is checked."""
         c = np.asarray(c, dtype=float)
         if c.shape != self.c.shape:
             raise LPError(f"shape mismatch: c has shape {c.shape}, "
                           f"expected {self.c.shape}")
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise LPError("c contains non-finite entries")
-        p = object.__new__(LPStandardForm)
-        p.__dict__.update(self.__dict__, c=c)  # _memo included
-        self._memo.shared = True
-        return p
+        return self._derive(c, self.A, self._memo)
 
     def with_column(self, j: int, a) -> LPStandardForm:
         """This LP with column j replaced by a.  Column j must be zero
         here, with 0 inside its bounds: then phase 1 never pivots on it and
         leaves it nonbasic at 0, so the new LP's phase 1 is this LP's, with
-        column j of the tableau set to B^-1 a at its basis B (`_start`).
-        This LP's phase 1 is memoized from now on, as in `with_objective`,
-        and shared by every LP made from it."""
+        column j of the tableau set to B^-1 a at its basis B (`_start`);
+        it has a memo of its own, whose phase 1 is made from this LP's."""
         m, n = self.A.shape
         a = np.asarray(a, dtype=float)
         if not -n <= j < n or a.shape != (m,):
             raise LPError(f"column {j} of shape {a.shape} does not fit a "
                           f"{m} x {n} LP")
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise LPError("the column contains non-finite entries")
         j %= n
         if self.A[:, j].any() or not self.lower[j] <= 0.0 <= self.upper[j]:
             raise LPError(f"column {j} is not zero with 0 inside its bounds")
         A = self.A.copy()
         A[:, j] = a
-        p = object.__new__(LPStandardForm)
-        p.__dict__.update(self.__dict__, A=A, _memo=_Memo(column=(self, j)))
-        self._memo.shared = True
-        return p
+        return self._derive(self.c, A, _Memo(column=(self, j)))
 
 
 class LPSolution(NamedTuple):

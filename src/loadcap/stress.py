@@ -28,7 +28,6 @@ and its quotient by spherical shifts in plastic mode.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import NamedTuple
 
 import numpy as np
@@ -160,7 +159,7 @@ class KinematicLP(NamedTuple):
     objective, so every `kinematic_supremum` on it shares one phase 1.
     The velocity DOFs are the first n_dof columns of `prob`.  prob is the
     LP of the mesh with its lengths multiplied by a power of two
-    (`kinematic_lp`), whose works are the mesh's times work_scale,
+    (`_length_scale`), whose works are the mesh's times work_scale,
     exactly.  Row rows[j] of prob is the box LP's stress column j of that
     mesh over weights[j], its weight in the strain budget, so the
     multipliers y of the rows give the box LP's stress columns
@@ -186,23 +185,33 @@ def _box_columns(ops: DiscreteOperators, mode: str) -> tuple:
             np.concatenate([np.repeat(np.arange(n_el), n_dev), np.arange(n_el)]))
 
 
-def _dual_builder(ops: DiscreteOperators, mode: str, scale: float) -> KinematicLP:
-    """The kinematic LP as the dual of `box_lp`, with zero costs, for the
-    mesh with its lengths multiplied by scale.  Its free columns are the
-    box LP's row multipliers: the velocity DOFs, then in plastic mode one
-    per traceless row.  Each stress column of the box LP, over its weight,
-    is one row, element by element (on the plastic 6x6 plate phase 1 then
-    takes a third of the time it takes in the box LP's column order).  A
-    bounded column adds a (+, -) pair, the strain of its row, which the
-    last row, the strain budget, weighs by the same weight and bounds by
-    1; a free column, a plastic pressure, adds none: the witness is
-    isochoric."""
-    dim = ops.dim
-    scaled = dataclasses.replace(ops, strain_op=ops.strain_op / scale,
-                                 strain_weights=ops.strain_weights * scale ** dim,
-                                 volumes=ops.volumes * scale ** dim)
-    box = box_lp(scaled, mode)
-    weights, element = _box_columns(scaled, mode)
+def _length_scale(ops: DiscreteOperators) -> float:
+    """2^-floor(log2(extent)), extent the largest side of the mesh's
+    bounding box: both LPs multiply the mesh's lengths by it, exactly,
+    which brings the extent into [1, 2).  The simplex's tolerances are
+    absolute, and at a unit of 1e-5 the Kuhn 2x2x2 box LP's entries
+    (at most 1.7e-11) or at 1e-4 the kinematic LP's budget row (about
+    1e-8) would come so near them that it can stop at a wrong vertex."""
+    extent = np.ptp(ops.mesh.nodes, axis=0).max()
+    return 2.0 ** (1 - int(np.frexp(extent)[1]))
+
+
+def _dual_builder(ops: DiscreteOperators, mode: str) -> KinematicLP:
+    """The kinematic LP as the dual of `box_lp`, with zero costs, both of
+    the mesh with its lengths multiplied by `_length_scale`, so that the
+    budget weights are the mesh's times scale^dim.  Its free columns are
+    the box LP's row multipliers: the velocity DOFs, then in plastic mode
+    one per traceless row.  Each stress column of the box LP, over its
+    weight, is one row, element by element (on the plastic 6x6 plate
+    phase 1 then takes a third of the time it takes in the box LP's
+    column order).  A bounded column adds a (+, -) pair, the strain of
+    its row, which the last row, the strain budget, weighs by the same
+    weight and bounds by 1; a free column, a plastic pressure, adds none:
+    the witness is isochoric."""
+    scale = _length_scale(ops)
+    box = box_lp(ops, mode)
+    weights, element = _box_columns(ops, mode)
+    weights = weights * scale ** ops.dim
     order = np.argsort(element, kind="stable")  # the box column of each row
     eq = box.A[:, order].T / weights[order, None]
     bounded = np.flatnonzero(np.isfinite(box.upper[order]))
@@ -217,20 +226,12 @@ def _dual_builder(ops: DiscreteOperators, mode: str, scale: float) -> KinematicL
     budget[eq.shape[1]:] = np.repeat(weights[order[bounded]], 2)
     builder.add_le(budget, 1.0)
     return KinematicLP(ops.n_dof, builder.build(np.zeros(builder.n_vars)),
-                       scale ** (dim - 1), np.argsort(order), weights)
+                       scale ** (ops.dim - 1), np.argsort(order), weights)
 
 
 def kinematic_lp(ops: DiscreteOperators, mode: str) -> KinematicLP:
-    """The kinematic LP of `ops` in `mode`, to solve for many objectives.
-    Its lengths are the mesh's times 2^-floor(log2(extent)), extent the
-    largest side of the mesh's bounding box, which is exact and brings
-    the extent into [1, 2): the simplex's tolerances are absolute, and
-    at a length unit of 1e-4 the budget row's entries, about 1e-8, come
-    so near them that the simplex can stop at a wrong vertex.  The value
-    of the LP does not depend on the unit of length.  `box_lp` checks the
-    mode."""
-    extent = np.ptp(ops.mesh.nodes, axis=0).max()
-    return _dual_builder(ops, mode, 2.0 ** (1 - int(np.frexp(extent)[1])))
+    """`_dual_builder`'s LP of ops in mode, to solve for many objectives."""
+    return _dual_builder(ops, mode)
 
 
 def _kinematic_costs(kinematic: KinematicLP, objective) -> np.ndarray:
@@ -318,15 +319,16 @@ def _pressure_op(ops: DiscreteOperators) -> np.ndarray:
     return np.einsum("ec,eck->ke", weights[:, :ops.dim], strain_op[:, :ops.dim])
 
 
-def box_lp(ops: DiscreteOperators, mode: str) -> lp.LPStandardForm:
-    """The static problem as a box-bounded LP: maximize the load factor
-    lambda >= 0 subject to E s = lambda f, with
-    E = (strain_weights * strain_op)^T, one row per velocity DOF.  Its
-    last column, lambda's, is left zero: the LP of a work vector f has -f
-    there (`box_optimum`).  Its phase 1 does not depend on f, since the
-    crash pivots only on columns with 0 strictly inside their bounds,
-    never on lambda, which is nonnegative; so the LPs of many tractions
-    can share it (`lp.LPStandardForm.with_column`).
+def box_lp(ops: DiscreteOperators, mode: str, work=None) -> lp.LPStandardForm:
+    """The static problem of the work vector work as a box-bounded LP:
+    maximize the load factor lambda >= 0 subject to E s = lambda f, with
+    E = (strain_weights * strain_op)^T, one row per velocity DOF, both of
+    the mesh with its lengths multiplied by `_length_scale`, so that E and
+    f are the mesh's times scale^(dim-1).  Without work, lambda's column
+    is zero.  Its phase 1 does not depend on f, since the crash pivots
+    only on columns with 0 strictly inside their bounds, never on lambda,
+    which is nonnegative; so the LPs of many tractions can share the one
+    without work (`lp.LPStandardForm.with_column`, `box_optimum`).
 
     Elastic: s is every element's unique stress components, each in
     [-1, 1].  Plastic: every element's deviatoric components d, each in
@@ -341,12 +343,14 @@ def box_lp(ops: DiscreteOperators, mode: str) -> lp.LPStandardForm:
         require_plastic_viable(ops)
     dim, n_el, n_dof = ops.dim, ops.n_elements, ops.n_dof
     nc = n_comps(dim)
-    E = (ops.strain_weights[:, None] * ops.strain_op).T
+    work_scale = _length_scale(ops) ** (dim - 1)
+    E = ((ops.strain_weights * work_scale)[:, None] * ops.strain_op).T
+    load = np.zeros(n_dof) if work is None else -work_scale * np.asarray(work, float)
     builder = lp.LPBuilder()
     if mode == ELASTIC:
         builder.add_vars(n_el * nc, lower=-1.0, upper=1.0)
         builder.add_vars(1)
-        builder.add_eq(np.hstack([E, np.zeros((n_dof, 1))]), 0.0)
+        builder.add_eq(np.hstack([E, load[:, None]]), 0.0)
     else:
         n_dev = _n_deviatoric(dim)
         builder.add_vars(n_el * n_dev, lower=-1.0, upper=1.0)
@@ -355,7 +359,8 @@ def box_lp(ops: DiscreteOperators, mode: str) -> lp.LPStandardForm:
         equilibrium = np.zeros((n_dof, builder.n_vars))
         deviatoric = equilibrium[:, :n_el * n_dev].reshape(n_dof, n_el, n_dev)
         deviatoric[:, :, :nc] = E.reshape(n_dof, n_el, nc)
-        equilibrium[:, n_el * n_dev:-1] = _pressure_op(ops)
+        equilibrium[:, n_el * n_dev:-1] = _pressure_op(ops) * work_scale
+        equilibrium[:, -1] = load
         builder.add_eq(equilibrium, 0.0)
         traceless = np.zeros((n_el, builder.n_vars))
         diagonal = [*range(dim), nc] if dim == 2 else list(range(dim))
@@ -387,23 +392,21 @@ def box_optimum(ops: DiscreteOperators, work, mode: str = ELASTIC,
     is 0, so f . y = 1, and each stress column's reduced cost -E_k . y
     sits at the bound the column takes, so the strain budget of y is
     sum_k |E_k . y| = lambda.  So y is a kinematic witness with ratio
-    work/budget = 1 / lambda.  Unbounded lambda means that a stress of
-    measure 0 balances the traction: none but 0 in elastic mode, a
-    pressure field in plastic mode, found by least squares.  lambda = 0
-    means that the traction loads a mechanism."""
-    template = box_lp(ops, mode) if box is None else box
-    load = np.zeros(len(template.b))
-    load[:ops.n_dof] = 0.0 - np.asarray(work, dtype=float)  # 0.0 - x: no -0.0
+    work/budget = 1 / lambda, and y times scale^(dim-1) is that witness
+    in the mesh's lengths (`box_lp`).  Unbounded lambda means that a
+    stress of measure 0 balances the traction: none but 0 in elastic
+    mode, a pressure field in plastic mode, found by least squares.
+    lambda = 0 means that the traction loads a mechanism."""
+    work_scale = _length_scale(ops) ** (ops.dim - 1)
     if box is None:
-        A = template.A
-        A[:, -1] = load  # the template is this call's own
-        prob = lp.LPStandardForm(c=template.c, A=A, b=template.b,
-                                 lower=template.lower, upper=template.upper)
+        prob = box_lp(ops, mode, work)
     else:
-        prob = box.with_column(-1, load)
+        load = np.zeros(len(box.b))
+        load[:ops.n_dof] = 0.0 - work_scale * np.asarray(work, dtype=float)
+        prob = box.with_column(-1, load)  # 0.0 - x above: no -0.0 in it
     sol = _solve(prob, "box LP")
     if sol.status == lp.UNBOUNDED:
-        s = np.zeros(len(template.c) - 1)
+        s = np.zeros(len(prob.c) - 1)
         if mode == PLASTIC:
             s[-ops.n_elements:] = np.linalg.lstsq(_pressure_op(ops), work, rcond=None)[0]
         return BoxOptimum(np.inf, stress_field(ops, mode, s), np.zeros(ops.n_dof))
@@ -416,7 +419,8 @@ def box_optimum(ops: DiscreteOperators, work, mode: str = ELASTIC,
         raise SolverFailure(
             "box LP: load factor 0: the traction loads a mechanism of the "
             "mesh despite the supported boundary")
-    return BoxOptimum(lam, stress_field(ops, mode, sol.x[:-1] / lam), sol.y[:ops.n_dof])
+    return BoxOptimum(lam, stress_field(ops, mode, sol.x[:-1] / lam),
+                      work_scale * sol.y[:ops.n_dof])
 
 
 def optimal_stress(ops: DiscreteOperators, t, mode: str = ELASTIC,

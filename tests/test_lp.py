@@ -1,4 +1,3 @@
-import dataclasses
 
 import numpy as np
 import pytest
@@ -548,17 +547,18 @@ class TestBoundedVariables:
             j = int(rng.integers(len(p.c)))
             A = p.A.copy()
             A[:, j] = 0.0
-            base = dataclasses.replace(p, A=A.copy())
+            base = lp.LPStandardForm(p.c, A.copy(), p.b, p.lower, p.upper)
             runs.clear()
             for _ in range(4):
                 a = rng.normal(size=len(p.b))
                 got = lp.solve(base.with_column(j, a))
                 A[:, j] = a
-                want = lp.solve(dataclasses.replace(p, A=A.copy()))
+                want = lp.solve(lp.LPStandardForm(p.c, A.copy(), p.b, p.lower, p.upper))
                 assert got.status == want.status, f"trial {trial}: {dump(p)}"
                 if got.status == lp.OPTIMAL:
                     assert got.objective == pytest.approx(want.objective, abs=1e-8)
-                    check_bounded_optimum(dataclasses.replace(p, A=A.copy()), got)
+                    check_bounded_optimum(
+                        lp.LPStandardForm(p.c, A.copy(), p.b, p.lower, p.upper), got)
                     solved += 1
             # the base's phase 1 once, and the standalone LPs' own; more
             # only where the base's dropped a row or found no feasible point
@@ -569,7 +569,8 @@ class TestBoundedVariables:
         assert solved > 60
         with pytest.raises(lp.LPError, match="not zero"):
             p.with_column(0, np.ones(len(p.b))) if p.A[:, 0].any() else \
-                dataclasses.replace(p, A=np.ones_like(p.A)).with_column(0, np.ones(len(p.b)))
+                lp.LPStandardForm(p.c, np.ones_like(p.A), p.b, p.lower,
+                                  p.upper).with_column(0, np.ones(len(p.b)))
         with pytest.raises(lp.LPError, match="does not fit"):
             base.with_column(len(p.c), np.ones(len(p.b)))
 
@@ -694,14 +695,21 @@ class TestSharedPhase1:
         assert np.array_equal(base._memo.phase1.tableau, start)
         assert all(same_solution(g, w) for g, w in zip(first, reversed(again)))
 
-    def test_memo_not_in_repr_or_replace(self):
+    def test_memo_not_inherited(self):
         p = standard([1.0], [[1.0]], [1.0])
-        lp.solve(p)
-        assert repr(p) == repr(standard([1.0], [[1.0]], [1.0])) == "LPStandardForm()"
-        # a new A must not inherit the phase 1 of the old one
-        q = dataclasses.replace(p, A=np.array([[2.0]]))
-        assert q._memo is not p._memo
+        lp.solve(p.with_objective([2.0]))  # memoizes p's phase 1
+        # an LP built from another LP's arrays, with a new A, must not
+        # inherit the phase 1 of the old one
+        q = lp.LPStandardForm(p.c, np.array([[2.0]]), p.b, p.lower, p.upper)
+        assert q._memo is not p._memo and q._memo.phase1 is None
         assert lp.solve(q).x[0] == pytest.approx(0.5)
+
+    def test_equal_only_to_itself(self):
+        # an LP compares and hashes by identity, not by its arrays
+        p = standard([1.0, 1.0], [[1.0, 1.0]], [1.0])
+        q = p.with_objective([2.0, 0.0])
+        assert p == p and p != q and p != standard([1.0, 1.0], [[1.0, 1.0]], [1.0])
+        assert len({p, q, p}) == 2
 
     def test_with_objective_checks_costs(self):
         p = standard([1.0, 1.0], [[1.0, 1.0]], [1.0])
@@ -1189,7 +1197,8 @@ class TestOptimalBasis:
         monkeypatch.setattr(np.linalg, "solve", singular_once)
         got = lp.solve(base.with_column(2, [2.0]))
         assert len(runs) == 1
-        want = lp.solve(dataclasses.replace(base, A=[[1.0, 1.0, 2.0]]))
+        want = lp.solve(lp.LPStandardForm(base.c, [[1.0, 1.0, 2.0]], base.b,
+                                          base.lower, base.upper))
         assert got.status == want.status == lp.OPTIMAL
         assert np.array_equal(got.x, want.x) and got.objective == want.objective
 
@@ -1233,7 +1242,7 @@ class TestCrashStart:
         lps = [p for _, _, p in slack_corpus()]
         # the same LPs with every column scaled, so that no crash entry is 1
         scales = np.random.default_rng(19).uniform(0.5, 2.0, size=(len(lps), 10))
-        lps += [dataclasses.replace(p, A=p.A * s[:p.A.shape[1]])
+        lps += [lp.LPStandardForm(p.c, p.A * s[:p.A.shape[1]], p.b, p.lower, p.upper)
                 for p, s in zip(lps, scales)]
         for o in ops:
             for mode in st.MODES:
