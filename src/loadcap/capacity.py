@@ -6,14 +6,14 @@ space: the supremum of boundary L1 norm over strain norm.  Its exact
 computation maximizes a convex piecewise-linear functional over a
 polytope, done here by exhaustive enumeration of boundary sign patterns
 (hard cap 16 scalar components), the vertices of the unit traction ball,
-which one int8 matrix holds (`_sign_vertices`).  Exact K runs on the
-kinematic LP, where a pattern's traction enters only the costs: one
-simplex walk over the patterns in Gray-code order, which runs phase 2,
+which one int8 matrix holds in Gray-code order (`_sign_vertices`).
+Exact K runs on the kinematic LP, where a pattern's traction enters
+only the costs: one simplex walk down that matrix, which runs phase 2,
 from the optimal basis where the last one stopped, only for a pattern
 that no basis before it proves optimal and whose weak-duality bound
 there does not put it below the best found so far (`lp.DOMINATED`),
-then a full solve of every pattern whose walk value is a near tie of
-the best, among which the worst traction is chosen.  Beyond the cap an
+then one full solve of the first pattern whose walk value is a near
+tie of the best, which is the worst traction.  Beyond the cap an
 alternating heuristic produces a lower bound; it solves the box LP of
 each sign pattern it visits (`stress.box_optimum`), once.  Both certify
 the worst pattern's own solution (`stress.certify`), so the heuristic's
@@ -70,10 +70,11 @@ class LimitResult(NamedTuple):
 def _sign_vertices(ops: DiscreteOperators) -> np.ndarray:
     """The 2^(m-1) vertices of the unit traction ball up to sign, raveled,
     m the number of boundary components, which is checked against the cap
-    first: an int8 matrix whose row k is code k, component 0 is +1 (t and
-    -t give the same value), and component b + 1 is -1 exactly when bit b
-    of k is set.  Built by doubling: rows 2^b to 2^(b+1) - 1 are the rows
-    before them with component b + 1 negative, so no temporary array."""
+    first: an int8 matrix whose component 0 is +1 (t and -t give the same
+    value), in binary-reflected Gray-code order: component b + 1 of row k
+    is -1 exactly when bit b of k ^ (k >> 1) is set, so consecutive rows
+    differ in one sign.  Built by reflection: rows 2^b to 2^(b+1) - 1 are
+    the rows before them reversed, with component b + 1 negative."""
     m = len(ops.gammat_facets) * ops.dim
     if m > SIGN_PATTERN_CAP:
         raise CapacityError(
@@ -82,7 +83,7 @@ def _sign_vertices(ops: DiscreteOperators) -> np.ndarray:
     signs = np.ones((2 ** (m - 1), m), dtype=np.int8)
     for b in range(m - 1):
         half = 2 ** b
-        signs[half:2 * half] = signs[:half]
+        signs[half:2 * half] = signs[half - 1::-1]
         signs[half:2 * half, b + 1] = -1
     return signs
 
@@ -93,18 +94,14 @@ def generalized_K(ops: DiscreteOperators, mode: str = ELASTIC,
 
     Exact: every sign pattern maximizes a new work over the same kinematic
     LP, built once here, so all of them share its phase 1.  One simplex
-    walk (`kinematic_suprema`) gives every vertex's value, reading the
-    vertex matrix (`_sign_vertices`) in Gray-code order, row k ^ (k >> 1)
-    at step k, so that each step flips one sign, and settles every vertex
-    that an optimal basis it reaches already proves optimal without a
-    phase 2 of its own.  A vertex whose bound at such a basis, by the
-    strain budget, puts its value below the best found so far by more
-    than `lp._NEAR_TIE` (relative) is settled too, with that bound
-    (`lp.DOMINATED`): it can be neither the worst nor a near tie.  The
-    values carry the rounding of the walk, so every vertex within
-    `lp._NEAR_TIE` (relative) of the best is solved again on its own, by
-    code counting up, and the first one that beats all before it by more
-    than 1e-12 is the worst traction.
+    walk (`kinematic_suprema`) down the vertex matrix (`_sign_vertices`),
+    row k at step k, so that each step flips one sign, gives every
+    vertex's value, without a phase 2 for a vertex that an optimal basis
+    it reaches proves optimal or, by weak duality, puts far below the
+    best (`lp.DOMINATED`).  The values carry the rounding of the walk,
+    so the worst traction is the first vertex, in walk order, within
+    `lp._NEAR_TIE` (relative) of the best, and its value, witness and
+    stress come from one solve of its own.
 
     Heuristic: from all-ones and `HEURISTIC_RESTARTS` - 1 seeded random
     sign patterns, alternate between solving a pattern's box LP (all of
@@ -118,21 +115,17 @@ def generalized_K(ops: DiscreteOperators, mode: str = ELASTIC,
     Either way K is certified (`stress.certify`) from the worst pattern's
     own solution, once, and K_traction_side is the stress measure of its
     certified stress."""
-    best_val = -1.0
     if method == EXACT:
         signs = _sign_vertices(ops)
         kinematic = kinematic_lp(ops, mode)
-        k = np.arange(len(signs))
-        values = kinematic_suprema(kinematic, unit_works(ops), signs[k ^ (k >> 1)])
+        values = kinematic_suprema(kinematic, unit_works(ops), signs)
         top = values.max()
-        steps = np.flatnonzero(values >= top - lp._NEAR_TIE * (1.0 + abs(top)))
-        for code in np.sort(steps ^ (steps >> 1)):
-            t = signs[code].reshape(-1, ops.dim).astype(float)
-            val, w, s = kinematic_supremum(kinematic, work_vector(ops, t))
-            if val > best_val + 1e-12:
-                best_val, worst, best_w, best_s = val, t, w, s
-        sigma_hat = stress_field(ops, mode, best_s)
+        first = np.argmax(values >= top - lp._NEAR_TIE * (1.0 + abs(top)))
+        worst = signs[first].reshape(-1, ops.dim).astype(float)
+        best_val, best_w, s = kinematic_supremum(kinematic, work_vector(ops, worst))
+        sigma_hat = stress_field(ops, mode, s)
     elif method == HEURISTIC:
+        best_val = -1.0
         box = box_lp(ops, mode)
         shape = (len(ops.gammat_facets), ops.dim)
         rng = np.random.default_rng(0)

@@ -278,8 +278,8 @@ def kinematic_suprema(kinematic: KinematicLP, unit_objectives,
     whose weak-duality bound shows it far below the largest value as
     `lp.DOMINATED`: its value here is that bound, an upper bound on its
     supremum that lies below the largest value by more than
-    `lp._NEAR_TIE` (1 + |largest|).  Failures raise the same
-    `SolverFailure`s, for the first row that fails."""
+    `lp._NEAR_TIE` (1 + |largest|), so no near tie of it is pruned.
+    Failures raise the same `SolverFailure`s, for the first that fails."""
     unit_costs = np.reshape([_kinematic_costs(kinematic, f) for f in unit_objectives],
                             (-1, len(kinematic.prob.c)))
     try:

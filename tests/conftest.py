@@ -91,7 +91,7 @@ def split_free(p):
 
 def cold_generalized_K(ops: kin.DiscreteOperators, mode: str) -> cap.CapacityResult:
     """Oracle: exact K from one solve per vertex of the unit traction ball,
-    by code counting up (the rows of `capacity._sign_vertices`), each
+    in the walk's order (the rows of `capacity._sign_vertices`), each
     phase 2 from the shared phase 1; the first vertex that beats all
     before it by more than 1e-12 is the worst traction, certified from
     its own solution."""

@@ -270,6 +270,29 @@ class TestVerify:
         assert failed == [f"duality_trial{k}_{mode}" for k in range(3)
                           for mode in ("elastic", "plastic")]
 
+    @pytest.mark.parametrize("module, name, trials, failure, check", [
+        (st, "optimal_stress", 1, st.SolverFailure("box LP: stalled"),
+         "homogeneity_trial0_elastic"),
+        (lp, "solve", 0, lp.LPIterationError(2, (4, 6), 7), "lp_oracle_1"),
+        (lp, "solve", 0, lp.LPBasisError((4, 6), 3, np.inf), "lp_oracle_1"),
+    ], ids=["scaled_traction", "oracle_pivot_limit", "oracle_singular_basis"])
+    def test_failed_solve_is_a_failed_check(self, capsys, square_files, monkeypatch,
+                                            module, name, trials, failure, check):
+        # the second solve fails: trial 0's scaled traction, or the second
+        # LP-oracle LP; the report is printed with that check failed
+        solve, calls = getattr(module, name), []
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise failure
+            return solve(*args)
+        monkeypatch.setattr(module, name, failing)
+        code, out, _ = run(capsys, ["verify", square_files[0], "--trials", str(trials)])
+        assert code == cli.EXIT_SOLVER
+        failed = [c for c in json.loads(out)["checks"] if not c["ok"]]
+        assert failed == [{"check": check, "ok": False, "detail": str(failure)}]
+
     def test_work_vector_probe(self, capsys, tmp_path, monkeypatch):
         # the load's own work vector, as a probe field, lifts each bound
         # below to 27-65 % of sigma_opt on this plate (3-29 % from the
@@ -413,9 +436,8 @@ class TestSolveCounts:
     def test_exact_capacity(self, capsys, square_files, solves, monkeypatch):
         # 3 loaded edges x 2 components: 2^5 sign patterns, the rows of one
         # walk after one phase 1, which runs phase 2 for 3 of them; then
-        # one solve, and phase 2, for each of the 4 patterns whose value is
-        # K, and the worst pattern's own solution is certified, not solved
-        # again
+        # one solve, and phase 2, for the first of the 4 patterns whose
+        # value is K, whose own solution is certified, not solved again
         phase1, phase2, solve_each = lp._phase1, lp._phase2, lp.solve_each
         calls = {"phase1": 0, "phase2": 0, "walks": 0, "walk_rows": 0}
 
@@ -438,9 +460,9 @@ class TestSolveCounts:
         code, out, _ = run(capsys, ["capacity", mesh_path])
         assert code == cli.EXIT_OK
         assert json.loads(out)["method"] == "exact_vertex_enumeration"
-        assert calls == {"phase1": 1, "phase2": 3 + 4, "walks": 1,
+        assert calls == {"phase1": 1, "phase2": 3 + 1, "walks": 1,
                          "walk_rows": 2 ** 5}
-        assert len(solves) == 4
+        assert len(solves) == 1
 
     @pytest.mark.parametrize("trials", [0, 2])
     def test_verify(self, capsys, square_files, bar_files, solves, monkeypatch,
