@@ -82,6 +82,14 @@ _LOOKAHEAD = 256
 # sign components (absolute, exact K on the 2x2 and 3x2 plates), so its
 # values cannot order them and `solve_each` never prunes one
 _NEAR_TIE = 1e-9
+# the crash pivots on a row's largest free entry if it is at least this
+# fraction of the row's largest entry among the columns with 0 inside their
+# bounds (`_phase1`).  With no such floor, pivot growth failed the plastic
+# certificate on the 2x2x1 Kuhn box with z scaled by 1e-7; 1/2, 1/10,
+# 1/100 and 1/1000 all certify it.  On the plastic Kuhn cube of side 4
+# under a seeded random load, phase 2 took 1,339 steps at 1/2 and 1,036 at
+# each of the others, and 1,151 with no floor
+_FREE_CRASH = 0.01
 
 
 class LPError(ValueError):
@@ -445,18 +453,24 @@ def _phase1(A: np.ndarray, b: np.ndarray, lower: np.ndarray,
     starts on it.  Each other row whose x_B is 0 then takes one Gaussian
     pivot, on its largest entry among the columns with 0 strictly inside
     their bounds, if that is above `_PIVOT_TOL`: x_B stays as it is, and
-    the new basic variable is 0, away from its bounds.  So a nonnegative
-    column is never a crash pivot, and the crash does not depend on one
-    (`LPStandardForm.with_column`).  On the elastic 6x6 plate the
-    kinematic LP's phase 2 takes 213 pivots from this start, and took
-    45,953 when the nonnegative columns were candidates too; on the
-    plastic 16x16 plate the box LP's takes 1,036, and failed its
-    certificate after 17,660 from the lowest-index entries.  Only the rows
-    left over get an artificial, which is nonnegative.  Minimize the sum
-    of the artificials (at once optimal if all of their rows have
-    x_B = 0), then drive the artificials left in the basis out of it,
-    dropping the redundant rows.  The tableau's last row is for phase 2's
-    reduced costs, which phase 2 writes."""
+    the new basic variable is 0, away from its bounds.  Where bounded
+    columns compete with free ones, the row's largest free entry is the
+    pivot instead if it is at least `_FREE_CRASH` times that entry: a free
+    column never leaves the basis once it enters, so each one left
+    nonbasic costs phase 2 a pivot (free columns first, as in Bixby's
+    crash, 1992).  So a nonnegative column is never a crash pivot, and the
+    crash does not depend on one (`LPStandardForm.with_column`).  On the
+    elastic 6x6 plate the kinematic LP's phase 2 takes 213 pivots from
+    this start, and took 45,953 when the nonnegative columns were
+    candidates too; on the plastic 16x16 plate every pressure starts
+    basic and the box LP's takes 242, against 1,036 with 447 of the 512
+    pressures nonbasic, and it failed its certificate after 17,660 from
+    the lowest-index entries.  Only the rows left over get an artificial,
+    which is nonnegative.  Minimize the sum of the artificials (at once
+    optimal if all of their rows have x_B = 0), then drive the artificials
+    left in the basis out of it, dropping the redundant rows.  The
+    tableau's last row is for phase 2's reduced costs, which phase 2
+    writes."""
     m, n = A.shape
     value = np.zeros(n) if plain else np.clip(0.0, lower, upper)
     T = np.empty((m + 1, n + 1))  # [A | x_B] over the cost row
@@ -470,11 +484,20 @@ def _phase1(A: np.ndarray, b: np.ndarray, lower: np.ndarray,
         _divide_rows(T, crashed, basis[crashed])
     at_zero = ((basis < 0) & (T[:m, -1] == 0.0)).nonzero()[0]
     if at_zero.size:
-        inside = ((lower < 0.0) & (upper > 0.0)).astype(float)
+        inside = (lower < 0.0) & (upper > 0.0)
+        unbounded = (lower == -np.inf) & (upper == np.inf)
+        # the free columns, if a bounded column competes with them
+        competing = unbounded.any() and (inside & ~unbounded).any()
+        free = unbounded.nonzero()[0] if competing else None
+        inside = inside.astype(float)
     for r in at_zero:
         entries = np.abs(T[r, :n])
         entries *= inside
         j = int(entries.argmax())
+        if free is not None:
+            j_free = free[entries[free].argmax()]
+            if entries[j_free] >= _FREE_CRASH * entries[j]:
+                j = int(j_free)
         if entries[j] > _PIVOT_TOL:
             _pivot(T[:m], r, j)
             basis[r] = j

@@ -485,12 +485,23 @@ class TestPinnedCounts:
         assert np.array_equal(result.worst_traction, worst)
         assert (counts["phase2"], counts["iterations"]) == (phase2, iterations)
 
+    # with the pressures crashed basic (`lp._FREE_CRASH`); from the crash
+    # that left 39 of the 50 pressures nonbasic, the 5x5 plate took
+    # (175, 69) and (1, 69)
     def test_plastic_5x5_plate_end_tension(self, counts):
         mesh, t = end_tension_plate(5)
         assert st.optimal_stress(kin.assemble(mesh), t, st.PLASTIC).sigma_opt == \
             pytest.approx(0.5, rel=1e-12)
-        assert (counts["pivots"], counts["phase2_pivots"]) == (175, 69)
-        assert (counts["phase2"], counts["iterations"]) == (1, 69)
+        assert (counts["pivots"], counts["phase2_pivots"]) == (127, 21)
+        assert (counts["phase2"], counts["iterations"]) == (1, 22)
+
+    # 201 phase 2 iterations from the crash that left 99 of the 128
+    # pressures nonbasic
+    def test_plastic_8x8_plate_end_tension(self, counts):
+        mesh, t = end_tension_plate(8)
+        assert st.optimal_stress(kin.assemble(mesh), t, st.PLASTIC).sigma_opt == \
+            pytest.approx(0.5, rel=1e-12)
+        assert (counts["phase2"], counts["iterations"]) == (1, 58)
 
     def test_heuristic_on_elastic_3x3_plate(self, counts):
         ops = kin.assemble(msh.generate_rectangle(1, 1, 3, 3, "left", "right"))

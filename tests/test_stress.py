@@ -402,6 +402,20 @@ class TestBoxLP:
         res = st.optimal_stress(ops, t, st.ELASTIC)
         assert res.duality_gap <= 1e-9 * res.sigma_opt
 
+    @pytest.mark.parametrize("z", [1.0, 1e-2, 1e-3, 1e-4, 1e-7])
+    @pytest.mark.parametrize("mode", [st.ELASTIC, st.PLASTIC])
+    def test_thin_kuhn_box_random_load(self, mode, z):
+        # each z certifies (`optimal_stress` raises if not); at 1e-7 the
+        # plastic certificate fails by pivot growth if the crash prefers a
+        # free column whatever its entry (`lp._FREE_CRASH`).  At 1e-5 and
+        # 1e-6 neither mode certifies: the entries of the thin direction
+        # fall towards the absolute pivot tolerance
+        box = kuhn_box(2, 2, 1)
+        ops = kin.assemble(msh.Mesh(3, box.nodes * [1.0, 1.0, z], box.elements,
+                                    box.facets))
+        t = np.random.default_rng(0).uniform(-1, 1, size=(len(ops.gammat_facets), 3))
+        assert st.optimal_stress(ops, t, mode).sigma_opt > 0.0
+
 
 class TestKinematicLP:
     """Every objective solved on one `kinematic_lp` shares its phase 1 and

@@ -10,7 +10,9 @@ side runs every job in-process through its own `loadcap.cli.main`, one
 side after the other, with one BLAS thread as `bench/run.py` has.  A job
 differs if its exit code, stdout or stderr differ, the stderr's
 `wall time:` line left out.  Each job that differs is printed, with what
-differs, and the exit code is 1 if any does.
+differs and, where both stdouts are JSON reports, each top-level number
+of the report that differs, with both values; the exit code is 1 if any
+job differs.
 """
 
 import os
@@ -26,6 +28,7 @@ import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import importlib  # noqa: E402
 import io  # noqa: E402
+import json  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -97,15 +100,37 @@ def run(cli, argv) -> tuple:
     return code, out.getvalue(), stderr
 
 
+def _report(stdout: str) -> dict:
+    """The JSON object that stdout holds, or an empty one."""
+    try:
+        report = json.loads(stdout)
+    except json.JSONDecodeError:
+        return {}
+    return report if isinstance(report, dict) else {}
+
+
+def moved_numbers(base_stdout: str, new_stdout: str) -> list:
+    """(field, base value, new value) of each top-level number that both
+    reports hold, in field order, whose JSON text differs."""
+    def number(v):
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+    a, b = _report(base_stdout), _report(new_stdout)
+    return [(k, a[k], b[k]) for k in sorted(a.keys() & b.keys())
+            if number(a[k]) and number(b[k]) and json.dumps(a[k]) != json.dumps(b[k])]
+
+
 def differing(base: Path, new: Path, jobs) -> list:
-    """(name, the parts that differ) of each job whose results differ
-    between the checkouts at base and new."""
+    """(name, the parts that differ, `moved_numbers` of its stdouts) of
+    each job whose results differ between the checkouts at base and
+    new."""
     results = []
     for root in (base, new):
         cli = import_cli(root)
         results.append([run(cli, argv) for _, argv in jobs])
     parts = ("exit code", "stdout", "stderr")
-    return [(name, [part for part, x, y in zip(parts, a, b) if x != y])
+    return [(name, [part for part, x, y in zip(parts, a, b) if x != y],
+             moved_numbers(a[1], b[1]))
             for (name, _), a, b in zip(jobs, *results) if a != b]
 
 
@@ -117,8 +142,10 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as workdir:
         jobs = benchmark_jobs(Path(workdir))
         found = differing(args.base, args.new, jobs)
-    for name, parts in found:
+    for name, parts, moved in found:
         print(f"differs: {name} ({', '.join(parts)})")
+        for field, a, b in moved:
+            print(f"  {field}: {a!r} -> {b!r}")
     print(f"{len(found)} of {len(jobs)} jobs differ")
     return 1 if found else 0
 
