@@ -77,8 +77,8 @@ def _load_traction(path, ops: kin.DiscreteOperators) -> np.ndarray:
 
 
 def _emit(report: dict, summary_lines, t0: float):
-    json.dump(report, sys.stdout, sort_keys=True, indent=1)
-    sys.stdout.write("\n")
+    # one write: json.dump with an indent writes each chunk on its own
+    sys.stdout.write(json.dumps(report, sort_keys=True, indent=1) + "\n")
     elapsed = time.monotonic() - t0
     for line in summary_lines:
         print(line, file=sys.stderr)

@@ -84,11 +84,12 @@ _LOOKAHEAD = 256
 _NEAR_TIE = 1e-9
 # the crash pivots on a row's largest free entry if it is at least this
 # fraction of the row's largest entry among the columns with 0 inside their
-# bounds (`_phase1`).  With no such floor, pivot growth failed the plastic
-# certificate on the 2x2x1 Kuhn box with z scaled by 1e-7; 1/2, 1/10,
-# 1/100 and 1/1000 all certify it.  On the plastic Kuhn cube of side 4
-# under a seeded random load, phase 2 took 1,339 steps at 1/2 and 1,036 at
-# each of the others, and 1,151 with no floor
+# bounds (`_phase1`).  With no such floor, pivot growth fails the plastic
+# box LP of the 2x2x1 Kuhn box with z scaled by 1e-7 or 1e-8 (a singular
+# optimal basis); 1/2, 1/10, 1/100 and 1/1000 all certify it.  On the
+# plastic Kuhn cube of side 4 under a seeded random load, phase 2 took
+# 1,339 steps at 1/2 and 1,036 at each of the others, and 1,151 with no
+# floor
 _FREE_CRASH = 0.01
 
 
@@ -452,10 +453,15 @@ def _phase1(A: np.ndarray, b: np.ndarray, lower: np.ndarray,
     would be negative are flipped.  A row with a `_crash_basis` column
     starts on it.  Each other row whose x_B is 0 then takes one Gaussian
     pivot, on its largest entry among the columns with 0 strictly inside
-    their bounds, if that is above `_PIVOT_TOL`: x_B stays as it is, and
-    the new basic variable is 0, away from its bounds.  Where bounded
-    columns compete with free ones, the row's largest free entry is the
-    pivot instead if it is at least `_FREE_CRASH` times that entry: a free
+    their bounds, if that is above `_PIVOT_TOL` times the row's largest
+    entry in A: x_B stays as it is, and the new basic variable is 0, away
+    from its bounds.  The test is relative to the row, the cure for rows
+    of very different sizes (Tomlin 1975): a row of A times a factor has
+    its tableau row times that factor until its own pivot, so the crash
+    does not change, and the box LP, whose rows scale with powers of the
+    length unit, crashes alike in any unit.  Where bounded columns
+    compete with free ones, the row's largest free entry is the pivot
+    instead if it is at least `_FREE_CRASH` times that entry: a free
     column never leaves the basis once it enters, so each one left
     nonbasic costs phase 2 a pivot (free columns first, as in Bixby's
     crash, 1992).  So a nonnegative column is never a crash pivot, and the
@@ -468,7 +474,8 @@ def _phase1(A: np.ndarray, b: np.ndarray, lower: np.ndarray,
     the lowest-index entries.  Only the rows left over get an artificial,
     which is nonnegative.  Minimize the sum of the artificials (at once
     optimal if all of their rows have x_B = 0), then drive the artificials
-    left in the basis out of it, dropping the redundant rows.  The
+    left in the basis out of it, each on its row's first entry above
+    `_PIVOT_TOL` (an absolute test), dropping the redundant rows.  The
     tableau's last row is for phase 2's reduced costs, which phase 2
     writes."""
     m, n = A.shape
@@ -484,6 +491,9 @@ def _phase1(A: np.ndarray, b: np.ndarray, lower: np.ndarray,
         _divide_rows(T, crashed, basis[crashed])
     at_zero = ((basis < 0) & (T[:m, -1] == 0.0)).nonzero()[0]
     if at_zero.size:
+        # each row's largest |entry|, the scale of its pivot test, without
+        # a temporary the size of A
+        row_max = np.maximum(A.max(axis=1), -A.min(axis=1))
         inside = (lower < 0.0) & (upper > 0.0)
         unbounded = (lower == -np.inf) & (upper == np.inf)
         # the free columns, if a bounded column competes with them
@@ -498,7 +508,7 @@ def _phase1(A: np.ndarray, b: np.ndarray, lower: np.ndarray,
             j_free = free[entries[free].argmax()]
             if entries[j_free] >= _FREE_CRASH * entries[j]:
                 j = int(j_free)
-        if entries[j] > _PIVOT_TOL:
+        if entries[j] > _PIVOT_TOL * row_max[r]:
             _pivot(T[:m], r, j)
             basis[r] = j
     artificial = (basis < 0).nonzero()[0]

@@ -117,31 +117,48 @@ def stress_measure(s: StressField, mode: str, ops: DiscreteOperators) -> float:
 
 def check_equilibrium(ops: DiscreteOperators, s: StressField, t):
     """(ok, residual): the max violation of the virtual-work identity
-    E s = f over the DOF basis, and whether it is within 1e-8 times the
-    largest sum of magnitudes that one of its rows adds up,
-    (|E| |s| + |f|)_k.  Every term scales alike with the unit of length,
-    so the verdict does not depend on it."""
+    E s = f over the DOF basis, and whether each row's violation is within
+    1e-8 times the sum of magnitudes that the row adds up,
+    (|E| |s| + |f|)_k, plus `_ROUNDING` times the largest such sum.  Every
+    term scales alike with the unit of length, so the verdict does not
+    depend on it."""
     return _balance(ops, s, work_vector(ops, t))
+
+
+# the floor of `check_equilibrium`'s and `check_isochoric`'s per-row test,
+# relative to the largest row's terms: a stress field or witness solved
+# from an LP carries the rounding of its largest entries into every row,
+# so a row whose own terms are tiny, or cancel to 0, is only as exact as
+# that; 1e-12 is about 5,000 ulps of the largest terms
+_ROUNDING = 1e-12
+
+
+def _within(residuals: np.ndarray, terms: np.ndarray) -> bool:
+    """Whether every residual is within 1e-8 times its own terms, plus
+    `_ROUNDING` times the largest terms."""
+    floor = _ROUNDING * terms.max(initial=0.0)
+    return bool((residuals <= 1e-8 * terms + floor).all())
 
 
 def _balance(ops: DiscreteOperators, s: StressField, work: np.ndarray):
     """`check_equilibrium` for the work vector f = work of the traction."""
     weighted = ops.strain_weights * _check_stress(ops, s).ravel()
-    residual = float(np.abs(weighted @ ops.strain_op - work).max(initial=0.0))
+    residuals = np.abs(weighted @ ops.strain_op - work)
     terms = np.abs(weighted) @ np.abs(ops.strain_op) + np.abs(work)
-    return residual <= 1e-8 * terms.max(initial=0.0), residual
+    return _within(residuals, terms), float(residuals.max(initial=0.0))
 
 
 def check_isochoric(C: np.ndarray, w):
     """(ok, dilation): the largest volumetric strain of an element under
-    the velocity field w, and whether it is within 1e-8 times the largest
-    sum of magnitudes that one element's dilation adds up, (|C| |w|)_e,
-    with C the isochoric constraints (`isochoric_constraints`), which a
-    caller that checks several fields builds once; as in
-    `check_equilibrium`, the verdict does not depend on the unit of
-    length."""
-    dilation = float(np.abs(C @ w).max(initial=0.0))
-    return dilation <= 1e-8 * (np.abs(C) @ np.abs(w)).max(initial=0.0), dilation
+    the velocity field w, and whether each element's is within 1e-8 times
+    the sum of magnitudes that it adds up, (|C| |w|)_e, plus `_ROUNDING`
+    times the largest such sum, with C the isochoric constraints
+    (`isochoric_constraints`), which a caller that checks several fields
+    builds once; as in `check_equilibrium`, the verdict does not depend on
+    the unit of length."""
+    dilations = np.abs(C @ w)
+    return (_within(dilations, np.abs(C) @ np.abs(w)),
+            float(dilations.max(initial=0.0)))
 
 
 def _solve(prob: lp.LPStandardForm, name: str) -> lp.LPSolution:
@@ -160,10 +177,11 @@ class KinematicLP(NamedTuple):
     The velocity DOFs are the first n_dof columns of `prob`.  prob is the
     LP of the mesh with its lengths multiplied by a power of two
     (`_length_scale`), whose works are the mesh's times work_scale,
-    exactly.  Row rows[j] of prob is the box LP's stress column j of that
-    mesh over weights[j], its weight in the strain budget, so the
-    multipliers y of the rows give the box LP's stress columns
-    -y[rows] / weights, those of a stress field of the mesh."""
+    exactly.  Row rows[j] of prob is the box LP's stress column j times
+    work_scale, that column of the scaled mesh, over weights[j], its
+    weight in the scaled mesh's strain budget, so the multipliers y of the
+    rows give the box LP's stress columns -y[rows] / weights, those of a
+    stress field of the mesh."""
 
     n_dof: int
     prob: lp.LPStandardForm
@@ -187,33 +205,37 @@ def _box_columns(ops: DiscreteOperators, mode: str) -> tuple:
 
 def _length_scale(ops: DiscreteOperators) -> float:
     """2^-floor(log2(extent)), extent the largest side of the mesh's
-    bounding box: both LPs multiply the mesh's lengths by it, exactly,
-    which brings the extent into [1, 2).  The simplex's tolerances are
-    absolute, and at a unit of 1e-5 the Kuhn 2x2x2 box LP's entries
-    (at most 1.7e-11) or at 1e-4 the kinematic LP's budget row (about
-    1e-8) would come so near them that it can stop at a wrong vertex."""
+    bounding box: the kinematic LP (`_dual_builder`) multiplies the mesh's
+    lengths by it, exactly, which brings the extent into [1, 2).  Its
+    strain-budget row scales as unit^dim: at a unit of 1e-4 its entries,
+    about 1e-8, would come so near the simplex's absolute tolerances that
+    the LP can stop at a wrong vertex.  The box LP needs no scale
+    (`box_lp`)."""
     extent = np.ptp(ops.mesh.nodes, axis=0).max()
     return 2.0 ** (1 - int(np.frexp(extent)[1]))
 
 
 def _dual_builder(ops: DiscreteOperators, mode: str) -> KinematicLP:
-    """The kinematic LP as the dual of `box_lp`, with zero costs, both of
-    the mesh with its lengths multiplied by `_length_scale`, so that the
-    budget weights are the mesh's times scale^dim.  Its free columns are
-    the box LP's row multipliers: the velocity DOFs, then in plastic mode
-    one per traceless row.  Each stress column of the box LP, over its
-    weight, is one row, element by element (on the plastic 6x6 plate
-    phase 1 then takes a third of the time it takes in the box LP's
-    column order).  A bounded column adds a (+, -) pair, the strain of
-    its row, which the last row, the strain budget, weighs by the same
-    weight and bounds by 1; a free column, a plastic pressure, adds none:
-    the witness is isochoric."""
+    """The kinematic LP as the dual of `box_lp`, with zero costs, of the
+    mesh with its lengths multiplied by `_length_scale`: the box LP's
+    equilibrium rows times scale^(dim-1) and the budget weights times
+    scale^dim, both exactly.  Its free columns are the box LP's row
+    multipliers: the velocity DOFs, then in plastic mode one per traceless
+    row.  Each stress column of the box LP, over its weight, is one row,
+    element by element (on the plastic 6x6 plate phase 1 then takes a
+    third of the time it takes in the box LP's column order).  A bounded
+    column adds a (+, -) pair, the strain of its row, which the last row,
+    the strain budget, weighs by the same weight and bounds by 1; a free
+    column, a plastic pressure, adds none: the witness is isochoric."""
     scale = _length_scale(ops)
+    work_scale = scale ** (ops.dim - 1)
     box = box_lp(ops, mode)
     weights, element = _box_columns(ops, mode)
     weights = weights * scale ** ops.dim
     order = np.argsort(element, kind="stable")  # the box column of each row
-    eq = box.A[:, order].T / weights[order, None]
+    A = box.A[:, order]
+    A[:ops.n_dof] *= work_scale  # the traceless rows have no length
+    eq = A.T / weights[order, None]
     bounded = np.flatnonzero(np.isfinite(box.upper[order]))
     pairs = np.zeros((len(order), len(bounded), 2))
     pairs[bounded, np.arange(len(bounded))] = -1.0, 1.0
@@ -226,7 +248,7 @@ def _dual_builder(ops: DiscreteOperators, mode: str) -> KinematicLP:
     budget[eq.shape[1]:] = np.repeat(weights[order[bounded]], 2)
     builder.add_le(budget, 1.0)
     return KinematicLP(ops.n_dof, builder.build(np.zeros(builder.n_vars)),
-                       scale ** (ops.dim - 1), np.argsort(order), weights)
+                       work_scale, np.argsort(order), weights)
 
 
 def kinematic_lp(ops: DiscreteOperators, mode: str) -> KinematicLP:
@@ -322,13 +344,17 @@ def _pressure_op(ops: DiscreteOperators) -> np.ndarray:
 def box_lp(ops: DiscreteOperators, mode: str, work=None) -> lp.LPStandardForm:
     """The static problem of the work vector work as a box-bounded LP:
     maximize the load factor lambda >= 0 subject to E s = lambda f, with
-    E = (strain_weights * strain_op)^T, one row per velocity DOF, both of
-    the mesh with its lengths multiplied by `_length_scale`, so that E and
-    f are the mesh's times scale^(dim-1).  Without work, lambda's column
-    is zero.  Its phase 1 does not depend on f, since the crash pivots
-    only on columns with 0 strictly inside their bounds, never on lambda,
-    which is nonnegative; so the LPs of many tractions can share the one
-    without work (`lp.LPStandardForm.with_column`, `box_optimum`).
+    E = (strain_weights * strain_op)^T, one row per velocity DOF, in the
+    mesh's own lengths.  Each row scales with a power of the length unit,
+    an equilibrium row and its load as unit^(dim-1), a plastic traceless
+    row not at all, and the simplex's tableau B^-1 A, x_B, prices and
+    ratios do not change when a row is scaled; nor does its crash, whose
+    pivot test is relative to each row (`lp._phase1`), so the LP needs no
+    length scale.  Without work, lambda's column is zero.  Its phase 1
+    does not depend on f, since the crash pivots only on columns with 0
+    strictly inside their bounds, never on lambda, which is nonnegative;
+    so the LPs of many tractions can share the one without work
+    (`lp.LPStandardForm.with_column`, `box_optimum`).
 
     Elastic: s is every element's unique stress components, each in
     [-1, 1].  Plastic: every element's deviatoric components d, each in
@@ -343,9 +369,8 @@ def box_lp(ops: DiscreteOperators, mode: str, work=None) -> lp.LPStandardForm:
         require_plastic_viable(ops)
     dim, n_el, n_dof = ops.dim, ops.n_elements, ops.n_dof
     nc = n_comps(dim)
-    work_scale = _length_scale(ops) ** (dim - 1)
-    E = ((ops.strain_weights * work_scale)[:, None] * ops.strain_op).T
-    load = np.zeros(n_dof) if work is None else -work_scale * np.asarray(work, float)
+    E = (ops.strain_weights[:, None] * ops.strain_op).T
+    load = np.zeros(n_dof) if work is None else -np.asarray(work, float)
     builder = lp.LPBuilder()
     if mode == ELASTIC:
         builder.add_vars(n_el * nc, lower=-1.0, upper=1.0)
@@ -359,7 +384,7 @@ def box_lp(ops: DiscreteOperators, mode: str, work=None) -> lp.LPStandardForm:
         equilibrium = np.zeros((n_dof, builder.n_vars))
         deviatoric = equilibrium[:, :n_el * n_dev].reshape(n_dof, n_el, n_dev)
         deviatoric[:, :, :nc] = E.reshape(n_dof, n_el, nc)
-        equilibrium[:, n_el * n_dev:-1] = _pressure_op(ops) * work_scale
+        equilibrium[:, n_el * n_dev:-1] = _pressure_op(ops)
         equilibrium[:, -1] = load
         builder.add_eq(equilibrium, 0.0)
         traceless = np.zeros((n_el, builder.n_vars))
@@ -392,17 +417,15 @@ def box_optimum(ops: DiscreteOperators, work, mode: str = ELASTIC,
     is 0, so f . y = 1, and each stress column's reduced cost -E_k . y
     sits at the bound the column takes, so the strain budget of y is
     sum_k |E_k . y| = lambda.  So y is a kinematic witness with ratio
-    work/budget = 1 / lambda, and y times scale^(dim-1) is that witness
-    in the mesh's lengths (`box_lp`).  Unbounded lambda means that a
+    work/budget = 1 / lambda.  Unbounded lambda means that a
     stress of measure 0 balances the traction: none but 0 in elastic
     mode, a pressure field in plastic mode, found by least squares.
     lambda = 0 means that the traction loads a mechanism."""
-    work_scale = _length_scale(ops) ** (ops.dim - 1)
     if box is None:
         prob = box_lp(ops, mode, work)
     else:
         load = np.zeros(len(box.b))
-        load[:ops.n_dof] = 0.0 - work_scale * np.asarray(work, dtype=float)
+        load[:ops.n_dof] = 0.0 - np.asarray(work, dtype=float)
         prob = box.with_column(-1, load)  # 0.0 - x above: no -0.0 in it
     sol = _solve(prob, "box LP")
     if sol.status == lp.UNBOUNDED:
@@ -420,7 +443,7 @@ def box_optimum(ops: DiscreteOperators, work, mode: str = ELASTIC,
             "box LP: load factor 0: the traction loads a mechanism of the "
             "mesh despite the supported boundary")
     return BoxOptimum(lam, stress_field(ops, mode, sol.x[:-1] / lam),
-                      work_scale * sol.y[:ops.n_dof])
+                      sol.y[:ops.n_dof])
 
 
 def optimal_stress(ops: DiscreteOperators, t, mode: str = ELASTIC,

@@ -332,9 +332,10 @@ def test_small_length_unit(capsys, tmp_path):
     # on the 2x1 plate at a length unit of 1e-4, capacity reported
     # K = 3.333 and a C that is not safe, and plastic capacity failed: the
     # kinematic LP's entries came near the simplex's absolute tolerances,
-    # until its lengths were normalized by a power of two.  verify, which
-    # solved that LP too, checks weak-duality bounds that scale with the
-    # unit of length
+    # until its lengths were normalized by a power of two (the box LP
+    # needs no such scale: the crash's pivot test is relative to each
+    # row).  verify, which solved the kinematic LP too, checks
+    # weak-duality bounds that scale with the unit of length
     mesh_path = tmp_path / "small.mesh"
     msh.write_mesh(msh.generate_rectangle(1e-4, 1e-4, 2, 1, "left", "right"),
                    mesh_path)

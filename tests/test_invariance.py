@@ -116,9 +116,10 @@ def scaled(mesh: msh.Mesh, unit: float) -> msh.Mesh:
 @pytest.mark.parametrize("mode", st.MODES)
 def test_sigma_opt_units_3d(name, mesh, mode):
     # the box LP's entries scale as unit^(dim-1): on the Kuhn 2x2x2 box at
-    # 1e-5 the largest was 1.7e-11, far below the simplex's pivot
-    # tolerance, and the certificate failed ("does not balance"), until
-    # the box LP's lengths were normalized as the kinematic LP's are
+    # 1e-5 the largest was 1.7e-11, far below the crash's absolute pivot
+    # tolerance, and the certificate failed ("does not balance"); the
+    # crash's pivot test is now relative to each row, so the box LP is
+    # posed in the mesh's own lengths
     t = np.random.default_rng(5).uniform(
         -1.0, 1.0, size=(len(mesh.facets_labeled(msh.GAMMAT)), 3))
     base = sigma_opt(mesh, t, mode)

@@ -1,4 +1,6 @@
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -1281,6 +1283,23 @@ class TestCrashStart:
         assert start.pivots == 0
         assert np.count_nonzero(box.free[start.basis]) == \
             np.linalg.matrix_rank(box.A[:, box.free])
+
+    @pytest.mark.parametrize("name,factory", MESH_CASES, ids=[c[0] for c in MESH_CASES])
+    @pytest.mark.parametrize("mode", [st.ELASTIC, st.PLASTIC])
+    def test_row_scaling_keeps_the_crash(self, name, factory, mode):
+        # the crash's pivot test is relative to each row of A, so rows
+        # times powers of two, which keep the arithmetic exact and break
+        # ties alike, crash on the same basis, with no artificial row; an
+        # absolute test gave rows scaled below about 1e-9 an artificial
+        box = st.box_lp(kin.assemble(factory()), mode)
+        n = len(box.c)
+        k = np.random.default_rng(zlib.crc32(name.encode())).integers(
+            -40, 21, size=len(box.b))
+        want = lp._phase1(box.A, box.b, box.lower, box.upper, box.plain)
+        got = lp._phase1(np.ldexp(box.A, k[:, None]), box.b, box.lower, box.upper,
+                         box.plain)
+        assert (want.basis < n).all() and (got.basis < n).all()
+        assert np.array_equal(got.basis, want.basis)
 
     @pytest.mark.parametrize("mode", [st.ELASTIC, st.PLASTIC])
     def test_free_columns_first_only_among_bounded_ones(self, monkeypatch, mode):
