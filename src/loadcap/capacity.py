@@ -75,7 +75,7 @@ def _sign_vertices(ops: DiscreteOperators) -> np.ndarray:
     is -1 exactly when bit b of k ^ (k >> 1) is set, so consecutive rows
     differ in one sign.  Built by reflection: rows 2^b to 2^(b+1) - 1 are
     the rows before them reversed, with component b + 1 negative."""
-    m = len(ops.gammat_facets) * ops.dim
+    m = ops.n_boundary_comps
     if m > SIGN_PATTERN_CAP:
         raise CapacityError(
             f"exact enumeration capped at {SIGN_PATTERN_CAP} boundary "
@@ -127,7 +127,7 @@ def generalized_K(ops: DiscreteOperators, mode: str = ELASTIC,
     elif method == HEURISTIC:
         best_val = -1.0
         box = box_lp(ops, mode)
-        shape = (len(ops.gammat_facets), ops.dim)
+        shape = ops.gammat_facets.shape
         rng = np.random.default_rng(0)
         starts = [np.ones(shape)]
         starts += [np.where(rng.random(shape) < 0.5, -1.0, 1.0)

@@ -128,7 +128,7 @@ def cmd_capacity(args) -> int:
     t0 = time.monotonic()
     mesh = _load_mesh(args.mesh)
     ops = kin.assemble(mesh)
-    m = len(ops.gammat_facets) * ops.dim
+    m = ops.n_boundary_comps
     method = args.method
     if method == "auto":
         method = cap.EXACT if m <= cap.SIGN_PATTERN_CAP else cap.HEURISTIC
@@ -233,8 +233,7 @@ def cmd_verify(args) -> int:
 
     modes = [st.ELASTIC] + ([st.PLASTIC] if mesh.dim > 1 else [])
     # every trial's traction is drawn before the LP-oracle draws below
-    nfac = len(ops.gammat_facets)
-    drawn = [rng.uniform(-1.0, 1.0, size=(nfac, mesh.dim))
+    drawn = [rng.uniform(-1.0, 1.0, size=ops.gammat_facets.shape)
              for _ in range(args.trials)]
     trials = [(trial, t) for trial, t in enumerate(drawn)
               if kin.traction_sup_norm(ops, t) != 0.0]

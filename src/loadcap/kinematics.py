@@ -49,13 +49,12 @@ class DiscreteOperators:
 
     mesh: msh.Mesh
     n_dof: int
-    dof_index: np.ndarray = field(repr=False)   # (n_nodes, dim), -1 = clamped
     strain_op: np.ndarray = field(repr=False)   # (n_el * n_comp, n_dof)
     strain_weights: np.ndarray = field(repr=False)
     volumes: np.ndarray = field(repr=False)
     trace_op: np.ndarray = field(repr=False)    # (n_gammaT * dim, n_dof)
     areas: np.ndarray = field(repr=False)
-    gammat_facets: tuple = ()
+    gammat_facets: np.ndarray = field(repr=False)  # (n_gammaT, dim) node ids
 
     @property
     def dim(self) -> int:
@@ -64,6 +63,11 @@ class DiscreteOperators:
     @property
     def n_elements(self) -> int:
         return len(self.mesh.elements)
+
+    @property
+    def n_boundary_comps(self) -> int:
+        """m, the number of traction components: dim per gammaT facet."""
+        return self.trace_op.shape[0]
 
 
 def _shape_gradients(edges: np.ndarray) -> np.ndarray:
@@ -87,19 +91,15 @@ def assemble(mesh: msh.Mesh, clamp: bool = True) -> DiscreteOperators:
     dim, n_nodes = mesh.dim, mesh.n_nodes
     clamped = np.zeros(n_nodes, dtype=bool)
     if clamp:
-        for f in mesh.facets_labeled(msh.GAMMA0):
-            clamped[list(f.nodes)] = True
+        clamped[mesh.facets[mesh.gamma0]] = True
     free = np.repeat(~clamped, dim)             # (node, component), node-major
     n_dof = int(free.sum())
-    dof_index = -np.ones(n_nodes * dim, dtype=int)
-    dof_index[free] = np.arange(n_dof)
 
-    n_el, nc = len(mesh.elements), n_comps(dim)
-    conn = np.array([e.nodes for e in mesh.elements]).reshape(n_el, dim + 1)
+    conn, n_el, nc = mesh.elements, len(mesh.elements), n_comps(dim)
     edges = mesh.nodes[conn[:, 1:]] - mesh.nodes[conn[:, :1]]
     volumes = msh.element_measures(edges)
     if dim == 1:  # bars: length times cross-section
-        volumes = volumes * [e.area for e in mesh.elements]
+        volumes = volumes * mesh.areas
     grads = _shape_gradients(edges)
     # eps_ij = 1/2 (d_i w_j + d_j w_i), by (element, comp, local node, axis)
     local = np.zeros((n_el, nc, dim + 1, dim))
@@ -111,20 +111,18 @@ def assemble(mesh: msh.Mesh, clamp: bool = True) -> DiscreteOperators:
     strain_op[np.arange(n_el)[:, None, None, None], np.arange(nc)[:, None, None],
               conn[:, None, :, None], axis] = local
 
-    gammat = tuple(mesh.facets_labeled(msh.GAMMAT))
-    fnodes = np.array([f.nodes for f in gammat]).reshape(len(gammat), dim)
+    gammat = mesh.facets[~mesh.gamma0]
     trace_op = np.zeros((len(gammat), dim, n_nodes, dim))
     trace_op[np.arange(len(gammat))[:, None, None], axis[:, None],
-             fnodes[:, None, :], axis[:, None]] = 1.0 / dim
+             gammat[:, None, :], axis[:, None]] = 1.0 / dim
 
     return DiscreteOperators(
         mesh=mesh, n_dof=n_dof,
-        dof_index=dof_index.reshape(n_nodes, dim),
         strain_op=strain_op.reshape(n_el * nc, -1)[:, free],
         strain_weights=(volumes[:, None] * comp_weights(dim)).ravel(),
         volumes=volumes,
         trace_op=trace_op.reshape(len(gammat) * dim, -1)[:, free],
-        areas=msh.facet_measures(mesh, fnodes),
+        areas=msh.facet_measures(mesh, gammat),
         gammat_facets=gammat)
 
 
@@ -138,10 +136,9 @@ def _check_dofs(ops: DiscreteOperators, w) -> np.ndarray:
 
 def check_traction(ops: DiscreteOperators, t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
-    if t.shape != (len(ops.gammat_facets), ops.dim):
-        raise KinematicsError(
-            f"traction field has shape {t.shape}, expected "
-            f"({len(ops.gammat_facets)}, {ops.dim})")
+    if t.shape != ops.gammat_facets.shape:
+        raise KinematicsError(f"traction field has shape {t.shape}, expected "
+                              f"{ops.gammat_facets.shape}")
     if not np.all(np.isfinite(t)):
         raise KinematicsError("traction field has non-finite entries")
     return t
@@ -171,7 +168,8 @@ def trace(ops: DiscreteOperators, w) -> np.ndarray:
 
 
 def external_work(ops: DiscreteOperators, t, w) -> float:
-    """Virtual work of the traction field against a velocity field."""
+    """Virtual work of the traction field against a velocity field; only
+    bench/test_checks.py calls it."""
     return float(work_vector(ops, t) @ _check_dofs(ops, w))
 
 

@@ -18,15 +18,14 @@ import numpy as np
 
 GAMMA0 = "gamma0"
 GAMMAT = "gammaT"
-LABELS = (GAMMA0, GAMMAT)
 
-BAR = "bar"
-TRIANGLE = "triangle"
-TETRAHEDRON = "tetrahedron"
-KINDS = (BAR, TRIANGLE, TETRAHEDRON)
+# the element kind of dim 1, 2 and 3
+KINDS = ("bar", "triangle", "tetrahedron")
 
-_KIND_NNODES = {BAR: 2, TRIANGLE: 3, TETRAHEDRON: 4}
-_KIND_DIM = {BAR: 1, TRIANGLE: 2, TETRAHEDRON: 3}
+# for each dim, the local node numbers of a simplex's faces, and the ends
+# of its edges, pairs (0, k) first
+_FACES = {d: np.array(list(combinations(range(d + 1), d))) for d in (1, 2, 3)}
+_EDGE_ENDS = {d: np.array(list(combinations(range(d + 1), 2))).T for d in (1, 2, 3)}
 
 
 class MeshError(ValueError):
@@ -42,81 +41,113 @@ def is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def _node_ids(nodes) -> tuple:
+def _node_ids(nodes) -> list:
     """Node ids as ints; 1.5, "x" or true is an error, not a conversion."""
     if all(type(n) is int for n in nodes):
-        return tuple(nodes)
+        return nodes
     try:
         if all(is_number(n) for n in nodes):
-            return tuple(operator.index(n) for n in nodes)
+            return [operator.index(n) for n in nodes]
     except TypeError:
         pass
     raise MeshError(f"node ids must be integers, got {list(nodes)!r}")
 
 
-@dataclass(frozen=True)
-class Element:
-    kind: str
-    nodes: tuple
-    area: float | None = None  # bar cross-section only
+def Element(kind, nodes, area=None) -> dict:
+    """An element record of the mesh file, for `Mesh`'s record form."""
+    return {"kind": kind, "nodes": nodes, "area": area}
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise MeshError(f"unknown element kind {self.kind!r}")
-        if len(self.nodes) != _KIND_NNODES[self.kind]:
-            raise MeshError(
-                f"{self.kind} needs {_KIND_NNODES[self.kind]} nodes, got {len(self.nodes)}")
-        object.__setattr__(self, "nodes", _node_ids(self.nodes))
-        if self.kind == BAR and not (is_number(self.area)
-                                     and 0 < float(self.area) < math.inf):
+
+def Facet(nodes, label) -> dict:
+    """A facet record of the mesh file, for `Mesh`'s record form."""
+    return {"nodes": nodes, "label": label}
+
+
+def _from_records(dim: int, elements, facets) -> tuple:
+    """The element, facet, gamma0 and bar area arrays of the mesh file's
+    element and facet records, each record checked in turn."""
+    kind, conn, areas = KINDS[dim - 1], [], []
+    for i, rec in enumerate(elements):
+        for key in ("kind", "nodes"):
+            if key not in rec:
+                raise MeshError(f"element {i} missing key {key!r}")
+        if rec["kind"] != kind:
+            if rec["kind"] not in KINDS:
+                raise MeshError(f"unknown element kind {rec['kind']!r}")
+            raise MeshError(f"element {i} kind {rec['kind']} does not match dim {dim}")
+        if len(rec["nodes"]) != dim + 1:
+            raise MeshError(f"element {i}: {kind} needs {dim + 1} nodes, "
+                            f"got {len(rec['nodes'])}")
+        conn.append(_node_ids(rec["nodes"]))
+        areas.append(rec.get("area"))  # read for bars only
+        if dim == 1 and not is_number(areas[-1]):
             raise MeshError("bar element needs a positive, finite cross-section area")
+    fnodes, gamma0 = [], []
+    for i, rec in enumerate(facets):
+        for key in ("nodes", "label"):
+            if key not in rec:
+                raise MeshError(f"facet {i} missing key {key!r}")
+        if rec["label"] not in (GAMMA0, GAMMAT):
+            raise MeshError(f"unknown facet label {rec['label']!r}; "
+                            f"allowed: {GAMMA0}, {GAMMAT}")
+        fnodes.append(_node_ids(rec["nodes"]))
+        if len(fnodes[-1]) != dim:
+            raise MeshError(f"facet {i} has {len(fnodes[-1])} nodes, expected {dim}")
+        gamma0.append(rec["label"] == GAMMA0)
+    return (np.array(conn, dtype=int).reshape(-1, dim + 1),
+            np.array(fnodes, dtype=int).reshape(-1, dim), np.array(gamma0, dtype=bool),
+            np.array(areas, dtype=float) if dim == 1 else None)
 
 
-@dataclass(frozen=True)
-class Facet:
-    nodes: tuple
-    label: str
-
-    def __post_init__(self):
-        if self.label not in LABELS:
-            raise MeshError(
-                f"unknown facet label {self.label!r}; allowed: {', '.join(LABELS)}")
-        object.__setattr__(self, "nodes", _node_ids(self.nodes))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mesh:
+    """Nodes, simplex elements and labeled boundary facets, as arrays:
+    nodes (n_nodes, dim) coordinates; elements (n_el, dim + 1) and facets
+    (n_facets, dim) node ids; gamma0, which facets are supported (the
+    others are gammaT); and, in 1D only, the bars' cross-section areas.
+
+    Record form: with gamma0 left out, elements and facets are the mesh
+    file's records, dicts as `Element` and `Facet` build them, each
+    checked as `read_mesh` checks it, and become the arrays."""
+
     dim: int
-    nodes: np.ndarray = field(repr=False)  # (n_nodes, dim)
-    elements: tuple = ()
-    facets: tuple = ()
+    nodes: np.ndarray = field(repr=False)
+    elements: np.ndarray = field(default=(), repr=False)
+    facets: np.ndarray = field(default=(), repr=False)
+    gamma0: np.ndarray | None = field(default=None, repr=False)
+    areas: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        dim = self.dim
         nodes = np.asarray(self.nodes, dtype=float)
-        if nodes.ndim != 2 or nodes.shape[1] != self.dim:
-            raise MeshError(f"nodes must have shape (n, {self.dim})")
+        if nodes.ndim != 2 or nodes.shape[1] != dim:
+            raise MeshError(f"nodes must have shape (n, {dim})")
         bad = np.flatnonzero(~np.isfinite(nodes).all(axis=1))
         if bad.size:
             raise MeshError(f"node {bad[0]} has a non-finite coordinate")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "elements", tuple(self.elements))
-        object.__setattr__(self, "facets", tuple(self.facets))
+        elements, facets, gamma0, areas = (
+            _from_records(dim, self.elements, self.facets) if self.gamma0 is None
+            else (self.elements, self.facets, np.asarray(self.gamma0), self.areas))
+        for name, ids, width in (("elements", elements, dim + 1), ("facets", facets, dim)):
+            ids = np.asarray(ids) if len(ids) else np.zeros((0, width), dtype=int)
+            if ids.dtype.kind not in "iu" or ids.ndim != 2 or ids.shape[1] != width:
+                raise MeshError(f"{name} must be an integer array of shape (n, {width})")
+            object.__setattr__(self, name, ids.astype(int, copy=False))
+        if gamma0.dtype != bool or gamma0.shape != (len(self.facets),):
+            raise MeshError("gamma0 must be a boolean array, one entry per facet")
+        if dim == 1:
+            areas = np.asarray(areas, dtype=float)
+            if areas.shape != (len(self.elements),) or not np.all(
+                    (areas > 0.0) & (areas < math.inf)):
+                raise MeshError("bar element needs a positive, finite cross-section area")
+        elif areas is not None:
+            raise MeshError("only bars have a cross-section area")
+        for name, value in (("nodes", nodes), ("gamma0", gamma0), ("areas", areas)):
+            object.__setattr__(self, name, value)
 
     @property
     def n_nodes(self) -> int:
         return self.nodes.shape[0]
-
-    def facets_labeled(self, label: str):
-        return [f for f in self.facets if f.label == label]
-
-    def __eq__(self, other):
-        if not isinstance(other, Mesh):
-            return NotImplemented
-        return (self.dim == other.dim
-                and self.nodes.shape == other.nodes.shape
-                and bool(np.all(self.nodes == other.nodes))
-                and self.elements == other.elements
-                and self.facets == other.facets)
 
 
 def element_measures(edges: np.ndarray) -> np.ndarray:
@@ -129,25 +160,13 @@ def element_measures(edges: np.ndarray) -> np.ndarray:
     return np.abs(np.linalg.det(edges)) / math.factorial(dim)
 
 
-def element_faces(elem: Element):
-    """Node sets of the boundary faces of an element."""
-    n = elem.nodes
-    if elem.kind == BAR:
-        return [frozenset([n[0]]), frozenset([n[1]])]
-    if elem.kind == TRIANGLE:
-        return [frozenset([n[0], n[1]]), frozenset([n[1], n[2]]),
-                frozenset([n[0], n[2]])]
-    return [frozenset(n[:3]), frozenset((n[0], n[1], n[3])),
-            frozenset((n[1], n[2], n[3])), frozenset((n[0], n[2], n[3]))]
-
-
 def facet_measures(mesh: Mesh, fnodes: np.ndarray) -> np.ndarray:
     """Measures of the boundary facets of a valid mesh with node ids fnodes,
     an (n_facets, dim) array.  In 1D a facet is a single node; its measure is
     the cross-section area of its bar, so boundary integrals carry force units."""
     if mesh.dim == 1:  # a boundary node of a valid mesh is in one bar only
         area_at = np.zeros(mesh.n_nodes)
-        area_at[[e.nodes for e in mesh.elements]] = [[e.area] for e in mesh.elements]
+        area_at[mesh.elements] = mesh.areas[:, None]
         return area_at[fnodes[:, 0]]
     pts = mesh.nodes[fnodes]
     # a facet's edge, or twice its area vector; vecdot is the dot product
@@ -157,74 +176,83 @@ def facet_measures(mesh: Mesh, fnodes: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(normal, normal)) / (mesh.dim - 1.0)
 
 
+def _node_sets(rows: np.ndarray) -> np.ndarray:
+    """Rows of node ids sorted, a repeated id replaced by the row's largest:
+    two rows get equal keys exactly when they have the same set of nodes."""
+    keys = np.sort(rows, axis=1)
+    repeated = keys[:, 1:] == keys[:, :-1]
+    if repeated.any():
+        keys[:, 1:] = np.where(repeated, keys[:, -1:], keys[:, 1:])
+    return keys
+
+
 def validate(mesh: Mesh):
     """Return a list of invariant violations; empty for a valid mesh."""
-    n, dim = mesh.n_nodes, mesh.dim
-    found, good = {}, []  # element index -> its problem; elements to measure
-    for i, e in enumerate(mesh.elements):
-        if any(k < 0 or k >= n for k in e.nodes):
-            found[i] = f"element {i} references node out of range"
-        elif _KIND_DIM[e.kind] != dim:
-            found[i] = f"element {i} kind {e.kind} does not match dim {dim}"
-        else:
-            good.append(i)
-    pts = mesh.nodes[np.array([mesh.elements[i].nodes for i in good],
-                              dtype=int).reshape(-1, dim + 1)]
-    a, b = np.array(list(combinations(range(dim + 1), 2))).T  # pairs, (0, k) first
+    n, dim, elements, facets = mesh.n_nodes, mesh.dim, mesh.elements, mesh.facets
+    n_el, n_slots = len(elements), elements.size
+    inside = (elements >= 0) & (elements < n)
+    out = ~inside.all(axis=1)
+    good = (~out).nonzero()[0]
+    pts = mesh.nodes[elements[good]]
+    a, b = _EDGE_ENDS[dim]
     sides = pts[:, b] - pts[:, a]
     # |det| of the edge vectors at most 1e-14 longest^dim, a rule that
     # does not depend on the length unit; as dim-th roots and with hypot,
     # which do not overflow
     longest = np.hypot.reduce(np.abs(sides), axis=2).max(axis=1)
     size = (element_measures(sides[:, :dim]) * math.factorial(dim)) ** (1 / dim)
-    for i in np.array(good, dtype=int)[size <= 1e-14 ** (1 / dim) * longest]:
-        found[i] = f"element {i} has zero measure"
-    problems = [found[i] for i in sorted(found)]
+    flat = np.zeros(n_el, dtype=bool)
+    flat[good[size <= 1e-14 ** (1 / dim) * longest]] = True
+    problems = [f"element {i} references node out of range" if out[i]
+                else f"element {i} has zero measure" for i in (out | flat).nonzero()[0]]
     used = np.zeros(n, dtype=bool)
-    used[[k for e in mesh.elements for k in e.nodes if 0 <= k < n]] = True
+    used[elements[inside]] = True  # the nodes of an element out of range too
     if not used.all():
         problems.append(f"node {np.argmin(used)} is not a node of any element")
-    faces = [element_faces(e) for e in mesh.elements]
-    owners = {}  # face node set -> elements that have it as a face
-    for i, element in enumerate(faces):
-        for fs in element:
-            owners.setdefault(fs, []).append(i)
-    for i, f in enumerate(mesh.facets):
-        if any(k < 0 or k >= n for k in f.nodes):
-            problems.append(f"facet {i} references node out of range")
-            continue
-        if len(f.nodes) != mesh.dim:
-            problems.append(f"facet {i} has {len(f.nodes)} nodes, expected {mesh.dim}")
-            continue
-        cnt = len(owners.get(frozenset(f.nodes), ()))
-        if cnt != 1:
-            problems.append(
-                f"facet {i} is a face of {cnt} elements (must be exactly 1)")
+    # the faces of every element, one slot each, then the facets, grouped
+    # by node set; the stable sort puts a group's slots first, by element
+    keys = _node_sets(np.concatenate([elements.take(_FACES[dim], axis=1)
+                                      .reshape(-1, dim), facets]))
+    order = np.lexsort(keys.T)
+    keys = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    group = np.empty(len(keys), dtype=int)
+    group[order] = new.cumsum() - 1
+    first = new.nonzero()[0]
+    owners = np.bincount(group[:n_slots], minlength=len(first))
+    count = owners[group[n_slots:]]
+    f_out = ((facets < 0) | (facets >= n)).any(axis=1)
+    for i in (f_out | (count != 1)).nonzero()[0]:
+        problems.append(f"facet {i} references node out of range" if f_out[i] else
+                        f"facet {i} is a face of {count[i]} elements (must be exactly 1)")
     # a P1 element is held iff it reaches a supported element through shared faces
-    held = {i for f in mesh.facets_labeled(GAMMA0)
-            for i in owners.get(frozenset(f.nodes), ())}
-    stack = list(held)
-    while stack:
-        for fs in faces[stack.pop()]:
-            for j in owners[fs]:
-                if j not in held:
-                    held.add(j)
+    owner, first, owners = (order // (dim + 1)).tolist(), first.tolist(), owners.tolist()
+    faces = group[:n_slots].reshape(n_el, dim + 1).tolist()
+    held, stack = [False] * n_el, []
+    todo = group[n_slots:][mesh.gamma0].tolist()  # the supported faces
+    while True:
+        for g in todo:
+            for j in owner[first[g]:first[g] + owners[g]]:
+                if not held[j]:
+                    held[j] = True
                     stack.append(j)
-    loose = [i for i in range(len(mesh.elements)) if i not in held]
-    if held and loose:
+        if not stack:
+            break
+        todo = faces[stack.pop()]
+    n_loose = held.count(False)
+    if 0 < n_loose < n_el:
         problems.append(
-            f"element {loose[0]} is not connected to gamma0 through shared "
-            f"faces ({len(loose)} loose elements)")
-    if not mesh.facets_labeled(GAMMA0):
+            f"element {held.index(False)} is not connected to gamma0 through shared "
+            f"faces ({n_loose} loose elements)")
+    n_supported = np.count_nonzero(mesh.gamma0)
+    if n_supported == 0:
         problems.append("gamma0 is empty")
-    if not mesh.facets_labeled(GAMMAT):
+    if n_supported == len(facets):
         problems.append("gammaT is empty")
-    seen = set()
-    for i, f in enumerate(mesh.facets):
-        key = frozenset(f.nodes)
-        if key in seen:
-            problems.append(f"facet {i} duplicates another facet")
-        seen.add(key)
+    # a facet whose group has an earlier facet
+    for i in np.sort(order[1:][~new[1:] & (order[:-1] >= n_slots)]):
+        problems.append(f"facet {i - n_slots} duplicates another facet")
     return problems
 
 
@@ -235,9 +263,8 @@ def generate_bar(length: float, area: float, n_elements: int) -> Mesh:
     if n_elements < 1:
         raise MeshError("n_elements must be at least 1")
     xs = np.linspace(0.0, length, n_elements + 1).reshape(-1, 1)
-    elements = [Element(BAR, (i, i + 1), area=area) for i in range(n_elements)]
-    facets = [Facet((0,), GAMMA0), Facet((n_elements,), GAMMAT)]
-    return Mesh(1, xs, elements, facets)
+    return Mesh(1, xs, np.arange(n_elements)[:, None] + [0, 1], [[0], [n_elements]],
+                np.array([True, False]), np.full(n_elements, float(area)))
 
 
 _EDGES = ("left", "right", "bottom", "top")
@@ -259,46 +286,32 @@ def generate_rectangle(width, height, nx, ny, support_edge, load_edge) -> Mesh:
     if support_edge == load_edge:
         raise MeshError("support_edge and load_edge must differ")
 
-    def nid(i, j):
-        return j * (nx + 1) + i
-
-    nodes = np.array([[i * width / nx, j * height / ny]
-                      for j in range(ny + 1) for i in range(nx + 1)])
-    elements = []
-    for j in range(ny):
-        for i in range(nx):
-            a, b = nid(i, j), nid(i + 1, j)
-            c, d = nid(i + 1, j + 1), nid(i, j + 1)
-            elements.append(Element(TRIANGLE, (a, b, c)))
-            elements.append(Element(TRIANGLE, (a, c, d)))
-
-    def edge_facets(edge):
-        if edge == "left":
-            return [(nid(0, j), nid(0, j + 1)) for j in range(ny)]
-        if edge == "right":
-            return [(nid(nx, j), nid(nx, j + 1)) for j in range(ny)]
-        if edge == "bottom":
-            return [(nid(i, 0), nid(i + 1, 0)) for i in range(nx)]
-        return [(nid(i, ny), nid(i + 1, ny)) for i in range(nx)]
-
-    facets = []
-    for edge in _EDGES:
-        label = GAMMA0 if edge == support_edge else GAMMAT
-        facets.extend(Facet(pair, label) for pair in edge_facets(edge))
-    return Mesh(2, nodes, elements, facets)
+    grid = np.arange((nx + 1) * (ny + 1)).reshape(ny + 1, nx + 1)  # [j, i]
+    nodes = np.column_stack([np.tile(np.arange(nx + 1) * width / nx, ny + 1),
+                             np.repeat(np.arange(ny + 1) * height / ny, nx + 1)])
+    # cell (i, j) with corners a, b, c, d counterclockwise from its lower left
+    a, b, c, d = grid[:-1, :-1], grid[:-1, 1:], grid[1:, 1:], grid[1:, :-1]
+    elements = np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
+    sides = [grid[:, 0], grid[:, nx], grid[0], grid[ny]]  # in _EDGES's order
+    facets = np.concatenate([np.stack([s[:-1], s[1:]], axis=1) for s in sides])
+    gamma0 = np.repeat([edge == support_edge for edge in _EDGES],
+                       [len(s) - 1 for s in sides])
+    return Mesh(2, nodes, elements, facets, gamma0)
 
 
 def write_mesh(mesh: Mesh, path):
     """Serialize to the textual mesh format with full binary64 precision."""
+    elements = [{"kind": KINDS[mesh.dim - 1], "nodes": nodes}
+                for nodes in mesh.elements.tolist()]
+    for rec, area in zip(elements, [] if mesh.areas is None else mesh.areas.tolist()):
+        rec["area"] = area
     doc = {
         "dim": mesh.dim,
-        "nodes": [[float(x) for x in row] for row in mesh.nodes],
-        "elements": [
-            {"kind": e.kind, "nodes": list(e.nodes),
-             **({"area": e.area} if e.area is not None else {})}
-            for e in mesh.elements
-        ],
-        "facets": [{"nodes": list(f.nodes), "label": f.label} for f in mesh.facets],
+        "nodes": mesh.nodes.tolist(),
+        "elements": elements,
+        "facets": [{"nodes": nodes, "label": GAMMA0 if supported else GAMMAT}
+                   for nodes, supported in zip(mesh.facets.tolist(),
+                                               mesh.gamma0.tolist())],
     }
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
@@ -334,18 +347,5 @@ def _mesh_from_doc(doc) -> Mesh:
             raise MeshError(f"node {i} has {len(row)} coordinates; dim is {dim}")
         if not all(is_number(x) for x in row):
             raise MeshError(f"node {i} has a coordinate that is not a number: {row!r}")
-    nodes = np.array(doc["nodes"], dtype=float)
-    elements = []
-    for i, rec in enumerate(doc["elements"]):
-        for key in ("kind", "nodes"):
-            if key not in rec:
-                raise MeshError(f"element {i} missing key {key!r}")
-        elements.append(Element(rec["kind"], tuple(rec["nodes"]),
-                                area=rec.get("area")))
-    facets = []
-    for i, rec in enumerate(doc["facets"]):
-        for key in ("nodes", "label"):
-            if key not in rec:
-                raise MeshError(f"facet {i} missing key {key!r}")
-        facets.append(Facet(tuple(rec["nodes"]), rec["label"]))
-    return Mesh(dim, nodes, elements, facets)
+    return Mesh(dim, np.array(doc["nodes"], dtype=float), doc["elements"],
+                doc["facets"])

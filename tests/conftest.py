@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from itertools import combinations
 
@@ -166,15 +167,9 @@ def make_two_tet_mesh() -> msh.Mesh:
     supported, the three around node 4 are loaded."""
     nodes = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]],
                      dtype=float)
-    elements = [msh.Element(msh.TETRAHEDRON, (0, 1, 2, 3)),
-                msh.Element(msh.TETRAHEDRON, (1, 2, 3, 4))]
-    facets = [msh.Facet((0, 1, 2), msh.GAMMA0),
-              msh.Facet((0, 1, 3), msh.GAMMA0),
-              msh.Facet((0, 2, 3), msh.GAMMA0),
-              msh.Facet((1, 2, 4), msh.GAMMAT),
-              msh.Facet((1, 3, 4), msh.GAMMAT),
-              msh.Facet((2, 3, 4), msh.GAMMAT)]
-    return msh.Mesh(3, nodes, elements, facets)
+    facets = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
+    return msh.Mesh(3, nodes, [(0, 1, 2, 3), (1, 2, 3, 4)], facets,
+                    np.array([True] * 3 + [False] * 3))
 
 
 MESH_CASES = [
@@ -199,57 +194,146 @@ def kuhn_box(nx: int, ny: int, nz: int) -> msh.Mesh:
             for axis in order:
                 path.append(path[-1].copy())
                 path[-1][axis] += 1
-            elements.append(msh.Element(msh.TETRAHEDRON, tuple(nid(*q) for q in path)))
+            elements.append([nid(*q) for q in path])
     faces = {}
-    for e in elements:
-        for face in combinations(sorted(e.nodes), 3):
+    for tet in elements:
+        for face in combinations(sorted(tet), 3):
             faces[face] = faces.get(face, 0) + 1
-    facets = [msh.Facet(f, msh.GAMMA0 if np.all(nodes[list(f), 0] == 0.0) else msh.GAMMAT)
-              for f, count in sorted(faces.items()) if count == 1]
-    return msh.Mesh(3, nodes, elements, facets)
+    facets = np.array([f for f, count in sorted(faces.items()) if count == 1])
+    return msh.Mesh(3, nodes, elements, facets, np.all(nodes[facets, 0] == 0.0, axis=1))
 
 
-def element_measure_oracle(mesh: msh.Mesh, elem: msh.Element) -> float:
-    """Oracle: length / area / volume of one element (sign stripped), from
+def renumbered(mesh: msh.Mesh, rng):
+    """mesh with its nodes, elements and facets renumbered at random, and
+    the facets' new order: the same body."""
+    new_id = rng.permutation(mesh.n_nodes)
+    nodes = np.empty_like(mesh.nodes)
+    nodes[new_id] = mesh.nodes
+    el_order = rng.permutation(len(mesh.elements))
+    order = rng.permutation(len(mesh.facets))
+    return dataclasses.replace(
+        mesh, nodes=nodes, elements=new_id[mesh.elements[el_order]],
+        facets=new_id[mesh.facets[order]], gamma0=mesh.gamma0[order],
+        areas=None if mesh.areas is None else mesh.areas[el_order]), order
+
+
+def dof_index(ops: kin.DiscreteOperators) -> np.ndarray:
+    """Oracle: the DOF of each node's velocity components, an (n_nodes,
+    dim) array, -1 where assembly clamped it: at the nodes of the gamma0
+    facets, unless ops keeps every DOF (assembled with clamp=False)."""
+    mesh = ops.mesh
+    free = np.ones(mesh.n_nodes, dtype=bool)
+    if ops.n_dof < mesh.n_nodes * mesh.dim:
+        free[mesh.facets[mesh.gamma0]] = False
+    index = np.full((mesh.n_nodes, mesh.dim), -1)
+    index[free] = np.arange(ops.n_dof).reshape(-1, mesh.dim)
+    return index
+
+
+def affine_field(ops: kin.DiscreteOperators, grad, const=None) -> np.ndarray:
+    """DOF vector of w(x) = const + grad @ x with clamped components dropped."""
+    dim = ops.dim
+    const = np.zeros(dim) if const is None else np.asarray(const, float)
+    w = np.zeros(ops.n_dof)
+    index = dof_index(ops)
+    for node in range(ops.mesh.n_nodes):
+        val = const + np.asarray(grad, float) @ ops.mesh.nodes[node]
+        for comp in range(dim):
+            k = index[node, comp]
+            if k >= 0:
+                w[k] = val[comp]
+    return w
+
+
+def element_measure_oracle(mesh: msh.Mesh, i: int) -> float:
+    """Oracle: length / area / volume of element i (sign stripped), from
     its own nodes."""
-    pts = mesh.nodes[list(elem.nodes)]
-    if elem.kind == msh.BAR:
+    pts = mesh.nodes[mesh.elements[i]]
+    if mesh.dim == 1:
         return float(np.linalg.norm(pts[1] - pts[0]))
     det = np.linalg.det(pts[1:] - pts[0])
-    return abs(det) / (2.0 if elem.kind == msh.TRIANGLE else 6.0)
+    return abs(det) / (2.0 if mesh.dim == 2 else 6.0)
 
 
-def facet_measure_oracle(mesh: msh.Mesh, facet: msh.Facet) -> float:
-    """Oracle: measure of one boundary facet; in 1D the cross-section area
-    of the first bar that has the facet's node."""
-    pts = mesh.nodes[list(facet.nodes)]
-    if len(facet.nodes) == 1:
-        return float(next(e.area for e in mesh.elements
-                          if e.kind == msh.BAR and facet.nodes[0] in e.nodes))
-    if len(facet.nodes) == 2:
+def facet_measure_oracle(mesh: msh.Mesh, facet) -> float:
+    """Oracle: measure of the boundary facet with node ids facet; in 1D
+    the cross-section area of the first bar that has the facet's node."""
+    pts = mesh.nodes[facet]
+    if len(facet) == 1:
+        return float(next(area for bar, area in zip(mesh.elements.tolist(), mesh.areas)
+                          if facet[0] in bar))
+    if len(facet) == 2:
         return float(np.linalg.norm(pts[1] - pts[0]))
     return float(np.linalg.norm(np.cross(pts[1] - pts[0], pts[2] - pts[0])) / 2.0)
 
 
 def element_problems_oracle(mesh: msh.Mesh) -> list:
-    """Oracle: `mesh.validate`'s element problems (node out of range, kind
-    against dim, zero measure), one element at a time."""
+    """Oracle: `mesh.validate`'s element problems (node out of range, zero
+    measure), one element at a time."""
     problems = []
     n = mesh.n_nodes
     coords = mesh.nodes.tolist()
-    for i, e in enumerate(mesh.elements):
-        if any(k < 0 or k >= n for k in e.nodes):
+    for i, e in enumerate(mesh.elements.tolist()):
+        if any(k < 0 or k >= n for k in e):
             problems.append(f"element {i} references node out of range")
             continue
-        if len(e.nodes) != mesh.dim + 1:
-            problems.append(f"element {i} kind {e.kind} does not match dim {mesh.dim}")
-            continue
-        longest = max(math.dist(coords[a], coords[b])
-                      for a, b in combinations(e.nodes, 2))
-        size = (element_measure_oracle(mesh, e)
+        longest = max(math.dist(coords[a], coords[b]) for a, b in combinations(e, 2))
+        size = (element_measure_oracle(mesh, i)
                 * math.factorial(mesh.dim)) ** (1 / mesh.dim)
         if size <= 1e-14 ** (1 / mesh.dim) * longest:
             problems.append(f"element {i} has zero measure")
+    return problems
+
+
+def validate_oracle(mesh: msh.Mesh) -> list:
+    """Oracle: `mesh.validate` on Python lists, as it was written for
+    per-element records: the element problems of
+    `element_problems_oracle`, a dict from each face's node set to the
+    elements that have it, and a walk from gamma0 over it."""
+    n, dim = mesh.n_nodes, mesh.dim
+    elements, facets = mesh.elements.tolist(), mesh.facets.tolist()
+    supported = mesh.gamma0.tolist()
+    problems = element_problems_oracle(mesh)
+    used = {k for e in elements for k in e if 0 <= k < n}
+    if len(used) < n:
+        problems.append(f"node {min(set(range(n)) - used)} is not a node of any element")
+    local = {1: [[0], [1]], 2: [[0, 1], [1, 2], [0, 2]],
+             3: [[0, 1, 2], [0, 1, 3], [1, 2, 3], [0, 2, 3]]}[dim]
+    faces = [[frozenset(e[k] for k in face) for face in local] for e in elements]
+    owners = {}  # face node set -> elements that have it as a face
+    for i, element in enumerate(faces):
+        for fs in element:
+            owners.setdefault(fs, []).append(i)
+    for i, f in enumerate(facets):
+        if any(k < 0 or k >= n for k in f):
+            problems.append(f"facet {i} references node out of range")
+            continue
+        cnt = len(owners.get(frozenset(f), ()))
+        if cnt != 1:
+            problems.append(f"facet {i} is a face of {cnt} elements (must be exactly 1)")
+    held = {i for f, s in zip(facets, supported) if s
+            for i in owners.get(frozenset(f), ())}
+    stack = list(held)
+    while stack:
+        for fs in faces[stack.pop()]:
+            for j in owners[fs]:
+                if j not in held:
+                    held.add(j)
+                    stack.append(j)
+    loose = [i for i in range(len(elements)) if i not in held]
+    if held and loose:
+        problems.append(
+            f"element {loose[0]} is not connected to gamma0 through shared "
+            f"faces ({len(loose)} loose elements)")
+    if not any(supported):
+        problems.append("gamma0 is empty")
+    if all(supported):
+        problems.append("gammaT is empty")
+    seen = set()
+    for i, f in enumerate(facets):
+        if frozenset(f) in seen:
+            problems.append(f"facet {i} duplicates another facet")
+        seen.add(frozenset(f))
     return problems
 
 
@@ -257,10 +341,9 @@ def end_tension_plate(n: int):
     """The unit square in n x n cells, clamped on the left, under a unit
     x-traction on the right edge; returns (mesh, traction)."""
     mesh = msh.generate_rectangle(1, 1, n, n, "left", "right")
-    loaded = [f for f in mesh.facets if f.label == msh.GAMMAT]
-    traction = [[1.0, 0.0] if all(mesh.nodes[q][0] == 1.0 for q in f.nodes)
-                else [0.0, 0.0] for f in loaded]
-    return mesh, np.array(traction)
+    loaded = mesh.facets[~mesh.gamma0]
+    right = np.all(mesh.nodes[loaded, 0] == 1.0, axis=1)
+    return mesh, np.column_stack([right.astype(float), np.zeros(len(loaded))])
 
 
 @pytest.fixture

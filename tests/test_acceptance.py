@@ -18,26 +18,13 @@ from loadcap import lp
 from loadcap import mesh as msh
 from loadcap import stress as st
 
-from conftest import as_matrix, make_two_tet_mesh, record_verdict
+from conftest import affine_field, as_matrix, make_two_tet_mesh, record_verdict
 
 
 def verdict(num, ok, detail):
     line = f"criterion {num:2d}: {'PASS' if ok else 'FAIL'} - {detail}"
     record_verdict(line)
     assert ok, line
-
-
-def affine_field(ops, grad, const=None):
-    dim = ops.dim
-    const = np.zeros(dim) if const is None else np.asarray(const, float)
-    w = np.zeros(ops.n_dof)
-    for node in range(ops.mesh.n_nodes):
-        val = const + np.asarray(grad, float) @ ops.mesh.nodes[node]
-        for comp in range(dim):
-            k = ops.dof_index[node, comp]
-            if k >= 0:
-                w[k] = val[comp]
-    return w
 
 
 BAR_MESHES = [(1.0, 1.0, 1), (1.0, 1.0, 4), (2.0, 1.0, 8), (1.0, 2.0, 2)]

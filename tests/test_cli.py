@@ -317,12 +317,10 @@ class TestVerify:
         # so the plastic probes' projections leave rounding only, which is
         # not admissible and bounds nothing
         nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 0.0]])
-        elements = [msh.Element(msh.TRIANGLE, e)
-                    for e in ((0, 1, 3), (0, 3, 2), (1, 4, 3))]
-        facets = [msh.Facet(f, msh.GAMMA0) for f in ((0, 1), (2, 0), (1, 4))]
-        facets += [msh.Facet(f, msh.GAMMAT) for f in ((4, 3), (3, 2))]
+        elements = [(0, 1, 3), (0, 3, 2), (1, 4, 3)]
+        facets = [(0, 1), (2, 0), (1, 4), (4, 3), (3, 2)]
         mesh_path = tmp_path / "fan.mesh"
-        msh.write_mesh(msh.Mesh(2, nodes, tuple(elements), tuple(facets)), mesh_path)
+        msh.write_mesh(msh.Mesh(2, nodes, elements, facets, np.arange(5) < 3), mesh_path)
         code, out, _ = run(capsys, ["verify", str(mesh_path), "--trials", "5"])
         assert code == cli.EXIT_OK
         assert json.loads(out)["all_ok"]
@@ -722,6 +720,18 @@ def _loose_triangle(doc):
                       for f in ([4, 5], [5, 6], [4, 6])]
 
 
+def _bar_in_a_plate(doc):
+    doc["elements"][1] = {"kind": "bar", "nodes": [0, 3], "area": 1.0}
+
+
+def _four_node_triangle(doc):
+    doc["elements"][1]["nodes"].append(1)
+
+
+def _three_node_edge(doc):
+    doc["facets"][2]["nodes"].append(3)
+
+
 class TestMeshInput:
     @pytest.mark.parametrize("command", ["capacity", "verify", "analyze"])
     @pytest.mark.parametrize("mutate", [_ragged_nodes, _extra_coordinate,
@@ -760,6 +770,21 @@ class TestMeshInput:
         code, out, err = run(capsys, ["capacity", str(path)])
         assert code == cli.EXIT_INPUT and out == ""
         assert_one_error_line(err)
+
+    @pytest.mark.parametrize("mutate,message", [
+        (_bar_in_a_plate, "element 1 kind bar does not match dim 2"),
+        (_four_node_triangle, "element 1: triangle needs 3 nodes, got 4"),
+        (_three_node_edge, "facet 2 has 3 nodes, expected 2")],
+        ids=["kind", "element_nodes", "facet_nodes"])
+    def test_record_checked_when_read(self, capsys, tmp_path, mutate, message):
+        """A record of the wrong kind or size is named when the file is read."""
+        doc = _square_doc()
+        mutate(doc)
+        path = tmp_path / "bad.mesh"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["capacity", str(path)])
+        assert code == cli.EXIT_INPUT and out == ""
+        assert err.splitlines() == [f"error: {message}"]
 
     def test_readme_mesh_example(self, capsys, tmp_path):
         path = tmp_path / "readme.mesh"

@@ -4,46 +4,15 @@ import pytest
 from loadcap import kinematics as kin
 from loadcap import mesh as msh
 
-from conftest import as_matrix, deviatoric_dual_value, trace_norm_l1
+from conftest import (affine_field, as_matrix, deviatoric_dual_value, kuhn_box,
+                      trace_norm_l1)
 
 
 def kuhn_cube() -> msh.Mesh:
     """Unit cube cut into six tetrahedra around its main diagonal, face
     x=0 clamped, the other boundary faces loaded: its corners lie on up to
     six loaded facets."""
-    nodes = np.array([[i, j, k] for k in (0, 1) for j in (0, 1) for i in (0, 1)],
-                     dtype=float)
-    paths = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
-    elements = []
-    for path in paths:
-        corner, tet = [0, 0, 0], [0]
-        for axis in path:
-            corner[axis] = 1
-            tet.append(corner[0] + 2 * corner[1] + 4 * corner[2])
-        elements.append(msh.Element(msh.TETRAHEDRON, tuple(tet)))
-    faces = {}
-    for e in elements:
-        for face in msh.element_faces(e):
-            faces[face] = faces.get(face, 0) + 1
-    facets = [msh.Facet(tuple(sorted(f)), msh.GAMMA0
-                        if np.all(nodes[sorted(f), 0] == 0.0) else msh.GAMMAT)
-              for f, count in sorted(faces.items(), key=lambda fc: sorted(fc[0]))
-              if count == 1]
-    return msh.Mesh(3, nodes, elements, facets)
-
-
-def affine_field(ops, grad, const=None):
-    """DOF vector of w(x) = const + grad @ x with clamped components dropped."""
-    dim = ops.dim
-    const = np.zeros(dim) if const is None else np.asarray(const, float)
-    w = np.zeros(ops.n_dof)
-    for node in range(ops.mesh.n_nodes):
-        val = const + np.asarray(grad, float) @ ops.mesh.nodes[node]
-        for comp in range(dim):
-            k = ops.dof_index[node, comp]
-            if k >= 0:
-                w[k] = val[comp]
-    return w
+    return kuhn_box(1, 1, 1)
 
 
 def strains(ops, w) -> np.ndarray:
@@ -89,9 +58,10 @@ class TestAssemble:
     def test_gamma0_nodes_eliminated(self, unit_square):
         ops = kin.assemble(unit_square)
         assert ops.n_dof == 4  # two right-edge nodes, two components each
-        left_nodes = {0, 2}
-        for node in left_nodes:
-            assert np.all(ops.dof_index[node] == -1)
+        # the columns of the left nodes 0 and 2 dropped, those of 1 and 3 kept
+        whole = kin.assemble(unit_square, clamp=False)
+        for op in ("strain_op", "trace_op"):
+            assert np.array_equal(getattr(ops, op), getattr(whole, op)[:, [2, 3, 6, 7]])
 
     @pytest.mark.parametrize("make", [
         lambda: msh.generate_bar(1.0, 1.0, 8),
@@ -106,9 +76,8 @@ class TestAssemble:
         assert ops.trace_op.flags.f_contiguous
 
     def test_invalid_mesh_rejected(self):
-        m = msh.Mesh(1, np.array([[0.0], [0.0]]),
-                     [msh.Element(msh.BAR, (0, 1), area=1.0)],
-                     [msh.Facet((0,), msh.GAMMA0), msh.Facet((1,), msh.GAMMAT)])
+        m = msh.Mesh(1, np.array([[0.0], [0.0]]), [(0, 1)], [(0,), (1,)],
+                     np.array([True, False]), [1.0])
         with pytest.raises(kin.KinematicsError, match="invalid mesh"):
             kin.assemble(m)
 
@@ -181,7 +150,7 @@ class TestTrace:
         grad = np.array([[0.5, 1.0], [0.0, -0.25]])
         w = affine_field(ops, grad)
         for facet, v in zip(ops.gammat_facets, kin.trace(ops, w)):
-            mid = ops.mesh.nodes[list(facet.nodes)].mean(axis=0)
+            mid = ops.mesh.nodes[facet].mean(axis=0)
             assert np.allclose(v, grad @ mid, atol=1e-12)
 
     def test_zero(self, unit_square):
@@ -192,7 +161,7 @@ class TestTrace:
 class TestWorkAndNorms:
     def test_bar_work(self, unit_bar):
         ops = kin.assemble(unit_bar)
-        assert kin.external_work(ops, np.array([[1.0]]), np.array([1.0])) == \
+        assert kin.work_vector(ops, np.array([[1.0]])) @ np.array([1.0]) == \
             pytest.approx(1.0)
 
     def test_zero_traction(self, unit_square):
@@ -200,15 +169,15 @@ class TestWorkAndNorms:
         t = np.zeros((3, 2))
         rng = np.random.default_rng(6)
         for _ in range(5):
-            assert kin.external_work(ops, t, rng.normal(size=ops.n_dof)) == 0.0
+            assert kin.work_vector(ops, t) @ rng.normal(size=ops.n_dof) == 0.0
 
     def test_bilinearity(self, unit_square):
         ops = kin.assemble(unit_square)
         rng = np.random.default_rng(9)
         t = rng.normal(size=(3, 2))
         w = rng.normal(size=ops.n_dof)
-        assert kin.external_work(ops, 2.0 * t, 3.0 * w) == pytest.approx(
-            6.0 * kin.external_work(ops, t, w))
+        assert kin.work_vector(ops, 2.0 * t) @ (3.0 * w) == pytest.approx(
+            6.0 * (kin.work_vector(ops, t) @ w))
 
     def test_traction_sup_norm(self, unit_square):
         ops = kin.assemble(unit_square)
@@ -223,7 +192,7 @@ class TestWorkAndNorms:
         for _ in range(30):
             t = rng.normal(size=(3, 2))
             w = rng.normal(size=ops.n_dof)
-            lhs = abs(kin.external_work(ops, t, w))
+            lhs = abs(kin.work_vector(ops, t) @ w)
             rhs = kin.traction_sup_norm(ops, t) * trace_norm_l1(ops, w)
             assert lhs <= rhs * (1.0 + 1e-9) + 1e-12
 
@@ -244,7 +213,7 @@ class TestWorkAndNorms:
         # row i is the work vector of the unit traction on component i,
         # bit for bit
         ops = kin.assemble(make())
-        m = len(ops.gammat_facets) * ops.dim
+        m = ops.n_boundary_comps
         want = np.array([kin.work_vector(ops, e.reshape(-1, ops.dim))
                          for e in np.eye(m)])
         got = kin.unit_works(ops)
@@ -258,7 +227,9 @@ class TestWorkAndNorms:
         f = kin.work_vector(ops, t)
         for _ in range(5):
             w = rng.normal(size=ops.n_dof)
-            assert f @ w == pytest.approx(kin.external_work(ops, t, w))
+            # the area-weighted work of each facet's traction on its trace
+            assert f @ w == pytest.approx(
+                ops.areas @ (t * kin.trace(ops, w)).sum(axis=1))
 
 
 class TestIsochoric:

@@ -1513,7 +1513,7 @@ class TestLoopMatchesReference:
         ops = kin.assemble(mesh)
         rng = np.random.default_rng(2024)
         box, kinematic = st.box_lp(ops, mode), st.kinematic_lp(ops, mode)
-        m = len(ops.gammat_facets) * ops.dim
+        m = ops.n_boundary_comps
         unit = np.array([kin.work_vector(ops, e.reshape(-1, ops.dim))
                          for e in np.eye(m)])
         for _ in range(3):

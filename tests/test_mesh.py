@@ -1,4 +1,6 @@
+import dataclasses
 import json
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -6,13 +8,42 @@ import pytest
 from loadcap import kinematics as kin
 from loadcap import mesh as msh
 
-from conftest import (element_measure_oracle, element_problems_oracle,
-                      facet_measure_oracle, kuhn_box)
+from conftest import (MESH_CASES, element_measure_oracle, element_problems_oracle,
+                      facet_measure_oracle, kuhn_box, renumbered, validate_oracle)
 
 
 def facet_measures(m: msh.Mesh) -> np.ndarray:
     """`mesh.facet_measures` of every facet of m."""
-    return msh.facet_measures(m, np.array([f.nodes for f in m.facets]))
+    return msh.facet_measures(m, m.facets)
+
+
+def same_mesh(a: msh.Mesh, b: msh.Mesh) -> bool:
+    """Whether two meshes have the same dim and equal arrays, each of the
+    same dtype."""
+    names = ("nodes", "elements", "facets", "gamma0", "areas")
+    return a.dim == b.dim and all(
+        np.array_equal(getattr(a, k), getattr(b, k))
+        and np.asarray(getattr(a, k)).dtype == np.asarray(getattr(b, k)).dtype
+        for k in names)
+
+
+def unit_bar(nodes, elements=((0, 1),), facets=((0,), (1,)), gamma0=(True, False)):
+    """A 1D mesh of bars of unit cross-section."""
+    return msh.Mesh(1, np.array(nodes, dtype=float), elements, facets,
+                    np.array(gamma0, dtype=bool), np.ones(len(elements)))
+
+
+def no_facets(dim: int, nodes, elements) -> msh.Mesh:
+    """A mesh of the given elements with no boundary facets; bars of unit
+    cross-section."""
+    return msh.Mesh(dim, nodes, elements, np.zeros((0, dim), dtype=int),
+                    np.zeros(0, dtype=bool), np.ones(len(elements)) if dim == 1 else None)
+
+
+def with_facet(m: msh.Mesh, facet, supported=False) -> msh.Mesh:
+    """m with one more facet."""
+    return dataclasses.replace(m, facets=np.vstack([m.facets, [facet]]),
+                               gamma0=np.append(m.gamma0, supported))
 
 
 class TestValidate:
@@ -20,34 +51,23 @@ class TestValidate:
         assert msh.validate(unit_bar) == []
 
     def test_zero_length_bar(self):
-        m = msh.Mesh(1, np.array([[0.0], [0.0]]),
-                     [msh.Element(msh.BAR, (0, 1), area=1.0)],
-                     [msh.Facet((0,), msh.GAMMA0), msh.Facet((1,), msh.GAMMAT)])
+        m = unit_bar([[0.0], [0.0]])
         assert any("element 0 has zero measure" in p for p in msh.validate(m))
 
     def test_empty_gamma0(self):
-        m = msh.Mesh(1, np.array([[0.0], [1.0]]),
-                     [msh.Element(msh.BAR, (0, 1), area=1.0)],
-                     [msh.Facet((0,), msh.GAMMAT), msh.Facet((1,), msh.GAMMAT)])
-        problems = msh.validate(m)
+        problems = msh.validate(unit_bar([[0.0], [1.0]], gamma0=(False, False)))
         assert "gamma0 is empty" in problems
 
     def test_out_of_range_node(self):
-        m = msh.Mesh(1, np.array([[0.0], [1.0]]),
-                     [msh.Element(msh.BAR, (0, 5), area=1.0)],
-                     [msh.Facet((0,), msh.GAMMA0), msh.Facet((1,), msh.GAMMAT)])
+        m = unit_bar([[0.0], [1.0]], elements=[(0, 5)])
         assert any("out of range" in p for p in msh.validate(m))
 
     def test_interior_facet_rejected(self):
-        m = msh.generate_bar(1.0, 1.0, 2)
-        bad = msh.Mesh(1, m.nodes, m.elements,
-                       list(m.facets) + [msh.Facet((1,), msh.GAMMAT)])
+        bad = with_facet(msh.generate_bar(1.0, 1.0, 2), [1])
         assert any("face of 2 elements" in p for p in msh.validate(bad))
 
     def test_duplicate_facet_rejected(self):
-        m = msh.generate_bar(1.0, 1.0, 1)
-        bad = msh.Mesh(1, m.nodes, m.elements,
-                       list(m.facets) + [msh.Facet((1,), msh.GAMMAT)])
+        bad = with_facet(msh.generate_bar(1.0, 1.0, 1), [1])
         assert "facet 2 duplicates another facet" in msh.validate(bad)
 
     def test_generated_meshes_valid(self):
@@ -69,16 +89,15 @@ class TestDegenerateElements:
     def test_valid_at_every_unit(self, two_tet_mesh, name, unit):
         m = two_tet_mesh if name == "two_tet" else \
             msh.generate_rectangle(1, 1, 2, 2, "left", "right")
-        scaled = msh.Mesh(m.dim, unit * m.nodes, m.elements, m.facets)
+        scaled = dataclasses.replace(m, nodes=unit * m.nodes)
         assert msh.validate(scaled) == []
         assert kin.assemble(scaled).n_dof > 0
 
     @pytest.mark.parametrize("unit", [1e-6, 1e-5, 1e-4, 1e-2, 1.0, 1e2, 1e4])
     def test_sliver_rejected_at_every_unit(self, unit):
         nodes = unit * np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-15]])
-        m = msh.Mesh(2, nodes, [msh.Element(msh.TRIANGLE, (0, 1, 2))],
-                     [msh.Facet((0, 1), msh.GAMMA0), msh.Facet((1, 2), msh.GAMMAT),
-                      msh.Facet((0, 2), msh.GAMMAT)])
+        m = msh.Mesh(2, nodes, [(0, 1, 2)], [(0, 1), (1, 2), (0, 2)],
+                     np.array([True, False, False]))
         assert msh.validate(m) == ["element 0 has zero measure"]
         with pytest.raises(kin.KinematicsError, match="zero measure"):
             kin.assemble(m)
@@ -108,8 +127,8 @@ class TestGenerateBar:
 
     def test_labels(self):
         m = msh.generate_bar(1.0, 2.0, 3)
-        assert m.facets[0].label == msh.GAMMA0 and m.facets[0].nodes == (0,)
-        assert m.facets[1].label == msh.GAMMAT and m.facets[1].nodes == (3,)
+        assert m.facets.tolist() == [[0], [3]]
+        assert m.gamma0.tolist() == [True, False]
 
 
 class TestGenerateRectangle:
@@ -141,12 +160,8 @@ class TestGenerateRectangle:
 
     def test_unloaded_edges_are_gammat(self):
         m = msh.generate_rectangle(1, 1, 2, 3, "left", "right")
-        labels = {}
-        for f in m.facets:
-            labels.setdefault(f.label, 0)
-            labels[f.label] += 1
-        assert labels[msh.GAMMA0] == 3           # left edge only
-        assert labels[msh.GAMMAT] == 3 + 2 + 2   # right, bottom, top
+        assert np.count_nonzero(m.gamma0) == 3        # left edge only
+        assert np.count_nonzero(~m.gamma0) == 3 + 2 + 2   # right, bottom, top
 
     def test_total_area(self):
         m = msh.generate_rectangle(2.0, 3.0, 3, 2, "left", "right")
@@ -158,7 +173,7 @@ class TestSerialization:
         m = msh.generate_bar(1.0, 1.0, 1)
         path = tmp_path / "bar.mesh"
         msh.write_mesh(m, path)
-        assert msh.read_mesh(path) == m
+        assert same_mesh(msh.read_mesh(path), m)
 
     def test_round_trip_full_precision(self, tmp_path):
         m = msh.generate_rectangle(0.1, 1.0 / 3.0, 2, 2, "left", "right")
@@ -166,7 +181,7 @@ class TestSerialization:
         msh.write_mesh(m, path)
         m2 = msh.read_mesh(path)
         assert np.all(m2.nodes == m.nodes)  # bit-exact
-        assert m2 == m
+        assert same_mesh(m2, m)
 
     def test_missing_nodes_key(self, tmp_path):
         path = tmp_path / "bad.mesh"
@@ -208,8 +223,7 @@ def _near_flat(rng, dim: int, n: int, unit: float) -> msh.Mesh:
     """n separate simplices, each with its last node moved towards the
     hull of the others, to 1e-16 to 1e-11 of its distance from it: on
     both sides of the zero-measure threshold.  Interleaved with an element
-    whose node is out of range and, but in 1D, a bar of the wrong kind."""
-    kind = {1: msh.BAR, 2: msh.TRIANGLE, 3: msh.TETRAHEDRON}[dim]
+    whose node is out of range."""
     nodes, elements = [], []
     for t in np.logspace(-16, -11, n):
         pts = rng.uniform(-1.0, 1.0, size=(dim + 1, dim))
@@ -218,12 +232,9 @@ def _near_flat(rng, dim: int, n: int, unit: float) -> msh.Mesh:
         pts[-1] = foot + t * (pts[-1] - foot)
         first = len(nodes)
         nodes.extend(pts)
-        elements.append(msh.Element(kind, tuple(range(first, first + dim + 1)),
-                                    area=1.0))
-    elements.insert(3, msh.Element(kind, (0,) * dim + (len(nodes),), area=1.0))
-    if dim > 1:
-        elements.insert(7, msh.Element(msh.BAR, (0, 1), area=1.0))
-    return msh.Mesh(dim, unit * np.array(nodes), elements)
+        elements.append(range(first, first + dim + 1))
+    elements.insert(3, (0,) * dim + (len(nodes),))
+    return no_facets(dim, unit * np.array(nodes), elements)
 
 
 class TestBatchedGeometry:
@@ -243,8 +254,7 @@ class TestBatchedGeometry:
     @pytest.mark.parametrize("unit", [1e-6, 1e-3, 1.0, 1e3, 1e6])
     def test_zero_length_bars(self, unit):
         nodes = unit * np.array([[0.0], [1e-20], [1.0], [1.0], [-2.0]])
-        m = msh.Mesh(1, nodes, [msh.Element(msh.BAR, pair, area=1.0)
-                                for pair in ((0, 1), (2, 3), (3, 4), (1, 2))])
+        m = no_facets(1, nodes, [(0, 1), (2, 3), (3, 4), (1, 2)])
         assert element_problems_oracle(m) == ["element 1 has zero measure"]
         assert msh.validate(m) == ["element 1 has zero measure",
                                    "gamma0 is empty", "gammaT is empty"]
@@ -255,20 +265,17 @@ class TestBatchedGeometry:
         rng = np.random.default_rng(10 + dim)
         if dim == 1:
             m = msh.generate_bar(1.0, 1.0, 6)
-            m = msh.Mesh(1, m.nodes, [msh.Element(msh.BAR, e.nodes, area=a)
-                                      for e, a in zip(m.elements,
-                                                      rng.uniform(0.5, 2.0, 6))],
-                         m.facets)
+            m = dataclasses.replace(m, areas=rng.uniform(0.5, 2.0, 6))
         else:
             m = (msh.generate_rectangle(1.0, 1.0, 3, 2, "left", "right")
                  if dim == 2 else kuhn_box(2, 1, 1))
         # every node moved by up to a fifth of a cell
         nodes = unit * (m.nodes + rng.uniform(-0.1, 0.1, size=m.nodes.shape))
-        m = msh.Mesh(dim, nodes, m.elements, m.facets)
+        m = dataclasses.replace(m, nodes=nodes)
         ops = kin.assemble(m)
         assert ops.volumes.tolist() == [
-            element_measure_oracle(m, e) * (e.area if dim == 1 else 1.0)
-            for e in m.elements]
+            element_measure_oracle(m, i) * (m.areas[i] if dim == 1 else 1.0)
+            for i in range(len(m.elements))]
         assert ops.areas.tolist() == [facet_measure_oracle(m, f)
                                       for f in ops.gammat_facets]
         assert facet_measures(m).tolist() == [facet_measure_oracle(m, f)
@@ -277,22 +284,125 @@ class TestBatchedGeometry:
 
 class TestUnusedNode:
     def test_reported(self, unit_square):
-        m = msh.Mesh(2, np.vstack([unit_square.nodes, [[5.0, 5.0], [6.0, 5.0]]]),
-                     unit_square.elements, unit_square.facets)
+        m = dataclasses.replace(
+            unit_square, nodes=np.vstack([unit_square.nodes, [[5.0, 5.0], [6.0, 5.0]]]))
         assert msh.validate(m) == ["node 4 is not a node of any element"]
         with pytest.raises(kin.KinematicsError, match="node 4 is not a node"):
             kin.assemble(m)
 
     def test_node_of_a_bad_element_is_used(self, unit_square):
-        # an element of the wrong kind, and one with a node out of range,
-        # still have the nodes they name
-        m = msh.Mesh(2, np.vstack([unit_square.nodes, [[5.0, 5.0], [6.0, 5.0]]]),
-                     list(unit_square.elements)
-                     + [msh.Element(msh.BAR, (4, 0), area=1.0),
-                        msh.Element(msh.TRIANGLE, (5, 0, 9))],
-                     unit_square.facets)
+        # elements with a node out of range still have the nodes they name
+        m = dataclasses.replace(
+            unit_square, nodes=np.vstack([unit_square.nodes, [[5.0, 5.0], [6.0, 5.0]]]),
+            elements=np.vstack([unit_square.elements, [(4, 0, 9), (5, 0, 9)]]))
         assert msh.validate(m) == [
-            "element 2 kind bar does not match dim 2",
+            "element 2 references node out of range",
             "element 3 references node out of range",
             "element 2 is not connected to gamma0 through shared faces "
             "(2 loose elements)"]
+
+
+def _breaks():
+    """(name, mesh) of meshes with one fault each, and the meshes they
+    break."""
+    bar, square = msh.generate_bar(2.0, 0.5, 3), msh.generate_rectangle(
+        1, 1, 2, 2, "left", "right")
+    box = kuhn_box(2, 1, 1)
+    for name, m in (("bar", bar), ("square", square), ("box", box)):
+        dim = m.dim
+        yield f"{name}-valid", m
+        boundary = {frozenset(f) for f in m.facets.tolist()}
+        interior = next(f for f in combinations(m.elements[0].tolist(), dim)
+                        if frozenset(f) not in boundary)
+        yield f"{name}-interior_facet", with_facet(m, interior)
+        yield f"{name}-duplicate_facet", with_facet(m, m.facets[-1][::-1], True)
+        yield f"{name}-facet_of_no_element", with_facet(
+            dataclasses.replace(m, nodes=np.vstack([m.nodes, m.nodes[:dim] + 9.0])),
+            m.n_nodes + np.arange(dim))
+        loose = m.n_nodes + np.arange(dim + 1)
+        yield f"{name}-loose_element", dataclasses.replace(
+            m, nodes=np.vstack([m.nodes, m.nodes[m.elements[0]] + 9.0]),
+            elements=np.vstack([m.elements, loose]),
+            areas=None if m.areas is None else np.append(m.areas, 1.0))
+        yield f"{name}-element_out_of_range", dataclasses.replace(
+            m, elements=np.where(np.arange(len(m.elements))[:, None] == 1,
+                                 m.elements + m.n_nodes, m.elements))
+        yield f"{name}-facet_out_of_range", with_facet(m, [-1] * dim)
+        yield f"{name}-unused_node", dataclasses.replace(
+            m, nodes=np.vstack([m.nodes, m.nodes[:1] + 0.5]))
+
+
+class TestValidateMatchesOracle:
+    """The array `validate` against the per-element one it replaced
+    (`conftest.validate_oracle`): the same problems, in the same order."""
+
+    @pytest.mark.parametrize("name,make", MESH_CASES)
+    def test_mesh_cases(self, name, make):
+        m = make()
+        assert msh.validate(m) == validate_oracle(m) == []
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (2, 1, 1), (2, 2, 1)])
+    def test_renumbered_kuhn_boxes(self, shape, seed):
+        rng = np.random.default_rng(seed)
+        m = renumbered(kuhn_box(*shape), rng)[0]
+        m = dataclasses.replace(m, elements=rng.permuted(m.elements, axis=1),
+                                facets=rng.permuted(m.facets, axis=1))
+        assert msh.validate(m) == validate_oracle(m) == []
+
+    @pytest.mark.parametrize("name,m", list(_breaks()), ids=[n for n, _ in _breaks()])
+    def test_single_break(self, name, m):
+        problems = msh.validate(m)
+        assert problems == validate_oracle(m)
+        assert (problems == []) == name.endswith("-valid")
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_random_node_ids(self, dim):
+        # ids drawn from a few values, out of range and repeated ones too,
+        # so that faces, facets and their node sets collide
+        rng = np.random.default_rng(dim)
+        for _ in range(200):
+            n = int(rng.integers(dim + 1, dim + 4))
+            n_el, n_f = rng.integers(0, 5, size=2)
+            m = msh.Mesh(dim, rng.uniform(size=(n, dim)),
+                         rng.integers(-1, n + 1, size=(n_el, dim + 1)),
+                         rng.integers(-1, n + 1, size=(n_f, dim)),
+                         rng.random(n_f) < 0.5, np.ones(n_el) if dim == 1 else None)
+            assert msh.validate(m) == validate_oracle(m)
+
+
+class TestArrays:
+    """Mesh checks its arrays once; the file's records give the same
+    arrays."""
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("elements", [[0, 1]], "elements must be an integer array of shape"),
+        ("elements", [[0.0, 1.0, 3.0]], "elements must be an integer array"),
+        ("elements", [[True, False, True]], "elements must be an integer array"),
+        ("facets", [[0, 2, 1]], "facets must be an integer array of shape"),
+        ("gamma0", [1, 0, 0, 0], "gamma0 must be a boolean array"),
+        ("gamma0", [True], "gamma0 must be a boolean array"),
+        ("areas", [1.0, 1.0], "only bars have a cross-section area")])
+    def test_bad_array(self, unit_square, field, value, message):
+        with pytest.raises(msh.MeshError, match=message):
+            dataclasses.replace(unit_square, **{field: np.array(value)})
+
+    @pytest.mark.parametrize("areas", [[1.0], [1.0, 0.0], [1.0, np.inf], [1.0, np.nan]])
+    def test_bad_bar_areas(self, areas):
+        m = msh.generate_bar(1.0, 1.0, 2)
+        with pytest.raises(msh.MeshError, match="bar element needs a positive, finite"):
+            dataclasses.replace(m, areas=np.array(areas))
+
+    @pytest.mark.parametrize("make", [lambda: msh.generate_bar(2.0, 0.5, 3),
+                                      lambda: msh.generate_rectangle(
+                                          1, 2, 3, 2, "bottom", "top"),
+                                      lambda: kuhn_box(2, 1, 1)])
+    def test_records_give_the_arrays(self, tmp_path, make):
+        m = make()
+        msh.write_mesh(m, tmp_path / "m.mesh")
+        doc = json.loads((tmp_path / "m.mesh").read_text())
+        records = msh.Mesh(doc["dim"], doc["nodes"],
+                           [msh.Element(e["kind"], e["nodes"], area=e.get("area"))
+                            for e in doc["elements"]],
+                           [msh.Facet(f["nodes"], f["label"]) for f in doc["facets"]])
+        assert same_mesh(records, m) and same_mesh(msh.read_mesh(tmp_path / "m.mesh"), m)
