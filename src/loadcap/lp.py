@@ -11,13 +11,14 @@ phases run one simplex loop (`_simplex`): the most negative price
 enters, which takes far fewer pivots than Bland's lowest-index rule on
 these LPs, with Bland's rule only while the loop is stalled; a column
 that reaches its other bound first flips there without a pivot, and a
-count of pivots counts these flips too.  An LP whose columns are all
-free or nonnegative, such as the kinematic LP, is "plain": its nonbasic
-columns all sit at 0, and the loop runs the same arithmetic as a
-simplex without bounds.  On tableaux this small an iteration costs more
-in numpy calls than in arithmetic, so the loop keeps what changes only
-when a column moves, such as each column's price signs, and makes about
-a dozen calls per iteration besides the pivot.  A pivot updates only the
+count of pivots counts these flips too.  Every LP runs this one loop:
+on an LP whose columns are all free or nonnegative, such as the
+kinematic LP, the nonbasic columns all sit at 0, no column can flip,
+and the loop pivots as a simplex without bounds would.  On tableaux
+this small an iteration costs more in numpy calls than in arithmetic,
+so the loop keeps what changes only when a column moves, such as each
+column's price signs, and makes about a dozen calls per iteration
+besides the pivot.  A pivot updates only the
 entries it changes, in the rows with a nonzero pivot-column entry and
 the columns with a nonzero pivot-row entry, or the whole tableau, as
 the counts make cheapest (`_pivot`).  At the end of a solve, x_B and the
@@ -31,10 +32,15 @@ or only in one column that is zero in the LP they are made from
 (`LPStandardForm.with_column`), share one phase 1, memoized, and each
 runs phase 2 on a copy of it.  A standalone LP runs phase 2 in phase 1's
 own array, so that its solve holds A and one tableau at its peak.
-`solve_each` walks the costs w @ U of the rows w of a weight matrix on
-one phase-2 tableau of a plain LP, each phase 2 from the basis where the
+`solve`'s phase 2 runs only on the rows that can leave the basis: a
+free variable, such as a plastic pressure, never leaves once basic, so
+its row is left out (`_live_phase2`).  `solve_each` walks the costs
+w @ U of the rows w of a weight matrix on one phase-2 tableau of an LP
+of free and nonnegative columns, each phase 2 from the basis where the
 last one stopped, and settles every row that an optimal basis it reaches
-proves optimal without a phase 2 of its own.  If a row of the LP
+proves optimal without a phase 2 of its own.  A row whose phase 2 ends
+unbounded runs it again from a fresh copy of phase 1, and is unbounded
+only if that one agrees.  If a row of the LP
 normalizes it (b = e_r), it also settles as `DOMINATED`, with a
 weak-duality lower bound and no phase 2, every row whose bound at that
 basis lies above the best optimum found so far by more than `_NEAR_TIE`.
@@ -161,14 +167,12 @@ class LPStandardForm:
     """One LP, minimize c . x subject to A x = b and lower <= x <= upper,
     with -inf or inf for a side without a bound; lower None gives 0 and
     upper None gives inf, a nonnegative column.  free marks the
-    columns without bounds, and plain says whether every other column is
-    nonnegative (`_simplex` then runs without bound flips); both follow
-    from the bounds.  The arrays are checked once, here, and an LP's
-    arrays are not changed in place after that.  Each LP has a phase 1
+    columns without bounds.  The arrays are checked once, here, and an
+    LP's arrays are not changed in place after that.  Each LP has a phase 1
     memo of its own, unless `with_objective` made it; two LPs are equal
     only if they are the same object."""
 
-    __slots__ = ("c", "A", "b", "lower", "upper", "free", "plain", "_memo")
+    __slots__ = ("c", "A", "b", "lower", "upper", "free", "_memo")
 
     def __init__(self, c, A, b, lower=None, upper=None):
         c = np.asarray(c, dtype=float)
@@ -185,7 +189,7 @@ class LPStandardForm:
         n = c.size
         if lower is None and upper is None:
             lower, upper = np.zeros(n), np.full(n, np.inf)
-            free, plain = np.zeros(n, dtype=bool), True
+            free = np.zeros(n, dtype=bool)
         else:
             lower = np.zeros(n) if lower is None else np.asarray(lower, float)
             upper = np.full(n, np.inf) if upper is None else np.asarray(upper, float)
@@ -196,11 +200,9 @@ class LPStandardForm:
                     (upper == -np.inf).any():
                 raise LPError("bounds must satisfy lower <= upper, lower < inf "
                               "and upper > -inf")
-            unbounded_above = upper == np.inf
-            free = (lower == -np.inf) & unbounded_above
-            plain = bool(unbounded_above.all()) and not lower[~free].any()
+            free = (lower == -np.inf) & (upper == np.inf)
         self.c, self.A, self.b = c, A, b
-        self.lower, self.upper, self.free, self.plain = lower, upper, free, plain
+        self.lower, self.upper, self.free = lower, upper, free
         self._memo = _Memo()
 
     def _derive(self, c: np.ndarray, A: np.ndarray, memo: _Memo) -> LPStandardForm:
@@ -208,7 +210,7 @@ class LPStandardForm:
         this LP's phase 1 is memoized from now on."""
         p = object.__new__(LPStandardForm)
         p.c, p.A, p.b, p.lower, p.upper = c, A, self.b, self.lower, self.upper
-        p.free, p.plain, p._memo = self.free, self.plain, memo
+        p.free, p._memo = self.free, memo
         self._memo.shared = True
         return p
 
@@ -297,7 +299,9 @@ def _enter(T: np.ndarray, row: int, col: int, value: np.ndarray, bound: float):
     """Pivot col into the basis in row, whose basic variable leaves at
     bound, with x_B in T's last column: x_B is B^-1 (b - N x_N), so col's
     own term comes back in before the pivot and the leaving variable's
-    goes out, each only when it is nonzero."""
+    goes out, each only when it is nonzero (on an LP of free and
+    nonnegative columns, never).  The simplex loop and phase 1's
+    drive-out share it."""
     if value[col] != 0.0:
         x = T[:-1, -1]
         x += value[col] * T[:-1, col]
@@ -306,57 +310,41 @@ def _enter(T: np.ndarray, row: int, col: int, value: np.ndarray, bound: float):
     _pivot(T, row, col)
 
 
-def _signs(value: float, lower: float, upper: float) -> tuple:
-    """(s_up, s_down) of a column at value, priced at min(s_up d_j,
-    s_down d_j): d_j, -d_j or -|d_j| as it can rise, fall or both, and 0
-    (it never enters) if its bounds fix it."""
-    if lower == upper:
-        return 0.0, 0.0
-    return 1.0 if value < upper else -1.0, -1.0 if value > lower else 1.0
-
-
 def _simplex(T: np.ndarray, basis: np.ndarray, lower: np.ndarray,
-             upper: np.ndarray, value: np.ndarray, plain: bool, phase: int,
+             upper: np.ndarray, value: np.ndarray, phase: int,
              shape: tuple) -> tuple:
     """Run the bounded-variable simplex on a tableau whose last row holds
     reduced costs and last column x_B, over the columns that lower and
     upper bound; value holds where each nonbasic column sits, at a bound,
     or at 0 inside its bounds.  Column j is priced at min(s_up d_j,
-    s_down d_j), with signs kept per column (`_signs`): -|d_j| if it can
-    move both ways, d_j at its lower bound, -d_j at its upper bound.  It
-    enters upwards when d_j < 0 and downwards when d_j > 0.  The entering
-    column has the lowest price (Dantzig), except after `_STALL`
-    degenerate pivots in a row, when it is the lowest-index improving
-    column (Bland) until a step moves the objective again.  The ratio test
-    stops at the first basic variable to reach one of its bounds, or at
-    the entering column's own other bound: then the column only moves
-    there (a bound flip), and the basis stays.  The leaving row is the
-    ratio-test tie with the lowest basic index, and its variable leaves at
-    the bound it reached.  A free variable never leaves once basic; after
-    the last one has entered, the loop is Bland's rule on bounded columns,
-    which cannot cycle at one vertex, and every other step lowers the
-    objective, so it terminates, or fails after `_MAX_ITER` pivots and
-    flips.  plain says that every column is free or nonnegative, as in
-    the kinematic LP: then the price is min(d_j, sign_j d_j), sign_j = -1
-    on the free columns, and no column has a bound to flip to.  Mutates
-    T, the int array basis and value; returns (status, pivots), pivots
-    counting the bound flips too."""
+    s_down d_j), with signs kept per column: -|d_j| if it can move both
+    ways, d_j at its lower bound, -d_j at its upper bound, and 0 (it never
+    enters) if its bounds fix it.  It enters upwards when d_j < 0 and
+    downwards when d_j > 0.  The entering column has the lowest price
+    (Dantzig), except after `_STALL` degenerate pivots in a row, when it
+    is the lowest-index improving column (Bland) until a step moves the
+    objective again.  The ratio test stops at the first basic variable to
+    reach one of its bounds, or at the entering column's own other bound:
+    then the column only moves there (a bound flip), and the basis stays.
+    The leaving row is the ratio-test tie with the lowest basic index, and
+    its variable leaves at the bound it reached.  A free variable never
+    leaves once basic; after the last one has entered, the loop is Bland's
+    rule on bounded columns, which cannot cycle at one vertex, and every
+    other step lowers the objective, so it terminates, or fails after
+    `_MAX_ITER` pivots and flips.  On an LP whose columns are all free or
+    nonnegative, such as the kinematic LP, no column has a bound to flip
+    to, every nonbasic column sits at 0, and each step is that of a
+    simplex without bounds.  Mutates T, the int array basis and value;
+    returns (status, pivots), pivots counting the bound flips too."""
     m, n = len(basis), len(lower)
     costs, x = T[-1, :n], T[:-1, -1]  # views of the reduced costs and x_B
-    if plain:
-        sign = np.where(lower == -np.inf, -1.0, 1.0)
-        finite = lower[basis] > -np.inf  # the basic variables that can leave
-    else:
-        signs = np.array([np.where(value < upper, 1.0, -1.0),
-                          np.where(value > lower, -1.0, 1.0)]) * (lower < upper)
-        lb, ub, ratios = lower[basis], upper[basis], np.empty(m)
+    movable = lower < upper
+    up = np.where(value < upper, 1.0, -1.0) * movable  # s_up of each column
+    down = np.where(value > lower, -1.0, 1.0) * movable  # and its s_down
+    lb, ub, ratios = lower[basis], upper[basis], np.empty(m)
     stalled = 0
     for pivots in range(_MAX_ITER):
-        if plain:
-            prices = np.minimum(costs, costs * sign)
-        else:
-            products = costs * signs
-            prices = np.minimum(products[0], products[1])
+        prices = np.minimum(costs * up, costs * down)
         if stalled < _STALL:
             j = prices.argmin()
             if prices[j] >= -_PIVOT_TOL:
@@ -368,50 +356,36 @@ def _simplex(T: np.ndarray, basis: np.ndarray, lower: np.ndarray,
                 return OPTIMAL, pivots
         rising = costs[j] < 0.0
         col = T[:-1, j]
-        if plain:
-            rows = (col > _PIVOT_TOL) if rising else (col < -_PIVOT_TOL)
-            rows = (rows & finite).nonzero()[0]
-            if not rows.size:
+        # each basic variable's distance to the bound it moves towards, per
+        # unit step of column j (inf where it has none): (x - l) / a rising
+        # and (l - x) / a falling, over the signed entry a, are the distance
+        # over |a| but for the sign of a zero
+        bound = np.where(col > 0.0 if rising else col < 0.0, lb, ub)
+        distance = x - bound if rising else bound - x
+        ratios.fill(np.inf)
+        np.divide(distance, col, out=ratios, where=abs(col) > _PIVOT_TOL)
+        best = ratios[ratios.argmin()] if m else np.inf
+        span = upper[j] - value[j] if rising else value[j] - lower[j]
+        if span <= best:
+            if span == np.inf:
                 return UNBOUNDED, pivots
-            ratios = x[rows] / (col[rows] if rising else -col[rows])
-            if rows.size == 1:
-                ties, best = rows, ratios[0]
-            else:
-                best = ratios[ratios.argmin()]
-                ties = rows[ratios <= best + 1e-12]
-        else:
-            # each basic variable's distance to the bound it moves towards,
-            # per unit step of column j (inf where it has none): (x - l) / a
-            # rising and (l - x) / a falling, over the signed entry a, are
-            # the distance over |a| but for the sign of a zero
-            bound = np.where(col > 0.0 if rising else col < 0.0, lb, ub)
-            distance = x - bound if rising else bound - x
-            ratios.fill(np.inf)
-            np.divide(distance, col, out=ratios, where=abs(col) > _PIVOT_TOL)
-            best = ratios[ratios.argmin()] if m else np.inf
-            span = upper[j] - value[j] if rising else value[j] - lower[j]
-            if span <= best:
-                if span == np.inf:
-                    return UNBOUNDED, pivots
-                # a bound flip: column j moves to its other bound, x_B with it
-                moved = upper[j] if rising else lower[j]
-                x -= (moved - value[j]) * col
-                value[j] = moved
-                signs[:, j] = _signs(moved, lower[j], upper[j])
-                stalled = 0
-                continue
-            ties = (ratios <= best + 1e-12).nonzero()[0]
+            # a bound flip: column j moves to its other bound, x_B with it
+            moved = upper[j] if rising else lower[j]
+            x -= (moved - value[j]) * col
+            value[j] = moved
+            up[j] = down[j] = -1.0 if rising else 1.0
+            stalled = 0
+            continue
+        ties = (ratios <= best + 1e-12).nonzero()[0]
         leave = ties[0] if ties.size == 1 else ties[basis[ties].argmin()]
         stalled = stalled + 1 if best <= 1e-12 else 0
-        if plain:
-            _pivot(T, leave, j)
-            finite[leave] = sign[j] > 0.0
-        else:
-            out, at = basis[leave], bound[leave]
-            _enter(T, leave, j, value, at)
-            value[out] = at
-            signs[:, out] = _signs(at, lower[out], upper[out])
-            lb[leave], ub[leave] = lower[j], upper[j]
+        out, at = basis[leave], bound[leave]
+        _enter(T, leave, j, value, at)
+        value[out] = at
+        # at its lower bound it can only rise, at its upper only fall
+        sign = (1.0 if at == lb[leave] else -1.0) if movable[out] else 0.0
+        up[out] = down[out] = sign
+        lb[leave], ub[leave] = lower[j], upper[j]
         basis[leave] = j
     raise LPIterationError(phase, shape, _MAX_ITER)
 
@@ -447,7 +421,7 @@ def _divide_rows(T: np.ndarray, rows: np.ndarray, cols: np.ndarray):
 
 
 def _phase1(A: np.ndarray, b: np.ndarray, lower: np.ndarray,
-            upper: np.ndarray, plain: bool) -> _Phase1:
+            upper: np.ndarray) -> _Phase1:
     """Crash-start phase 1.  Every nonbasic column starts at 0, or at the
     bound nearest 0 if 0 is outside its bounds, and the rows whose x_B
     would be negative are flipped.  A row with a `_crash_basis` column
@@ -479,7 +453,7 @@ def _phase1(A: np.ndarray, b: np.ndarray, lower: np.ndarray,
     tableau's last row is for phase 2's reduced costs, which phase 2
     writes."""
     m, n = A.shape
-    value = np.zeros(n) if plain else np.clip(0.0, lower, upper)
+    value = np.clip(0.0, lower, upper)
     T = np.empty((m + 1, n + 1))  # [A | x_B] over the cost row
     T[:m, :n] = A
     T[-1] = 0.0
@@ -527,7 +501,7 @@ def _phase1(A: np.ndarray, b: np.ndarray, lower: np.ndarray,
         value = np.concatenate((value, np.zeros(k)))
         status, pivots = _simplex(P, basis, np.concatenate((lower, np.zeros(k))),
                                   np.concatenate((upper, np.full(k, np.inf))),
-                                  value, plain, 1, (m, n))
+                                  value, 1, (m, n))
         if status != OPTIMAL or P[:m, -1][basis >= n].sum() > tol:
             return _Phase1(None, basis[:0], [], pivots)
         # the artificial columns are not needed any more, and phase 2
@@ -563,7 +537,7 @@ def _start(p: LPStandardForm) -> _Phase1:
     if memo.column is not None:
         return _start_with_column(p, *memo.column)
     if memo.phase1 is None:
-        start = _phase1(p.A, p.b, p.lower, p.upper, p.plain)
+        start = _phase1(p.A, p.b, p.lower, p.upper)
         if not memo.shared:
             return start
         memo.phase1 = start
@@ -590,28 +564,61 @@ def _start_with_column(p: LPStandardForm, base: LPStandardForm, j: int) -> _Phas
             return start
         except np.linalg.LinAlgError:
             pass
-    return _phase1(p.A, p.b, p.lower, p.upper, p.plain)
+    return _phase1(p.A, p.b, p.lower, p.upper)
 
 
-def _phase2(T: np.ndarray, basis: np.ndarray, c: np.ndarray,
-            p: LPStandardForm, value: np.ndarray) -> tuple:
-    """Write the reduced costs of c at the basis into T's last row, then
-    run phase 2 of p from that basis; returns (status, pivots).  The
+def _price(T: np.ndarray, basis: np.ndarray, c: np.ndarray):
+    """Write the reduced costs of c at the basis into T's last row.  The
     constraint rows of T are the tableau of a feasible basis, so any c
     may follow any other."""
     n = len(c)
     T[-1, :n] = c
     T[-1, n] = 0.0
     T[-1] -= c[basis] @ T[:-1]
-    return _simplex(T, basis, p.lower, p.upper, value, p.plain, 2, p.A.shape)
+
+
+def _phase2(T: np.ndarray, basis: np.ndarray, c: np.ndarray,
+            p: LPStandardForm, value: np.ndarray) -> tuple:
+    """Phase 2 of p with costs c on all of T, from its basis, as
+    `solve_each` walks it; returns (status, pivots)."""
+    _price(T, basis, c)
+    return _simplex(T, basis, p.lower, p.upper, value, 2, p.A.shape)
+
+
+def _live_phase2(T: np.ndarray, basis: np.ndarray, c: np.ndarray,
+                 p: LPStandardForm, value: np.ndarray) -> tuple:
+    """Phase 2 of p with costs c from T's basis, `solve`'s: the reduced
+    costs are written over all of T, and then the loop runs only on the
+    rows that can leave the basis, those whose basic column is not free.
+    A free variable never leaves once basic, and no ratio test stops at
+    it, so each step is the one that all of T would take, and a free
+    column that enters stays in its row; the rows left out would only
+    follow the pivots, and `solve` solves x_B from the data.  The live
+    rows move up over the others in T's own array, so no second tableau
+    is made.  Mutates T, basis and value; returns (status, pivots)."""
+    _price(T, basis, c)
+    live = ~p.free[basis]
+    if live.all():
+        return _simplex(T, basis, p.lower, p.upper, value, 2, p.A.shape)
+    rows = live.nonzero()[0]
+    k = rows.size
+    for i in (rows != np.arange(k)).nonzero()[0]:
+        T[i] = T[rows[i]]
+    T[k] = T[-1]
+    live_basis = basis[rows]
+    result = _simplex(T[:k + 1], live_basis, p.lower, p.upper, value, 2,
+                      p.A.shape)
+    basis[rows] = live_basis
+    return result
 
 
 def solve(p: LPStandardForm) -> LPSolution:
     """Dense two-phase simplex: phase 2 from `_start`, in phase 1's array
-    if p is standalone, else on a copy of its shared phase 1.  At the
-    optimal basis B, x_B and the multipliers are solved from the data, not
-    read off the tableau, whose pivots carry rounding: B x_B = b - N x_N
-    and B^T y = c_B.  A singular B, or an x_B that leaves its bounds by
+    if p is standalone, else on a copy of its shared phase 1, on the rows
+    that can leave the basis (`_live_phase2`).  At the optimal basis B,
+    x_B and the multipliers are solved from the data, not read off the
+    tableau, whose pivots carry rounding: B x_B = b - N x_N and
+    B^T y = c_B.  A singular B, or an x_B that leaves its bounds by
     more than `_FEAS_TOL` (1 + |bound|), raises `LPBasisError`: the
     tableau's rounding misled phase 2.  Deterministic for identical input,
     and the same whether phase 1 is run here or shared with an LP of the
@@ -619,14 +626,14 @@ def solve(p: LPStandardForm) -> LPSolution:
     T, basis, keep_rows, _, value = _start(p)
     if T is None:
         return LPSolution(INFEASIBLE)
-    status, pivots = _phase2(T, basis, p.c, p, value)
+    status, pivots = _live_phase2(T, basis, p.c, p, value)
     if status != OPTIMAL:
         return LPSolution(status)
     del T  # freed before B is gathered and factored
 
     x = value.copy()
     x[basis] = 0.0
-    # with every row kept, plain slices gather B and b
+    # with every row kept, slices without index arrays gather B and b
     every = len(keep_rows) == len(p.b)
     rhs = p.b if every else p.b[keep_rows]
     if x.any():
@@ -646,26 +653,20 @@ def solve(p: LPStandardForm) -> LPSolution:
     else:
         y = np.zeros(len(p.b))
         y[keep_rows] = y_B
-    if p.plain:
-        # the test below, whose widened bounds are here -_FEAS_TOL or -inf
-        # and inf: x_B passes the upper one unless it is nan, and then it
-        # fails the lower one too
-        inside = x_B >= np.where(p.free[basis], -np.inf, -_FEAS_TOL)
-    else:
-        lower, upper = p.lower[basis], p.upper[basis]
-        inside = (x_B >= lower - _FEAS_TOL * (1.0 + np.abs(lower))) & \
-            (x_B <= upper + _FEAS_TOL * (1.0 + np.abs(upper)))
+    lower, upper = p.lower[basis], p.upper[basis]
+    inside = (x_B >= lower - _FEAS_TOL * (1.0 + np.abs(lower))) & \
+        (x_B <= upper + _FEAS_TOL * (1.0 + np.abs(upper)))
     if not inside.all():
-        lower, upper = p.lower[basis], p.upper[basis]
         violation = np.maximum(lower - x_B, x_B - upper)[~inside].max()
         raise LPBasisError(p.A.shape, pivots, float(violation))
     return LPSolution(OPTIMAL, x=x, y=y, objective=float(p.c @ x))
 
 
 def _normal_row(p: LPStandardForm):
-    """1 / A[r] over the nonnegative columns of the plain LP p, if a row r
-    normalizes it: b = e_r, and A[r] is positive on every nonnegative
-    column and zero on every free one; None if no row does."""
+    """1 / A[r] over the nonnegative columns of p, an LP of free and
+    nonnegative columns, if a row r normalizes it: b = e_r, and A[r] is
+    positive on every nonnegative column and zero on every free one; None
+    if no row does."""
     (rows,) = np.nonzero(p.b)
     if rows.size != 1 or p.b[rows[0]] != 1.0:
         return None
@@ -677,13 +678,17 @@ def _normal_row(p: LPStandardForm):
 
 def solve_each(p: LPStandardForm, unit_costs, weights) -> tuple:
     """For each row w of weights, the status and objective that `solve`
-    gives the plain LP p (`LPError` otherwise) with costs w @ unit_costs,
-    up to rounding, or `DOMINATED` and a lower bound on that objective:
-    an array of statuses and one of objectives, nan unless optimal or
-    dominated.  One walk over the rows in order, after p's phase 1 (shared
-    through its memo).  The first row not yet settled runs phase 2 from
-    the basis where the previous phase 2 stopped; A and b never change, so
-    that basis stays feasible.  At the optimal basis B it reaches, the
+    gives p with costs w @ unit_costs, up to rounding, or `DOMINATED` and
+    a lower bound on that objective: an array of statuses and one of
+    objectives, nan unless optimal or dominated.  Every column of p must
+    be free or nonnegative (`LPError` otherwise).  One walk over the rows
+    in order, after p's phase 1 (shared through its memo).  The first row
+    not yet settled runs phase 2 from the basis where the previous phase 2
+    stopped; A and b never change, so that basis stays feasible.  If it
+    ends unbounded, which the rounding of a long walk can fake, phase 2
+    runs again from a fresh copy of phase 1: the row is `UNBOUNDED` only
+    if that one ends unbounded too, and the walk goes on from the basis
+    where it stops.  At the optimal basis B it reaches, the
     reduced costs of the unit costs U, R = U - U_B B^-1 A, price the next
     `_LOOKAHEAD` rows not yet settled in one product, w @ R, a nonnegative
     column upwards and a free one both ways, as in `_simplex`.  Each row
@@ -715,7 +720,7 @@ def solve_each(p: LPStandardForm, unit_costs, weights) -> tuple:
                       f"numbers of shape (rows, {len(U)})")
     if not (np.all(np.isfinite(U)) and np.all(np.isfinite(W))):
         raise LPError("unit costs or weights contain non-finite entries")
-    if not p.plain:
+    if np.isfinite(p.upper).any() or (p.lower[~p.free] != 0.0).any():
         raise LPError("solve_each needs every column free or nonnegative")
     inverse, bounded = _normal_row(p), np.flatnonzero(~p.free)
     W = W.astype(float)  # cast once, not in each product: the same values
@@ -730,10 +735,16 @@ def solve_each(p: LPStandardForm, unit_costs, weights) -> tuple:
     head, free, best = 0, np.flatnonzero(p.free), np.inf
     while head < len(todo):
         row = todo[head]
-        if _phase2(T, basis, W[row] @ U, p, value)[0] == UNBOUNDED:
-            status[row] = UNBOUNDED
-            head += 1
-            continue
+        costs = W[row] @ U
+        if _phase2(T, basis, costs, p, value)[0] == UNBOUNDED:
+            # the rounding of the walk's pivots can end a phase 2 on a
+            # false ray, so a fresh copy of phase 1 must agree; the walk
+            # goes on from the basis where that phase 2 stops
+            T, basis, _, _, value = _start(p)
+            if _phase2(T, basis, costs, p, value)[0] == UNBOUNDED:
+                status[row] = UNBOUNDED
+                head += 1
+                continue
         U_B = U[:, basis]
         R = U - U_B @ T[:-1, :n]
         # -|d_j| >= -tol on a free column is d_j >= -tol and -d_j >= -tol

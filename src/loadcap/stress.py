@@ -4,7 +4,7 @@ box-bounded LP, and the kinematic dual.
 Elastic mode bounds every stress component; plastic mode bounds only the
 deviatoric part, leaving the pressure (and, in plane strain, the
 out-of-plane normal stress) free.  The kinematic dual uses the matching
-strain budget: plain volume-weighted entrywise-1 norm in elastic mode,
+strain budget: the volume-weighted entrywise-1 norm in elastic mode,
 and its quotient by spherical shifts in plastic mode.
 
 - The box LP (`box_lp`) is the static problem with the bound scaled to

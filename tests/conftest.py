@@ -346,6 +346,18 @@ def end_tension_plate(n: int):
     return mesh, np.column_stack([right.astype(float), np.zeros(len(loaded))])
 
 
+def graded_plate(h: float) -> msh.Mesh:
+    """The graded 2x3 plate: the unit square with x nodes {0, h, 1} and y
+    nodes {0, h, 1 - h, 1}, clamped on the left, every other edge loaded
+    (m = 14).  Its plastic K is 3 - h, the ratio of a slip of the thin
+    first column along the clamp."""
+    mesh = msh.generate_rectangle(1, 1, 2, 3, "left", "right")
+    x, y = np.rint(mesh.nodes * [2, 3]).astype(int).T
+    nodes = np.column_stack([np.array([0.0, h, 1.0])[x],
+                             np.array([0.0, h, 1.0 - h, 1.0])[y]])
+    return dataclasses.replace(mesh, nodes=nodes)
+
+
 @pytest.fixture
 def two_tet_mesh():
     return make_two_tet_mesh()

@@ -10,8 +10,8 @@ from loadcap import lp
 from loadcap import mesh as msh
 from loadcap import stress as st
 
-from conftest import (cold_generalized_K, end_tension_plate, make_two_tet_mesh,
-                      trace_norm_l1)
+from conftest import (cold_generalized_K, end_tension_plate, graded_plate,
+                      make_two_tet_mesh, trace_norm_l1)
 
 
 @pytest.fixture
@@ -259,6 +259,15 @@ class TestWalkMatchesColdEnumeration:
         assert np.array_equal(res.worst_traction, worst)
 
 
+@pytest.mark.parametrize("h", [1e-1, 1e-2])
+def test_graded_plate_plastic_K(h):
+    # the walk's phase 2 on the plate at h = 1e-2 ends on a false ray,
+    # which a fresh phase 2 from phase 1 does not repeat: K is the shear
+    # band's ratio, 3 - h, and no mechanism is reported
+    K = cap.generalized_K(kin.assemble(graded_plate(h)), st.PLASTIC, cap.EXACT).K
+    assert K == pytest.approx(3.0 - h, rel=st.DUALITY_GAP_TOL, abs=0.0)
+
+
 class TestOneKinematicLP:
     """Exact: one `generalized_K` call builds one kinematic LP and runs its
     phase 1 once; the patterns are the rows of one walk, which runs phase 2
@@ -284,7 +293,10 @@ class TestOneKinematicLP:
         solve_each = counted("walks", lp.solve_each)
         monkeypatch.setattr(st, "_dual_builder", counted("builds", st._dual_builder))
         monkeypatch.setattr(lp, "_phase1", counted("phase1", lp._phase1))
+        # the walk's phase 2s and `solve`'s, on the rows that can leave
         monkeypatch.setattr(lp, "_phase2", counted("phase2", lp._phase2))
+        monkeypatch.setattr(lp, "_live_phase2",
+                            counted("phase2", lp._live_phase2))
         monkeypatch.setattr(lp, "solve_each", counted_walk)
         monkeypatch.setattr(lp, "solve", counted("solves", lp.solve))
         monkeypatch.setattr(cap, "kinematic_supremum",
@@ -440,12 +452,12 @@ class TestPinnedCounts:
         simplex, pivot, phase = lp._simplex, lp._pivot, []
 
         def counted_simplex(*args):
-            phase.append(args[6])
+            phase.append(args[5])
             try:
                 status, iterations = simplex(*args)
             finally:
                 phase.pop()
-            if args[6] == 2:
+            if args[5] == 2:
                 counts["phase2"] += 1
                 counts["iterations"] += iterations
             return status, iterations

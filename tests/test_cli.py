@@ -437,23 +437,27 @@ class TestSolveCounts:
         # walk after one phase 1, which runs phase 2 for 3 of them; then
         # one solve, and phase 2, for the first of the 4 patterns whose
         # value is K, whose own solution is certified, not solved again
-        phase1, phase2, solve_each = lp._phase1, lp._phase2, lp.solve_each
+        phase1, solve_each = lp._phase1, lp.solve_each
         calls = {"phase1": 0, "phase2": 0, "walks": 0, "walk_rows": 0}
 
         def counted_phase1(*args):
             calls["phase1"] += 1
             return phase1(*args)
 
-        def counted_phase2(*args):
-            calls["phase2"] += 1
-            return phase2(*args)
+        def counted(phase2):
+            def counted_phase2(*args):
+                calls["phase2"] += 1
+                return phase2(*args)
+            return counted_phase2
 
         def counted_walk(p, unit_costs, weights):
             calls["walks"] += 1
             calls["walk_rows"] += len(weights)
             return solve_each(p, unit_costs, weights)
         monkeypatch.setattr(lp, "_phase1", counted_phase1)
-        monkeypatch.setattr(lp, "_phase2", counted_phase2)
+        # the walk's phase 2s and `solve`'s, on the rows that can leave
+        monkeypatch.setattr(lp, "_phase2", counted(lp._phase2))
+        monkeypatch.setattr(lp, "_live_phase2", counted(lp._live_phase2))
         monkeypatch.setattr(lp, "solve_each", counted_walk)
         mesh_path, _ = square_files
         code, out, _ = run(capsys, ["capacity", mesh_path])
@@ -515,13 +519,13 @@ class TestOptimalBasisFailure:
 
     @staticmethod
     def analyze(capsys, monkeypatch, files, spoil):
-        phase2 = lp._phase2
+        phase2 = lp._live_phase2
 
         def spoiled(T, basis, c, p, value):
             status, pivots = phase2(T, basis, c, p, value)
             spoil(basis, value)
             return status, pivots
-        monkeypatch.setattr(lp, "_phase2", spoiled)
+        monkeypatch.setattr(lp, "_live_phase2", spoiled)
         code, out, err = run(capsys, ["analyze", *files])
         assert code == cli.EXIT_SOLVER and out == ""
         lines = err.strip().splitlines()

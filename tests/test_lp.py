@@ -9,7 +9,7 @@ from loadcap import lp
 from loadcap import mesh as msh
 from loadcap import stress as st
 
-from conftest import (MESH_CASES, dump, enumerate_best_loop,
+from conftest import (MESH_CASES, dump, end_tension_plate, enumerate_best_loop,
                       independent_rows_on_arrays, make_two_tet_mesh,
                       reference_simplex, split_bounds, split_free)
 
@@ -585,7 +585,6 @@ class TestBoundedVariables:
         assert np.array_equal(prob.lower, [-1.0, 0.0, -np.inf, 0.0])
         assert np.array_equal(prob.upper, [1.0, np.inf, np.inf, np.inf])
         assert np.array_equal(prob.free, [False, False, True, False])
-        assert not prob.plain and standard([1.0], [[1.0]], [1.0]).plain
         # the free column rises until x0 reaches its lower bound -1
         sol = lp.solve(prob)
         assert sol.objective == pytest.approx(-5.0)
@@ -834,9 +833,10 @@ class TestSolveEach:
             walk_runs += runs
         assert min(counts.values()) > 300, counts
         assert bounded_after_unbounded > 40
-        # every unbounded row runs phase 2, but most optimal rows settle
-        # at a basis that an earlier row reached
-        assert walk_runs - counts[lp.UNBOUNDED] < counts[lp.OPTIMAL] / 3
+        # every unbounded row runs two phase 2s, the walk's and one from a
+        # fresh phase 1, but most optimal rows settle at a basis that an
+        # earlier row reached
+        assert walk_runs - 2 * counts[lp.UNBOUNDED] < counts[lp.OPTIMAL] / 3
 
     # the phase 2s of each walk below before the walk pruned rows
     UNPRUNED_RUNS = {(st.ELASTIC, "rect11"): 14, (st.ELASTIC, "rect22"): 24,
@@ -960,7 +960,8 @@ class TestSolveEach:
                                    lp.OPTIMAL, lp.UNBOUNDED, lp.OPTIMAL]
         assert np.array_equal(objective, [np.nan, -1.0, np.nan, 0.0, np.nan, -2.0],
                               equal_nan=True)
-        assert len(phase2_runs) == 4
+        # each unbounded row runs phase 2 again from a fresh phase 1
+        assert len(phase2_runs) == 3 * 2 + 1
         self.walk_matches_solve(p, np.eye(2), weights, phase2_runs)
 
     def test_nonbasic_free_column(self, phase2_runs):
@@ -1142,6 +1143,65 @@ class TestIterationLimit:
             lp.solve_each(p, [p.c], [[1.0]])
 
 
+class TestLivePhase2:
+    """`solve`'s phase 2 runs on the rows whose basic column is not free
+    (`_live_phase2`), and gives what phase 2 on the whole tableau gives:
+    the same status and pivots, and the same x, y and objective, bit for
+    bit."""
+
+    @staticmethod
+    def solve(p, monkeypatch, phase2):
+        """`solve` with phase2 as its phase 2, and the (status, pivots)
+        that phase2 returned."""
+        runs = []
+        with monkeypatch.context() as mp:
+            mp.setattr(lp, "_live_phase2",
+                       lambda *args: runs.append(phase2(*args)) or runs[-1])
+            return lp.solve(p), runs
+
+    @staticmethod
+    def plastic_box_lps():
+        """The plastic box LPs of `MESH_CASES` under a seeded random
+        traction, and of the 5x5 and 8x8 plates under end tension."""
+        rng = np.random.default_rng(31)
+        for name, factory in MESH_CASES:
+            ops = kin.assemble(factory())
+            t = rng.uniform(-1.0, 1.0, size=(len(ops.gammat_facets), ops.dim))
+            yield name, st.box_lp(ops, st.PLASTIC, kin.work_vector(ops, t))
+        for n in (5, 8):
+            mesh, t = end_tension_plate(n)
+            ops = kin.assemble(mesh)
+            yield f"rect{n}{n}", st.box_lp(ops, st.PLASTIC, kin.work_vector(ops, t))
+
+    def test_plastic_box_lps(self, monkeypatch):
+        for name, p in self.plastic_box_lps():
+            start = lp._phase1(p.A, p.b, p.lower, p.upper)
+            assert p.free[start.basis].any(), name  # rows are left out
+            got, got_runs = self.solve(p, monkeypatch, lp._live_phase2)
+            want, want_runs = self.solve(p, monkeypatch, lp._phase2)
+            assert got_runs == want_runs and got_runs[0][1] > 0, name
+            assert got.status == want.status == lp.OPTIMAL, name
+            assert same_bits(got.x, want.x) and same_bits(got.y, want.y), name
+            assert got.objective == want.objective, name
+
+    def test_random_free_lps(self, monkeypatch):
+        # free columns that enter and stay, beside rows that leave, and
+        # bounded columns that flip
+        rng = np.random.default_rng(32)
+        reduced = 0
+        for trial in range(120):
+            p = TestFreeVariables.random_lp(rng, trial % 4) if trial % 2 else \
+                TestBoundedVariables.random_lp(rng, trial % 3)
+            got, got_runs = self.solve(p, monkeypatch, lp._live_phase2)
+            want, want_runs = self.solve(p, monkeypatch, lp._phase2)
+            assert got_runs == want_runs and got.status == want.status, dump(p)
+            if got.status == lp.OPTIMAL:
+                assert same_bits(got.x, want.x) and same_bits(got.y, want.y)
+                start = lp._phase1(p.A, p.b, p.lower, p.upper)
+                reduced += p.free[start.basis].any()
+        assert reduced > 20
+
+
 class TestOptimalBasis:
     """`solve` solves x_B and the multipliers from the data at the basis
     where phase 2 stops, and raises `LPBasisError`, naming the LP's shape,
@@ -1149,16 +1209,16 @@ class TestOptimalBasis:
 
     @pytest.fixture
     def spoil(self, monkeypatch):
-        """Make phase 2 stop with its basis and nonbasic values changed by
-        a function of the two."""
-        phase2 = lp._phase2
+        """Make `solve`'s phase 2 stop with its basis and nonbasic values
+        changed by a function of the two."""
+        phase2 = lp._live_phase2
 
         def install(change):
             def spoiled(T, basis, c, p, value):
                 status, pivots = phase2(T, basis, c, p, value)
                 change(basis, value)
                 return status, pivots
-            monkeypatch.setattr(lp, "_phase2", spoiled)
+            monkeypatch.setattr(lp, "_live_phase2", spoiled)
         return install
 
     def test_singular_basis(self, spoil):
@@ -1256,7 +1316,7 @@ class TestCrashStart:
                         box.with_column(-1, load)]
         divided = 0
         for p in lps:
-            args = (p.A, p.b, p.lower, p.upper, p.plain)
+            args = (p.A, p.b, p.lower, p.upper)
             got = lp._phase1(*args)
             with monkeypatch.context() as mp:
                 mp.setattr(lp, "_divide_rows", divide_all)
@@ -1279,7 +1339,7 @@ class TestCrashStart:
         # leaves nonbasic costs phase 2 a pivot; the two-tet mesh's first
         # pressure is a zero column, as its element has no free node
         box = st.box_lp(kin.assemble(factory()), st.PLASTIC)
-        start = lp._phase1(box.A, box.b, box.lower, box.upper, box.plain)
+        start = lp._phase1(box.A, box.b, box.lower, box.upper)
         assert start.pivots == 0
         assert np.count_nonzero(box.free[start.basis]) == \
             np.linalg.matrix_rank(box.A[:, box.free])
@@ -1295,9 +1355,8 @@ class TestCrashStart:
         n = len(box.c)
         k = np.random.default_rng(zlib.crc32(name.encode())).integers(
             -40, 21, size=len(box.b))
-        want = lp._phase1(box.A, box.b, box.lower, box.upper, box.plain)
-        got = lp._phase1(np.ldexp(box.A, k[:, None]), box.b, box.lower, box.upper,
-                         box.plain)
+        want = lp._phase1(box.A, box.b, box.lower, box.upper)
+        got = lp._phase1(np.ldexp(box.A, k[:, None]), box.b, box.lower, box.upper)
         assert (want.basis < n).all() and (got.basis < n).all()
         assert np.array_equal(got.basis, want.basis)
 
@@ -1313,7 +1372,7 @@ class TestCrashStart:
             if mode == st.ELASTIC:
                 lps.append(st.box_lp(ops, mode))
         for p in lps:
-            args = (p.A, p.b, p.lower, p.upper, p.plain)
+            args = (p.A, p.b, p.lower, p.upper)
             got = lp._phase1(*args)
             with monkeypatch.context() as mp:
                 mp.setattr(lp, "_FREE_CRASH", np.inf)
@@ -1424,33 +1483,40 @@ class TestLoopMatchesReference:
     ratio test and tie rule in full at each iteration, ends on copies of
     its arguments: the same tableau, basis and nonbasic values, bit for
     bit, the same status and the same count of pivots and flips, or the
-    same iteration limit."""
+    same iteration limit.  On an LP whose columns are all free or
+    nonnegative the reference runs its simplex without bounds, so the
+    bounded-variable loop must pivot as that one does."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        """(phase, status, pivots, flips) of each checked `_simplex` call:
-        its pivots count the bound flips too."""
-        calls, simplex, enter, entered = [], lp._simplex, lp._enter, []
-        monkeypatch.setattr(lp, "_enter",
-                            lambda *args: entered.append(1) or enter(*args))
+        """(phase, status, pivots, flips, plain) of each checked `_simplex`
+        call: its pivots count the bound flips too, and plain says that
+        the reference ran without bounds."""
+        calls, simplex, pivot, pivoted = [], lp._simplex, lp._pivot, []
+        monkeypatch.setattr(lp, "_pivot",
+                            lambda *args: pivoted.append(1) or pivot(*args))
 
-        def checked(T, basis, lower, upper, value, plain, phase, shape):
+        def checked(T, basis, lower, upper, value, phase, shape):
+            plain = bool(np.isposinf(upper).all()) and \
+                not lower[np.isfinite(lower)].any()
             want = [T.copy(), basis.copy(), value.copy()]
             try:
                 result = reference_simplex(want[0], want[1], lower, upper, want[2],
                                            plain, phase, shape)
             except lp.LPIterationError as exc:
                 result = str(exc)
-            entered.clear()
+            pivoted.clear()
             try:
-                got = simplex(T, basis, lower, upper, value, plain, phase, shape)
+                got = simplex(T, basis, lower, upper, value, phase, shape)
             except lp.LPIterationError as exc:
                 assert str(exc) == result
                 raise
             assert got == result
             assert same_bits(T, want[0]) and same_bits(basis, want[1])
             assert same_bits(value, want[2])
-            calls.append((phase, *got, 0 if plain else got[1] - len(entered)))
+            flips = got[1] - len(pivoted)
+            assert flips == 0 or not plain  # no column has a bound to flip to
+            calls.append((phase, *got, flips, plain))
             return got
         monkeypatch.setattr(lp, "_simplex", checked)
         return calls
@@ -1463,8 +1529,9 @@ class TestLoopMatchesReference:
                 lp.solve(base.with_objective(c))
         for trial, _, p in slack_corpus():
             lp.solve(p)
-        assert {status for _, status, _, _ in calls} == {lp.OPTIMAL, lp.UNBOUNDED}
+        assert {status for _, status, *_ in calls} == {lp.OPTIMAL, lp.UNBOUNDED}
         assert {phase for phase, *_ in calls} == {1, 2}
+        assert all(plain for *_, plain in calls)
 
     def test_bounded_corpus(self, calls):
         rng = np.random.default_rng(1717)
@@ -1474,8 +1541,8 @@ class TestLoopMatchesReference:
             fixed += np.count_nonzero(p.lower == p.upper)
             lp.solve(p)
         assert fixed > 0
-        assert sum(flips for *_, flips in calls) > 0
-        assert {status for _, status, _, _ in calls} == {lp.OPTIMAL, lp.UNBOUNDED}
+        assert sum(flips for _, _, _, flips, _ in calls) > 0
+        assert {status for _, status, *_ in calls} == {lp.OPTIMAL, lp.UNBOUNDED}
 
     @pytest.mark.parametrize("stall", [0, 1, 50])
     def test_bland_fallback(self, calls, monkeypatch, stall):
@@ -1485,7 +1552,7 @@ class TestLoopMatchesReference:
         for c, A in (BEALE_ORIGINAL, BEALE_RESCALED):
             lp.solve(standard(c, A, [0.0, 0.0, 1.0]))
         if stall == 50:
-            assert max(pivots for _, _, pivots, _ in calls) > stall
+            assert max(pivots for _, _, pivots, *_ in calls) > stall
             return
         for trial, A, b, costs in dense_corpus():
             lp.solve(standard(costs[0], A, b))
@@ -1523,7 +1590,10 @@ class TestLoopMatchesReference:
             st.kinematic_supremum(kinematic, kin.work_vector(ops, t))
         st.kinematic_suprema(kinematic, unit, np.where(rng.random((40, m)) < 0.5, -1, 1))
         assert {phase for phase, *_ in calls} == {2}
-        assert sum(pivots for _, _, pivots, _ in calls) > 0
+        assert sum(pivots for _, _, pivots, *_ in calls) > 0
         # the plastic 3x3 plate's phase 2s, from a crash with every
         # pressure basic, reach their optima without a bound flip
-        assert sum(flips for *_, flips in calls) > 0 or (mode, n) == (st.PLASTIC, 3)
+        assert sum(flips for _, _, _, flips, _ in calls) > 0 or \
+            (mode, n) == (st.PLASTIC, 3)
+        # the kinematic LPs' columns are free or nonnegative
+        assert {plain for *_, plain in calls} == {True, False}
