@@ -74,11 +74,10 @@ _DENSE_BELOW = 10000
 # (timed from 2^15 to 2^17 and against 32 and 64 rows on 101x201 to
 # 2562x5154 tableaux: within noise of the fastest at every size)
 _BLOCK_ENTRIES = 1 << 16
-# cost of an entry updated through an index array, in entries of the dense
-# update: rows and columns both indexed, or all rows and indexed columns
-# (fitted to pivot timings of kinematic and static LPs of 10^4-10^6 entries)
+# cost of an entry of `_pivot`'s sub-block update, whose rows and columns
+# are both indexed, in entries of the dense update (fitted to pivot timings
+# of kinematic and static LPs of 10^4-10^6 entries)
 _BLOCK_COST = 8
-_COLS_COST = 4
 # rows not yet settled that `solve_each` prices at each optimal basis: a
 # window, because a row it cannot settle is priced again at every later
 # basis (timed from 32 to 1024 on exact K at 12 to 16 sign components)
@@ -259,15 +258,15 @@ def _pivot(T: np.ndarray, row: int, col: int):
     multiples from the other rows.  Only the rows with a nonzero factor (the
     pivot column's entry) and the columns with a nonzero entry in the
     divided row change; elsewhere the rank-1 update subtracts 0 * x.  So on
-    tableaux of at least `_DENSE_BELOW` entries it updates the cheapest of
-    the sub-block of those rows and columns, those columns in every row,
-    or the whole tableau, costed by the entry counts at `_BLOCK_COST`,
-    `_COLS_COST` and 1; the whole tableau in blocks of about
-    `_BLOCK_ENTRIES` entries.  The result equals the dense update up to the
-    sign of a zero, so no pivot choice depends on which update ran.  A
-    pivot of 1.0 leaves the row as it is, which dividing by it would do
-    bit for bit.  Each update subtracts the broadcast product
-    factors[:, None] * row, the entries of `np.outer` for fewer calls."""
+    tableaux of at least `_DENSE_BELOW` entries it finds those rows and
+    columns, one scan of each vector, and updates their sub-block if that
+    costs less at `_BLOCK_COST` an entry than the whole tableau does at 1,
+    else the whole tableau in blocks of about `_BLOCK_ENTRIES` entries.
+    The result equals the dense update up to the sign of a zero, so no
+    pivot choice depends on which update ran.  A pivot of 1.0 leaves the
+    row as it is, which dividing by it would do bit for bit.  Each update
+    subtracts the broadcast product factors[:, None] * row, the entries of
+    `np.outer` for fewer calls."""
     pivot, pivot_row = T[row, col], T[row]
     if pivot != 1.0:
         pivot_row /= pivot
@@ -275,16 +274,9 @@ def _pivot(T: np.ndarray, row: int, col: int):
     factors[row] = 0.0
     if T.size >= _DENSE_BELOW:
         m, n = T.shape
-        c = np.count_nonzero(pivot_row)
-        by_block = _BLOCK_COST * np.count_nonzero(factors) * c
-        by_cols = _COLS_COST * m * c
-        if by_block <= by_cols and by_block < m * n:
-            rows, cols = factors.nonzero()[0], pivot_row.nonzero()[0]
+        rows, cols = factors.nonzero()[0], pivot_row.nonzero()[0]
+        if _BLOCK_COST * rows.size * cols.size < m * n:
             T[rows[:, None], cols] -= factors[rows, None] * pivot_row[cols]
-            return
-        if by_cols < m * n:
-            cols = pivot_row.nonzero()[0]
-            T[:, cols] -= factors[:, None] * pivot_row[cols]
             return
         # a copy: its own block subtracts 0 * x from it, turning -0.0 to 0.0
         pivot_row = pivot_row.copy()
@@ -449,9 +441,10 @@ def _phase1(A: np.ndarray, b: np.ndarray, lower: np.ndarray,
     which is nonnegative.  Minimize the sum of the artificials (at once
     optimal if all of their rows have x_B = 0), then drive the artificials
     left in the basis out of it, each on its row's first entry above
-    `_PIVOT_TOL` (an absolute test), dropping the redundant rows.  The
-    tableau's last row is for phase 2's reduced costs, which phase 2
-    writes."""
+    `_PIVOT_TOL` times the row's largest entry in A, the crash's test, so
+    that a row of small entries is not taken for redundant, and drop the
+    redundant rows.  The tableau's last row is for phase 2's reduced
+    costs, which phase 2 writes."""
     m, n = A.shape
     value = np.clip(0.0, lower, upper)
     T = np.empty((m + 1, n + 1))  # [A | x_B] over the cost row
@@ -514,8 +507,10 @@ def _phase1(A: np.ndarray, b: np.ndarray, lower: np.ndarray,
     drop = []
     # the artificials still basic; a pivot in one of their rows moves no
     # other row's basic variable
-    for r in (basis >= n).nonzero()[0]:
-        piv = np.nonzero(np.abs(T[r, :n]) > _PIVOT_TOL)[0]
+    left = (basis >= n).nonzero()[0]
+    tols = _PIVOT_TOL * np.abs(A[left]).max(axis=1, initial=0.0)
+    for r, tol in zip(left, tols):
+        piv = np.nonzero(np.abs(T[r, :n]) > tol)[0]
         if piv.size:
             _enter(T, r, int(piv[0]), value, 0.0)
             basis[r] = int(piv[0])

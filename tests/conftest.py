@@ -436,16 +436,9 @@ def reference_pivot(T, row, col):
     factors[row] = 0.0
     if T.size >= lp._DENSE_BELOW:
         m, n = T.shape
-        c = np.count_nonzero(pivot_row)
-        by_block = lp._BLOCK_COST * np.count_nonzero(factors) * c
-        by_cols = lp._COLS_COST * m * c
-        if by_block <= by_cols and by_block < m * n:
-            rows, cols = factors.nonzero()[0], pivot_row.nonzero()[0]
+        rows, cols = factors.nonzero()[0], pivot_row.nonzero()[0]
+        if lp._BLOCK_COST * rows.size * cols.size < m * n:
             T[np.ix_(rows, cols)] -= np.outer(factors[rows], pivot_row[cols])
-            return
-        if by_cols < m * n:
-            cols = pivot_row.nonzero()[0]
-            T[:, cols] -= np.outer(factors, pivot_row[cols])
             return
         pivot_row = pivot_row.copy()
         step = max(1, lp._BLOCK_ENTRIES // n)

@@ -10,8 +10,8 @@ from loadcap import lp
 from loadcap import mesh as msh
 from loadcap import stress as st
 
-from conftest import (cold_generalized_K, end_tension_plate, graded_plate,
-                      make_two_tet_mesh, trace_norm_l1)
+from conftest import (cold_generalized_K, dof_index, end_tension_plate,
+                      graded_plate, make_two_tet_mesh, trace_norm_l1)
 
 
 @pytest.fixture
@@ -266,6 +266,41 @@ def test_graded_plate_plastic_K(h):
     # band's ratio, 3 - h, and no mechanism is reported
     K = cap.generalized_K(kin.assemble(graded_plate(h)), st.PLASTIC, cap.EXACT).K
     assert K == pytest.approx(3.0 - h, rel=st.DUALITY_GAP_TOL, abs=0.0)
+
+
+def shear_band(mesh: msh.Mesh, h: float):
+    """(ops, w): w = (0, min(x / h, 1)) on the free DOFs of the unit
+    square clamped on its left edge, a slip of the band 0 <= x <= h along
+    the clamp, where w vanishes."""
+    ops = kin.assemble(mesh)
+    index = dof_index(ops)
+    free = index[:, 1] >= 0
+    w = np.zeros(ops.n_dof)
+    w[index[free, 1]] = np.minimum(mesh.nodes[free, 0] / h, 1.0)
+    return ops, w
+
+
+@pytest.mark.parametrize("mesh,h", [
+    *(pytest.param(end_tension_plate(n)[0], 1.0 / n, id=f"uniform{n}")
+      for n in (1, 2, 3, 4, 8)),
+    *(pytest.param(graded_plate(h), h, id=f"graded{h:g}")
+      for h in (1e-1, 1e-2, 1e-3, 1e-4))])
+def test_shear_band_ratio(mesh, h):
+    # without an LP: the band is isochoric, and its trace over its plastic
+    # strain norm is 3 - h, the plastic K of the graded plate
+    ops, w = shear_band(mesh, h)
+    assert st.check_isochoric(kin.isochoric_constraints(ops), w)[0]
+    ratio = trace_norm_l1(ops, w) / kin.strain_norm_plastic(ops, w)
+    assert ratio == pytest.approx(3.0 - h, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_shear_band_is_plastic_K(n):
+    # on the 1x1 and 2x2 plates no field does better than the band
+    ops, w = shear_band(end_tension_plate(n)[0], 1.0 / n)
+    ratio = trace_norm_l1(ops, w) / kin.strain_norm_plastic(ops, w)
+    K = cap.generalized_K(ops, st.PLASTIC, cap.EXACT).K
+    assert K == pytest.approx(ratio, rel=1e-12, abs=0.0)
 
 
 class TestOneKinematicLP:

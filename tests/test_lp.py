@@ -1395,6 +1395,43 @@ class TestCrashStart:
         assert run.pivots > 0
 
 
+class TestDriveOut:
+    """Phase 1 drives an artificial out of its row on the first entry
+    above `_PIVOT_TOL` times the row's largest entry in A, the crash's
+    test, so that a row of small entries is not taken for a redundant
+    one."""
+
+    def test_row_scaled_by_1e_12(self):
+        # random LPs, feasible by construction, with one row times 1e-12:
+        # `solve` gives the unscaled LP's status and objective, or fails;
+        # an absolute 1e-9 dropped that row and answered about a third of
+        # them wrongly
+        rng = np.random.default_rng(3232)
+        statuses, failed = set(), 0
+        for trial in range(1000):
+            m, n = int(rng.integers(2, 5)), int(rng.integers(3, 7))
+            A = rng.integers(-2, 3, size=(m, n)).astype(float)
+            b = A @ rng.integers(0, 2, size=n)
+            c = rng.integers(-2, 3, size=n)
+            scaled_A, scaled_b = A.copy(), b.copy()
+            r = int(rng.integers(m))
+            scaled_A[r] *= 1e-12
+            scaled_b[r] *= 1e-12
+            want = lp.solve_brute(standard(c, A, b))
+            try:
+                got = lp.solve(standard(c, scaled_A, scaled_b))
+            except lp.LPBasisError:
+                failed += 1
+                continue
+            assert got.status == want.status, f"trial {trial}"
+            if got.status == lp.OPTIMAL:
+                assert got.objective == pytest.approx(want.objective, abs=1e-7), \
+                    f"trial {trial}"
+            statuses.add(got.status)
+        assert statuses == {lp.OPTIMAL, lp.UNBOUNDED}
+        assert failed < 100, failed
+
+
 class TestPivot:
     """`_pivot` updates only the rows with a nonzero pivot-column entry and
     the columns with a nonzero pivot-row entry.  The entries it skips are
@@ -1442,8 +1479,8 @@ class TestPivot:
         """Every branch of the choice is taken; the shapes of the blocks
         the pivot updates tell them apart: the whole tableau (below the
         size gate), every row by every column in blocks of rows (dense,
-        above it), all rows by the pivot row's nonzero columns, or the
-        nonzero rows by those columns."""
+        above it), or the nonzero rows by the pivot row's nonzero
+        columns."""
         rng = np.random.default_rng(1010)
         fills = (0.01, 0.03, 0.1, 0.3, 1.0)
         branches, blocks = set(), set()
@@ -1466,9 +1503,9 @@ class TestPivot:
                         branches.add("dense" if m * n >= lp._DENSE_BELOW else "small")
                         blocks.add(len(shapes))
                     else:
-                        assert not more
-                        branches.add("columns" if rows == m else "block")
-        assert branches == {"small", "dense", "columns", "block"}
+                        assert not more and rows < m
+                        branches.add("block")
+        assert branches == {"small", "dense", "block"}
         assert max(blocks) > 1
 
 

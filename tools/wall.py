@@ -12,15 +12,17 @@ case and from round to round, each in a fresh Python process with one BLAS
 thread, under a timeout of `TIMEOUT_S`.  For each case and tree OUT
 records every run: the exit code (null after a timeout), the first stderr
 line, the wall time, the CPU time and peak RSS of the process
-(`os.wait4`), and the report's `sigma_opt` or `K`; and the median wall
-time of the runs.  A case that fails or times out is recorded as it
-ended, never dropped.
+(`os.wait4`), the report's `sigma_opt` or `K`, and what the process
+counted of its LPs (`RUN_CLI`); and the median wall time of the runs.  A
+case that fails or times out is recorded as it ended, with what it had
+counted by then, never dropped.
 """
 
 import argparse
 import json
 import os
 import platform
+import signal
 import statistics
 import subprocess
 import sys
@@ -42,7 +44,61 @@ ROUNDS = 3
 # one BLAS/OpenMP thread in each case's process, as `bench/run.py` has
 THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
            "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
-RUN_CLI = "import sys; from loadcap.cli import main; sys.exit(main(sys.argv[1:]))"
+# a timed-out process gets SIGTERM, on which it writes its counts, and
+# SIGKILL this long after if it is still running
+GRACE_S = 5.0
+# the CLI with its LPs counted: the largest LP that a simplex loop ran on
+# (rows x cols of A), the Gaussian pivots outside the loop (phase 1's crash
+# and drive-out), the pivots and bound flips of each phase's loops and the
+# `lp.solve` calls, written to stderr as one JSON line after `COUNTED`
+# when the process exits, after a failure or a SIGTERM too.  A loop that
+# SIGTERM cuts adds no count
+COUNTED = "lp counts: "
+RUN_CLI = """
+import json, signal, sys
+from loadcap import lp
+from loadcap.cli import main
+
+counts = dict(lp_rows=0, lp_cols=0, crash_pivots=0, phase1_pivots=0,
+              phase2_pivots=0, solves=0)
+looping = []
+solve, simplex, pivot = lp.solve, lp._simplex, lp._pivot
+
+def counted_solve(p):
+    counts["solves"] += 1
+    return solve(p)
+
+def counted_simplex(*args):
+    phase, (m, n) = args[-2:]
+    if m * n > counts["lp_rows"] * counts["lp_cols"]:
+        counts["lp_rows"], counts["lp_cols"] = m, n
+    key = f"phase{phase}_pivots"
+    looping.append(phase)
+    try:
+        status, pivots = simplex(*args)
+    except lp.LPIterationError as error:
+        counts[key] += error.iterations
+        raise
+    finally:
+        looping.pop()
+    counts[key] += pivots
+    return status, pivots
+
+def counted_pivot(*args):
+    if not looping:
+        counts["crash_pivots"] += 1
+    return pivot(*args)
+
+lp.solve, lp._simplex, lp._pivot = counted_solve, counted_simplex, counted_pivot
+signal.signal(signal.SIGTERM, lambda *_: sys.exit(128 + signal.SIGTERM))
+try:
+    sys.exit(main(sys.argv[1:]))
+finally:
+    print(COUNTED + json.dumps(counts), file=sys.stderr)
+""".replace("COUNTED", repr(COUNTED))
+# the fields of RUN_CLI's counts, null in a run that wrote none
+COUNTS = ("lp_rows", "lp_cols", "crash_pivots", "phase1_pivots",
+          "phase2_pivots", "solves")
 
 
 def graded_plate(h: float) -> dict:
@@ -99,15 +155,18 @@ def run_case(tree: Path, argv: list, workdir: Path) -> dict:
         proc = subprocess.Popen([sys.executable, "-c", RUN_CLI, *argv],
                                 stdout=out, stderr=err, env=env)
         killed = threading.Event()
+        grace = threading.Timer(GRACE_S, proc.kill)
 
-        def kill():
+        def stop():
             killed.set()
-            proc.kill()
-        timer = threading.Timer(TIMEOUT_S, kill)
+            proc.send_signal(signal.SIGTERM)
+            grace.start()
+        timer = threading.Timer(TIMEOUT_S, stop)
         timer.start()
         _, status, usage = os.wait4(proc.pid, 0)
         wall = time.perf_counter() - t0
         timer.cancel()
+        grace.cancel()
         timed_out = killed.is_set()
         proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here
         out.seek(0)
@@ -118,13 +177,16 @@ def run_case(tree: Path, argv: list, workdir: Path) -> dict:
         report = json.loads(stdout)
         result = report.get("sigma_opt", report.get("K"))
     lines = stderr.strip().splitlines()
+    counted = [i for i, line in enumerate(lines) if line.startswith(COUNTED)]
+    counts = json.loads(lines.pop(counted[-1])[len(COUNTED):]) if counted else {}
     return {"exit": None if timed_out else proc.returncode,
             "timed_out": timed_out,
             "stderr": lines[0] if lines else "",
             "wall_s": round(wall, 4),
             "cpu_s": round(usage.ru_utime + usage.ru_stime, 4),
             "peak_rss_mb": round(usage.ru_maxrss * 1024 / 1e6, 1),
-            "result": result}
+            "result": result,
+            **{key: counts.get(key) for key in COUNTS}}
 
 
 def main(argv=None) -> int:
@@ -152,7 +214,10 @@ def main(argv=None) -> int:
                     run = run_case(trees[side], case_argv, Path(tmp))
                     record["runs"][side].append(run)
                     print(f"{name} [{side}]: exit {run['exit']}, "
-                          f"{run['wall_s']:.2f} s, {run['result']}", file=sys.stderr)
+                          f"{run['wall_s']:.2f} s, {run['result']}, "
+                          f"{run['lp_rows']} x {run['lp_cols']} LP, pivots "
+                          f"{run['crash_pivots']} + {run['phase1_pivots']} + "
+                          f"{run['phase2_pivots']}", file=sys.stderr)
     for record in records:
         record["median_wall_s"] = {
             side: statistics.median(run["wall_s"] for run in runs)
